@@ -7,63 +7,17 @@ This package computes the maximum or minimum limit average for all products
 at once (family-based, via symbolic finishing orders, symbolic strongly
 connected components and a partitioned Karp recurrence) and per product
 (enumerative baseline), plus a brute-force cycle oracle that both are
-validated against.
+validated against.  The layers live in the submodules; the package exports
+the names needed to build, write and analyze a model.
 """
 
-from .analysis import (
-    ProductOutcome,
-    Report,
-    StrategyMismatch,
-    analyze_both,
-    analyze_family,
-    analyze_products,
-    decimal2,
-    report_to_csv,
-    report_to_dict,
-    report_to_json,
-    report_to_table,
-)
-from .dsl import ParseError, parse, serialize
-from .features import (
-    FALSE,
-    TRUE,
-    And,
-    FeatureError,
-    FeatureExpr,
-    FeatureModel,
-    Not,
-    Or,
-    ProductSet,
-    Var,
-    denote,
-    entails,
-    is_satisfiable,
-)
-from .generators import grant_request, minepump_lite, taxi
-from .meancycle import brute_force_mean_cycle, classic_karp
-from .model import (
-    InvalidProductError,
-    ModelError,
-    ProjectedWts,
-    Transition,
-    Wfts,
-    expand_lengths,
-    project,
-    symbolic_reachable,
-    transpose,
-)
-from .ordering import DfsOrder, FinishingTree, build_finishing_tree, dfs_order
-from .scc import SccTree, SymbolicScc, symbolic_sccs
+from .analysis import analyze_family, analyze_products
+from .dsl import serialize
+from .features import FeatureModel
+from .generators import taxi
+from .model import Transition, Wfts, expand_lengths
 
 __all__ = [
-    "And", "DfsOrder", "FALSE", "FeatureError", "FeatureExpr", "FeatureModel",
-    "FinishingTree", "InvalidProductError", "ModelError", "Not", "Or",
-    "ParseError", "ProductOutcome", "ProductSet", "ProjectedWts", "Report",
-    "SccTree", "StrategyMismatch", "SymbolicScc", "TRUE", "Transition", "Var",
-    "Wfts", "analyze_both", "analyze_family", "analyze_products",
-    "brute_force_mean_cycle", "build_finishing_tree", "classic_karp",
-    "decimal2", "denote", "dfs_order", "entails", "expand_lengths",
-    "grant_request", "is_satisfiable", "minepump_lite", "parse", "project",
-    "report_to_csv", "report_to_dict", "report_to_json", "report_to_table",
-    "serialize", "symbolic_reachable", "symbolic_sccs", "taxi", "transpose",
+    "FeatureModel", "Transition", "Wfts", "analyze_family", "analyze_products",
+    "expand_lengths", "serialize", "taxi",
 ]

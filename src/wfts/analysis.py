@@ -10,13 +10,16 @@ infinite run and report "undefined".
 runs the partitioned Karp recurrence per component;  ``analyze_products``
 projects and solves every product separately.  They must agree exactly; the
 ``strategy="both"`` entry point enforces that.
+
+One sign convention holds throughout: min mode runs the maximizing
+algorithms on weights negated once, inside ``IndexedModel``, and negates
+the values they return.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -60,21 +63,13 @@ class Report:
         return [(ProductSet(fm, mask), value) for value, mask in groups.items()]
 
 
-def _negate(im: IndexedModel) -> IndexedModel:
-    neg = object.__new__(IndexedModel)
-    neg.__dict__.update(im.__dict__)
-    neg.edges = [(u, v, -w, g) for u, v, w, g in im.edges]
-    return neg
-
-
 def _family_values(im: IndexedModel) -> list[Fraction | None]:
-    """Best per-product means via the symbolic pipeline (maximizing)."""
-    w = im.wfts
-    reach = symbolic_reachable_masks(w)
-    tree = build_finishing_tree(dfs_order(w))
-    scc_tree = symbolic_sccs(tree, w)
-    m = len(im.model.products)
-    best: list[Fraction | None] = [None] * m
+    """Best per-product means of ``im``'s signed weights, via the symbolic
+    pipeline (maximizing)."""
+    reach = symbolic_reachable_masks(im)
+    tree = build_finishing_tree(dfs_order(im))
+    scc_tree = symbolic_sccs(tree, im)
+    best: list[Fraction | None] = [None] * len(im.feature_model.products)
     for scc in scc_tree.components():
         cells = karp_cells(scc, im)
         if not cells:
@@ -93,28 +88,19 @@ def _family_values(im: IndexedModel) -> list[Fraction | None]:
     return best
 
 
-def _product_values(w: Wfts, mode: str, parallel: bool = False) -> list[Fraction | None]:
-    """One full projection-and-analysis per product, via the public ops."""
-    products = w.feature_model.products
-    analyze = lambda p: best_reachable_mean(project(w, p), mode)
-    if parallel:
-        with ThreadPoolExecutor() as pool:
-            return list(pool.map(analyze, products))
-    return [analyze(p) for p in products]
+def _witness(im: IndexedModel, bit: int, value: Fraction) -> tuple[str, ...] | None:
+    """An optimal cycle of mean ``value`` for one product, as original state
+    names.
 
-
-def _witness(im: IndexedModel, bit: int, shifted_value: Fraction) -> tuple[str, ...] | None:
-    """An optimal cycle for one product, as original state names.
-
-    Runs on the product's reachable subgraph with weights shifted by the
-    optimal mean; intermediate states introduced by length expansion are
-    dropped from the rendering.
+    Runs on the product's reachable subgraph with ``im``'s signed weights;
+    intermediate states introduced by length expansion are dropped from the
+    rendering.
     """
     adj = im.product_adj(bit)
     reach = reachable_from(adj, im.initial, im.n)
     edges = [(u, v, w) for u, v, w in im.product_edges(bit) if reach[u] and reach[v]]
     sources = [s for s in im.initial if reach[s]]
-    cycle = tight_cycle(im.n, edges, sources, shifted_value * im.scale)
+    cycle = tight_cycle(im.n, edges, sources, im.sign * value * im.scale)
     if cycle is None:
         return None
     names = [im.states[u] for u in cycle]
@@ -123,18 +109,14 @@ def _witness(im: IndexedModel, bit: int, shifted_value: Fraction) -> tuple[str, 
 
 
 def _outcomes(
-    w: Wfts, values: list[Fraction | None], sign: int, witnesses: bool
+    w: Wfts, values: list[Fraction | None], im: IndexedModel | None
 ) -> tuple[ProductOutcome, ...]:
-    run = None
-    if witnesses:
-        run = IndexedModel(w)
-        if sign == -1:
-            run = _negate(run)
+    """One outcome per product, with a witness cycle when ``im`` is given."""
     outcomes = []
     for i, (product, value) in enumerate(zip(w.feature_model.products, values)):
         witness = None
-        if value is not None and run is not None:
-            witness = _witness(run, 1 << i, sign * value)
+        if value is not None and im is not None:
+            witness = _witness(im, 1 << i, value)
         outcomes.append(ProductOutcome(product, value, witness))
     return tuple(outcomes)
 
@@ -142,38 +124,35 @@ def _outcomes(
 def analyze_family(w: Wfts, mode: str = "max", witnesses: bool = False) -> Report:
     """Family-based analysis: one symbolic run answering every product."""
     sign = _sign(mode)
-    im = IndexedModel(w)
-    run = im if sign == 1 else _negate(im)
+    if any(t.length != 1 for t in w.transitions):
+        raise ValueError("expand_lengths must run before analysis")
+    im = IndexedModel(w, sign)
     start = time.perf_counter()
-    values = _family_values(run)
+    values = _family_values(im)
     elapsed = (time.perf_counter() - start) * 1000.0
     values = [None if v is None else sign * v for v in values]
     return Report(
-        mode, "family", _outcomes(w, values, sign, witnesses),
+        mode, "family", _outcomes(w, values, im if witnesses else None),
         {"family_ms": elapsed}, w,
     )
 
 
-def analyze_products(
-    w: Wfts, mode: str = "max", witnesses: bool = False, parallel: bool = False
-) -> Report:
+def analyze_products(w: Wfts, mode: str = "max", witnesses: bool = False) -> Report:
     """Product-based baseline: project and solve each product separately."""
     sign = _sign(mode)
     start = time.perf_counter()
-    values = _product_values(w, mode, parallel)
+    values = [best_reachable_mean(project(w, p), mode) for p in w.feature_model.products]
     elapsed = (time.perf_counter() - start) * 1000.0
+    im = IndexedModel(w, sign) if witnesses else None
     return Report(
-        mode, "product", _outcomes(w, values, sign, witnesses),
-        {"product_ms": elapsed}, w,
+        mode, "product", _outcomes(w, values, im), {"product_ms": elapsed}, w,
     )
 
 
-def analyze_both(
-    w: Wfts, mode: str = "max", witnesses: bool = False, parallel: bool = False
-) -> Report:
+def analyze_both(w: Wfts, mode: str = "max", witnesses: bool = False) -> Report:
     """Run both strategies and fail loudly if they disagree anywhere."""
     fam = analyze_family(w, mode, witnesses)
-    prod = analyze_products(w, mode, witnesses=False, parallel=parallel)
+    prod = analyze_products(w, mode)
     diffs = []
     for a, b in zip(fam.outcomes, prod.outcomes):
         if a.value != b.value:

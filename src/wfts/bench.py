@@ -49,13 +49,10 @@ def _time_runs(fn, reps: int) -> tuple[float, float]:
     return mean, rsd
 
 
-def bench_model(label: str, w: Wfts, reps: int, mode: str = "max",
-                parallel: bool = False) -> BenchRow:
+def bench_model(label: str, w: Wfts, reps: int, mode: str = "max") -> BenchRow:
     expanded = expand_lengths(w)
     fam_mean, fam_rsd = _time_runs(lambda: analyze_family(expanded, mode), reps)
-    prod_mean, prod_rsd = _time_runs(
-        lambda: analyze_products(expanded, mode, parallel=parallel), reps
-    )
+    prod_mean, prod_rsd = _time_runs(lambda: analyze_products(expanded, mode), reps)
     return BenchRow(
         label,
         len(w.feature_model.features),

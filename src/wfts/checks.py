@@ -23,8 +23,8 @@ from .analysis import analyze_family, analyze_products, format_product
 from .dsl import serialize
 from .graphs import IndexedModel, finish_order, kosaraju_components, reachable_from
 from .meancycle import brute_force_mean_cycle
-from .model import ModelError, ProjectedTransition, ProjectedWts, Wfts
-from .ordering import FinishingTree, build_finishing_tree, dfs_order
+from .model import ModelError, ProjectedTransition, ProjectedWts, Wfts, expand_lengths
+from .ordering import DfsOrder, FinishingTree, build_finishing_tree, dfs_order
 from .randgen import random_corpus
 from .scc import SccTree, symbolic_sccs
 
@@ -49,13 +49,12 @@ def _model_header(w: Wfts, label: str) -> str:
         return f"model {label}: (not serializable)"
 
 
-def check_order_coverage(w: Wfts) -> CheckResult:
+def check_order_coverage(order: DfsOrder) -> CheckResult:
     """Each state finishes exactly once per product: per state, the stamped
     product sets are disjoint and cover all valid products."""
     result = CheckResult("order-coverage")
-    fm = w.feature_model
-    order = dfs_order(w)
-    per_state: dict[str, list[int]] = {s: [] for s in w.states}
+    fm = order.model
+    per_state: dict[str, list[int]] = {s: [] for s in order.states}
     for e in order.entries:
         if e.mask == 0:
             result.failures.append(f"entry {e.time} for {e.state} is empty")
@@ -69,7 +68,7 @@ def check_order_coverage(w: Wfts) -> CheckResult:
         if union != fm.full_mask:
             result.failures.append(f"state {s}: finish entries do not cover all products")
     total = sum(bin(m).count("1") for masks in per_state.values() for m in masks)
-    expected = len(w.states) * len(fm.products)
+    expected = len(order.states) * len(fm.products)
     if total != expected:
         result.failures.append(
             f"stamp count {total} != |S| * |products| = {expected}"
@@ -77,13 +76,12 @@ def check_order_coverage(w: Wfts) -> CheckResult:
     return result
 
 
-def check_tree(tree: FinishingTree, w: Wfts) -> CheckResult:
+def check_tree(tree: FinishingTree, im: IndexedModel) -> CheckResult:
     """The five structural tree conditions, including per-product fidelity
     against a classic DFS of the projection."""
     result = CheckResult("tree")
-    fm = w.feature_model
-    n = len(w.states)
-    im = IndexedModel(w)
+    fm = im.feature_model
+    n = im.n
 
     for leaf in tree.leaves():
         if leaf.depth != n:
@@ -141,11 +139,10 @@ def finish_ranks(im: IndexedModel, bit: int) -> dict[str, int]:
     return {im.states[u]: i + 1 for i, u in enumerate(order)}
 
 
-def check_scc_tree(scc_tree: SccTree, w: Wfts) -> CheckResult:
+def check_scc_tree(scc_tree: SccTree, im: IndexedModel) -> CheckResult:
     """Per product, the symbolic components equal the classic partition."""
     result = CheckResult("scc")
-    fm = w.feature_model
-    im = IndexedModel(w)
+    fm = im.feature_model
     for p_idx, product in enumerate(fm.products):
         bit = 1 << p_idx
         classic = kosaraju_components(im.product_adj(bit), im.product_radj(bit), im.n)
@@ -166,42 +163,39 @@ def check_scc_tree(scc_tree: SccTree, w: Wfts) -> CheckResult:
                         f"product {format_product(product)}: state {s} in two components"
                     )
                 assigned.add(s)
-        if len(assigned) != len(w.states):
+        if len(assigned) != im.n:
             result.failures.append(
                 f"product {format_product(product)}: {len(assigned)} of "
-                f"{len(w.states)} states assigned"
+                f"{im.n} states assigned"
             )
     return result
 
 
-def reachable_projection(w: Wfts, product) -> ProjectedWts:
-    """The product's projection restricted to states reachable from init."""
-    im = IndexedModel(w)
-    bit = 1 << w.feature_model.product_index(product)
-    adj = im.product_adj(bit)
-    reach = reachable_from(adj, im.initial, im.n)
-    states = tuple(s for s, r in zip(w.states, reach) if r)
-    kept = set(states)
+def reachable_projection(im: IndexedModel, bit: int) -> ProjectedWts:
+    """The projection on product ``bit``, restricted to the states reachable
+    from an initial state."""
+    reach = reachable_from(im.product_adj(bit), im.initial, im.n)
+    states = tuple(s for s, r in zip(im.states, reach) if r)
     trans = tuple(
         ProjectedTransition(t.source, t.action, t.target, t.weight, t.length)
-        for t, (_, _, _, g) in zip(w.transitions, im.edges)
-        if g & bit and t.source in kept  # target is reachable too, then
+        for t, (u, _, _, g) in zip(im.transitions, im.edges)
+        if g & bit and reach[u]  # target is reachable too, then
     )
-    initial = tuple(s for s in w.initial if s in kept)
+    initial = tuple(im.states[i] for i in im.initial if reach[i])
     return ProjectedWts(states, initial, trans)
 
 
-def check_triangle(w: Wfts, modes=("max", "min"), label: str = "model") -> CheckResult:
+def check_triangle(im: IndexedModel, modes=("max", "min"), label: str = "model") -> CheckResult:
     """Family-based == product-based == brute force, exactly, per product."""
     result = CheckResult("triangle")
-    fm = w.feature_model
+    w = im.wfts
     for mode in modes:
         family = analyze_family(w, mode)
         products = analyze_products(w, mode)
-        for product in fm.products:
-            oracle = brute_force_mean_cycle(reachable_projection(w, product), mode)
-            fam_v = family.value_of(product)
-            prod_v = products.value_of(product)
+        for p_idx, product in enumerate(w.feature_model.products):
+            oracle = brute_force_mean_cycle(reachable_projection(im, 1 << p_idx), mode)
+            fam_v = family.outcomes[p_idx].value
+            prod_v = products.outcomes[p_idx].value
             if not (fam_v == prod_v == oracle):
                 result.failures.append(
                     f"{label} mode={mode} product {format_product(product)}: "
@@ -212,20 +206,21 @@ def check_triangle(w: Wfts, modes=("max", "min"), label: str = "model") -> Check
 
 
 def check_model(w: Wfts, modes=("max", "min"), label: str = "model") -> CheckResult:
-    """All suites on one (already length-expanded) system."""
+    """All suites on one (already length-expanded) system, sharing one
+    indexed graph and one feature-aware DFS."""
     result = CheckResult(label)
-    result.merge(check_order_coverage(w))
-    tree = build_finishing_tree(dfs_order(w))
-    result.merge(check_tree(tree, w))
-    result.merge(check_scc_tree(symbolic_sccs(tree, w), w))
-    result.merge(check_triangle(w, modes, label))
+    im = IndexedModel(w)
+    order = dfs_order(im)
+    result.merge(check_order_coverage(order))
+    tree = build_finishing_tree(order)
+    result.merge(check_tree(tree, im))
+    result.merge(check_scc_tree(symbolic_sccs(tree, im), im))
+    result.merge(check_triangle(im, modes, label))
     return result
 
 
 def check_random_batch(seed: int, count: int, modes=("max", "min")) -> CheckResult:
     """The full suite over a deterministic batch of random systems."""
-    from .model import expand_lengths
-
     result = CheckResult(f"random batch seed={seed} count={count}")
     for i, w in enumerate(random_corpus(seed, count)):
         result.merge(check_model(expand_lengths(w), modes, label=f"random[{seed}:{i}]"))

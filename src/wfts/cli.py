@@ -58,7 +58,6 @@ class RunConfig:
     reps: int = 5
     seed: int = 0
     count: int = 100
-    parallel: bool = False
     witnesses: bool = True
     against: str | None = None
 
@@ -94,14 +93,15 @@ def _color_enabled() -> bool:
 
 
 def _generate(spec: str) -> Wfts:
-    name, _, arg = spec.partition(":")
+    name, sep, arg = spec.partition(":")
+    fixed = {"grantrequest": generators.grant_request, "minepump": generators.minepump_lite}
+    if name in fixed and sep:
+        raise UsageError(f"generator {name!r} takes no argument: {spec!r}")
     try:
         if name == "taxi":
             return generators.taxi(int(arg) if arg else 1)
-        if name == "grantrequest":
-            return generators.grant_request()
-        if name == "minepump":
-            return generators.minepump_lite()
+        if name in fixed:
+            return fixed[name]()
     except ValueError as exc:
         raise UsageError(f"bad generator argument in {spec!r}: {exc}") from exc
     raise UsageError(f"unknown generator {name!r} (try taxi:N, grantrequest, minepump)")
@@ -111,7 +111,11 @@ def _generate_range(spec: str) -> list[tuple[str, Wfts]]:
     name, _, arg = spec.partition(":")
     if name == "taxi" and ".." in arg:
         lo, hi = arg.split("..", 1)
-        return [(f"taxi:{i}", generators.taxi(i)) for i in range(int(lo), int(hi) + 1)]
+        try:
+            sizes = range(int(lo), int(hi) + 1)
+        except ValueError as exc:
+            raise UsageError(f"bad generator range in {spec!r}: {exc}") from exc
+        return [(f"taxi:{i}", _generate(f"taxi:{i}")) for i in sizes]
     return [(spec, _generate(spec))]
 
 
@@ -120,9 +124,9 @@ def _cmd_analyze(cfg: RunConfig) -> int:
     if cfg.strategy == "family":
         report = analyze_family(w, cfg.mode, cfg.witnesses)
     elif cfg.strategy == "product":
-        report = analyze_products(w, cfg.mode, cfg.witnesses, parallel=cfg.parallel)
+        report = analyze_products(w, cfg.mode, cfg.witnesses)
     else:
-        report = analyze_both(w, cfg.mode, cfg.witnesses, parallel=cfg.parallel)
+        report = analyze_both(w, cfg.mode, cfg.witnesses)
     if cfg.format == "json":
         print(report_to_json(report))
     elif cfg.format == "csv":
@@ -134,7 +138,7 @@ def _cmd_analyze(cfg: RunConfig) -> int:
 
 def _cmd_bench(cfg: RunConfig) -> int:
     rows = [
-        bench_model(label, w, cfg.reps, cfg.mode, parallel=cfg.parallel)
+        bench_model(label, w, cfg.reps, cfg.mode)
         for label, w in _generate_range(cfg.generate)
     ]
     if cfg.format == "json":
@@ -148,23 +152,44 @@ def _cmd_bench(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _read_report(path: str, mode: str) -> tuple[str, list[tuple[tuple[str, ...], object]]]:
+    """The mode and the (features, value) entries of a stored JSON report."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            stored = json.load(fh)
+    except OSError as exc:
+        raise ModelError(f"cannot read report {path}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise ModelError(f"report {path} is not JSON text: {exc}") from exc
+    try:
+        entries = [
+            (tuple(str(f) for f in p["features"]), p["value"])
+            for p in stored["products"]
+        ]
+    except (LookupError, TypeError) as exc:
+        raise ModelError(
+            f"report {path} needs a 'products' list whose entries have "
+            f"'features' and 'value'"
+        ) from exc
+    mode = stored.get("mode", mode)
+    if mode not in ("max", "min"):
+        raise ModelError(f"{path}: mode must be 'max' or 'min', not {mode!r}")
+    return mode, entries
+
+
 def _against_report(w: Wfts, path: str, mode: str) -> list[str]:
-    with open(path, encoding="utf-8") as fh:
-        stored = json.load(fh)
-    report = analyze_both(expand_lengths(w), stored.get("mode", mode))
+    mode, entries = _read_report(path, mode)
+    report = analyze_both(expand_lengths(w), mode)
     current = {
         tuple(p["features"]): p["value"] for p in report_to_dict(report)["products"]
     }
     diffs = []
-    for entry in stored["products"]:
-        key = tuple(entry["features"])
+    for key, value in entries:
         got = current.get(key)
         if got is None:
             diffs.append(f"product {{{','.join(key)}}}: not present in current model")
-        elif got != entry["value"]:
-            diffs.append(
-                f"product {{{','.join(key)}}}: expected {entry['value']}, got {got}"
-            )
+        elif got != value:
+            diffs.append(f"product {{{','.join(key)}}}: expected {value}, got {got}")
     return diffs
 
 
@@ -212,8 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--generate", metavar="SPEC",
                        help="built-in model: taxi:N, grantrequest, minepump")
         p.add_argument("--mode", choices=("max", "min"), default="max")
-        p.add_argument("--parallel", action="store_true",
-                       help="analyze products on a thread pool")
 
     p = sub.add_parser("analyze", help="per-product limit-average report")
     add_model_args(p)
@@ -229,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("max", "min"), default="max")
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    p.add_argument("--parallel", action="store_true")
 
     p = sub.add_parser("validate", help="run the cross-validation suites")
     add_model_args(p)
@@ -252,7 +274,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         reps=getattr(args, "reps", 5),
         seed=getattr(args, "seed", 0),
         count=getattr(args, "count", 100),
-        parallel=getattr(args, "parallel", False),
         witnesses=not getattr(args, "no_witness", False),
         against=getattr(args, "against", None),
     )

@@ -2,7 +2,7 @@
 
 Grammar (whitespace-insensitive, ``#`` starts a line comment)::
 
-    model      := "features" "{" id ("," id)* "}" constraint? states init trans*
+    model      := "features" "{" (id ("," id)*)? "}" constraint? states init trans*
     constraint := "constraint" expr
     states     := "states" "{" id ("," id)* "}"
     init       := "init" "{" id ("," id)* "}"
@@ -206,9 +206,11 @@ class _Parser:
         return int(tok.text)
 
     def parse_model(self) -> Wfts:
-        self.expect_keyword("features")
+        features_tok = self.expect_keyword("features")
         self.expect_symbol("{")
-        feature_toks = self.ident_list("feature name")
+        feature_toks = []
+        if not (self.peek().kind == "symbol" and self.peek().text == "}"):
+            feature_toks = self.ident_list("feature name")
         self.expect_symbol("}")
 
         constraint: FeatureExpr = TRUE
@@ -236,7 +238,7 @@ class _Parser:
         try:
             fm = FeatureModel([t.text for t in feature_toks], constraint)
         except FeatureError as exc:
-            tok = feature_toks[0]
+            tok = feature_toks[0] if feature_toks else features_tok
             raise ParseError(tok.line, tok.col, str(exc)) from exc
         try:
             return Wfts(
@@ -318,9 +320,8 @@ def serialize(w: Wfts) -> str:
                 f"state {name!r} is not an identifier and cannot be serialized"
             )
     fm = w.feature_model
-    if not fm.features:
-        raise ModelError("the format requires at least one feature name")
-    lines = [f"features {{ {', '.join(fm.features)} }}"]
+    names = ", ".join(fm.features)
+    lines = [f"features {{ {names} }}" if names else "features { }"]
     if fm.constraint != TRUE:
         lines.append(f"constraint {fm.constraint}")
     lines.append(f"states {{ {', '.join(w.states)} }}")

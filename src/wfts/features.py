@@ -360,17 +360,3 @@ class ProductSet:
         shown = ["{" + ",".join(sorted(p)) + "}" for p in self]
         return "ProductSet(" + " ".join(shown) + ")"
 
-
-def denote(expr: FeatureExpr, fm: FeatureModel) -> ProductSet:
-    """Valid products satisfying ``expr``."""
-    return fm.denote(expr)
-
-
-def is_satisfiable(expr: FeatureExpr, fm: FeatureModel) -> bool:
-    """True iff some valid product satisfies ``expr``."""
-    return fm.is_satisfiable(expr)
-
-
-def entails(a: FeatureExpr, b: FeatureExpr, fm: FeatureModel) -> bool:
-    """True iff every valid product satisfying ``a`` also satisfies ``b``."""
-    return fm.entails(a, b)

@@ -1,64 +1,68 @@
-"""Classic graph algorithms on integer-indexed adjacency lists.
+"""The indexed graph of one analysis, and classic graph algorithms on it.
 
-These are the per-product building blocks: DFS finishing order, Kosaraju's
-two-pass SCC computation, and plain reachability.  They double as the
-independent reference implementations that the symbolic algorithms are
-checked against, so they must follow the same canonical iteration order:
-states and out-edges in declaration order.
+``IndexedModel`` is the only place where a system becomes integer states,
+guard bitmasks and adjacency lists; every layer of an analysis and every
+cross-check reads the same object.  It also carries the one sign
+convention: min mode runs the maximizing algorithms on weights negated
+once, here.
+
+The classic algorithms (DFS finishing order, Kosaraju's two-pass SCC
+computation, plain reachability) are the per-product building blocks.  They
+double as the independent reference implementations that the symbolic
+algorithms are checked against, so they must follow the same canonical
+iteration order: states and out-edges in declaration order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from typing import TYPE_CHECKING
 
-from .model import Wfts
+if TYPE_CHECKING:
+    from .model import Wfts
 
 
 class IndexedModel:
     """A system flattened to integer indices with bit-mask guards.
 
+    ``edges`` holds one ``(u, v, weight, guard mask)`` per transition in
+    declaration order; ``out[u]`` and ``pred[v]`` list ``(neighbour, guard
+    mask)`` pairs in that order, without the edges no valid product enables.
     Weights are scaled to integers by the least common multiple of the
-    denominators so the per-product inner loops stay in int arithmetic.
-    All transitions must have length 1 (run ``expand_lengths`` first).
+    denominators, so that the inner loops stay in int arithmetic, and
+    multiplied by ``sign`` (1 for max mode, -1 for min mode).  Lengths are
+    ignored: the cycle-mean layers need ``expand_lengths`` to have run.
     """
 
-    def __init__(self, w: Wfts):
-        if any(t.length != 1 for t in w.transitions):
-            raise ValueError("expand_lengths must run before analysis")
+    def __init__(self, w: Wfts, sign: int = 1):
         fm = w.feature_model
         self.wfts = w
-        self.model = fm
+        self.feature_model = fm
         self.states = w.states
+        self.transitions = w.transitions
+        self.sign = sign
         self.n = len(w.states)
-        idx = {s: i for i, s in enumerate(w.states)}
-        self.initial = [idx[s] for s in w.initial]
+        self.index = {s: i for i, s in enumerate(w.states)}
+        self.initial = [self.index[s] for s in w.initial]
         self.scale = lcm(1, *(t.weight.denominator for t in w.transitions))
-        self.edges: list[tuple[int, int, int, int]] = []  # (u, v, w_scaled, guard_mask)
+        self.edges: list[tuple[int, int, int, int]] = []
         self.out: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
         self.pred: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
         for t in w.transitions:
             g = fm.mask(t.guard)
-            u, v = idx[t.source], idx[t.target]
-            wt = int(t.weight * self.scale)
-            self.edges.append((u, v, wt, g))
-            self.out[u].append((v, g))
-            self.pred[v].append((u, g))
+            u, v = self.index[t.source], self.index[t.target]
+            self.edges.append((u, v, sign * int(t.weight * self.scale), g))
+            if g:
+                self.out[u].append((v, g))
+                self.pred[v].append((u, g))
 
     def product_adj(self, bit: int) -> list[list[int]]:
         """Forward adjacency for one product (edge order preserved)."""
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v, _, g in self.edges:
-            if g & bit:
-                adj[u].append(v)
-        return adj
+        return [[v for v, g in edges if g & bit] for edges in self.out]
 
     def product_radj(self, bit: int) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v, _, g in self.edges:
-            if g & bit:
-                adj[v].append(u)
-        return adj
+        return [[u for u, g in edges if g & bit] for edges in self.pred]
 
     def product_edges(self, bit: int) -> list[tuple[int, int, int]]:
         return [(u, v, wt) for u, v, wt, g in self.edges if g & bit]

@@ -12,9 +12,11 @@ Three routes to the same quantity live here, deliberately independent:
   oracle both other routes are checked against.  Correct because some
   optimal-mean cycle is always simple.
 
-Minimum mode is handled by negating weights, running the maximizing
-algorithm, and negating the result; the brute-force oracle instead compares
-means directly, so the two routes stay independent in both modes.
+Every route maximizes.  Minimum mode negates the weights once, runs the
+maximizing algorithm and negates the result: ``karp_cells`` reads weights
+already negated inside ``IndexedModel``, and the product-based baseline
+negates its projected weights.  The brute-force oracle instead compares
+means directly, so the routes stay independent in both modes.
 """
 
 from __future__ import annotations
@@ -151,7 +153,7 @@ def karp_cells(scc: SymbolicScc, im: IndexedModel) -> list[tuple[int, Fraction]]
     masks = scc.masks
     members = [v for v in range(im.n) if masks[v]]
     n = len(members)
-    s0 = im.wfts.index(scc.anchor_state)
+    s0 = im.index[scc.anchor_state]
 
     by_source: dict[int, list[tuple[int, int, int]]] = {}
     n_trans = 0

@@ -11,9 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .features import TRUE, FeatureError, FeatureExpr, FeatureModel, ProductSet
+
+if TYPE_CHECKING:
+    from .graphs import IndexedModel
 
 
 class ModelError(ValueError):
@@ -88,7 +91,6 @@ class Wfts:
         self.transitions = tuple(transitions)
         self.feature_model = feature_model
         self._validate()
-        self._index = {s: i for i, s in enumerate(self.states)}
 
     def _validate(self) -> None:
         if not self.states:
@@ -122,9 +124,6 @@ class Wfts:
     @property
     def actions(self) -> frozenset[str]:
         return frozenset(t.action for t in self.transitions)
-
-    def index(self, state: str) -> int:
-        return self._index[state]
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -201,30 +200,22 @@ def transpose(w: Wfts) -> Wfts:
     return Wfts(w.states, w.initial, rev, w.feature_model)
 
 
-def symbolic_reachable(w: Wfts) -> dict[str, ProductSet]:
+def symbolic_reachable(im: IndexedModel) -> dict[str, ProductSet]:
     """For each state, the exact set of products under which it is reachable
     from some initial state via guard-satisfying transitions."""
-    fm = w.feature_model
-    masks = symbolic_reachable_masks(w)
-    return {s: ProductSet(fm, m) for s, m in zip(w.states, masks)}
+    fm = im.feature_model
+    return {s: ProductSet(fm, m) for s, m in zip(im.states, symbolic_reachable_masks(im))}
 
 
-def symbolic_reachable_masks(w: Wfts) -> list[int]:
-    fm = w.feature_model
-    n = len(w.states)
-    idx = {s: i for i, s in enumerate(w.states)}
-    out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for t in w.transitions:
-        g = fm.mask(t.guard)
-        if g:
-            out[idx[t.source]].append((idx[t.target], g))
-    reach = [0] * n
+def symbolic_reachable_masks(im: IndexedModel) -> list[int]:
+    full = im.feature_model.full_mask
+    reach = [0] * im.n
     work = []
-    for s in w.initial:
-        i = idx[s]
-        if reach[i] != fm.full_mask:
-            reach[i] = fm.full_mask
+    for i in im.initial:
+        if reach[i] != full:
+            reach[i] = full
             work.append(i)
+    out = im.out
     while work:
         u = work.pop()
         ru = reach[u]

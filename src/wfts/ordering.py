@@ -20,8 +20,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .features import FeatureModel, ProductSet
-from .model import Wfts
+from .features import ProductSet
+from .graphs import IndexedModel
 
 
 @dataclass(frozen=True)
@@ -34,9 +34,9 @@ class OrderEntry:
 class DfsOrder:
     """Stamped finishing entries of the feature-aware DFS."""
 
-    def __init__(self, w: Wfts, entries: list[tuple[str, int]]):
-        self.wfts = w
-        self.model = w.feature_model
+    def __init__(self, im: IndexedModel, entries: list[tuple[str, int]]):
+        self.states = im.states
+        self.model = im.feature_model
         self.entries = tuple(
             OrderEntry(state, mask, i + 1) for i, (state, mask) in enumerate(entries)
         )
@@ -52,7 +52,7 @@ class DfsOrder:
         return len(self.entries)
 
 
-def dfs_order(w: Wfts) -> DfsOrder:
+def dfs_order(im: IndexedModel) -> DfsOrder:
     """Run the feature-aware DFS and return the stamped finishing order.
 
     Per state the unexplored-products set starts at all valid products; a
@@ -61,12 +61,8 @@ def dfs_order(w: Wfts) -> DfsOrder:
     unexplored at the target.  The recursion is realised with an explicit
     stack but preserves the recursive visit order exactly.
     """
-    fm = w.feature_model
-    idx = {s: i for i, s in enumerate(w.states)}
-    out: list[list[tuple[int, int]]] = [[] for _ in w.states]
-    for t in w.transitions:
-        out[idx[t.source]].append((idx[t.target], fm.mask(t.guard)))
-    white = [fm.full_mask] * len(w.states)
+    out = im.out
+    white = [im.feature_model.full_mask] * im.n
     entries: list[tuple[str, int]] = []
 
     # Frame: [state, lam, exploring, next edge index]
@@ -77,7 +73,7 @@ def dfs_order(w: Wfts) -> DfsOrder:
         white[u] &= ~lam
         frames.append([u, lam, exploring, 0])
 
-    for root in range(len(w.states)):
+    for root in range(im.n):
         if not white[root]:
             continue
         push(root, white[root])
@@ -97,9 +93,9 @@ def dfs_order(w: Wfts) -> DfsOrder:
                     break
             if not descended:
                 frame[3] = i
-                entries.append((w.states[u], frame[2]))
+                entries.append((im.states[u], frame[2]))
                 frames.pop()
-    return DfsOrder(w, entries)
+    return DfsOrder(im, entries)
 
 
 class TreeNode:
@@ -139,7 +135,6 @@ class FinishingTree:
         self.nodes = nodes  # creation (breadth-first) order, root excluded
         self.order = order
         self.model = order.model
-        self.wfts = order.wfts
 
     def leaves(self) -> list[TreeNode]:
         return [n for n in self.nodes if not n.children]
@@ -160,7 +155,7 @@ class FinishingTree:
         return path
 
 
-def build_finishing_tree(order: DfsOrder, fm: FeatureModel | None = None) -> FinishingTree:
+def build_finishing_tree(order: DfsOrder) -> FinishingTree:
     """Construct the finishing-order tree from the stamped DFS entries.
 
     Breadth-first: each node scans the entries strictly below its own
@@ -168,7 +163,7 @@ def build_finishing_tree(order: DfsOrder, fm: FeatureModel | None = None) -> Fin
     products intersect the path family and are not already covered by an
     earlier sibling.  The root scans from the very last entry.
     """
-    fm = fm or order.model
+    fm = order.model
     entries = order.entries
     root = TreeNode(None, fm.full_mask, fm.full_mask, len(entries) + 1, None)
     nodes: list[TreeNode] = []

@@ -11,30 +11,30 @@ root-to-leaf path and restored on backtracking.
 from __future__ import annotations
 
 from .features import ProductSet
-from .model import Wfts
+from .graphs import IndexedModel
 from .ordering import FinishingTree, TreeNode
 
 
 class SymbolicScc:
     """One symbolic component: per state, the products that put it here."""
 
-    __slots__ = ("wfts", "anchor_state", "anchor_mask", "masks")
+    __slots__ = ("graph", "anchor_state", "anchor_mask", "masks")
 
-    def __init__(self, wfts: Wfts, anchor_state: str, anchor_mask: int,
+    def __init__(self, graph: IndexedModel, anchor_state: str, anchor_mask: int,
                  masks: list[int]):
-        self.wfts = wfts
+        self.graph = graph
         self.anchor_state = anchor_state
         self.anchor_mask = anchor_mask
-        self.masks = masks  # indexed like wfts.states
+        self.masks = masks  # indexed like graph.states
 
     def members(self) -> list[str]:
-        return [s for s, m in zip(self.wfts.states, self.masks) if m]
+        return [s for s, m in zip(self.graph.states, self.masks) if m]
 
     def products_of(self, state: str) -> ProductSet:
-        return ProductSet(self.wfts.feature_model, self.masks[self.wfts.index(state)])
+        return ProductSet(self.graph.feature_model, self.masks[self.graph.index[state]])
 
     def members_at(self, bit: int) -> list[str]:
-        return [s for s, m in zip(self.wfts.states, self.masks) if m & bit]
+        return [s for s, m in zip(self.graph.states, self.masks) if m & bit]
 
     def __repr__(self) -> str:
         return f"SymbolicScc(anchor={self.anchor_state}, members={self.members()})"
@@ -64,13 +64,13 @@ class SccTree:
         return partition
 
 
-def _visit_transpose(
+def _reaching(
     s0: int,
     lam0: int,
     assigned: list[int],
     pred: list[list[tuple[int, int]]],
 ) -> list[int]:
-    """Products under which each state reaches ``s0`` in the transpose graph,
+    """Products under which each state reaches ``s0``, walking ``pred`` and
     avoiding per-product anything already assigned to an earlier component."""
     n = len(pred)
     r = [0] * n
@@ -92,32 +92,25 @@ def _visit_transpose(
 
 
 def reach_excluding(
-    g: Wfts,
+    im: IndexedModel,
     anchor_state: str,
     anchor: ProductSet,
     assigned: dict[str, ProductSet] | None = None,
 ) -> SymbolicScc:
-    """Symbolic forward reachability in ``g`` from one state, per product,
-    never passing through (state, product) pairs already in ``assigned``.
+    """Per product, the states that reach ``anchor_state`` in ``im``, never
+    passing through (state, product) pairs already in ``assigned``.
 
-    Pass the transpose of a system to get the component-collection step:
-    everything that reaches the anchor among unassigned states.
+    This is the component-collection step: everything that reaches the
+    anchor among unassigned states, read off the predecessor lists.
     """
-    fm = g.feature_model
-    idx = {s: i for i, s in enumerate(g.states)}
-    out: list[list[tuple[int, int]]] = [[] for _ in g.states]
-    for t in g.transitions:
-        mask = fm.mask(t.guard)
-        if mask:
-            out[idx[t.source]].append((idx[t.target], mask))
-    excluded = [0] * len(g.states)
+    excluded = [0] * im.n
     for state, products in (assigned or {}).items():
-        excluded[idx[state]] = products.mask
-    masks = _visit_transpose(idx[anchor_state], anchor.mask, excluded, out)
-    return SymbolicScc(g, anchor_state, anchor.mask, masks)
+        excluded[im.index[state]] = products.mask
+    masks = _reaching(im.index[anchor_state], anchor.mask, excluded, im.pred)
+    return SymbolicScc(im, anchor_state, anchor.mask, masks)
 
 
-def symbolic_sccs(tree: FinishingTree, w: Wfts) -> SccTree:
+def symbolic_sccs(tree: FinishingTree, im: IndexedModel) -> SccTree:
     """Depth-first walk of the finishing tree computing one component per
     node whose state is not yet fully assigned on the current path.
 
@@ -125,17 +118,10 @@ def symbolic_sccs(tree: FinishingTree, w: Wfts) -> SccTree:
     and restored when backtracking, so sibling branches never see each
     other's assignments.
     """
-    fm = w.feature_model
-    idx = {s: i for i, s in enumerate(w.states)}
-    pred: list[list[tuple[int, int]]] = [[] for _ in w.states]
-    for t in w.transitions:
-        g = fm.mask(t.guard)
-        if g:
-            pred[idx[t.target]].append((idx[t.source], g))
-
+    idx, pred = im.index, im.pred
     by_node: dict[TreeNode, SymbolicScc] = {}
     for root_child in tree.root.children:
-        assigned = [0] * len(w.states)
+        assigned = [0] * im.n
         # Frame: [node, path expression, next child index]
         frames: list[list] = [[root_child, root_child.edge_mask, 0]]
         snapshots: list[list[int]] = [list(assigned)]
@@ -145,8 +131,8 @@ def symbolic_sccs(tree: FinishingTree, w: Wfts) -> SccTree:
             s = idx[node.state]
             fresh = lam & ~assigned[s]
             if fresh and node not in by_node:
-                masks = _visit_transpose(s, fresh, assigned, pred)
-                by_node[node] = SymbolicScc(w, node.state, fresh, masks)
+                masks = _reaching(s, fresh, assigned, pred)
+                by_node[node] = SymbolicScc(im, node.state, fresh, masks)
                 for i, m in enumerate(masks):
                     if m:
                         assigned[i] |= m
@@ -183,7 +169,7 @@ def render_scc_tree(scc_tree: SccTree) -> str:
                 continue
             parts = ", ".join(
                 f"{s}:{fm.expr_for_mask(m)}"
-                for s, m in zip(scc.wfts.states, scc.masks)
+                for s, m in zip(scc.graph.states, scc.masks)
                 if m
             )
             lines.append(f"  scc@{n.state}: {parts}")

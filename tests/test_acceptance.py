@@ -23,6 +23,7 @@ from wfts.checks import (
 from wfts.cli import main
 from wfts.features import Or, Var
 from wfts.generators import grant_request, minepump_lite, taxi
+from wfts.graphs import IndexedModel
 from wfts.meancycle import classic_karp
 from wfts.model import Transition, Wfts, expand_lengths
 from wfts.ordering import build_finishing_tree, dfs_order
@@ -54,7 +55,8 @@ def corpus():
 
 @pytest.fixture(scope="module")
 def corpus_trees(corpus):
-    return [(label, w, build_finishing_tree(dfs_order(w))) for label, w in corpus]
+    graphs = [(label, IndexedModel(w)) for label, w in corpus]
+    return [(label, im, build_finishing_tree(dfs_order(im))) for label, im in graphs]
 
 
 TAXI_GOLDEN = {
@@ -135,7 +137,7 @@ def test_criterion_3_oracle_triangle(corpus, capsys):
         start = time.perf_counter()
         failures = []
         for label, w in corpus:
-            result = check_triangle(w, ("max", "min"), label)
+            result = check_triangle(IndexedModel(w), ("max", "min"), label)
             failures.extend(result.failures)
         elapsed = time.perf_counter() - start
         detail = (
@@ -149,9 +151,9 @@ def test_criterion_3_oracle_triangle(corpus, capsys):
 def test_criterion_4_tree_conditions(corpus_trees, capsys):
     with capsys.disabled():
         failures = []
-        for label, w, tree in corpus_trees:
-            failures.extend(f"{label}: {f}" for f in check_order_coverage(w).failures)
-            failures.extend(f"{label}: {f}" for f in check_tree(tree, w).failures)
+        for label, im, tree in corpus_trees:
+            failures.extend(f"{label}: {f}" for f in check_order_coverage(tree.order).failures)
+            failures.extend(f"{label}: {f}" for f in check_tree(tree, im).failures)
         report(4, "finishing-tree conditions",
                not failures, failures[0] if failures else
                f"{len(corpus_trees)} trees, all five conditions + DFS fidelity")
@@ -160,8 +162,8 @@ def test_criterion_4_tree_conditions(corpus_trees, capsys):
 def test_criterion_5_component_equivalence(corpus_trees, capsys):
     with capsys.disabled():
         failures = []
-        for label, w, tree in corpus_trees:
-            result = check_scc_tree(symbolic_sccs(tree, w), w)
+        for label, im, tree in corpus_trees:
+            result = check_scc_tree(symbolic_sccs(tree, im), im)
             failures.extend(f"{label}: {f}" for f in result.failures)
         report(5, "symbolic component equivalence",
                not failures, failures[0] if failures else
@@ -172,7 +174,7 @@ def test_criterion_6_tree_shape_reproduction(capsys):
     with capsys.disabled():
         w = grant_request()
         fm = w.feature_model
-        tree = build_finishing_tree(dfs_order(w))
+        tree = build_finishing_tree(dfs_order(IndexedModel(w)))
         ga = fm.mask(Or(Var("G"), Var("A")))
         children = {c.state: c for c in tree.root.children}
         ok = set(children) == {"s0", "s2"}

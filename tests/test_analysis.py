@@ -198,7 +198,7 @@ class TestStrategyMismatch:
     def test_disagreement_raises(self, grantreq, monkeypatch):
         import wfts.analysis as analysis
 
-        broken = lambda im: [Fraction(1)] * len(im.model.products)
+        broken = lambda im: [Fraction(1)] * len(im.feature_model.products)
         monkeypatch.setattr(analysis, "_family_values", broken)
         with pytest.raises(StrategyMismatch) as err:
             analyze_both(grantreq, "max")
@@ -227,9 +227,3 @@ class TestModeValidation:
         with pytest.raises(ValueError):
             analyze_family(grantreq, "median")
 
-
-class TestParallel:
-    def test_parallel_product_analysis_matches(self, taxi1_expanded):
-        seq = analyze_products(taxi1_expanded, "max")
-        par = analyze_products(taxi1_expanded, "max", parallel=True)
-        assert [o.value for o in seq.outcomes] == [o.value for o in par.outcomes]

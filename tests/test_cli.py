@@ -156,3 +156,56 @@ class TestRunConfig:
         assert len(RunConfig(command="analyze", generate="taxi:2").load_model().states) == 10
         assert RunConfig(command="analyze", generate="minepump").load_model()
         assert RunConfig(command="analyze", generate="grantrequest").load_model()
+
+
+def test_analyze_featureless_model_file(capsys, tmp_path):
+    path = tmp_path / "plain.wfts"
+    path.write_text(
+        "features { }\nstates { a, b }\ninit { a }\n"
+        "trans a -> b weight=1\ntrans b -> a weight=3\n",
+        encoding="utf-8",
+    )
+    code, out, _ = run(capsys, "analyze", str(path), "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[1] == "-,2,2.00,a->b"
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        None,  # no such file
+        "{not json",
+        "{}",
+        '{"products": [{"value": "1"}]}',
+        '{"products": [{"features": []}]}',
+    ],
+    ids=["missing", "not-json", "empty-object", "no-features", "no-value"],
+)
+def test_validate_against_bad_report_is_a_model_error(capsys, tmp_path, content):
+    report = tmp_path / "report.json"
+    if content is not None:
+        report.write_text(content, encoding="utf-8")
+    code, _, err = run(
+        capsys, "validate", "--generate", "grantrequest", "--against", str(report)
+    )
+    assert code == 2
+    assert err.startswith("model error:")
+    assert "report.json" in err
+
+
+def test_validate_against_unreadable_report_is_a_model_error(capsys, tmp_path):
+    code, _, err = run(
+        capsys, "validate", "--generate", "grantrequest", "--against", str(tmp_path)
+    )
+    assert code == 2
+    assert err.startswith("model error: cannot read report")
+
+
+@pytest.mark.parametrize(
+    "command,spec",
+    [("analyze", "grantrequest:..3"), ("analyze", "minepump:2"), ("bench", "taxi:1..x")],
+)
+def test_bad_generator_arguments_are_usage_errors(capsys, command, spec):
+    code, _, err = run(capsys, command, "--generate", spec)
+    assert code == 1
+    assert err.startswith("usage error:")

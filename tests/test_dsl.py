@@ -7,7 +7,7 @@ from wfts.dsl import ParseError, parse, serialize
 from wfts.features import Or, TRUE, Var
 from wfts.generators import grant_request, minepump_lite, minepump_source, taxi
 from wfts.model import ModelError, Transition, Wfts
-from wfts.randgen import random_wfts
+from wfts.randgen import random_corpus, random_wfts
 
 MINI = """
 features { G, A }
@@ -98,11 +98,13 @@ class TestRoundTrip:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10**9))
     def test_random_models(self, seed):
-        from hypothesis import assume
+        self.assert_round_trips(random_wfts(f"roundtrip:{seed}"))
 
-        w = random_wfts(f"roundtrip:{seed}")
-        assume(w.feature_model.features)  # zero features has no textual form
-        self.assert_round_trips(w)
+    def test_random_corpus(self):
+        corpus = random_corpus(0, 300)
+        assert sum(not w.feature_model.features for w in corpus) == 71
+        for w in corpus:
+            assert parse(serialize(w)) == w
 
     def test_fractional_weights(self):
         w = parse(MINI + "trans s0 -> s1 weight=2.375\ntrans s1 -> s0 weight=-11.2")
@@ -130,9 +132,18 @@ def test_serialize_rejects_expansion_states():
         serialize(expand_lengths(taxi(1)))
 
 
-def test_serialize_rejects_featureless_models():
+def test_featureless_models_round_trip():
     from wfts.features import FeatureModel
 
     w = Wfts(["a"], ["a"], [Transition("a", "a", 1)], FeatureModel([]))
-    with pytest.raises(ModelError):
-        serialize(w)
+    text = serialize(w)
+    assert text.startswith("features { }\n")
+    assert parse(text) == w
+
+
+def test_check_failures_carry_featureless_model_text():
+    from wfts.checks import _model_header
+    from wfts.features import FeatureModel
+
+    w = Wfts(["a"], ["a"], [Transition("a", "a", 1)], FeatureModel([]))
+    assert _model_header(w, "plain") == "model plain:\n" + serialize(w)

@@ -12,9 +12,6 @@ from wfts.features import (
     Not,
     Or,
     Var,
-    denote,
-    entails,
-    is_satisfiable,
 )
 
 
@@ -37,35 +34,35 @@ def fm_stl():
 
 
 def test_denote_true_is_all_products(fm_stl):
-    assert len(denote(TRUE, fm_stl)) == 8
+    assert len(fm_stl.denote(TRUE)) == 8
 
 
 def test_denote_contradiction_is_empty(fm_gl):
     g = Var("G")
-    assert not denote(g & ~g, fm_gl)
+    assert not fm_gl.denote(g & ~g)
 
 
 def test_denote_disjunction_truth_table(fm_gl):
-    got = set(denote(Var("G") | Var("A"), fm_gl))
+    got = set(fm_gl.denote(Var("G") | Var("A")))
     assert got == {frozenset({"G"}), frozenset({"A"}), frozenset({"G", "A"})}
 
 
 def test_satisfiable_negated_disjunction(fm_gl):
     # The empty product satisfies neither G nor A.
-    assert is_satisfiable(~(Var("G") | Var("A")), fm_gl)
+    assert fm_gl.is_satisfiable(~(Var("G") | Var("A")))
 
 
 def test_unsatisfiable_cases(fm_gl):
-    assert not is_satisfiable(FALSE, fm_gl)
-    assert not is_satisfiable(Var("G") & ~Var("G"), fm_gl)
+    assert not fm_gl.is_satisfiable(FALSE)
+    assert not fm_gl.is_satisfiable(Var("G") & ~Var("G"))
 
 
 def test_entailment(fm_gl):
     g, a = Var("G"), Var("A")
-    assert entails(g, g | a, fm_gl)
-    assert not entails(g | a, g, fm_gl)
-    assert entails(g & a, TRUE, fm_gl)
-    assert entails(FALSE, g, fm_gl)
+    assert fm_gl.entails(g, g | a)
+    assert not fm_gl.entails(g | a, g)
+    assert fm_gl.entails(g & a, TRUE)
+    assert fm_gl.entails(FALSE, g)
 
 
 def test_enumerate_products_order(fm_gl):
@@ -123,37 +120,37 @@ def exprs(features, depth=3):
 @given(e=exprs(["x", "y", "z"]))
 def test_denotation_matches_truth_table(e):
     fm = FeatureModel(["x", "y", "z"])
-    got = set(denote(e, fm))
+    got = set(fm.denote(e))
     expected = {p for p in powerset(["x", "y", "z"]) if _eval(e, p)}
     assert got == expected
-    assert is_satisfiable(e, fm) == bool(expected)
+    assert fm.is_satisfiable(e) == bool(expected)
 
 
 @given(a=exprs(["x", "y"]), b=exprs(["x", "y"]))
 def test_denotation_is_homomorphic(a, b):
     fm = FeatureModel(["x", "y"])
-    assert denote(And(a, b), fm) == denote(a, fm) & denote(b, fm)
-    assert denote(Or(a, b), fm) == denote(a, fm) | denote(b, fm)
-    assert denote(Not(a), fm) == ~denote(a, fm)
+    assert fm.denote(And(a, b)) == fm.denote(a) & fm.denote(b)
+    assert fm.denote(Or(a, b)) == fm.denote(a) | fm.denote(b)
+    assert fm.denote(Not(a)) == ~fm.denote(a)
 
 
 @given(e=exprs(["x", "y", "z"]))
 def test_product_set_round_trips_through_expression(e):
     fm = FeatureModel(["x", "y", "z"])
-    ps = denote(e, fm)
-    assert denote(ps.to_expr(), fm) == ps
+    ps = fm.denote(e)
+    assert fm.denote(ps.to_expr()) == ps
 
 
 def test_equivalent_formulas_denote_equal_sets(fm_gl):
     g, a = Var("G"), Var("A")
-    de_morgan = denote(~(g | a), fm_gl)
-    assert de_morgan == denote(~g & ~a, fm_gl)
+    de_morgan = fm_gl.denote(~(g | a))
+    assert de_morgan == fm_gl.denote(~g & ~a)
 
 
 def test_product_set_ops_respect_valid_products():
     # Complement stays inside the constrained product set.
     fm = FeatureModel(["x", "y"], Var("x") | Var("y"))
-    everything = denote(TRUE, fm)
+    everything = fm.denote(TRUE)
     assert len(everything) == 3
     nothing = ~everything
     assert not nothing

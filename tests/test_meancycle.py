@@ -256,12 +256,12 @@ class TestWalkTableFidelity:
 
         w = expand_lengths(random_wfts(f"walks:{seed}", max_states=6))
         im = IndexedModel(w)
-        tree = symbolic_sccs(build_finishing_tree(dfs_order(w)), w)
+        tree = symbolic_sccs(build_finishing_tree(dfs_order(im)), im)
         for scc in tree.components():
             masks = scc.masks
             members = [v for v in range(im.n) if masks[v]]
             n = len(members)
-            s0 = w.index(scc.anchor_state)
+            s0 = im.index[scc.anchor_state]
             by_source = {}
             trans = []
             for u, v, wt, g in im.edges:
@@ -272,7 +272,7 @@ class TestWalkTableFidelity:
             if not trans:
                 continue
             rows = _walk_tables(masks, members, s0, list(by_source.items()), n, im.n)
-            for p_idx in range(len(im.model.products)):
+            for p_idx in range(len(im.feature_model.products)):
                 bit = 1 << p_idx
                 if not masks[s0] & bit:
                     continue

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from wfts.features import TRUE, FeatureModel, Var
+from wfts.graphs import IndexedModel
 from wfts.model import (
     InvalidProductError,
     ModelError,
@@ -145,17 +146,17 @@ class TestTranspose:
 class TestSymbolicReachable:
     def test_initials_reach_everything_true(self, grantreq):
         fm = grantreq.feature_model
-        reach = symbolic_reachable(grantreq)
+        reach = symbolic_reachable(IndexedModel(grantreq))
         assert reach["s0"] == fm.denote(TRUE)
 
     def test_grant_request_s2_needs_g_or_a(self, grantreq):
         fm = grantreq.feature_model
-        reach = symbolic_reachable(grantreq)
+        reach = symbolic_reachable(IndexedModel(grantreq))
         assert reach["s2"] == fm.denote(Var("G") | Var("A"))
 
     def test_taxi_ext_states_need_the_license(self, taxi1):
         fm = taxi1.feature_model
-        reach = symbolic_reachable(taxi1)
+        reach = symbolic_reachable(IndexedModel(taxi1))
         lic = fm.denote(Var("L1"))
         for state in taxi1.states:
             if state in ("Pe1", "Re1"):
@@ -164,12 +165,12 @@ class TestSymbolicReachable:
                 assert reach[state] == fm.denote(TRUE)
 
     def test_matches_classic_reachability_per_product(self, taxi1_expanded):
-        from wfts.graphs import IndexedModel, reachable_from
+        from wfts.graphs import reachable_from
 
         w = taxi1_expanded
         fm = w.feature_model
         im = IndexedModel(w)
-        reach = symbolic_reachable(w)
+        reach = symbolic_reachable(im)
         for i, product in enumerate(fm.products):
             classic = reachable_from(im.product_adj(1 << i), im.initial, im.n)
             for s, flag in zip(w.states, classic):

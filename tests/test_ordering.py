@@ -2,14 +2,19 @@ from hypothesis import given, settings, strategies as st
 
 from wfts.checks import check_order_coverage, check_tree
 from wfts.features import FeatureModel, Or, Var
+from wfts.graphs import IndexedModel
 from wfts.model import Transition, Wfts, expand_lengths
 from wfts.ordering import build_finishing_tree, dfs_order, render_tree, tree_to_dot
 from wfts.randgen import random_wfts
 
 
+def order_of(w):
+    return dfs_order(IndexedModel(w))
+
+
 def test_grant_request_stamp_sequence(grantreq):
     fm = grantreq.feature_model
-    order = dfs_order(grantreq)
+    order = order_of(grantreq)
     got = [(e.state, e.mask, e.time) for e in order.entries]
     g_or_a = fm.mask(Or(Var("G"), Var("A")))
     full = fm.full_mask
@@ -26,7 +31,7 @@ def test_grant_request_s0_finishes_last_for_g_or_a_products(grantreq):
     # In products with G or A the highest finishing time belongs to s0; in
     # the basic product it belongs to s2.
     fm = grantreq.feature_model
-    order = dfs_order(grantreq)
+    order = order_of(grantreq)
     for product in fm.products:
         bit = 1 << fm.product_index(product)
         ranked = [e.state for e in order.entries if e.mask & bit]
@@ -47,24 +52,24 @@ def test_single_product_order_is_classic_dfs():
         [Transition("a", "b", 0), Transition("b", "c", 0), Transition("c", "a", 0)],
         fm,
     )
-    order = dfs_order(w)
+    order = order_of(w)
     assert [(e.state, e.time) for e in order.entries] == [("c", 1), ("b", 2), ("a", 3)]
 
 
 def test_every_state_finishes_once_per_product(taxi1_expanded):
-    result = check_order_coverage(taxi1_expanded)
+    result = check_order_coverage(order_of(taxi1_expanded))
     assert result.ok, result.failures
 
 
 def test_inverse_lookup(grantreq):
-    order = dfs_order(grantreq)
+    order = order_of(grantreq)
     assert order.entry(1).state == "s3"
     assert order.entry(len(order)).state == "s2"
 
 
 def test_tree_matches_published_shape(grantreq):
     fm = grantreq.feature_model
-    tree = build_finishing_tree(dfs_order(grantreq))
+    tree = build_finishing_tree(order_of(grantreq))
     children = tree.root.children
     assert len(children) == 2
     by_state = {c.state: c for c in children}
@@ -93,26 +98,27 @@ def test_no_feature_model_yields_single_path():
         [Transition("a", "b", 0), Transition("b", "a", 0)],
         fm,
     )
-    tree = build_finishing_tree(dfs_order(w))
+    tree = build_finishing_tree(order_of(w))
     assert len(tree.leaves()) == 1
     assert len(tree.nodes) == 2
 
 
 def test_tree_conditions_on_bundled_models(taxi1_expanded, grantreq, minepump):
     for w in (taxi1_expanded, grantreq, expand_lengths(minepump)):
-        tree = build_finishing_tree(dfs_order(w))
-        result = check_tree(tree, w)
+        im = IndexedModel(w)
+        tree = build_finishing_tree(dfs_order(im))
+        result = check_tree(tree, im)
         assert result.ok, result.failures
 
 
 def test_taxi_tree_leaf_count_is_bounded_by_products(taxi1_expanded):
-    tree = build_finishing_tree(dfs_order(taxi1_expanded))
+    tree = build_finishing_tree(order_of(taxi1_expanded))
     assert len(tree.leaves()) <= len(taxi1_expanded.feature_model.products)
 
 
 def test_determinism(taxi1_expanded):
-    a = dfs_order(taxi1_expanded)
-    b = dfs_order(taxi1_expanded)
+    a = order_of(taxi1_expanded)
+    b = order_of(taxi1_expanded)
     assert [(e.state, e.mask) for e in a.entries] == [(e.state, e.mask) for e in b.entries]
     ta = build_finishing_tree(a)
     tb = build_finishing_tree(b)
@@ -122,16 +128,17 @@ def test_determinism(taxi1_expanded):
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10**9))
 def test_tree_conditions_on_random_models(seed):
-    w = expand_lengths(random_wfts(f"tree:{seed}"))
-    result = check_order_coverage(w)
+    im = IndexedModel(expand_lengths(random_wfts(f"tree:{seed}")))
+    order = dfs_order(im)
+    result = check_order_coverage(order)
     assert result.ok, result.failures
-    tree = build_finishing_tree(dfs_order(w))
-    result = check_tree(tree, w)
+    tree = build_finishing_tree(order)
+    result = check_tree(tree, im)
     assert result.ok, result.failures
 
 
 def test_dot_dump_mentions_every_node(grantreq):
-    tree = build_finishing_tree(dfs_order(grantreq))
+    tree = build_finishing_tree(order_of(grantreq))
     dot = tree_to_dot(tree)
     assert dot.count("->") == len(tree.nodes)
     assert dot.startswith("digraph")

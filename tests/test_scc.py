@@ -10,7 +10,8 @@ from wfts.scc import render_scc_tree, symbolic_sccs
 
 
 def scc_tree_of(w):
-    return symbolic_sccs(build_finishing_tree(dfs_order(w)), w)
+    im = IndexedModel(w)
+    return symbolic_sccs(build_finishing_tree(dfs_order(im)), im)
 
 
 def test_grant_request_partitions(grantreq):
@@ -57,7 +58,7 @@ def test_taxi_every_product_has_one_nontrivial_component(taxi1_expanded):
 def test_anchor_mask_matches_component(grantreq):
     tree = scc_tree_of(grantreq)
     for scc in tree.components():
-        anchor_products = scc.masks[grantreq.index(scc.anchor_state)]
+        anchor_products = scc.masks[scc.graph.index[scc.anchor_state]]
         assert anchor_products & scc.anchor_mask == scc.anchor_mask
         assert scc.anchor_mask != 0
 
@@ -78,7 +79,7 @@ def test_single_product_anchor_reachability_degenerates_to_classic(grantreq):
 
 def test_equivalence_on_bundled_models(taxi1_expanded, grantreq, minepump):
     for w in (taxi1_expanded, grantreq, expand_lengths(minepump)):
-        result = check_scc_tree(scc_tree_of(w), w)
+        result = check_scc_tree(scc_tree_of(w), IndexedModel(w))
         assert result.ok, result.failures
 
 
@@ -86,7 +87,7 @@ def test_equivalence_on_bundled_models(taxi1_expanded, grantreq, minepump):
 @given(seed=st.integers(0, 10**9))
 def test_equivalence_on_random_models(seed):
     w = expand_lengths(random_wfts(f"scc:{seed}"))
-    result = check_scc_tree(scc_tree_of(w), w)
+    result = check_scc_tree(scc_tree_of(w), IndexedModel(w))
     assert result.ok, result.failures
 
 
@@ -122,42 +123,38 @@ def test_render_scc_tree_smoke(grantreq):
 class TestReachExcluding:
     def test_grant_request_basic_family_anchor_s0(self, grantreq):
         from wfts.features import Not, Or, Var
-        from wfts.model import transpose
         from wfts.scc import reach_excluding
 
         fm = grantreq.feature_model
         basic = fm.denote(Not(Or(Var("G"), Var("A"))))
-        scc = reach_excluding(transpose(grantreq), "s0", basic)
+        scc = reach_excluding(IndexedModel(grantreq), "s0", basic)
         assert scc.members() == ["s0", "s1", "s3"]
         for state in scc.members():
             assert scc.products_of(state) == basic
 
     def test_singleton_family_degenerates_to_classic(self, grantreq):
-        from wfts.graphs import IndexedModel, reachable_from
-        from wfts.model import transpose
+        from wfts.graphs import reachable_from
         from wfts.scc import reach_excluding
 
         fm = grantreq.feature_model
-        rev = transpose(grantreq)
-        im = IndexedModel(rev)
+        im = IndexedModel(grantreq)
         for product in fm.products:
             bit = 1 << fm.product_index(product)
-            classic = reachable_from(im.product_adj(bit), [0], im.n)
-            scc = reach_excluding(rev, "s0", fm.product_set([product]))
+            classic = reachable_from(im.product_radj(bit), [0], im.n)
+            scc = reach_excluding(im, "s0", fm.product_set([product]))
             got = [bool(m) for m in scc.masks]
             assert got == classic
 
     def test_exclusion_blocks_paths(self, grantreq):
         from wfts.features import TRUE
-        from wfts.model import transpose
         from wfts.scc import reach_excluding
 
         fm = grantreq.feature_model
         everything = fm.denote(TRUE)
         blocked = reach_excluding(
-            transpose(grantreq), "s0", everything, {"s3": everything}
+            IndexedModel(grantreq), "s0", everything, {"s3": everything}
         )
-        # s3 already assigned: nothing reaches s0 in the transpose except
+        # s3 already assigned: nothing reaches s0 except
         # itself (s2's clean edge still works where A is present).
         assert "s1" not in blocked.members()
         assert "s3" not in blocked.members()
