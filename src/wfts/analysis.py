@@ -8,12 +8,13 @@ infinite run and report "undefined".
 
 ``analyze_family`` computes symbolic components once for all products and
 runs the partitioned Karp recurrence per component;  ``analyze_products``
-projects and solves every product separately.  They must agree exactly; the
+solves every product's graph separately.  They must agree exactly; the
 ``strategy="both"`` entry point enforces that.
 
-One sign convention holds throughout: min mode runs the maximizing
-algorithms on weights negated once, inside ``IndexedModel``, and negates
-the values they return.
+Both read one ``IndexedModel`` per call, built by ``_indexed``, and one sign
+convention holds throughout: min mode runs the maximizing algorithms on
+weights negated once, inside ``IndexedModel``, and negates the values they
+return.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from fractions import Fraction
 from .features import ProductSet
 from .graphs import IndexedModel, reachable_from, tight_cycle
 from .meancycle import best_reachable_mean, karp_cells
-from .model import Wfts, project, symbolic_reachable_masks
+from .model import Wfts, symbolic_reachable_masks
 from .ordering import build_finishing_tree, dfs_order
 from .scc import symbolic_sccs
 
@@ -121,16 +122,21 @@ def _outcomes(
     return tuple(outcomes)
 
 
-def analyze_family(w: Wfts, mode: str = "max", witnesses: bool = False) -> Report:
-    """Family-based analysis: one symbolic run answering every product."""
+def _indexed(w: Wfts, mode: str) -> IndexedModel:
+    """The one indexed graph of an analysis, signed for ``mode``."""
     sign = _sign(mode)
     if any(t.length != 1 for t in w.transitions):
         raise ValueError("expand_lengths must run before analysis")
-    im = IndexedModel(w, sign)
+    return IndexedModel(w, sign)
+
+
+def analyze_family(w: Wfts, mode: str = "max", witnesses: bool = False) -> Report:
+    """Family-based analysis: one symbolic run answering every product."""
+    im = _indexed(w, mode)
     start = time.perf_counter()
     values = _family_values(im)
     elapsed = (time.perf_counter() - start) * 1000.0
-    values = [None if v is None else sign * v for v in values]
+    values = [None if v is None else im.sign * v for v in values]
     return Report(
         mode, "family", _outcomes(w, values, im if witnesses else None),
         {"family_ms": elapsed}, w,
@@ -138,14 +144,17 @@ def analyze_family(w: Wfts, mode: str = "max", witnesses: bool = False) -> Repor
 
 
 def analyze_products(w: Wfts, mode: str = "max", witnesses: bool = False) -> Report:
-    """Product-based baseline: project and solve each product separately."""
-    sign = _sign(mode)
+    """Product-based baseline: solve each product's graph separately."""
+    im = _indexed(w, mode)
     start = time.perf_counter()
-    values = [best_reachable_mean(project(w, p), mode) for p in w.feature_model.products]
+    values = []
+    for i in range(len(w.feature_model.products)):
+        best = best_reachable_mean(im, 1 << i)
+        values.append(None if best is None else im.sign * best)
     elapsed = (time.perf_counter() - start) * 1000.0
-    im = IndexedModel(w, sign) if witnesses else None
     return Report(
-        mode, "product", _outcomes(w, values, im), {"product_ms": elapsed}, w,
+        mode, "product", _outcomes(w, values, im if witnesses else None),
+        {"product_ms": elapsed}, w,
     )
 
 

@@ -11,19 +11,26 @@ CLI command:
 * the oracle triangle — family-based, product-based and brute-force cycle
   enumeration report identical values for every product, in both modes.
 
-Failures carry enough context to reproduce: the model (serialized when
-possible), the product and the disagreeing values.
+Every suite reads the per-product graphs off one ``IndexedModel``, as both
+analyses do.  The brute-force oracle alone takes the model's own weights
+(``reachable_projection``): unsigned, unscaled Fractions compared directly in
+each mode, so it checks the index's sign and scale instead of sharing them.
+
+Failures carry enough context to reproduce: ``check_model`` adds one header
+with the model text as given (before length expansion), and each line names
+the product and the disagreeing values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .analysis import analyze_family, analyze_products, format_product
 from .dsl import serialize
 from .graphs import IndexedModel, finish_order, kosaraju_components, reachable_from
 from .meancycle import brute_force_mean_cycle
-from .model import ModelError, ProjectedTransition, ProjectedWts, Wfts, expand_lengths
+from .model import ModelError, Wfts, expand_lengths
 from .ordering import DfsOrder, FinishingTree, build_finishing_tree, dfs_order
 from .randgen import random_corpus
 from .scc import SccTree, symbolic_sccs
@@ -171,18 +178,23 @@ def check_scc_tree(scc_tree: SccTree, im: IndexedModel) -> CheckResult:
     return result
 
 
-def reachable_projection(im: IndexedModel, bit: int) -> ProjectedWts:
-    """The projection on product ``bit``, restricted to the states reachable
-    from an initial state."""
+def reachable_projection(
+    im: IndexedModel, bit: int
+) -> tuple[int, list[tuple[int, int, Fraction]]]:
+    """Product ``bit``'s graph restricted to the states reachable from an
+    initial state, renumbered in declaration order: the state count and
+    ``(u, v, weight)`` edges with the model's own weights."""
     reach = reachable_from(im.product_adj(bit), im.initial, im.n)
-    states = tuple(s for s, r in zip(im.states, reach) if r)
-    trans = tuple(
-        ProjectedTransition(t.source, t.action, t.target, t.weight, t.length)
-        for t, (u, _, _, g) in zip(im.transitions, im.edges)
+    local: dict[int, int] = {}
+    for u, r in enumerate(reach):
+        if r:
+            local[u] = len(local)
+    edges = [
+        (local[u], local[v], t.weight)
+        for t, (u, v, _, g) in zip(im.transitions, im.edges)
         if g & bit and reach[u]  # target is reachable too, then
-    )
-    initial = tuple(im.states[i] for i in im.initial if reach[i])
-    return ProjectedWts(states, initial, trans)
+    ]
+    return len(local), edges
 
 
 def check_triangle(im: IndexedModel, modes=("max", "min"), label: str = "model") -> CheckResult:
@@ -193,29 +205,31 @@ def check_triangle(im: IndexedModel, modes=("max", "min"), label: str = "model")
         family = analyze_family(w, mode)
         products = analyze_products(w, mode)
         for p_idx, product in enumerate(w.feature_model.products):
-            oracle = brute_force_mean_cycle(reachable_projection(im, 1 << p_idx), mode)
+            oracle = brute_force_mean_cycle(*reachable_projection(im, 1 << p_idx), mode)
             fam_v = family.outcomes[p_idx].value
             prod_v = products.outcomes[p_idx].value
             if not (fam_v == prod_v == oracle):
                 result.failures.append(
                     f"{label} mode={mode} product {format_product(product)}: "
-                    f"family={fam_v} product-based={prod_v} brute-force={oracle}\n"
-                    + _model_header(w, label)
+                    f"family={fam_v} product-based={prod_v} brute-force={oracle}"
                 )
     return result
 
 
 def check_model(w: Wfts, modes=("max", "min"), label: str = "model") -> CheckResult:
-    """All suites on one (already length-expanded) system, sharing one
-    indexed graph and one feature-aware DFS."""
+    """All suites on one system's length expansion, sharing one indexed
+    graph and one feature-aware DFS.  When a suite fails, the failures start
+    with one header holding ``w``'s own text, which ``parse`` reads back."""
     result = CheckResult(label)
-    im = IndexedModel(w)
+    im = IndexedModel(expand_lengths(w))
     order = dfs_order(im)
     result.merge(check_order_coverage(order))
     tree = build_finishing_tree(order)
     result.merge(check_tree(tree, im))
     result.merge(check_scc_tree(symbolic_sccs(tree, im), im))
     result.merge(check_triangle(im, modes, label))
+    if result.failures:
+        result.failures.insert(0, _model_header(w, label))
     return result
 
 
@@ -223,5 +237,5 @@ def check_random_batch(seed: int, count: int, modes=("max", "min")) -> CheckResu
     """The full suite over a deterministic batch of random systems."""
     result = CheckResult(f"random batch seed={seed} count={count}")
     for i, w in enumerate(random_corpus(seed, count)):
-        result.merge(check_model(expand_lengths(w), modes, label=f"random[{seed}:{i}]"))
+        result.merge(check_model(w, modes, label=f"random[{seed}:{i}]"))
     return result

@@ -199,7 +199,7 @@ def _cmd_validate(cfg: RunConfig) -> int:
         w = cfg.load_model()
         if cfg.against:
             failures += _against_report(w, cfg.against, cfg.mode)
-        result = check_model(expand_lengths(w), label=cfg.generate or cfg.model_path)
+        result = check_model(w, label=cfg.generate or cfg.model_path)
         failures += result.failures
         print(f"checked {cfg.generate or cfg.model_path}: "
               f"{'ok' if not failures else 'FAILED'}")
@@ -209,7 +209,7 @@ def _cmd_validate(cfg: RunConfig) -> int:
             ("grantrequest", generators.grant_request),
             ("minepump", generators.minepump_lite),
         ):
-            result = check_model(expand_lengths(maker()), label=label)
+            result = check_model(maker(), label=label)
             failures += result.failures
             print(f"checked {label}: {'ok' if result.ok else 'FAILED'}")
         result = check_random_batch(cfg.seed, cfg.count)

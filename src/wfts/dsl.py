@@ -31,6 +31,12 @@ _KEYWORDS = {
 
 _SYMBOLS = ("->", "&&", "||", "{", "}", "[", "]", "(", ")", ",", "=", "!", "-")
 
+# Deepest feature expression a model may hold.  Expression trees are walked
+# recursively (hashing, denotation, rendering), and the parser recurses on
+# "!" and "("; a few hundred levels exhaust Python's default recursion
+# limit.  Both the tree's height and the nesting of "!" and "(" are bounded.
+MAX_GUARD_DEPTH = 100
+
 
 class ParseError(ValueError):
     """Syntax or lexical error, with a 1-based line:col position."""
@@ -106,6 +112,7 @@ class _Parser:
     def __init__(self, src: str):
         self.tokens = _lex(src)
         self.pos = 0
+        self.nesting = 0  # open "!" and "(" on the current parse path
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -150,40 +157,54 @@ class _Parser:
         return items
 
     # Expressions: ! binds tighter than &&, which binds tighter than ||;
-    # both binary operators are left-associative.
-    def parse_expr(self) -> FeatureExpr:
-        e = self.parse_and()
+    # both binary operators are left-associative.  Each level returns the
+    # expression and the height of its tree.
+    def parse_expr(self) -> tuple[FeatureExpr, int]:
+        e, height = self.parse_and()
         while self.peek().kind == "symbol" and self.peek().text == "||":
-            self.next()
-            e = e | self.parse_and()
-        return e
+            tok = self.next()
+            right, h = self.parse_and()
+            e, height = e | right, self.deeper(tok, max(height, h))
+        return e, height
 
-    def parse_and(self) -> FeatureExpr:
-        e = self.parse_unary()
+    def parse_and(self) -> tuple[FeatureExpr, int]:
+        e, height = self.parse_unary()
         while self.peek().kind == "symbol" and self.peek().text == "&&":
-            self.next()
-            e = e & self.parse_unary()
-        return e
+            tok = self.next()
+            right, h = self.parse_unary()
+            e, height = e & right, self.deeper(tok, max(height, h))
+        return e, height
 
-    def parse_unary(self) -> FeatureExpr:
+    def deeper(self, tok: _Token, height: int) -> int:
+        """One level more than ``height``; past the bound, an error at ``tok``."""
+        if height >= MAX_GUARD_DEPTH:
+            raise self.error(
+                tok, f"feature expression nests deeper than {MAX_GUARD_DEPTH} levels"
+            )
+        return height + 1
+
+    def parse_unary(self) -> tuple[FeatureExpr, int]:
         tok = self.peek()
-        if tok.kind == "symbol" and tok.text == "!":
+        if tok.kind == "symbol" and tok.text in ("!", "("):
             self.next()
-            return Not(self.parse_unary())
-        if tok.kind == "symbol" and tok.text == "(":
-            self.next()
-            e = self.parse_expr()
-            self.expect_symbol(")")
-            return e
+            self.nesting = self.deeper(tok, self.nesting)
+            if tok.text == "!":
+                operand, height = self.parse_unary()
+                result = Not(operand), self.deeper(tok, height)
+            else:
+                result = self.parse_expr()
+                self.expect_symbol(")")
+            self.nesting -= 1
+            return result
         if tok.kind == "ident":
             self.next()
             if tok.text == "true":
-                return TRUE
+                return TRUE, 1
             if tok.text == "false":
-                return FALSE
+                return FALSE, 1
             if tok.text in _KEYWORDS:
                 raise self.error(tok, f"keyword {tok.text!r} cannot be used as a feature")
-            return Var(tok.text)
+            return Var(tok.text), 1
         raise self.error(tok, f"expected a feature expression, found {tok.text or 'end of input'!r}")
 
     def parse_rational(self) -> Fraction:
@@ -216,7 +237,7 @@ class _Parser:
         constraint: FeatureExpr = TRUE
         if self.at_keyword("constraint"):
             self.next()
-            constraint = self.parse_expr()
+            constraint, _ = self.parse_expr()
 
         self.expect_keyword("states")
         self.expect_symbol("{")
@@ -259,7 +280,7 @@ class _Parser:
         guard: FeatureExpr = TRUE
         if self.peek().kind == "symbol" and self.peek().text == "[":
             self.next()
-            guard = self.parse_expr()
+            guard, _ = self.parse_expr()
             self.expect_symbol("]")
         action = "tau"
         if self.at_keyword("action"):

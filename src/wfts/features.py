@@ -195,9 +195,6 @@ class FeatureModel:
 
     @property
     def products(self) -> tuple[frozenset, ...]:
-        return self._products
-
-    def enumerate_products(self) -> tuple[frozenset, ...]:
         """All valid products, in the canonical bit-vector order."""
         return self._products
 

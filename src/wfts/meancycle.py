@@ -1,31 +1,32 @@
 """Maximum (or minimum) mean-weight cycles.
 
-Three routes to the same quantity live here, deliberately independent:
+Three routes to the same quantity live here:
 
 * ``karp_cells`` — the family-based dynamic program over a symbolic
   component.  It is Karp's recurrence where every table cell is defined on a
   partition of the products for which its state belongs to the component;
   cells split whenever an update improves only part of a partition.
-* ``classic_karp`` — plain single-product Karp on one strongly connected
-  subgraph, used by the product-based baseline.
+* ``best_reachable_mean`` — the product-based baseline: plain Karp
+  (``karp_best_mean``) on each reachable strongly connected component of
+  one product.
 * ``brute_force_mean_cycle`` — exhaustive simple-cycle enumeration, the
   oracle both other routes are checked against.  Correct because some
   optimal-mean cycle is always simple.
 
-Every route maximizes.  Minimum mode negates the weights once, runs the
-maximizing algorithm and negates the result: ``karp_cells`` reads weights
-already negated inside ``IndexedModel``, and the product-based baseline
-negates its projected weights.  The brute-force oracle instead compares
-means directly, so the routes stay independent in both modes.
+The two Karp routes share one ``IndexedModel`` and its one sign
+convention: they maximize over weights that min mode negated once, inside
+the index, and their callers negate the result.  The oracle shares nothing
+of that: it takes the model's own weights, unsigned and unscaled, and
+compares means directly in each mode, so a fault in the sign or the scale
+still shows as a disagreement.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .graphs import IndexedModel, kosaraju_components, reachable_from
-from .model import ProjectedWts
 from .scc import SymbolicScc
 
 Cells = list[tuple[int, object]]  # (product mask, value or None)
@@ -252,83 +253,51 @@ def karp_best_mean(
     return best
 
 
-def _projected_graph(g: ProjectedWts):
-    if any(t.length != 1 for t in g.transitions):
-        raise ValueError("cycle means need unit-length transitions; expand first")
-    idx = {s: i for i, s in enumerate(g.states)}
-    edges = [(idx[t.source], idx[t.target], t.weight) for t in g.transitions]
-    return idx, edges
+def best_reachable_mean(im: IndexedModel, bit: int) -> Fraction | None:
+    """Best mean cycle of one product, restricted to the part reachable from
+    the initial states, on ``im``'s signed weights (so maximizing).
 
-
-def best_reachable_mean(g: ProjectedWts, mode: str = "max") -> Fraction | None:
-    """Best mean cycle of one product's system, restricted to the part
-    reachable from its initial states.
-
-    The product-based pipeline: Kosaraju components in canonical order,
-    classic Karp on every reachable component that carries an edge, best of
-    those.  None when the reachable subgraph is acyclic.
+    The product-based pipeline: Kosaraju components of the product's
+    graph, classic Karp on every reachable component that carries an edge,
+    best of those.  None when the reachable subgraph is acyclic.
     """
-    _check_mode(mode)
-    sign = 1 if mode == "max" else -1
-    idx, raw = _projected_graph(g)
-    n = len(g.states)
-    scale = lcm(1, *(w.denominator for _, _, w in raw))
-    edges = [(u, v, int(sign * w * scale)) for u, v, w in raw]
-    adj: list[list[int]] = [[] for _ in range(n)]
-    radj: list[list[int]] = [[] for _ in range(n)]
-    for u, v, _ in edges:
-        adj[u].append(v)
-        radj[v].append(u)
-    reach = reachable_from(adj, [idx[s] for s in g.initial], n)
+    adj = im.product_adj(bit)
+    reach = reachable_from(adj, im.initial, im.n)
+    components = kosaraju_components(adj, im.product_radj(bit), im.n)
+    comp_of = [0] * im.n
+    for cid, comp in enumerate(components):
+        for u in comp:
+            comp_of[u] = cid
+    comp_edges: list[list[tuple[int, int, int]]] = [[] for _ in components]
+    for u, v, wt in im.product_edges(bit):
+        if reach[u] and comp_of[u] == comp_of[v]:
+            comp_edges[comp_of[u]].append((u, v, wt))
     best = None
-    for comp in kosaraju_components(adj, radj, n):
-        if not any(reach[u] for u in comp):
-            continue
-        in_comp = set(comp)
-        comp_edges = [(u, v, w) for u, v, w in edges if u in in_comp and v in in_comp]
-        value = karp_best_mean(comp, comp_edges)
+    for comp, edges in zip(components, comp_edges):
+        value = karp_best_mean(comp, edges)
         if value is not None and (best is None or value > best):
             best = value
-    return None if best is None else sign * best / scale
-
-
-def classic_karp(g: ProjectedWts, mode: str = "max") -> Fraction | None:
-    """Best mean-cycle weight of a strongly connected projected system.
-
-    The input must be strongly connected; with no edges there is no cycle
-    and None is returned.
-    """
-    _check_mode(mode)
-    _, edges = _projected_graph(g)
-    sign = 1 if mode == "max" else -1
-    scale = lcm(1, *(w.denominator for _, _, w in edges))
-    scaled = [(u, v, int(sign * w * scale)) for u, v, w in edges]
-    best = karp_best_mean(list(range(len(g.states))), scaled)
-    if best is None:
-        return None
-    return sign * best / scale
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in ("max", "min"):
-        raise ValueError(f"mode must be 'max' or 'min', not {mode!r}")
+    return None if best is None else best / im.scale
 
 
 def brute_force_mean_cycle(
-    g: ProjectedWts, mode: str = "max", max_states: int = 48
+    n: int,
+    edges: list[tuple[int, int, Fraction]],
+    mode: str = "max",
+    max_states: int = 48,
 ) -> Fraction | None:
-    """Best mean over all simple cycles, by exhaustive enumeration.
+    """Best mean over all simple cycles of ``(u, v, weight)`` edges on
+    states ``0..n-1``, by exhaustive enumeration.
 
     Enumerates every simple cycle once (each rooted at its smallest state
     index) and takes the best mean directly in the requested mode.  Guarded
     by a state-count limit; this is an oracle for small systems, not an
     algorithm.
     """
-    _check_mode(mode)
-    n = len(g.states)
+    if mode not in ("max", "min"):
+        raise ValueError(f"mode must be 'max' or 'min', not {mode!r}")
     if n > max_states:
         raise ValueError(f"{n} states exceed the brute-force guard ({max_states})")
-    _, edges = _projected_graph(g)
     out: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]
     for u, v, w in edges:
         out[u].append((v, w))

@@ -4,7 +4,9 @@ A transition carries a feature-expression guard, an exact rational weight and
 a positive integer length.  Lengths model multi-step trips; ``expand_lengths``
 rewrites them into chains of unit transitions before any analysis runs, so
 that cycle means are taken per unit step.  Weights stay exact Fractions
-throughout; nothing here touches floating point.
+throughout; nothing here touches floating point.  A single product's system
+is not a separate object: every analysis reads it off the shared
+``graphs.IndexedModel`` through the product's bit.
 """
 
 from __future__ import annotations
@@ -21,10 +23,6 @@ if TYPE_CHECKING:
 
 class ModelError(ValueError):
     """Structurally invalid transition system."""
-
-
-class InvalidProductError(ModelError):
-    """A product outside the feature model's valid set was supplied."""
 
 
 def _as_fraction(value) -> Fraction:
@@ -51,24 +49,6 @@ class Transition:
         object.__setattr__(self, "weight", _as_fraction(self.weight))
         if not isinstance(self.length, int) or self.length < 1:
             raise ModelError(f"transition length must be a positive int: {self.length!r}")
-
-
-@dataclass(frozen=True)
-class ProjectedTransition:
-    source: str
-    action: str
-    target: str
-    weight: Fraction
-    length: int = 1
-
-
-@dataclass(frozen=True)
-class ProjectedWts:
-    """A single product's weighted transition system (guards erased)."""
-
-    states: tuple[str, ...]
-    initial: tuple[str, ...]
-    transitions: tuple[ProjectedTransition, ...]
 
 
 class Wfts:
@@ -141,26 +121,6 @@ class Wfts:
         )
 
 
-def project(w: Wfts, product: Iterable[str]) -> ProjectedWts:
-    """Keep exactly the transitions whose guard the product satisfies.
-
-    The state set is unchanged by projection; states that lose all incident
-    transitions simply become isolated.
-    """
-    p = frozenset(product)
-    fm = w.feature_model
-    try:
-        bit = 1 << fm.product_index(p)
-    except FeatureError as exc:
-        raise InvalidProductError(str(exc)) from exc
-    kept = tuple(
-        ProjectedTransition(t.source, t.action, t.target, t.weight, t.length)
-        for t in w.transitions
-        if fm.mask(t.guard) & bit
-    )
-    return ProjectedWts(w.states, w.initial, kept)
-
-
 def expand_lengths(w: Wfts) -> Wfts:
     """Rewrite every transition of length k > 1 into a chain of k unit hops.
 
@@ -168,7 +128,10 @@ def expand_lengths(w: Wfts) -> Wfts:
     hops have weight 0 and guard true.  Intermediate states are named
     ``src#tgt#i`` with a per-(source, target) running counter; ``#`` cannot
     occur in parsed models, so the names never collide with user states.
+    A system whose lengths are all 1 is returned as it is.
     """
+    if all(t.length == 1 for t in w.transitions):
+        return w
     new_states = list(w.states)
     new_trans: list[Transition] = []
     counters: dict[tuple[str, str], int] = {}
@@ -189,15 +152,6 @@ def expand_lengths(w: Wfts) -> Wfts:
         for a, b in zip(chain[1:], chain[2:]):
             new_trans.append(Transition(a, b, Fraction(0), TRUE, "tau", 1))
     return Wfts(new_states, w.initial, new_trans, w.feature_model)
-
-
-def transpose(w: Wfts) -> Wfts:
-    """Same system with every transition reversed (guards and weights kept)."""
-    rev = tuple(
-        Transition(t.target, t.source, t.weight, t.guard, t.action, t.length)
-        for t in w.transitions
-    )
-    return Wfts(w.states, w.initial, rev, w.feature_model)
 
 
 def symbolic_reachable(im: IndexedModel) -> dict[str, ProductSet]:

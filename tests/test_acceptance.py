@@ -24,7 +24,7 @@ from wfts.cli import main
 from wfts.features import Or, Var
 from wfts.generators import grant_request, minepump_lite, taxi
 from wfts.graphs import IndexedModel
-from wfts.meancycle import classic_karp
+from wfts.meancycle import best_reachable_mean
 from wfts.model import Transition, Wfts, expand_lengths
 from wfts.ordering import build_finishing_tree, dfs_order
 from wfts.randgen import random_corpus
@@ -116,7 +116,6 @@ ROUTES = [
 
 def test_criterion_2_route_mean_spot_checks(capsys):
     from wfts.features import FeatureModel
-    from wfts.model import project
 
     with capsys.disabled():
         ok = True
@@ -124,9 +123,8 @@ def test_criterion_2_route_mean_spot_checks(capsys):
             fm = FeatureModel([])
             states = [src for src, _, _, _ in spec]
             trans = [Transition(s, t, w, length=l) for s, t, w, l in spec]
-            g = project(expand_lengths(Wfts(states, [states[0]], trans, fm)),
-                        frozenset())
-            value = classic_karp(g, "max")
+            w = expand_lengths(Wfts(states, [states[0]], trans, fm))
+            value = best_reachable_mean(IndexedModel(w), 1)
             ok = ok and value == expected and decimal2(value) == shown
         report(2, "route mean spot checks", ok,
                "6 subgraphs: 10.38 12.17 10.30 11.63 11.63 12.88")
@@ -220,14 +218,17 @@ def test_criterion_7_scaling_and_shift(corpus, capsys):
         for li, (label, w) in enumerate(corpus):
             if not label.startswith("random"):
                 continue
+            variants = (_scaled(w, factor), _shifted(w, delta))
+            # Fractional weights: the shared index scales them (scale 2 and
+            # 3), which integral inputs never exercise.
+            for variant in variants:
+                failures.extend(
+                    check_triangle(IndexedModel(variant), ("max", "min"), label).failures
+                )
             for mode in ("max", "min"):
                 base = [o.value for o in analyze_family(w, mode).outcomes]
-                scaled = [
-                    o.value for o in analyze_family(_scaled(w, factor), mode).outcomes
-                ]
-                shifted = [
-                    o.value for o in analyze_family(_shifted(w, delta), mode).outcomes
-                ]
+                scaled = [o.value for o in analyze_family(variants[0], mode).outcomes]
+                shifted = [o.value for o in analyze_family(variants[1], mode).outcomes]
                 for b, s, sh in zip(base, scaled, shifted):
                     if (b is None) != (s is None) or (b is None) != (sh is None):
                         failures.append(f"{label} {mode}: definedness changed")
@@ -245,7 +246,8 @@ def test_criterion_7_scaling_and_shift(corpus, capsys):
                 failures.append(f"witness changed under scaling: {a} vs {b}")
         report(7, "scaling and shift are exact", not failures,
                failures[0] if failures else
-               f"x{factor} and +{delta} on {CORPUS_SIZE} random models, both modes")
+               f"x{factor} and +{delta} on {CORPUS_SIZE} random models, both modes, "
+               f"triangle included")
 
 
 @pytest.fixture(scope="module")

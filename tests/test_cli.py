@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from wfts.cli import main
 from wfts.dsl import serialize
@@ -209,3 +210,46 @@ def test_bad_generator_arguments_are_usage_errors(capsys, command, spec):
     code, _, err = run(capsys, command, "--generate", spec)
     assert code == 1
     assert err.startswith("usage error:")
+
+
+FUZZ_BASE = """features { G, A }
+constraint !(G && A) || G
+states { s0, s1, s2 }
+init { s0 }
+trans s0 -> s1 [G || A] action=req weight=2.5 length=2
+trans s1 -> s0 [!G] weight=-1
+trans s1 -> s2 weight=0
+trans s2 -> s2 [A] weight=3
+"""
+GUARD = FUZZ_BASE.index("G || A")
+# No piece carries a digit, so no mutation grows a length or a weight into
+# a model too large to analyze in a moment.
+PIECES = (
+    "&&", "||", "!", "(", ")", "[", "]", "{", "}", "->", "=", ",", "-", ".",
+    "#", " ", "\n", "\t", "G", "A", "x", "s0", "s2", "true", "false", "trans",
+    "weight", "length", "action", "features", "states", "init", "constraint",
+    "\u00e9",
+)
+EDITS = st.lists(
+    st.tuples(st.integers(0, len(FUZZ_BASE)), st.integers(0, 8), st.sampled_from(PIECES)),
+    max_size=5,
+)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(edits=[(GUARD, 6, "G" + " && G" * 3000)])
+@example(edits=[(GUARD, 6, "!" * 5000 + "G")])
+@example(edits=[(GUARD, 6, "(" * 2000 + "G" + ")" * 2000)])
+@given(edits=EDITS)
+def test_mutated_models_end_in_an_exit_code(capsys, tmp_path, edits):
+    """Each edit replaces ``cut`` characters at ``pos`` by a piece of the
+    format's vocabulary; whatever comes out, ``analyze`` ends in a
+    documented exit code instead of an exception."""
+    text = FUZZ_BASE
+    for pos, cut, piece in edits:
+        text = text[:pos] + piece + text[pos + cut:]
+    path = tmp_path / "fuzz.wfts"
+    path.write_text(text, encoding="utf-8")
+    code, _, _ = run(capsys, "analyze", str(path))
+    assert code in (0, 1, 2, 3)

@@ -147,3 +147,16 @@ def test_check_failures_carry_featureless_model_text():
 
     w = Wfts(["a"], ["a"], [Transition("a", "a", 1)], FeatureModel([]))
     assert _model_header(w, "plain") == "model plain:\n" + serialize(w)
+
+
+def test_check_failures_carry_the_unexpanded_model_text(monkeypatch):
+    from wfts import checks
+
+    # An oracle stubbed to disagree with both analyses on every product.
+    monkeypatch.setattr(checks, "brute_force_mean_cycle", lambda *args: Fraction(-999))
+    result = checks.check_model(taxi(1), ("max",), "taxi:1")
+    header, *lines = result.failures
+    assert len(lines) == len(taxi(1).feature_model.products)
+    assert all("brute-force=-999" in line and "model" not in line for line in lines)
+    assert header.startswith("model taxi:1:\n")
+    assert parse(header.split("\n", 1)[1]) == taxi(1)

@@ -66,7 +66,7 @@ def test_entailment(fm_gl):
 
 
 def test_enumerate_products_order(fm_gl):
-    assert fm_gl.enumerate_products() == (
+    assert fm_gl.products == (
         frozenset(),
         frozenset({"A"}),
         frozenset({"G"}),
@@ -76,7 +76,7 @@ def test_enumerate_products_order(fm_gl):
 
 def test_enumerate_products_with_constraint():
     fm = FeatureModel(["F"], Var("F"))
-    assert fm.enumerate_products() == (frozenset({"F"}),)
+    assert fm.products == (frozenset({"F"}),)
 
 
 def test_empty_product_set_rejected():
@@ -98,7 +98,7 @@ def test_unknown_feature_in_expression(fm_gl):
 
 def test_no_features_single_product():
     fm = FeatureModel([])
-    assert fm.enumerate_products() == (frozenset(),)
+    assert fm.products == (frozenset(),)
     assert fm.mask(TRUE) == 1
 
 

@@ -3,58 +3,70 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wfts.analysis import decimal2
+from wfts.analysis import analyze_products, decimal2
+from wfts.checks import reachable_projection
 from wfts.features import TRUE, FeatureModel
-from wfts.meancycle import brute_force_mean_cycle, classic_karp
-from wfts.model import (
-    ProjectedTransition,
-    ProjectedWts,
-    Transition,
-    Wfts,
-    expand_lengths,
-    project,
-)
+from wfts.graphs import IndexedModel
+from wfts.meancycle import best_reachable_mean, brute_force_mean_cycle
+from wfts.model import Transition, Wfts, expand_lengths
+
+
+def system(edges, states=None):
+    """A featureless system over named ``(source, target, weight)`` edges,
+    started in its first state."""
+    if states is None:
+        states = sorted({s for e in edges for s in e[:2]})
+    trans = [Transition(src, tgt, Fraction(w)) for src, tgt, w in edges]
+    return Wfts(states, [states[0]], trans, FeatureModel([]))
 
 
 def graph(edges, states=None):
+    """The same edges as the oracle reads them: a state count and
+    ``(u, v, weight)`` triples."""
     if states is None:
         states = sorted({s for e in edges for s in e[:2]})
-    trans = tuple(
-        ProjectedTransition(src, "tau", tgt, Fraction(w), 1) for src, tgt, w in edges
-    )
-    return ProjectedWts(tuple(states), (states[0],), trans)
+    idx = {s: i for i, s in enumerate(states)}
+    return len(states), [(idx[a], idx[b], Fraction(w)) for a, b, w in edges]
 
 
-def cycle_graph(spec):
-    """Build one weighted cycle through the named locations, expanding
-    multi-step hops, then project it (no features involved)."""
-    fm = FeatureModel([])
+def product_mean(w, mode="max"):
+    """The product-based value of a featureless system's only product."""
+    (outcome,) = analyze_products(w, mode).outcomes
+    return outcome.value
+
+
+def cycle_system(spec):
+    """One weighted cycle through the named locations, multi-step hops
+    expanded (no features involved)."""
     states = [src for src, _, _, _ in spec]
     trans = [
         Transition(src, tgt, w, TRUE, "tau", length)
         for (src, tgt, w, length) in spec
     ]
-    w = expand_lengths(Wfts(states, [states[0]], trans, fm))
-    return project(w, frozenset())
+    return expand_lengths(Wfts(states, [states[0]], trans, FeatureModel([])))
 
 
 class TestClassicKarp:
+    """Classic Karp through the product-based baseline."""
+
     def test_two_cycle(self):
-        assert classic_karp(graph([("a", "b", 3), ("b", "a", 1)])) == 2
+        w = system([("a", "b", 3), ("b", "a", 1)])
+        assert best_reachable_mean(IndexedModel(w), 1) == 2
 
     def test_two_cycle_min(self):
-        assert classic_karp(graph([("a", "b", 3), ("b", "a", 1)]), "min") == 2
+        assert product_mean(system([("a", "b", 3), ("b", "a", 1)]), "min") == 2
 
     def test_self_loop(self):
-        assert classic_karp(graph([("a", "a", 7)])) == 7
+        assert best_reachable_mean(IndexedModel(system([("a", "a", 7)])), 1) == 7
 
     def test_no_edges_signals_no_cycle(self):
-        assert classic_karp(ProjectedWts(("a",), ("a",), ())) is None
+        w = Wfts(["a"], ["a"], [], FeatureModel([]))
+        assert best_reachable_mean(IndexedModel(w), 1) is None
 
     def test_best_of_two_loops(self):
-        g = graph([("a", "b", 10), ("b", "a", 0), ("a", "a", 4)])
-        assert classic_karp(g) == 5
-        assert classic_karp(g, "min") == 4
+        w = system([("a", "b", 10), ("b", "a", 0), ("a", "a", 4)])
+        assert product_mean(w) == 5
+        assert product_mean(w, "min") == 4
 
     # Cycle means enumerated for the taxi walk-through: each of the five
     # published route means, reproduced on the route's own subgraph.
@@ -94,36 +106,38 @@ class TestClassicKarp:
         ],
     )
     def test_taxi_route_means(self, spec, expected, shown):
-        value = classic_karp(cycle_graph(spec))
+        w = cycle_system(spec)
+        value = best_reachable_mean(IndexedModel(w), 1)
         assert value == expected
         assert decimal2(value) == shown
+        assert product_mean(w, "min") == expected  # a single cycle
 
     def test_rejects_unexpanded_input(self):
-        g = ProjectedWts(
-            ("a", "b"), ("a",),
-            (ProjectedTransition("a", "tau", "b", Fraction(1), 2),),
-        )
+        w = Wfts(["a", "b"], ["a"], [Transition("a", "b", 1, length=2)],
+                 FeatureModel([]))
         with pytest.raises(ValueError):
-            classic_karp(g)
+            analyze_products(w)
 
 
 class TestBruteForce:
     def test_dag_has_no_cycle(self):
-        assert brute_force_mean_cycle(graph([("a", "b", 1), ("b", "c", 1)])) is None
+        assert brute_force_mean_cycle(*graph([("a", "b", 1), ("b", "c", 1)])) is None
 
     def test_size_guard(self):
         edges = [(f"s{i}", f"s{i+1}", 1) for i in range(60)]
         with pytest.raises(ValueError):
-            brute_force_mean_cycle(graph(edges))
+            brute_force_mean_cycle(*graph(edges))
 
     def test_simple_cycles_found(self):
         g = graph([("a", "b", 3), ("b", "a", 1), ("b", "b", -4)])
-        assert brute_force_mean_cycle(g) == 2
-        assert brute_force_mean_cycle(g, "min") == -4
+        assert brute_force_mean_cycle(*g) == 2
+        assert brute_force_mean_cycle(*g, "min") == -4
 
     def test_grant_request_min_of_product_g(self, grantreq):
-        g = project(grantreq, frozenset({"G"}))
-        assert brute_force_mean_cycle(g, "min") == -1
+        bit = 1 << grantreq.feature_model.product_index({"G"})
+        # The oracle reads the model's own weights, whatever the index's sign.
+        g = reachable_projection(IndexedModel(grantreq, -1), bit)
+        assert brute_force_mean_cycle(*g, "min") == -1
 
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 10**9))
@@ -139,17 +153,17 @@ class TestBruteForce:
             edges.append(
                 (rng.choice(states), rng.choice(states), rng.randint(-9, 9))
             )
+        w = system(edges, states)
         g = graph(edges, states)
         for mode in ("max", "min"):
-            assert classic_karp(g, mode) == brute_force_mean_cycle(g, mode)
+            assert product_mean(w, mode) == brute_force_mean_cycle(*g, mode)
 
 
 def test_mode_validation():
-    g = graph([("a", "a", 1)])
     with pytest.raises(ValueError):
-        classic_karp(g, "avg")
+        analyze_products(system([("a", "a", 1)]), "avg")
     with pytest.raises(ValueError):
-        brute_force_mean_cycle(g, "avg")
+        brute_force_mean_cycle(*graph([("a", "a", 1)]), "avg")
 
 
 class TestPartitionDiscipline:
@@ -296,16 +310,15 @@ class TestExpansionPreservesMeans:
     on the unexpanded model."""
 
     def length_aware_best(self, w, product, mode):
-        from wfts.model import project as project_w
-
-        g = project_w(w, product)
-        idx = {s: i for i, s in enumerate(g.states)}
-        out = [[] for _ in g.states]
-        for t in g.transitions:
-            out[idx[t.source]].append((idx[t.target], t.weight, t.length))
+        im = IndexedModel(w)  # the index ignores lengths; they are read here
+        bit = 1 << w.feature_model.product_index(product)
+        out = [[] for _ in range(im.n)]
+        for t, (u, v, _, g) in zip(im.transitions, im.edges):
+            if g & bit:
+                out[u].append((v, t.weight, t.length))
         # restrict to states reachable from an initial state
         seen = set()
-        stack = [idx[s] for s in g.initial]
+        stack = list(im.initial)
         while stack:
             u = stack.pop()
             if u in seen:
@@ -314,7 +327,7 @@ class TestExpansionPreservesMeans:
             stack.extend(v for v, _, _ in out[u])
         best = None
         better = (lambda a, b: a > b) if mode == "max" else (lambda a, b: a < b)
-        on_path = [False] * len(g.states)
+        on_path = [False] * im.n
 
         def explore(root, u, total, steps):
             nonlocal best

@@ -2,17 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from wfts.features import TRUE, FeatureModel, Var
+from wfts.features import TRUE, FeatureError, FeatureModel, Var
 from wfts.graphs import IndexedModel
 from wfts.model import (
-    InvalidProductError,
     ModelError,
     Transition,
     Wfts,
     expand_lengths,
-    project,
     symbolic_reachable,
-    transpose,
 )
 
 
@@ -60,32 +57,38 @@ class TestValidation:
         assert Transition("a", "b", "13.5").weight == Fraction(27, 2)
 
 
+def product_edges(w, product):
+    """One product's ``(source, target)`` pairs, read off the shared index."""
+    im = IndexedModel(w)
+    bit = 1 << w.feature_model.product_index(product)
+    return [(im.states[u], im.states[v]) for u, v, _ in im.product_edges(bit)]
+
+
 class TestProjection:
     def test_taxi_empty_product_keeps_the_unguarded_core(self, taxi1):
-        g = project(taxi1, frozenset())
+        pairs = product_edges(taxi1, frozenset())
         # All 7 unguarded transitions of the base service survive; every
         # S-, T- and licensed transition is dropped.
-        assert len(g.transitions) == 7
-        pairs = {(t.source, t.target) for t in g.transitions}
-        assert pairs == {
+        assert len(pairs) == 7
+        assert set(pairs) == {
             ("R1", "P1"), ("P1", "AR"), ("AR", "AP"),
             ("AP", "R2"), ("R2", "P2"), ("P2", "AR"), ("AP", "R1"),
         }
-        assert g.states == taxi1.states  # projection never drops states
+        # A product's graph never drops states.
+        im = IndexedModel(taxi1)
+        assert len(im.product_adj(1)) == im.n == len(taxi1.states)
 
     def test_grant_request_empty_product_isolates_s2(self, grantreq):
-        g = project(grantreq, frozenset())
-        touching = [t for t in g.transitions if "s2" in (t.source, t.target)]
+        touching = [p for p in product_edges(grantreq, frozenset()) if "s2" in p]
         assert touching == []
 
     def test_true_guards_project_identically(self):
         w = tiny()
-        g = project(w, frozenset())
-        assert len(g.transitions) == len(w.transitions)
+        assert len(product_edges(w, frozenset())) == len(w.transitions)
 
     def test_invalid_product_rejected(self, taxi1):
-        with pytest.raises(InvalidProductError):
-            project(taxi1, frozenset({"no-such-feature"}))
+        with pytest.raises(FeatureError):
+            taxi1.feature_model.product_index(frozenset({"no-such-feature"}))
 
 
 class TestExpandLengths:
@@ -101,12 +104,16 @@ class TestExpandLengths:
 
     def test_unit_transition_unchanged(self):
         w = tiny()
-        assert expand_lengths(w).transitions == w.transitions
+        assert expand_lengths(w) is w
 
     def test_taxi_empty_product_cycle_mean(self, taxi1_expanded):
         # The airport loop via location 2 has 6 unit edges totaling 73.
-        g = project(taxi1_expanded, frozenset())
-        hops = {(t.source, t.target): t.weight for t in g.transitions}
+        im = IndexedModel(taxi1_expanded)
+        bit = 1 << taxi1_expanded.feature_model.product_index(frozenset())
+        hops = {
+            (im.states[u], im.states[v]): Fraction(wt, im.scale)
+            for u, v, wt in im.product_edges(bit)
+        }
         cycle = ["AP", "AP#R2#1", "R2", "P2", "P2#AR#1", "AR", "AP"]
         total = sum(hops[pair] for pair in zip(cycle, cycle[1:]))
         assert total == 73
@@ -130,17 +137,6 @@ class TestExpandLengths:
         expanded = expand_lengths(w)
         assert len(expanded.states) == 2 + 2 + 1
         assert len(set(expanded.states)) == len(expanded.states)
-
-
-class TestTranspose:
-    def test_involution(self, grantreq):
-        assert transpose(transpose(grantreq)) == grantreq
-
-    def test_edges_reversed_guards_kept(self, grantreq):
-        rev = transpose(grantreq)
-        originals = {(t.source, t.target, str(t.guard)) for t in grantreq.transitions}
-        flipped = {(t.target, t.source, str(t.guard)) for t in rev.transitions}
-        assert originals == flipped
 
 
 class TestSymbolicReachable:
