@@ -29,7 +29,7 @@ from fractions import Fraction
 from .analysis import analyze_family, analyze_products, format_product
 from .dsl import serialize
 from .graphs import IndexedModel, finish_order, kosaraju_components, reachable_from
-from .meancycle import brute_force_mean_cycle
+from .meancycle import BRUTE_FORCE_MAX_STATES, brute_force_mean_cycle
 from .model import ModelError, Wfts, expand_lengths
 from .ordering import DfsOrder, FinishingTree, build_finishing_tree, dfs_order
 from .randgen import random_corpus
@@ -198,14 +198,27 @@ def reachable_projection(
 
 
 def check_triangle(im: IndexedModel, modes=("max", "min"), label: str = "model") -> CheckResult:
-    """Family-based == product-based == brute force, exactly, per product."""
+    """Family-based == product-based == brute force, exactly, per product.
+
+    A product that reaches more states than the oracle enumerates is a
+    ModelError: the triangle cannot be checked on it.
+    """
     result = CheckResult("triangle")
     w = im.wfts
+    projections = [
+        reachable_projection(im, 1 << p) for p in range(len(w.feature_model.products))
+    ]
+    largest = max(n for n, _ in projections)
+    if largest > BRUTE_FORCE_MAX_STATES:
+        raise ModelError(
+            f"{label}: a product reaches {largest} states after length "
+            f"expansion; the brute-force oracle stops at {BRUTE_FORCE_MAX_STATES}"
+        )
     for mode in modes:
         family = analyze_family(w, mode)
         products = analyze_products(w, mode)
         for p_idx, product in enumerate(w.feature_model.products):
-            oracle = brute_force_mean_cycle(*reachable_projection(im, 1 << p_idx), mode)
+            oracle = brute_force_mean_cycle(*projections[p_idx], mode)
             fam_v = family.outcomes[p_idx].value
             prod_v = products.outcomes[p_idx].value
             if not (fam_v == prod_v == oracle):

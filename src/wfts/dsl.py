@@ -21,7 +21,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .features import FALSE, TRUE, FeatureError, FeatureExpr, FeatureModel, Not, Var
+from .features import (
+    FALSE, MAX_GUARD_DEPTH, TRUE, FeatureError, FeatureExpr, FeatureModel, Not, Var,
+)
 from .model import ModelError, Transition, Wfts
 
 _KEYWORDS = {
@@ -30,12 +32,6 @@ _KEYWORDS = {
 }
 
 _SYMBOLS = ("->", "&&", "||", "{", "}", "[", "]", "(", ")", ",", "=", "!", "-")
-
-# Deepest feature expression a model may hold.  Expression trees are walked
-# recursively (hashing, denotation, rendering), and the parser recurses on
-# "!" and "("; a few hundred levels exhaust Python's default recursion
-# limit.  Both the tree's height and the nesting of "!" and "(" are bounded.
-MAX_GUARD_DEPTH = 100
 
 
 class ParseError(ValueError):
@@ -112,7 +108,9 @@ class _Parser:
     def __init__(self, src: str):
         self.tokens = _lex(src)
         self.pos = 0
-        self.nesting = 0  # open "!" and "(" on the current parse path
+        # Open "!" and "(" on the current parse path.  The parser recurses on
+        # them, so their nesting is bounded like the tree's height.
+        self.nesting = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]

@@ -18,6 +18,11 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 # Bitset enumeration is exact but exponential in the feature count.
 MAX_FEATURES = 20
 
+# Deepest feature expression a model may hold.  Expression trees are walked
+# recursively (hashing, denotation, rendering); a few hundred levels exhaust
+# Python's default recursion limit.
+MAX_GUARD_DEPTH = 100
+
 
 class FeatureError(ValueError):
     """Malformed feature model or feature expression."""
@@ -137,6 +142,26 @@ def _eval(e: FeatureExpr, product: frozenset) -> bool:
     raise TypeError(f"not a feature expression: {e!r}")
 
 
+def check_depth(expr: FeatureExpr) -> None:
+    """Raise FeatureError if ``expr`` is more than ``MAX_GUARD_DEPTH`` levels
+    deep (a variable or constant is level 0).  Iterative, so it is safe to
+    run before anything walks or hashes the tree recursively."""
+    if not isinstance(expr, (Not, And, Or)):
+        return  # most guards: a constant or a variable
+    stack = [(expr, 0)]
+    while stack:
+        e, depth = stack.pop()
+        if depth > MAX_GUARD_DEPTH:
+            raise FeatureError(
+                f"feature expression nests deeper than {MAX_GUARD_DEPTH} levels"
+            )
+        if isinstance(e, Not):
+            stack.append((e.operand, depth + 1))
+        elif isinstance(e, (And, Or)):
+            stack.append((e.left, depth + 1))
+            stack.append((e.right, depth + 1))
+
+
 class FeatureModel:
     """Ordered feature names plus a constraint selecting the valid products.
 
@@ -159,6 +184,7 @@ class FeatureModel:
                 f"{len(feats)} features exceed the bitset backend limit "
                 f"of {MAX_FEATURES}"
             )
+        check_depth(constraint)
         self._features = feats
         self._constraint = constraint
         for v in constraint.variables():

@@ -5,7 +5,13 @@ Three routes to the same quantity live here:
 * ``karp_cells`` — the family-based dynamic program over a symbolic
   component.  It is Karp's recurrence where every table cell is defined on a
   partition of the products for which its state belongs to the component;
-  cells split whenever an update improves only part of a partition.
+  cells split whenever an update improves only part of a partition.  The
+  table is chain-contracted: only *heads* (the anchor and the states with
+  more than one way in) get rows, filled by a recurrence with transit
+  times over the chains between them (Hartmann & Orlin 1993).  A state
+  with a single way in, such as an intermediate state of length
+  expansion, sits at some depth d below its head, and its Karp term is
+  the head's term at the shifted horizon n - d.
 * ``best_reachable_mean`` — the product-based baseline: plain Karp
   (``karp_best_mean``) on each reachable strongly connected component of
   one product.
@@ -30,6 +36,9 @@ from .graphs import IndexedModel, kosaraju_components, reachable_from
 from .scc import SymbolicScc
 
 Cells = list[tuple[int, object]]  # (product mask, value or None)
+
+# Largest graph the brute-force oracle enumerates (exponential in general).
+BRUTE_FORCE_MAX_STATES = 48
 
 
 def _paint(candidates: dict, context: int, ordered_values: list) -> Cells:
@@ -91,26 +100,81 @@ def _fold_ratios(candidates: dict, context: int, maximize: bool) -> Cells:
     return cells
 
 
+Chain = tuple[int, int, int, int]  # (head, depth, weight offset, mask)
+
+
+def _contract(
+    masks: list[int], s0: int, edges: list[tuple[int, int, int, int]]
+) -> tuple[list[int], dict[int, Chain], dict[tuple[int, int], list]]:
+    """Contract the states with exactly one way in.
+
+    ``edges`` are the component's ``(u, v, weight, mask)`` edges.  Every
+    member other than the anchor that has exactly one in-edge among them is
+    contracted: all its walks from the anchor run through one chain of
+    single in-edges back to a *head* (the anchor or a state with several
+    ways in).  Such a state resolves to ``(head, depth, weight offset,
+    mask)``, the mask being the products that enable the whole chain.
+    Contracted states that no head reaches lie on a cycle nothing enters,
+    so no walk from the anchor visits them; they are left out.
+
+    Returns the heads, the chains of the contracted states, and the hops
+    between heads keyed by (source head, length), each a list of
+    ``(target head, weight, mask)``.
+    """
+    n_in = [0] * len(masks)
+    outs: list[list[tuple[int, int, int]]] = [[] for _ in masks]
+    for u, v, wt, em in edges:
+        n_in[v] += 1
+        outs[u].append((v, wt, em))
+    contracted = [v != s0 and n_in[v] == 1 for v in range(len(masks))]
+    heads = [v for v, m in enumerate(masks) if m and not contracted[v]]
+    chains: dict[int, Chain] = {}
+    for h in heads:
+        # Single in-edges make the contracted states below a head a tree.
+        stack = [(v, 1, wt, em) for v, wt, em in outs[h] if contracted[v]]
+        while stack:
+            c, d, off, m = stack.pop()
+            chains[c] = (h, d, off, m)
+            stack.extend(
+                (v, d + 1, off + wt, m & em) for v, wt, em in outs[c] if contracted[v]
+            )
+    hops: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    for u, v, wt, em in edges:
+        if contracted[v]:
+            continue
+        if not contracted[u]:
+            key, hop = (u, 1), (v, wt, em)
+        elif u in chains:
+            h, d, off, m = chains[u]
+            key, hop = (h, d + 1), (v, off + wt, m & em)
+        else:
+            continue
+        hops.setdefault(key, []).append(hop)
+    return heads, chains, hops
+
+
 def _walk_tables(
     masks: list[int],
-    members: list[int],
+    heads: list[int],
     s0: int,
-    sources: list[tuple[int, list[tuple[int, int, int]]]],
+    hops: dict[tuple[int, int], list[tuple[int, int, int]]],
     n: int,
-    n_states: int,
-) -> list[list[Cells]]:
-    """Partitioned best-walk weights: rows[k][v] is the maximum weight of a
-    length-k walk from the anchor to v, per family of products."""
-    rows: list[list[Cells]] = []
-    row0: list[Cells] = [[] for _ in range(n_states)]
-    for v in members:
+) -> list[list[Cells | None]]:
+    """Partitioned best-walk weights of the heads: rows[k][v] is the maximum
+    weight of a length-k walk from the anchor to head v, per family of
+    products, with D_k(v) = max D_{k-L}(u) + w over hops (u, v, w, L).
+    Rows hold None for the states that are not heads."""
+    rows: list[list[Cells | None]] = []
+    row0: list[Cells | None] = [None] * len(masks)
+    for v in heads:
         row0[v] = [(masks[v], 0 if v == s0 else None)]
     rows.append(row0)
-    for _ in range(n):
-        prev = rows[-1]
+    for k in range(1, n + 1):
         proposals: dict[int, dict[int, int]] = {}
-        for u, out_edges in sources:
-            pcells = prev[u]
+        for (u, length), out_edges in hops.items():
+            if length > k:
+                continue
+            pcells = rows[k - length][u]
             if len(pcells) == 1 and pcells[0][1] is None:
                 continue
             for v, wt, edge_mask in out_edges:
@@ -129,8 +193,8 @@ def _walk_tables(
                         into[cand] = region if have is None else have | region
                     if not remaining:
                         break
-        row: list[Cells] = [[] for _ in range(n_states)]
-        for v in members:
+        row: list[Cells | None] = [None] * len(masks)
+        for v in heads:
             into = proposals.get(v)
             if into:
                 row[v] = _paint(into, masks[v], sorted(into, reverse=True))
@@ -143,43 +207,54 @@ def _walk_tables(
 def karp_cells(scc: SymbolicScc, im: IndexedModel) -> list[tuple[int, Fraction]]:
     """Maximum mean-cycle values of one symbolic component, per family.
 
-    Walk weights D[k][v] are computed for k = 0..n with n the number of
-    member states, starting from the component's anchor.  Each D[k][v] is a
-    partition of the products under which v is in the component, refined as
-    transitions with different guards propose different walk weights.  The
-    per-state minimum over (D[n]-D[k])/(n-k) and the final maximum over
-    states refine the same way.  Only families that actually contain a
-    cycle are returned; ratios stay exact (int pairs, Fraction at the end).
+    Karp's formula over the component's member states, with n their count:
+    the best over states v of the least (D[n][v]-D[k][v])/(n-k), where
+    D[k][v] is the best weight of a length-k walk from the anchor to v.
+    States with one way in (``_contract``) get no table rows: D is kept
+    only for heads, and a contracted state at depth d below head h has
+    D[k] = D_h[k-d] + offset, so its Karp term is h's term at the shifted
+    horizon n-d, restricted to its chain's mask.  The min-over-k step runs
+    once per distinct (head, horizon) pair, on the OR of their masks.
+
+    Each table cell list partitions the products under which its state is
+    in the component, refined as transitions with different guards propose
+    different walk weights; the minima and the final maximum refine the
+    same way.  Only families that actually contain a cycle are returned;
+    ratios stay exact (int pairs, Fraction at the end).
     """
     masks = scc.masks
-    members = [v for v in range(im.n) if masks[v]]
-    n = len(members)
+    n = sum(1 for m in masks if m)
     s0 = im.index[scc.anchor_state]
 
-    by_source: dict[int, list[tuple[int, int, int]]] = {}
-    n_trans = 0
+    edges = []
     for u, v, wt, g in im.edges:
         edge_mask = g & masks[u] & masks[v]
         if edge_mask:
-            by_source.setdefault(u, []).append((v, wt, edge_mask))
-            n_trans += 1
-    if not n_trans:
+            edges.append((u, v, wt, edge_mask))
+    if not edges:
         return []
 
-    rows = _walk_tables(masks, members, s0, list(by_source.items()), n, im.n)
+    heads, chains, hops = _contract(masks, s0, edges)
+    rows = _walk_tables(masks, heads, s0, hops, n)
+    horizons: dict[tuple[int, int], int] = {(v, n): masks[v] for v in heads}
+    for h, d, _, m in chains.values():
+        key = (h, n - d)
+        horizons[key] = horizons.get(key, 0) | m
     scale = im.scale
     top: dict[tuple[int, int], int] = {}
-    last = rows[n]
-    for v in members:
-        dn_cells = [(m, dn) for m, dn in last[v] if dn is not None]
+    for (v, horizon), context in horizons.items():
+        dn_cells = [
+            (m & context, dn) for m, dn in rows[horizon][v]
+            if dn is not None and m & context
+        ]
         if not dn_cells:
             continue
         ratios: dict[tuple[int, int], int] = {}
-        for k in range(n):
+        for k in range(horizon):
             dk_cells = rows[k][v]
             if len(dk_cells) == 1 and dk_cells[0][1] is None:
                 continue
-            span = n - k
+            span = horizon - k
             for m2, dn in dn_cells:
                 remaining = m2
                 for m3, dk in dk_cells:
@@ -197,7 +272,7 @@ def karp_cells(scc: SymbolicScc, im: IndexedModel) -> list[tuple[int, Fraction]]
         if not ratios:
             continue
         # Per state the minimum ratio wins; across states the maximum wins.
-        for mask, val in _fold_ratios(ratios, masks[v], maximize=False):
+        for mask, val in _fold_ratios(ratios, context, maximize=False):
             if val is not None:
                 have = top.get(val)
                 top[val] = mask if have is None else have | mask
@@ -284,7 +359,7 @@ def brute_force_mean_cycle(
     n: int,
     edges: list[tuple[int, int, Fraction]],
     mode: str = "max",
-    max_states: int = 48,
+    max_states: int = BRUTE_FORCE_MAX_STATES,
 ) -> Fraction | None:
     """Best mean over all simple cycles of ``(u, v, weight)`` edges on
     states ``0..n-1``, by exhaustive enumeration.

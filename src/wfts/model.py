@@ -15,7 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable
 
-from .features import TRUE, FeatureError, FeatureExpr, FeatureModel, ProductSet
+from .features import (
+    TRUE, FeatureError, FeatureExpr, FeatureModel, ProductSet, check_depth,
+)
 
 if TYPE_CHECKING:
     from .graphs import IndexedModel
@@ -95,6 +97,7 @@ class Wfts:
             if t.target not in seen:
                 raise ModelError(f"undeclared target state: {t.target!r}")
             try:
+                check_depth(t.guard)  # before mask() hashes it recursively
                 self.feature_model.mask(t.guard)
             except FeatureError as exc:
                 raise ModelError(

@@ -222,8 +222,9 @@ trans s1 -> s2 weight=0
 trans s2 -> s2 [A] weight=3
 """
 GUARD = FUZZ_BASE.index("G || A")
-# No piece carries a digit, so no mutation grows a length or a weight into
-# a model too large to analyze in a moment.
+LENGTH = FUZZ_BASE.index("length=2") + len("length=")
+# No piece carries a digit, so only deletions that join digits grow a length
+# or a weight, and no mutation makes a model too large to analyze in a moment.
 PIECES = (
     "&&", "||", "!", "(", ")", "[", "]", "{", "}", "->", "=", ",", "-", ".",
     "#", " ", "\n", "\t", "G", "A", "x", "s0", "s2", "true", "false", "trans",
@@ -236,6 +237,19 @@ EDITS = st.lists(
 )
 
 
+def run_mutated(capsys, tmp_path, edits, *command):
+    """Each edit replaces ``cut`` characters at ``pos`` by a piece of the
+    format's vocabulary; whatever comes out, the command ends in a
+    documented exit code instead of an exception."""
+    text = FUZZ_BASE
+    for pos, cut, piece in edits:
+        text = text[:pos] + piece + text[pos + cut:]
+    path = tmp_path / "fuzz.wfts"
+    path.write_text(text, encoding="utf-8")
+    code, _, _ = run(capsys, *command, str(path))
+    assert code in (0, 1, 2, 3)
+
+
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @example(edits=[(GUARD, 6, "G" + " && G" * 3000)])
@@ -243,13 +257,21 @@ EDITS = st.lists(
 @example(edits=[(GUARD, 6, "(" * 2000 + "G" + ")" * 2000)])
 @given(edits=EDITS)
 def test_mutated_models_end_in_an_exit_code(capsys, tmp_path, edits):
-    """Each edit replaces ``cut`` characters at ``pos`` by a piece of the
-    format's vocabulary; whatever comes out, ``analyze`` ends in a
-    documented exit code instead of an exception."""
-    text = FUZZ_BASE
-    for pos, cut, piece in edits:
-        text = text[:pos] + piece + text[pos + cut:]
-    path = tmp_path / "fuzz.wfts"
-    path.write_text(text, encoding="utf-8")
-    code, _, _ = run(capsys, "analyze", str(path))
-    assert code in (0, 1, 2, 3)
+    run_mutated(capsys, tmp_path, edits, "analyze")
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(edits=[(GUARD, 6, "G" + " && G" * 3000)])
+# Deleting characters can join digits into a long length; the expansion then
+# outgrows the brute-force oracle, which once raised ValueError.
+@example(edits=[(LENGTH, 1, "60")])
+@given(edits=EDITS)
+def test_mutated_models_end_in_an_exit_code_under_validate(capsys, tmp_path, edits):
+    run_mutated(capsys, tmp_path, edits, "validate")
+
+
+def test_validate_beyond_the_oracle_is_a_model_error(capsys):
+    code, _, err = run(capsys, "validate", "--generate", "taxi:5")
+    assert code == 2
+    assert "brute-force oracle stops at 48" in err

@@ -246,7 +246,9 @@ class TestPartitionDiscipline:
 
 class TestWalkTableFidelity:
     """Per product, the partitioned walk-weight table must match a classic
-    per-product Karp table on the same component, cell for cell."""
+    per-product Karp table on the same component, cell for cell: a head's
+    row directly, a contracted state's row as its head's row ``depth``
+    steps earlier plus the chain's weight offset."""
 
     def classic_rows(self, edges, n_states, s0, n):
         rows = [[None] * n_states for _ in range(n + 1)]
@@ -259,16 +261,11 @@ class TestWalkTableFidelity:
                     cur[v] = d + w
         return rows
 
-    @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 10**9))
-    def test_against_classic_tables(self, seed):
-        from wfts.graphs import IndexedModel
-        from wfts.meancycle import _walk_tables
+    def assert_matches_classic(self, w, label):
+        from wfts.meancycle import _contract, _walk_tables
         from wfts.ordering import build_finishing_tree, dfs_order
-        from wfts.randgen import random_wfts
         from wfts.scc import symbolic_sccs
 
-        w = expand_lengths(random_wfts(f"walks:{seed}", max_states=6))
         im = IndexedModel(w)
         tree = symbolic_sccs(build_finishing_tree(dfs_order(im)), im)
         for scc in tree.components():
@@ -276,16 +273,20 @@ class TestWalkTableFidelity:
             members = [v for v in range(im.n) if masks[v]]
             n = len(members)
             s0 = im.index[scc.anchor_state]
-            by_source = {}
             trans = []
             for u, v, wt, g in im.edges:
                 em = g & masks[u] & masks[v]
                 if em:
-                    by_source.setdefault(u, []).append((v, wt, em))
                     trans.append((u, v, wt, em))
             if not trans:
                 continue
-            rows = _walk_tables(masks, members, s0, list(by_source.items()), n, im.n)
+            heads, chains, hops = _contract(masks, s0, trans)
+            assert s0 in heads and not set(heads) & set(chains)
+            rows = _walk_tables(masks, heads, s0, hops, n)
+
+            def cell(k, v, bit):
+                return next(val for mask, val in rows[k][v] if mask & bit)
+
             for p_idx in range(len(im.feature_model.products)):
                 bit = 1 << p_idx
                 if not masks[s0] & bit:
@@ -296,12 +297,61 @@ class TestWalkTableFidelity:
                     for v in members:
                         if not masks[v] & bit:
                             continue
-                        cell_value = next(
-                            val for mask, val in rows[k][v] if mask & bit
+                        if v in heads:
+                            expected = cell(k, v, bit)
+                        elif v in chains:
+                            h, d, off, m = chains[v]
+                            earlier = cell(k - d, h, bit) if k >= d and m & bit else None
+                            expected = None if earlier is None else earlier + off
+                        else:  # on a cycle no head enters: never reached
+                            expected = None
+                        assert classic[k][v] == expected, (
+                            f"{label}: k={k} v={w.states[v]} product {p_idx}"
                         )
-                        assert cell_value == classic[k][v], (
-                            f"seed {seed}: k={k} v={w.states[v]} product {p_idx}"
-                        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10**9))
+    def test_against_classic_tables(self, seed):
+        from wfts.randgen import random_wfts
+
+        w = expand_lengths(random_wfts(f"walks:{seed}", max_states=6))
+        self.assert_matches_classic(w, f"seed {seed}")
+
+    def test_taxi_chains_against_classic_tables(self):
+        from wfts.generators import taxi
+
+        self.assert_matches_classic(expand_lengths(taxi(2)), "taxi:2")
+
+
+class TestShiftedHorizons:
+    """A contracted state's Karp term is its head's term at horizon n - d.
+    Reading the heads at horizon n alone loses these cycles."""
+
+    @pytest.mark.parametrize(
+        "transitions, best, least",
+        [
+            # Two 2-step loops through one state: n = 3, yet every cycle
+            # has even length, so D[3] of the anchor is undefined.
+            (["s0 -> s0 weight=8 length=2", "s0 -> s0 weight=6 length=2"],
+             Fraction(4), Fraction(3)),
+            # A pure cycle whose anchor has a single in-edge.
+            (["s0 -> s0 weight=5 length=3"], Fraction(5, 3), Fraction(5, 3)),
+        ],
+    )
+    def test_family_product_and_brute_force_agree(self, transitions, best, least):
+        from wfts.analysis import analyze_family
+        from wfts.dsl import parse
+
+        text = "features { }\nstates { s0 }\ninit { s0 }\n" + "".join(
+            f"trans {t}\n" for t in transitions
+        )
+        w = expand_lengths(parse(text))
+        oracle_graph = reachable_projection(IndexedModel(w), 1)
+        for mode, expected in (("max", best), ("min", least)):
+            (family,) = analyze_family(w, mode).outcomes
+            assert family.value == expected
+            assert product_mean(w, mode) == expected
+            assert brute_force_mean_cycle(*oracle_graph, mode) == expected
 
 
 class TestExpansionPreservesMeans:

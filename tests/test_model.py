@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from wfts.features import TRUE, FeatureError, FeatureModel, Var
+from wfts.features import MAX_GUARD_DEPTH, TRUE, FeatureError, FeatureModel, Var
 from wfts.graphs import IndexedModel
 from wfts.model import (
     ModelError,
@@ -55,6 +55,26 @@ class TestValidation:
 
     def test_exact_weight_from_string(self):
         assert Transition("a", "b", "13.5").weight == Fraction(27, 2)
+
+    def test_guard_depth_is_bounded_before_any_recursion(self):
+        def chain(levels):
+            e = Var("G")
+            for _ in range(levels):
+                e = e & Var("G")
+            return e
+
+        def build(guard):
+            return Wfts(["a"], ["a"], [Transition("a", "a", 1, guard)],
+                        FeatureModel(["G"]))
+
+        # The parser's own bound is accepted; a 1,001-deep chain once raised
+        # RecursionError while the guard was hashed.
+        build(chain(MAX_GUARD_DEPTH))
+        for levels in (MAX_GUARD_DEPTH + 1, 1001):
+            with pytest.raises(ModelError, match="deeper than"):
+                build(chain(levels))
+        with pytest.raises(FeatureError, match="deeper than"):
+            FeatureModel(["G"], chain(1001))
 
 
 def product_edges(w, product):
