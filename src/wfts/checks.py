@@ -6,8 +6,8 @@ CLI command:
 * tree conditions — the finishing-order tree is well-formed and, for every
   single product, reproduces the classic DFS finishing order of that
   product's projection;
-* component equivalence — projecting the symbolic components at any product
-  yields exactly the classic Kosaraju partition;
+* component equivalence — the partition read off the symbolic components'
+  masks at any product is exactly the classic Kosaraju partition;
 * the oracle triangle — family-based, product-based and brute-force cycle
   enumeration report identical values for every product, in both modes.
 
@@ -33,7 +33,7 @@ from .meancycle import BRUTE_FORCE_MAX_STATES, brute_force_mean_cycle
 from .model import ModelError, Wfts, expand_lengths
 from .ordering import DfsOrder, FinishingTree, build_finishing_tree, dfs_order
 from .randgen import random_corpus
-from .scc import SccTree, symbolic_sccs
+from .scc import SymbolicScc, product_partitions, symbolic_sccs
 
 
 @dataclass
@@ -146,30 +146,35 @@ def finish_ranks(im: IndexedModel, bit: int) -> dict[str, int]:
     return {im.states[u]: i + 1 for i, u in enumerate(order)}
 
 
-def check_scc_tree(scc_tree: SccTree, im: IndexedModel) -> CheckResult:
-    """Per product, the symbolic components equal the classic partition."""
+def _named(partition: list[list[int]], names: tuple[str, ...]) -> list[list[str]]:
+    """A partition's distinct components as sorted state names."""
+    return sorted(map(list, {tuple(sorted(names[u] for u in comp)) for comp in partition}))
+
+
+def check_scc_tree(components: list[SymbolicScc], im: IndexedModel) -> CheckResult:
+    """Per product, the partition read off the component masks equals the
+    classic one, with every state in exactly one component."""
     result = CheckResult("scc")
     fm = im.feature_model
-    for p_idx, product in enumerate(fm.products):
+    names = im.states
+    partitions = product_partitions(components, len(fm.products))
+    for p_idx, (product, symbolic) in enumerate(zip(fm.products, partitions)):
         bit = 1 << p_idx
         classic = kosaraju_components(im.product_adj(bit), im.product_radj(bit), im.n)
-        classic_sets = {frozenset(im.states[u] for u in comp) for comp in classic}
-        symbolic = scc_tree.components_at(product)
-        symbolic_sets = {frozenset(comp) for comp in symbolic}
-        if classic_sets != symbolic_sets:
+        if {frozenset(c) for c in classic} != {frozenset(c) for c in symbolic}:
             result.failures.append(
                 f"product {format_product(product)}: symbolic SCCs "
-                f"{sorted(map(sorted, symbolic_sets))} != classic "
-                f"{sorted(map(sorted, classic_sets))}"
+                f"{_named(symbolic, names)} != classic {_named(classic, names)}"
             )
-        assigned: set[str] = set()
+        assigned: set[int] = set()
         for comp in symbolic:
-            for s in comp:
-                if s in assigned:
+            for u in comp:
+                if u in assigned:
                     result.failures.append(
-                        f"product {format_product(product)}: state {s} in two components"
+                        f"product {format_product(product)}: state {names[u]} "
+                        f"in two components"
                     )
-                assigned.add(s)
+                assigned.add(u)
         if len(assigned) != im.n:
             result.failures.append(
                 f"product {format_product(product)}: {len(assigned)} of "
@@ -239,7 +244,7 @@ def check_model(w: Wfts, modes=("max", "min"), label: str = "model") -> CheckRes
     result.merge(check_order_coverage(order))
     tree = build_finishing_tree(order)
     result.merge(check_tree(tree, im))
-    result.merge(check_scc_tree(symbolic_sccs(tree, im), im))
+    result.merge(check_scc_tree(symbolic_sccs(tree, im).components(), im))
     result.merge(check_triangle(im, modes, label))
     if result.failures:
         result.failures.insert(0, _model_header(w, label))

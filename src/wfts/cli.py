@@ -64,6 +64,8 @@ class RunConfig:
     def __post_init__(self):
         if self.reps < 1:
             raise UsageError("--reps must be >= 1")
+        if self.count < 0:
+            raise UsageError("--count must be >= 0")
         if self.model_path and self.generate:
             raise UsageError("give either --generate or a model path, not both")
 
@@ -115,6 +117,8 @@ def _generate_range(spec: str) -> list[tuple[str, Wfts]]:
             sizes = range(int(lo), int(hi) + 1)
         except ValueError as exc:
             raise UsageError(f"bad generator range in {spec!r}: {exc}") from exc
+        if not sizes:
+            raise UsageError(f"empty generator range in {spec!r}")
         return [(f"taxi:{i}", _generate(f"taxi:{i}")) for i in sizes]
     return [(spec, _generate(spec))]
 
@@ -190,6 +194,12 @@ def _against_report(w: Wfts, path: str, mode: str) -> list[str]:
             diffs.append(f"product {{{','.join(key)}}}: not present in current model")
         elif got != value:
             diffs.append(f"product {{{','.join(key)}}}: expected {value}, got {got}")
+    stored_keys = {key for key, _ in entries}
+    diffs += [
+        f"product {{{','.join(key)}}}: missing from the stored report"
+        for key in current
+        if key not in stored_keys
+    ]
     return diffs
 
 

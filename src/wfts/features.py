@@ -267,12 +267,6 @@ class FeatureModel:
     def entails(self, a: FeatureExpr, b: FeatureExpr) -> bool:
         return self.mask(a) & ~self.mask(b) & self.full_mask == 0
 
-    def product_set(self, products: Iterable[Iterable[str]]) -> "ProductSet":
-        mask = 0
-        for p in products:
-            mask |= 1 << self.product_index(p)
-        return ProductSet(self, mask)
-
     def expr_for_mask(self, mask: int) -> FeatureExpr:
         """A compact formula denoting exactly the given product bitset."""
         return _expr_for_mask(self, mask & self.full_mask, 0, self.full_mask)

@@ -224,7 +224,7 @@ def karp_cells(scc: SymbolicScc, im: IndexedModel) -> list[tuple[int, Fraction]]
     """
     masks = scc.masks
     n = sum(1 for m in masks if m)
-    s0 = im.index[scc.anchor_state]
+    s0 = scc.anchor
 
     edges = []
     for u, v, wt, g in im.edges:

@@ -15,9 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable
 
-from .features import (
-    TRUE, FeatureError, FeatureExpr, FeatureModel, ProductSet, check_depth,
-)
+from .features import TRUE, FeatureError, FeatureExpr, FeatureModel, check_depth
 
 if TYPE_CHECKING:
     from .graphs import IndexedModel
@@ -104,10 +102,6 @@ class Wfts:
                     f"bad guard on {t.source} -> {t.target}: {exc}"
                 ) from exc
 
-    @property
-    def actions(self) -> frozenset[str]:
-        return frozenset(t.action for t in self.transitions)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Wfts)
@@ -157,14 +151,9 @@ def expand_lengths(w: Wfts) -> Wfts:
     return Wfts(new_states, w.initial, new_trans, w.feature_model)
 
 
-def symbolic_reachable(im: IndexedModel) -> dict[str, ProductSet]:
-    """For each state, the exact set of products under which it is reachable
-    from some initial state via guard-satisfying transitions."""
-    fm = im.feature_model
-    return {s: ProductSet(fm, m) for s, m in zip(im.states, symbolic_reachable_masks(im))}
-
-
 def symbolic_reachable_masks(im: IndexedModel) -> list[int]:
+    """For each state, the exact set of products (a bitmask) under which it
+    is reachable from some initial state via guard-satisfying transitions."""
     full = im.feature_model.full_mask
     reach = [0] * im.n
     work = []

@@ -20,7 +20,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .features import ProductSet
 from .graphs import IndexedModel
 
 
@@ -40,16 +39,6 @@ class DfsOrder:
         self.entries = tuple(
             OrderEntry(state, mask, i + 1) for i, (state, mask) in enumerate(entries)
         )
-
-    def entry(self, time: int) -> OrderEntry:
-        """Inverse lookup: the (state, products) stamped at ``time``."""
-        return self.entries[time - 1]
-
-    def products_of(self, entry: OrderEntry) -> ProductSet:
-        return ProductSet(self.model, entry.mask)
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 def dfs_order(im: IndexedModel) -> DfsOrder:
@@ -134,25 +123,9 @@ class FinishingTree:
         self.root = root
         self.nodes = nodes  # creation (breadth-first) order, root excluded
         self.order = order
-        self.model = order.model
 
     def leaves(self) -> list[TreeNode]:
         return [n for n in self.nodes if not n.children]
-
-    def path_for(self, product) -> list[TreeNode]:
-        """The unique root-to-leaf path whose families contain ``product``."""
-        bit = 1 << self.model.product_index(product)
-        path = []
-        node = self.root
-        while node.children:
-            matching = [c for c in node.children if c.edge_mask & bit]
-            if len(matching) != 1:
-                raise AssertionError(
-                    f"product selects {len(matching)} children at depth {node.depth}"
-                )
-            node = matching[0]
-            path.append(node)
-        return path
 
 
 def build_finishing_tree(order: DfsOrder) -> FinishingTree:
@@ -185,32 +158,3 @@ def build_finishing_tree(order: DfsOrder) -> FinishingTree:
                 not_children &= ~e.mask
     return FinishingTree(root, nodes, order)
 
-
-def render_tree(tree: FinishingTree) -> str:
-    """Indented text dump (debugging aid, not a stable format)."""
-    lines: list[str] = []
-
-    def walk(node: TreeNode, depth: int) -> None:
-        for child in node.children:
-            label = tree.model.expr_for_mask(child.edge_mask)
-            lines.append("  " * depth + f"{child.state}  [{label}]")
-            walk(child, depth + 1)
-
-    walk(tree.root, 0)
-    return "\n".join(lines)
-
-
-def tree_to_dot(tree: FinishingTree) -> str:
-    """GraphViz dump of the tree (debugging aid)."""
-    lines = ["digraph finishing_tree {", '  root [label="root" shape=box];']
-    names = {id(tree.root): "root"}
-    for i, node in enumerate(tree.nodes):
-        names[id(node)] = f"n{i}"
-        lines.append(f'  n{i} [label="{node.state}"];')
-    for node in tree.nodes:
-        label = str(tree.model.expr_for_mask(node.edge_mask))
-        lines.append(
-            f'  {names[id(node.parent)]} -> {names[id(node)]} [label="{label}"];'
-        )
-    lines.append("}")
-    return "\n".join(lines)

@@ -1,4 +1,4 @@
-"""Symbolic strongly connected components, one set per finishing-tree path.
+"""Symbolic strongly connected components, read off the finishing tree.
 
 The classic two-pass SCC scheme processes states in decreasing finishing
 time and, for each unassigned state, collects everything reachable in the
@@ -6,62 +6,44 @@ transpose graph among unassigned states.  Here both ingredients become
 symbolic: the finishing order comes from the tree (one order per family of
 products), and "assigned" is a per-state product set threaded along each
 root-to-leaf path and restored on backtracking.
+
+The tree is only the route to the components.  A component is an anchor
+state and, per state, the products that put the state in it; one product's
+SCC partition is read off the masks alone (``product_partitions``).  That
+is sound because a component's masks lie within the family of its tree
+node's path, and each product selects exactly one path: per product, the
+components containing it are the ones on its path, which partition the
+states.
 """
 
 from __future__ import annotations
 
-from .features import ProductSet
+from typing import NamedTuple
+
 from .graphs import IndexedModel
-from .ordering import FinishingTree, TreeNode
+from .ordering import FinishingTree
 
 
-class SymbolicScc:
-    """One symbolic component: per state, the products that put it here."""
+class SymbolicScc(NamedTuple):
+    """One symbolic component: per state, the products that put it here.
 
-    __slots__ = ("graph", "anchor_state", "anchor_mask", "masks")
+    ``masks`` is indexed like the graph's states.  Every mask lies within
+    ``masks[anchor]``: the walk that collects the component starts from the
+    anchor's products and only ever narrows them.
+    """
 
-    def __init__(self, graph: IndexedModel, anchor_state: str, anchor_mask: int,
-                 masks: list[int]):
-        self.graph = graph
-        self.anchor_state = anchor_state
-        self.anchor_mask = anchor_mask
-        self.masks = masks  # indexed like graph.states
-
-    def members(self) -> list[str]:
-        return [s for s, m in zip(self.graph.states, self.masks) if m]
-
-    def products_of(self, state: str) -> ProductSet:
-        return ProductSet(self.graph.feature_model, self.masks[self.graph.index[state]])
-
-    def members_at(self, bit: int) -> list[str]:
-        return [s for s, m in zip(self.graph.states, self.masks) if m & bit]
-
-    def __repr__(self) -> str:
-        return f"SymbolicScc(anchor={self.anchor_state}, members={self.members()})"
+    anchor: int
+    masks: list[int]
 
 
-class SccTree:
-    """The finishing tree annotated with the component found at each node."""
+class SymbolicSccs:
+    """The components of one finishing tree, in computation order."""
 
-    def __init__(self, tree: FinishingTree, by_node: dict[TreeNode, SymbolicScc]):
-        self.tree = tree
-        self.by_node = by_node  # insertion order = computation order
+    def __init__(self, components: list[SymbolicScc]):
+        self._components = components
 
     def components(self) -> list[SymbolicScc]:
-        return list(self.by_node.values())
-
-    def components_at(self, product) -> list[list[str]]:
-        """The per-product SCC partition, following the product's tree path."""
-        bit = 1 << self.tree.model.product_index(product)
-        partition = []
-        for node in self.tree.path_for(product):
-            scc = self.by_node.get(node)
-            if scc is None:
-                continue
-            members = scc.members_at(bit)
-            if members:
-                partition.append(members)
-        return partition
+        return self._components
 
 
 def _reaching(
@@ -91,26 +73,7 @@ def _reaching(
     return r
 
 
-def reach_excluding(
-    im: IndexedModel,
-    anchor_state: str,
-    anchor: ProductSet,
-    assigned: dict[str, ProductSet] | None = None,
-) -> SymbolicScc:
-    """Per product, the states that reach ``anchor_state`` in ``im``, never
-    passing through (state, product) pairs already in ``assigned``.
-
-    This is the component-collection step: everything that reaches the
-    anchor among unassigned states, read off the predecessor lists.
-    """
-    excluded = [0] * im.n
-    for state, products in (assigned or {}).items():
-        excluded[im.index[state]] = products.mask
-    masks = _reaching(im.index[anchor_state], anchor.mask, excluded, im.pred)
-    return SymbolicScc(im, anchor_state, anchor.mask, masks)
-
-
-def symbolic_sccs(tree: FinishingTree, im: IndexedModel) -> SccTree:
+def symbolic_sccs(tree: FinishingTree, im: IndexedModel) -> SymbolicSccs:
     """Depth-first walk of the finishing tree computing one component per
     node whose state is not yet fully assigned on the current path.
 
@@ -119,7 +82,7 @@ def symbolic_sccs(tree: FinishingTree, im: IndexedModel) -> SccTree:
     other's assignments.
     """
     idx, pred = im.index, im.pred
-    by_node: dict[TreeNode, SymbolicScc] = {}
+    components: list[SymbolicScc] = []
     for root_child in tree.root.children:
         assigned = [0] * im.n
         # Frame: [node, path expression, next child index]
@@ -130,9 +93,9 @@ def symbolic_sccs(tree: FinishingTree, im: IndexedModel) -> SccTree:
             node, lam, child_i = frame
             s = idx[node.state]
             fresh = lam & ~assigned[s]
-            if fresh and node not in by_node:
+            if fresh:  # zero on a revisit: the first visit assigned it
                 masks = _reaching(s, fresh, assigned, pred)
-                by_node[node] = SymbolicScc(im, node.state, fresh, masks)
+                components.append(SymbolicScc(s, masks))
                 for i, m in enumerate(masks):
                     if m:
                         assigned[i] |= m
@@ -145,32 +108,24 @@ def symbolic_sccs(tree: FinishingTree, im: IndexedModel) -> SccTree:
                 frames.pop()
                 assigned = snapshots.pop()
         assert not snapshots, "assignment snapshots must pop in lockstep"
-    return SccTree(tree, by_node)
+    return SymbolicSccs(components)
 
 
-def render_scc_tree(scc_tree: SccTree) -> str:
-    """Per leaf path, the components with their per-state product sets
-    (debugging aid, not a stable format)."""
-    tree = scc_tree.tree
-    fm = tree.model
-    lines: list[str] = []
-    for leaf in tree.leaves():
-        path: list[TreeNode] = []
-        node = leaf
-        while node.parent is not None:
-            path.append(node)
-            node = node.parent
-        path.reverse()
-        family = fm.expr_for_mask(leaf.path_mask)
-        lines.append(f"path {' '.join(n.state for n in path)}  [{family}]")
-        for n in path:
-            scc = scc_tree.by_node.get(n)
-            if scc is None:
-                continue
-            parts = ", ".join(
-                f"{s}:{fm.expr_for_mask(m)}"
-                for s, m in zip(scc.graph.states, scc.masks)
-                if m
-            )
-            lines.append(f"  scc@{n.state}: {parts}")
-    return "\n".join(lines)
+def product_partitions(
+    components: list[SymbolicScc], products: int
+) -> list[list[list[int]]]:
+    """Per product, its SCC partition: the member states of each component
+    whose masks contain the product, in component order.
+
+    One pass scatters each mask's set bits, so the cost is the number of
+    (state, product) memberships plus one scan of every component's masks.
+    A state in two components, or in none, shows up as such in the result.
+    """
+    parts: list[dict[int, list[int]]] = [{} for _ in range(products)]
+    for c, scc in enumerate(components):
+        for v, m in enumerate(scc.masks):
+            while m:
+                low = m & -m
+                parts[low.bit_length() - 1].setdefault(c, []).append(v)
+                m ^= low
+    return [list(p.values()) for p in parts]

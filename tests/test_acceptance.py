@@ -161,7 +161,7 @@ def test_criterion_5_component_equivalence(corpus_trees, capsys):
     with capsys.disabled():
         failures = []
         for label, im, tree in corpus_trees:
-            result = check_scc_tree(symbolic_sccs(tree, im), im)
+            result = check_scc_tree(symbolic_sccs(tree, im).components(), im)
             failures.extend(f"{label}: {f}" for f in result.failures)
         report(5, "symbolic component equivalence",
                not failures, failures[0] if failures else

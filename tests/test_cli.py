@@ -194,6 +194,30 @@ def test_validate_against_bad_report_is_a_model_error(capsys, tmp_path, content)
     assert "report.json" in err
 
 
+def test_validate_against_report_missing_products(capsys, tmp_path):
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"products": []}', encoding="utf-8")
+    code, _, err = run(
+        capsys, "validate", "--generate", "grantrequest", "--against", str(empty)
+    )
+    assert code == 3
+    assert "product {}: missing from the stored report" in err
+    assert "product {G,A}: missing from the stored report" in err
+
+    code, out, _ = run(capsys, "analyze", "--generate", "taxi:1", "--format", "json")
+    smaller = tmp_path / "taxi1.json"
+    smaller.write_text(out, encoding="utf-8")
+    code, _, err = run(
+        capsys, "validate", "--generate", "taxi:2", "--against", str(smaller)
+    )
+    assert code == 3
+    missing = [line for line in err.splitlines() if "missing from the stored report" in line]
+    # taxi:2 has twice taxi:1's products; the stored ones still agree.
+    assert len(missing) == 8
+    assert all("L2" in line for line in missing)
+    assert "expected" not in err
+
+
 def test_validate_against_unreadable_report_is_a_model_error(capsys, tmp_path):
     code, _, err = run(
         capsys, "validate", "--generate", "grantrequest", "--against", str(tmp_path)
@@ -203,13 +227,24 @@ def test_validate_against_unreadable_report_is_a_model_error(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "command,spec",
-    [("analyze", "grantrequest:..3"), ("analyze", "minepump:2"), ("bench", "taxi:1..x")],
+    "argv",
+    [
+        ("analyze", "--generate", "grantrequest:..3"),
+        ("analyze", "--generate", "minepump:2"),
+        ("bench", "--generate", "taxi:1..x"),
+        ("bench", "--generate", "taxi:3..1"),
+        ("validate", "--count", "-5"),
+    ],
+    ids=[
+        "analyze-grantrequest:..3", "analyze-minepump:2", "bench-taxi:1..x",
+        "bench-taxi:3..1", "validate-count:-5",
+    ],
 )
-def test_bad_generator_arguments_are_usage_errors(capsys, command, spec):
-    code, _, err = run(capsys, command, "--generate", spec)
+def test_bad_generator_arguments_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
     assert code == 1
     assert err.startswith("usage error:")
+    assert out == ""
 
 
 FUZZ_BASE = """features { G, A }

@@ -272,7 +272,7 @@ class TestWalkTableFidelity:
             masks = scc.masks
             members = [v for v in range(im.n) if masks[v]]
             n = len(members)
-            s0 = im.index[scc.anchor_state]
+            s0 = scc.anchor
             trans = []
             for u, v, wt, g in im.edges:
                 em = g & masks[u] & masks[v]

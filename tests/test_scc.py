@@ -1,26 +1,38 @@
 from hypothesis import given, settings, strategies as st
 
 from wfts.checks import check_scc_tree
-from wfts.features import FeatureModel, Or, Var
+from wfts.features import FeatureModel, Not, Or, Var
 from wfts.graphs import IndexedModel, finish_order, kosaraju_components
 from wfts.model import Transition, Wfts, expand_lengths
 from wfts.ordering import build_finishing_tree, dfs_order
 from wfts.randgen import random_wfts
-from wfts.scc import render_scc_tree, symbolic_sccs
+from wfts.scc import _reaching, product_partitions, symbolic_sccs
 
 
-def scc_tree_of(w):
+def components_of(w):
     im = IndexedModel(w)
-    return symbolic_sccs(build_finishing_tree(dfs_order(im)), im)
+    return symbolic_sccs(build_finishing_tree(dfs_order(im)), im).components()
+
+
+def partitions_of(w):
+    """Per product, its partition read off the component masks, as names."""
+    fm = w.feature_model
+    return [
+        [[w.states[u] for u in comp] for comp in partition]
+        for partition in product_partitions(components_of(w), len(fm.products))
+    ]
+
+
+def partition_at(w, product):
+    return partitions_of(w)[w.feature_model.product_index(product)]
 
 
 def test_grant_request_partitions(grantreq):
-    tree = scc_tree_of(grantreq)
     # Basic product: {s0,s1,s3} plus isolated {s2}.
-    assert tree.components_at(frozenset()) == [["s2"], ["s0", "s1", "s3"]]
+    assert partition_at(grantreq, frozenset()) == [["s2"], ["s0", "s1", "s3"]]
     # Any product with G or A: one component with every state.
     for product in [{"G"}, {"A"}, {"G", "A"}]:
-        (single,) = tree.components_at(frozenset(product))
+        (single,) = partition_at(grantreq, frozenset(product))
         assert sorted(single) == ["s0", "s1", "s2", "s3"]
 
 
@@ -38,48 +50,46 @@ def test_no_feature_model_matches_kosaraju():
         ],
         fm,
     )
-    tree = scc_tree_of(w)
     im = IndexedModel(w)
     classic = kosaraju_components(im.product_adj(1), im.product_radj(1), im.n)
     classic_names = [[w.states[u] for u in comp] for comp in classic]
-    assert tree.components_at(frozenset()) == classic_names
+    assert partition_at(w, frozenset()) == classic_names
 
 
 def test_taxi_every_product_has_one_nontrivial_component(taxi1_expanded):
-    tree = scc_tree_of(taxi1_expanded)
-    fm = taxi1_expanded.feature_model
-    for product in fm.products:
-        nontrivial = [c for c in tree.components_at(product) if len(c) > 1]
+    for partition in partitions_of(taxi1_expanded):
+        nontrivial = [c for c in partition if len(c) > 1]
         assert len(nontrivial) == 1
         # and it contains the whole reachable core of that product
         assert {"AP", "AR", "P1", "P2", "R1", "R2"} <= set(nontrivial[0])
 
 
 def test_anchor_mask_matches_component(grantreq):
-    tree = scc_tree_of(grantreq)
-    for scc in tree.components():
-        anchor_products = scc.masks[scc.graph.index[scc.anchor_state]]
-        assert anchor_products & scc.anchor_mask == scc.anchor_mask
-        assert scc.anchor_mask != 0
+    for scc in components_of(grantreq):
+        anchor_products = scc.masks[scc.anchor]
+        assert anchor_products != 0
+        for mask in scc.masks:
+            assert mask & anchor_products == mask
 
 
 def test_single_product_anchor_reachability_degenerates_to_classic(grantreq):
     # With a one-product family the symbolic masks reduce to plain
     # membership in the classic component of that product.
     fm = grantreq.feature_model
-    tree = scc_tree_of(grantreq)
+    im = IndexedModel(grantreq)
+    partitions = partitions_of(grantreq)
     for product in fm.products:
-        bit = 1 << fm.product_index(product)
-        im = IndexedModel(grantreq)
+        p_idx = fm.product_index(product)
+        bit = 1 << p_idx
         classic = kosaraju_components(im.product_adj(bit), im.product_radj(bit), im.n)
         classic_sets = {frozenset(grantreq.states[u] for u in c) for c in classic}
-        symbolic_sets = {frozenset(c) for c in tree.components_at(product)}
+        symbolic_sets = {frozenset(c) for c in partitions[p_idx]}
         assert symbolic_sets == classic_sets
 
 
 def test_equivalence_on_bundled_models(taxi1_expanded, grantreq, minepump):
     for w in (taxi1_expanded, grantreq, expand_lengths(minepump)):
-        result = check_scc_tree(scc_tree_of(w), IndexedModel(w))
+        result = check_scc_tree(components_of(w), IndexedModel(w))
         assert result.ok, result.failures
 
 
@@ -87,27 +97,32 @@ def test_equivalence_on_bundled_models(taxi1_expanded, grantreq, minepump):
 @given(seed=st.integers(0, 10**9))
 def test_equivalence_on_random_models(seed):
     w = expand_lengths(random_wfts(f"scc:{seed}"))
-    result = check_scc_tree(scc_tree_of(w), IndexedModel(w))
+    result = check_scc_tree(components_of(w), IndexedModel(w))
     assert result.ok, result.failures
 
 
 def test_components_disjoint_along_paths(taxi1_expanded):
-    tree = scc_tree_of(taxi1_expanded)
+    # Components on one path never share a (state, product) pair; since a
+    # component's masks lie within its path's family and sibling families
+    # are disjoint, per state the masks of all components partition the
+    # products.
     fm = taxi1_expanded.feature_model
-    for leaf in tree.tree.leaves():
-        per_state: dict[str, int] = {}
-        node = leaf
-        path = []
-        while node.parent is not None:
-            path.append(node)
-            node = node.parent
-        for n in path:
-            scc = tree.by_node.get(n)
-            if scc is None:
-                continue
-            for state, mask in zip(taxi1_expanded.states, scc.masks):
-                assert per_state.get(state, 0) & mask == 0
-                per_state[state] = per_state.get(state, 0) | mask
+    components = components_of(taxi1_expanded)
+    for v, state in enumerate(taxi1_expanded.states):
+        union = 0
+        for scc in components:
+            assert union & scc.masks[v] == 0, state
+            union |= scc.masks[v]
+        assert union == fm.full_mask, state
+
+
+def test_check_reports_shared_and_unassigned_states(grantreq):
+    im = IndexedModel(grantreq)
+    components = components_of(grantreq)
+    doubled = check_scc_tree(components + components[:1], im)
+    assert any("in two components" in f for f in doubled.failures)
+    dropped = check_scc_tree(components[1:], im)
+    assert any("states assigned" in f for f in dropped.failures)
 
 
 def test_finish_order_is_postorder():
@@ -115,46 +130,37 @@ def test_finish_order_is_postorder():
     assert finish_order(adj, 4) == [2, 1, 0, 3]
 
 
-def test_render_scc_tree_smoke(grantreq):
-    text = render_scc_tree(scc_tree_of(grantreq))
-    assert "path" in text and "scc@" in text
-
-
 class TestReachExcluding:
     def test_grant_request_basic_family_anchor_s0(self, grantreq):
-        from wfts.features import Not, Or, Var
-        from wfts.scc import reach_excluding
-
         fm = grantreq.feature_model
-        basic = fm.denote(Not(Or(Var("G"), Var("A"))))
-        scc = reach_excluding(IndexedModel(grantreq), "s0", basic)
-        assert scc.members() == ["s0", "s1", "s3"]
-        for state in scc.members():
-            assert scc.products_of(state) == basic
+        im = IndexedModel(grantreq)
+        basic = fm.mask(Not(Or(Var("G"), Var("A"))))
+        masks = _reaching(im.index["s0"], basic, [0] * im.n, im.pred)
+        members = [s for s, m in zip(im.states, masks) if m]
+        assert members == ["s0", "s1", "s3"]
+        for m in masks:
+            assert m in (0, basic)
 
     def test_singleton_family_degenerates_to_classic(self, grantreq):
         from wfts.graphs import reachable_from
-        from wfts.scc import reach_excluding
 
         fm = grantreq.feature_model
         im = IndexedModel(grantreq)
         for product in fm.products:
             bit = 1 << fm.product_index(product)
             classic = reachable_from(im.product_radj(bit), [0], im.n)
-            scc = reach_excluding(im, "s0", fm.product_set([product]))
-            got = [bool(m) for m in scc.masks]
+            masks = _reaching(im.index["s0"], bit, [0] * im.n, im.pred)
+            got = [bool(m) for m in masks]
             assert got == classic
 
     def test_exclusion_blocks_paths(self, grantreq):
-        from wfts.features import TRUE
-        from wfts.scc import reach_excluding
-
         fm = grantreq.feature_model
-        everything = fm.denote(TRUE)
-        blocked = reach_excluding(
-            IndexedModel(grantreq), "s0", everything, {"s3": everything}
-        )
+        im = IndexedModel(grantreq)
+        everything = fm.full_mask
+        assigned = [0] * im.n
+        assigned[im.index["s3"]] = everything
+        blocked = _reaching(im.index["s0"], everything, assigned, im.pred)
         # s3 already assigned: nothing reaches s0 except
         # itself (s2's clean edge still works where A is present).
-        assert "s1" not in blocked.members()
-        assert "s3" not in blocked.members()
+        assert blocked[im.index["s1"]] == 0
+        assert blocked[im.index["s3"]] == 0
