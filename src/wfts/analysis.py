@@ -6,9 +6,11 @@ from an initial state, which equals the best mean-weight cycle reachable
 from an initial state.  Products whose reachable subgraph is acyclic have no
 infinite run and report "undefined".
 
-``analyze_family`` computes symbolic components once for all products and
-runs the partitioned Karp recurrence per component;  ``analyze_products``
-solves every product's graph separately.  They must agree exactly; the
+``analyze_family`` computes the symbolic components of every product's
+reachable subgraph at once, by forward-backward decomposition over product
+sets seeded with symbolic reachability, and runs the partitioned Karp
+recurrence once per component;  ``analyze_products`` solves every
+product's graph separately.  They must agree exactly; the
 ``strategy="both"`` entry point enforces that.
 
 Both read one ``IndexedModel`` per call, built by ``_indexed``, and one sign
@@ -28,8 +30,7 @@ from .features import ProductSet
 from .graphs import IndexedModel, reachable_from, tight_cycle
 from .meancycle import best_reachable_mean, karp_cells
 from .model import Wfts, symbolic_reachable_masks
-from .ordering import build_finishing_tree, dfs_order
-from .scc import symbolic_sccs
+from .scc import forward_backward_sccs
 
 
 class StrategyMismatch(AssertionError):
@@ -67,19 +68,10 @@ class Report:
 def _family_values(im: IndexedModel) -> list[Fraction | None]:
     """Best per-product means of ``im``'s signed weights, via the symbolic
     pipeline (maximizing)."""
-    reach = symbolic_reachable_masks(im)
-    tree = build_finishing_tree(dfs_order(im))
-    scc_tree = symbolic_sccs(tree, im)
+    components = forward_backward_sccs(im, symbolic_reachable_masks(im))
     best: list[Fraction | None] = [None] * len(im.feature_model.products)
-    for scc in scc_tree.components():
-        cells = karp_cells(scc, im)
-        if not cells:
-            continue
-        reachable_mask = 0
-        for i, mask in enumerate(scc.masks):
-            reachable_mask |= mask & reach[i]
-        for mask, value in cells:
-            mask &= reachable_mask
+    for scc in components:
+        for mask, value in karp_cells(scc, im):
             while mask:
                 low = mask & -mask
                 p = low.bit_length() - 1

@@ -6,8 +6,10 @@ CLI command:
 * tree conditions — the finishing-order tree is well-formed and, for every
   single product, reproduces the classic DFS finishing order of that
   product's projection;
-* component equivalence — the partition read off the symbolic components'
-  masks at any product is exactly the classic Kosaraju partition;
+* component equivalence — for both symbolic routes (the finishing tree's
+  and forward-backward from every state under every product), the
+  partition read off the components' masks at any product is exactly the
+  classic Kosaraju partition, computed once per product for both;
 * the oracle triangle — family-based, product-based and brute-force cycle
   enumeration report identical values for every product, in both modes.
 
@@ -33,7 +35,7 @@ from .meancycle import BRUTE_FORCE_MAX_STATES, brute_force_mean_cycle
 from .model import ModelError, Wfts, expand_lengths
 from .ordering import DfsOrder, FinishingTree, build_finishing_tree, dfs_order
 from .randgen import random_corpus
-from .scc import SymbolicScc, product_partitions, symbolic_sccs
+from .scc import SymbolicScc, forward_backward_sccs, product_owners, symbolic_sccs
 
 
 @dataclass
@@ -151,35 +153,51 @@ def _named(partition: list[list[int]], names: tuple[str, ...]) -> list[list[str]
     return sorted(map(list, {tuple(sorted(names[u] for u in comp)) for comp in partition}))
 
 
-def check_scc_tree(components: list[SymbolicScc], im: IndexedModel) -> CheckResult:
-    """Per product, the partition read off the component masks equals the
-    classic one, with every state in exactly one component."""
+def check_scc_tree(routes: dict[str, list[SymbolicScc]], im: IndexedModel) -> CheckResult:
+    """Per product and per route, the partition read off the component
+    masks equals the classic one, with every state in exactly one
+    component.  ``routes`` maps a route's name to its components; Kosaraju
+    runs once per product for all of them."""
     result = CheckResult("scc")
     fm = im.feature_model
     names = im.states
-    partitions = product_partitions(components, len(fm.products))
-    for p_idx, (product, symbolic) in enumerate(zip(fm.products, partitions)):
+    by_route = {
+        route: product_owners(components, len(fm.products), im.n)
+        for route, components in routes.items()
+    }
+    for p_idx, product in enumerate(fm.products):
         bit = 1 << p_idx
         classic = kosaraju_components(im.product_adj(bit), im.product_radj(bit), im.n)
-        if {frozenset(c) for c in classic} != {frozenset(c) for c in symbolic}:
-            result.failures.append(
-                f"product {format_product(product)}: symbolic SCCs "
-                f"{_named(symbolic, names)} != classic {_named(classic, names)}"
-            )
-        assigned: set[int] = set()
-        for comp in symbolic:
+        label = [0] * im.n
+        for cid, comp in enumerate(classic):
             for u in comp:
-                if u in assigned:
-                    result.failures.append(
-                        f"product {format_product(product)}: state {names[u]} "
-                        f"in two components"
-                    )
-                assigned.add(u)
-        if len(assigned) != im.n:
+                label[u] = cid
+        where = f"product {format_product(product)}"
+        for route, owners in by_route.items():
+            owner = owners[p_idx]
+            # Equal partitions: owner and label determine each other.
+            pairs = len(set(zip(owner, label)))
+            if min(owner, default=0) >= 0 and pairs == len(set(owner)) == len(classic):
+                continue
+            symbolic: dict[int, list[int]] = {}
+            for u, c in enumerate(owner):
+                if c >= 0:
+                    symbolic.setdefault(c, []).append(u)
             result.failures.append(
-                f"product {format_product(product)}: {len(assigned)} of "
-                f"{im.n} states assigned"
+                f"{route} route, {where}: symbolic SCCs "
+                f"{_named(list(symbolic.values()), names)} != classic "
+                f"{_named(classic, names)}"
             )
+            for u, c in enumerate(owner):
+                if c == -2:
+                    result.failures.append(
+                        f"{route} route, {where}: state {names[u]} in two components"
+                    )
+            assigned = sum(1 for c in owner if c != -1)
+            if assigned != im.n:
+                result.failures.append(
+                    f"{route} route, {where}: {assigned} of {im.n} states assigned"
+                )
     return result
 
 
@@ -236,15 +254,21 @@ def check_triangle(im: IndexedModel, modes=("max", "min"), label: str = "model")
 
 def check_model(w: Wfts, modes=("max", "min"), label: str = "model") -> CheckResult:
     """All suites on one system's length expansion, sharing one indexed
-    graph and one feature-aware DFS.  When a suite fails, the failures start
-    with one header holding ``w``'s own text, which ``parse`` reads back."""
+    graph, one feature-aware DFS and one Kosaraju per product.  When a
+    suite fails, the failures start with one header holding ``w``'s own
+    text, which ``parse`` reads back."""
     result = CheckResult(label)
     im = IndexedModel(expand_lengths(w))
     order = dfs_order(im)
     result.merge(check_order_coverage(order))
     tree = build_finishing_tree(order)
     result.merge(check_tree(tree, im))
-    result.merge(check_scc_tree(symbolic_sccs(tree, im).components(), im))
+    full = [im.feature_model.full_mask] * im.n
+    routes = {
+        "tree": symbolic_sccs(tree, im).components(),
+        "forward-backward": forward_backward_sccs(im, full),
+    }
+    result.merge(check_scc_tree(routes, im))
     result.merge(check_triangle(im, modes, label))
     if result.failures:
         result.failures.insert(0, _model_header(w, label))

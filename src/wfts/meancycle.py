@@ -210,6 +210,8 @@ def karp_cells(scc: SymbolicScc, im: IndexedModel) -> list[tuple[int, Fraction]]
     Karp's formula over the component's member states, with n their count:
     the best over states v of the least (D[n][v]-D[k][v])/(n-k), where
     D[k][v] is the best weight of a length-k walk from the anchor to v.
+    When products share the component, one product's members may be fewer
+    than n; the formula holds at any horizon of at least that many.
     States with one way in (``_contract``) get no table rows: D is kept
     only for heads, and a contracted state at depth d below head h has
     D[k] = D_h[k-d] + offset, so its Karp term is h's term at the shifted

@@ -13,6 +13,10 @@ root-to-leaf paths list states in decreasing finishing time for the family of
 products accumulated along the path's edge labels.  Sibling edges carry
 disjoint product sets, every leaf sits at depth |S|, and each product selects
 exactly one path.
+
+The analysis takes its components from ``scc.forward_backward_sccs``; the
+tree is the independent route to them (``scc.symbolic_sccs``) that
+``checks`` compares with it.
 """
 
 from __future__ import annotations

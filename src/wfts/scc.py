@@ -1,19 +1,29 @@
-"""Symbolic strongly connected components, read off the finishing tree.
+"""Symbolic strongly connected components over product sets, two routes.
 
-The classic two-pass SCC scheme processes states in decreasing finishing
-time and, for each unassigned state, collects everything reachable in the
-transpose graph among unassigned states.  Here both ingredients become
-symbolic: the finishing order comes from the tree (one order per family of
-products), and "assigned" is a per-state product set threaded along each
-root-to-leaf path and restored on backtracking.
+A component is an anchor state and, per state, the products that put the
+state in it; one product's SCC partition is read off the masks alone
+(``product_owners``).
 
-The tree is only the route to the components.  A component is an anchor
-state and, per state, the products that put the state in it; one product's
-SCC partition is read off the masks alone (``product_partitions``).  That
-is sound because a component's masks lie within the family of its tree
-node's path, and each product selects exactly one path: per product, the
-components containing it are the ones on its path, which partition the
-states.
+``forward_backward_sccs`` is the route the analysis takes (Xie & Beerel
+1999; Gentilini, Piazza & Policriti 2003): from each state in index order,
+for the products it still has, the states reached from it meet the states
+reaching it in its component, and those masks leave the remaining set.
+Seeded with symbolic reachability, it gives each product the components of
+its reachable subgraph, and products that share behaviour share one
+component: at most one component per state.
+
+``symbolic_sccs`` is the paper's route, read off the finishing tree, and
+the independent second route that ``checks`` compares with it.  The classic
+two-pass scheme processes states in decreasing finishing time and, for each
+unassigned state, collects everything reachable in the transpose graph
+among unassigned states.  Here the finishing order comes from the tree (one
+order per family of products), and "assigned" is a per-state product set
+threaded along each root-to-leaf path and restored on backtracking.  Its
+masks partition correctly because a component's masks lie within the
+family of its tree node's path, and each product selects exactly one path:
+per product, the components containing it are the ones on its path.
+
+Both routes spread with one walk, ``_reaching``.
 """
 
 from __future__ import annotations
@@ -49,28 +59,50 @@ class SymbolicSccs:
 def _reaching(
     s0: int,
     lam0: int,
-    assigned: list[int],
-    pred: list[list[tuple[int, int]]],
+    blocked: list[int],
+    adj: list[list[tuple[int, int]]],
 ) -> list[int]:
-    """Products under which each state reaches ``s0``, walking ``pred`` and
-    avoiding per-product anything already assigned to an earlier component."""
-    n = len(pred)
-    r = [0] * n
+    """Products under which each state is connected to ``s0`` along ``adj``
+    (``im.out``: reached from it; ``im.pred``: reaching it), starting from
+    ``lam0`` at ``s0`` and never entering a state under a product in its
+    ``blocked`` mask."""
+    r = [0] * len(adj)
     r[s0] = lam0
     stack: list[tuple[int, int]] = [(s0, lam0)]
     while stack:
-        s, px = stack[-1]
-        advanced = False
-        for sp, guard in pred[s]:
-            new = px & guard & ~(r[sp] | assigned[sp])
+        s, px = stack.pop()
+        for sp, guard in adj[s]:
+            new = px & guard & ~(r[sp] | blocked[sp])
             if new:
                 r[sp] |= new
                 stack.append((sp, new))
-                advanced = True
-                break
-        if not advanced:
-            stack.pop()
     return r
+
+
+def forward_backward_sccs(im: IndexedModel, within: list[int]) -> list[SymbolicScc]:
+    """The components of every product's graph restricted to ``within``
+    (per state, a product mask), by forward-backward decomposition.
+
+    For each state ``v`` in index order that still has products ``lam`` in
+    ``remaining``, the states reached from ``v`` and the states reaching it,
+    both under ``lam`` and inside ``remaining``, meet in ``v``'s component
+    for each of those products.  Clearing the component from ``remaining``
+    removes whole components per product, so later spreads stay exact.
+    """
+    full = im.feature_model.full_mask
+    remaining = list(within)
+    components: list[SymbolicScc] = []
+    for v in range(im.n):
+        lam = remaining[v]
+        if not lam:
+            continue
+        blocked = [full & ~m for m in remaining]
+        fwd = _reaching(v, lam, blocked, im.out)
+        bwd = _reaching(v, lam, blocked, im.pred)
+        masks = [f & b for f, b in zip(fwd, bwd)]
+        components.append(SymbolicScc(v, masks))
+        remaining = [r & ~m for r, m in zip(remaining, masks)]
+    return components
 
 
 def symbolic_sccs(tree: FinishingTree, im: IndexedModel) -> SymbolicSccs:
@@ -111,21 +143,22 @@ def symbolic_sccs(tree: FinishingTree, im: IndexedModel) -> SymbolicSccs:
     return SymbolicSccs(components)
 
 
-def product_partitions(
-    components: list[SymbolicScc], products: int
-) -> list[list[list[int]]]:
-    """Per product, its SCC partition: the member states of each component
-    whose masks contain the product, in component order.
+def product_owners(
+    components: list[SymbolicScc], products: int, n: int
+) -> list[list[int]]:
+    """Per product, each of the ``n`` states' component: the index of the
+    one whose mask holds the product, -1 if none does and -2 if several do.
 
     One pass scatters each mask's set bits, so the cost is the number of
-    (state, product) memberships plus one scan of every component's masks.
-    A state in two components, or in none, shows up as such in the result.
+    (state, product) memberships plus one scan of every component's masks,
+    and the result holds one int per (product, state).
     """
-    parts: list[dict[int, list[int]]] = [{} for _ in range(products)]
+    owners = [[-1] * n for _ in range(products)]
     for c, scc in enumerate(components):
         for v, m in enumerate(scc.masks):
             while m:
                 low = m & -m
-                parts[low.bit_length() - 1].setdefault(c, []).append(v)
+                row = owners[low.bit_length() - 1]
+                row[v] = c if row[v] == -1 else -2
                 m ^= low
-    return [list(p.values()) for p in parts]
+    return owners

@@ -28,7 +28,7 @@ from wfts.meancycle import best_reachable_mean
 from wfts.model import Transition, Wfts, expand_lengths
 from wfts.ordering import build_finishing_tree, dfs_order
 from wfts.randgen import random_corpus
-from wfts.scc import symbolic_sccs
+from wfts.scc import forward_backward_sccs, symbolic_sccs
 
 SEED = 20260808
 CORPUS_SIZE = 500
@@ -161,11 +161,17 @@ def test_criterion_5_component_equivalence(corpus_trees, capsys):
     with capsys.disabled():
         failures = []
         for label, im, tree in corpus_trees:
-            result = check_scc_tree(symbolic_sccs(tree, im).components(), im)
+            full = [im.feature_model.full_mask] * im.n
+            routes = {
+                "tree": symbolic_sccs(tree, im).components(),
+                "forward-backward": forward_backward_sccs(im, full),
+            }
+            result = check_scc_tree(routes, im)
             failures.extend(f"{label}: {f}" for f in result.failures)
         report(5, "symbolic component equivalence",
                not failures, failures[0] if failures else
-               f"{len(corpus_trees)} models vs per-product Kosaraju")
+               f"{len(corpus_trees)} models, tree and forward-backward routes "
+               f"vs per-product Kosaraju")
 
 
 def test_criterion_6_tree_shape_reproduction(capsys):

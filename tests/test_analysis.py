@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,9 @@ from wfts.analysis import (
     report_to_table,
 )
 from wfts.features import FeatureModel, Var
-from wfts.model import Transition, Wfts
+from wfts.generators import grant_request, minepump_lite, taxi
+from wfts.model import Transition, Wfts, expand_lengths
+from wfts.randgen import random_corpus
 
 TAXI_GOLDEN = {
     frozenset(): Fraction(73, 6),
@@ -227,3 +230,47 @@ class TestModeValidation:
         with pytest.raises(ValueError):
             analyze_family(grantreq, "median")
 
+
+
+def _permuted(w: Wfts, rng: random.Random) -> Wfts:
+    """``w`` with its states, initial states and transitions declared in a
+    shuffled order; the features, and so the products, keep theirs."""
+    states, initial, transitions = list(w.states), list(w.initial), list(w.transitions)
+    for seq in (states, initial, transitions):
+        rng.shuffle(seq)
+    return Wfts(states, initial, transitions, w.feature_model)
+
+
+def _metamorphic_models():
+    named = [(f"taxi:{k}", taxi(k)) for k in (1, 2, 3)]
+    named += [("grantrequest", grant_request()), ("minepump", minepump_lite())]
+    named += [(f"random[0:{i}]", w) for i, w in enumerate(random_corpus(0, 60))]
+    return named
+
+
+class TestDeclarationOrder:
+    """Per-product family values do not depend on the order in which states
+    and transitions are declared, although the component pivots (index
+    order) and the DFS order do."""
+
+    @pytest.mark.parametrize("mode", ["max", "min"])
+    def test_permuted_declarations_keep_family_values(self, mode):
+        for label, w in _metamorphic_models():
+            expected = [o.value for o in analyze_family(expand_lengths(w), mode).outcomes]
+            for variant in range(2):
+                rng = random.Random(f"{label}:{variant}")
+                permuted = expand_lengths(_permuted(w, rng))
+                got = [o.value for o in analyze_family(permuted, mode).outcomes]
+                assert got == expected, (label, variant)
+
+
+class TestBeyondTheOracle:
+    """Models past the brute-force oracle's 48 states: the family route
+    (forward-backward components) and the product route must agree."""
+
+    @pytest.mark.parametrize("licenses", [5, 6])
+    @pytest.mark.parametrize("mode", ["max", "min"])
+    def test_taxi_strategies_agree(self, licenses, mode):
+        report = analyze_both(expand_lengths(taxi(licenses)), mode)
+        assert len(report.outcomes) == 2 ** (licenses + 2)
+        assert all(o.value is not None for o in report.outcomes)

@@ -3,10 +3,11 @@ from hypothesis import given, settings, strategies as st
 from wfts.checks import check_scc_tree
 from wfts.features import FeatureModel, Not, Or, Var
 from wfts.graphs import IndexedModel, finish_order, kosaraju_components
-from wfts.model import Transition, Wfts, expand_lengths
+from wfts.generators import taxi
+from wfts.model import Transition, Wfts, expand_lengths, symbolic_reachable_masks
 from wfts.ordering import build_finishing_tree, dfs_order
 from wfts.randgen import random_wfts
-from wfts.scc import _reaching, product_partitions, symbolic_sccs
+from wfts.scc import _reaching, forward_backward_sccs, product_owners, symbolic_sccs
 
 
 def components_of(w):
@@ -14,12 +15,61 @@ def components_of(w):
     return symbolic_sccs(build_finishing_tree(dfs_order(im)), im).components()
 
 
+def product_partitions(components, products, n):
+    """Per product, its partition read off the component masks: the member
+    states of each component, in component order."""
+    partitions = []
+    for owner in product_owners(components, products, n):
+        groups = {}
+        for v, c in enumerate(owner):
+            assert c >= 0, "a state in no component or in several"
+            groups.setdefault(c, []).append(v)
+        partitions.append([groups[c] for c in sorted(groups)])
+    return partitions
+
+
+def full_start(im):
+    return [im.feature_model.full_mask] * im.n
+
+
+def routes_of(w):
+    """Both routes' components, as ``check_model`` compares them."""
+    im = IndexedModel(w)
+    return {
+        "tree": components_of(w),
+        "forward-backward": forward_backward_sccs(im, full_start(im)),
+    }
+
+
+def assert_routes_match_kosaraju(w):
+    """Per product, both routes' partitions equal Kosaraju's (as sets of
+    state sets), and forward-backward keeps its shape invariants."""
+    im = IndexedModel(w)
+    products = len(w.feature_model.products)
+    routes = routes_of(w)
+    as_sets = {
+        route: [{frozenset(c) for c in part} for part in product_partitions(comps, products, im.n)]
+        for route, comps in routes.items()
+    }
+    for p in range(products):
+        bit = 1 << p
+        classic = kosaraju_components(im.product_adj(bit), im.product_radj(bit), im.n)
+        expected = {frozenset(c) for c in classic}
+        assert as_sets["forward-backward"][p] == expected == as_sets["tree"][p]
+    for within in (full_start(im), symbolic_reachable_masks(im)):
+        components = forward_backward_sccs(im, within)
+        anchors = [scc.anchor for scc in components]
+        assert len(set(anchors)) == len(anchors) <= im.n
+        for scc in components:
+            assert all(m & ~w_m == 0 for m, w_m in zip(scc.masks, within))
+
+
 def partitions_of(w):
     """Per product, its partition read off the component masks, as names."""
     fm = w.feature_model
     return [
         [[w.states[u] for u in comp] for comp in partition]
-        for partition in product_partitions(components_of(w), len(fm.products))
+        for partition in product_partitions(components_of(w), len(fm.products), len(w.states))
     ]
 
 
@@ -89,16 +139,38 @@ def test_single_product_anchor_reachability_degenerates_to_classic(grantreq):
 
 def test_equivalence_on_bundled_models(taxi1_expanded, grantreq, minepump):
     for w in (taxi1_expanded, grantreq, expand_lengths(minepump)):
-        result = check_scc_tree(components_of(w), IndexedModel(w))
+        result = check_scc_tree(routes_of(w), IndexedModel(w))
         assert result.ok, result.failures
+        assert_routes_match_kosaraju(w)
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10**9))
 def test_equivalence_on_random_models(seed):
     w = expand_lengths(random_wfts(f"scc:{seed}"))
-    result = check_scc_tree(components_of(w), IndexedModel(w))
+    result = check_scc_tree(routes_of(w), IndexedModel(w))
     assert result.ok, result.failures
+    assert_routes_match_kosaraju(w)
+
+
+def test_forward_backward_reach_seeded_taxi_is_one_component():
+    # Every license subset has its own reachable core, but the products'
+    # components share one anchor: the first declared state, R1.
+    im = IndexedModel(expand_lengths(taxi(4)))
+    (scc,) = forward_backward_sccs(im, symbolic_reachable_masks(im))
+    assert im.states[scc.anchor] == "R1" == im.states[0]
+    assert len(im.feature_model.products) == 64
+    assert scc.masks[scc.anchor] == im.feature_model.full_mask
+
+
+def test_forward_backward_route_failures_name_the_route(grantreq):
+    im = IndexedModel(grantreq)
+    routes = routes_of(grantreq)
+    doubled = routes["forward-backward"] * 2
+    result = check_scc_tree({**routes, "forward-backward": doubled}, im)
+    assert result.failures
+    assert all(f.startswith("forward-backward route, product ") for f in result.failures)
+    assert any("in two components" in f for f in result.failures)
 
 
 def test_components_disjoint_along_paths(taxi1_expanded):
@@ -119,10 +191,10 @@ def test_components_disjoint_along_paths(taxi1_expanded):
 def test_check_reports_shared_and_unassigned_states(grantreq):
     im = IndexedModel(grantreq)
     components = components_of(grantreq)
-    doubled = check_scc_tree(components + components[:1], im)
-    assert any("in two components" in f for f in doubled.failures)
-    dropped = check_scc_tree(components[1:], im)
-    assert any("states assigned" in f for f in dropped.failures)
+    doubled = check_scc_tree({"tree": components + components[:1]}, im)
+    assert any("tree route" in f and "in two components" in f for f in doubled.failures)
+    dropped = check_scc_tree({"tree": components[1:]}, im)
+    assert any("tree route" in f and "states assigned" in f for f in dropped.failures)
 
 
 def test_finish_order_is_postorder():
@@ -164,3 +236,15 @@ class TestReachExcluding:
         # itself (s2's clean edge still works where A is present).
         assert blocked[im.index["s1"]] == 0
         assert blocked[im.index["s3"]] == 0
+
+    def test_forward_spread_degenerates_to_classic(self, grantreq):
+        from wfts.graphs import reachable_from
+
+        fm = grantreq.feature_model
+        im = IndexedModel(grantreq)
+        for product in fm.products:
+            bit = 1 << fm.product_index(product)
+            for s in range(im.n):
+                classic = reachable_from(im.product_adj(bit), [s], im.n)
+                masks = _reaching(s, bit, [0] * im.n, im.out)
+                assert [bool(m) for m in masks] == classic
