@@ -26,7 +26,6 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .features import ProductSet
 from .graphs import IndexedModel, reachable_from, tight_cycle
 from .meancycle import best_reachable_mean, karp_cells
 from .model import Wfts, symbolic_reachable_masks
@@ -56,13 +55,13 @@ class Report:
         i = self.wfts.feature_model.product_index(product)
         return self.outcomes[i].value
 
-    def families(self) -> list[tuple[ProductSet, Fraction | None]]:
-        """Products grouped by equal value, in first-occurrence order."""
-        fm = self.wfts.feature_model
+    def families(self) -> list[tuple[int, Fraction | None]]:
+        """Products grouped by equal value, as (product mask, value) pairs
+        in first-occurrence order."""
         groups: dict[object, int] = {}
         for i, outcome in enumerate(self.outcomes):
             groups[outcome.value] = groups.get(outcome.value, 0) | (1 << i)
-        return [(ProductSet(fm, mask), value) for value, mask in groups.items()]
+        return [(mask, value) for value, mask in groups.items()]
 
 
 def _family_values(im: IndexedModel) -> list[Fraction | None]:
@@ -89,11 +88,9 @@ def _witness(im: IndexedModel, bit: int, value: Fraction) -> tuple[str, ...] | N
     intermediate states introduced by length expansion are dropped from the
     rendering.
     """
-    adj = im.product_adj(bit)
-    reach = reachable_from(adj, im.initial, im.n)
-    edges = [(u, v, w) for u, v, w in im.product_edges(bit) if reach[u] and reach[v]]
-    sources = [s for s in im.initial if reach[s]]
-    cycle = tight_cycle(im.n, edges, sources, im.sign * value * im.scale)
+    reach = reachable_from(im.product_adj(bit), im.initial, im.n)
+    edges = [(u, v, w) for u, v, w in im.product_edges(bit) if reach[u]]
+    cycle = tight_cycle(im.n, edges, im.initial, im.sign * value * im.scale)
     if cycle is None:
         return None
     names = [im.states[u] for u in cycle]
@@ -212,10 +209,10 @@ def report_to_dict(report: Report, include_timing: bool = True) -> dict:
         )
     families = [
         {
-            "expr": str(family.to_expr()),
+            "expr": str(fm.expr_for_mask(mask)),
             "value": "undefined" if value is None else str(value),
         }
-        for family, value in report.families()
+        for mask, value in report.families()
     ]
     out = {"mode": report.mode, "products": products, "families": families}
     if include_timing:

@@ -17,6 +17,9 @@ from dataclasses import dataclass
 from .analysis import analyze_family, analyze_products
 from .model import Wfts, expand_lengths
 
+# Rows with at least this many features warn when family-based is not faster.
+TREND_MIN_FEATURES = 4
+
 
 @dataclass
 class BenchRow:
@@ -65,11 +68,11 @@ def bench_model(label: str, w: Wfts, reps: int, mode: str = "max") -> BenchRow:
     )
 
 
-def trend_warnings(rows: list[BenchRow], min_features: int = 4) -> list[str]:
+def trend_warnings(rows: list[BenchRow]) -> list[str]:
     """Soft check: family-based should win once enough features share work."""
     warnings = []
     for row in rows:
-        if row.features >= min_features and row.family_mean_s >= row.product_mean_s:
+        if row.features >= TREND_MIN_FEATURES and row.family_mean_s >= row.product_mean_s:
             warnings.append(
                 f"warning: {row.label}: family-based ({row.family_mean_s:.3f}s) "
                 f"not faster than product-based ({row.product_mean_s:.3f}s)"

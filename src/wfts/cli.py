@@ -20,6 +20,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 from . import generators
 from .analysis import (
@@ -241,60 +242,44 @@ _COMMANDS = {"analyze": _cmd_analyze, "bench": _cmd_bench, "validate": _cmd_vali
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="wfts", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    # Sub-commands leave out what is not given: every default is RunConfig's.
+    add_command = partial(sub.add_parser, argument_default=argparse.SUPPRESS)
 
     def add_model_args(p):
-        p.add_argument("model", nargs="?", help="path to a .wfts model file")
+        p.add_argument("model_path", metavar="model", nargs="?",
+                       help="path to a .wfts model file")
         p.add_argument("--generate", metavar="SPEC",
                        help="built-in model: taxi:N, grantrequest, minepump")
-        p.add_argument("--mode", choices=("max", "min"), default="max")
+        p.add_argument("--mode", choices=("max", "min"))
 
-    p = sub.add_parser("analyze", help="per-product limit-average report")
+    p = add_command("analyze", help="per-product limit-average report")
     add_model_args(p)
-    p.add_argument("--strategy", choices=("family", "product", "both"),
-                   default="family")
-    p.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    p.add_argument("--no-witness", action="store_true",
+    p.add_argument("--strategy", choices=("family", "product", "both"))
+    p.add_argument("--format", choices=("table", "json", "csv"))
+    p.add_argument("--no-witness", dest="witnesses", action="store_false",
                    help="skip witness cycle extraction")
 
-    p = sub.add_parser("bench", help="time family-based vs product-based")
+    p = add_command("bench", help="time family-based vs product-based")
     p.add_argument("--generate", metavar="SPEC", required=True,
                    help="generator spec, ranges allowed: taxi:1..6")
-    p.add_argument("--mode", choices=("max", "min"), default="max")
-    p.add_argument("--reps", type=int, default=5)
-    p.add_argument("--format", choices=("table", "json", "csv"), default="table")
+    p.add_argument("--mode", choices=("max", "min"))
+    p.add_argument("--reps", type=int)
+    p.add_argument("--format", choices=("table", "json", "csv"))
 
-    p = sub.add_parser("validate", help="run the cross-validation suites")
+    p = add_command("validate", help="run the cross-validation suites")
     add_model_args(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=100,
+    p.add_argument("--seed", type=int)
+    p.add_argument("--count", type=int,
                    help="random models to check when no model is given")
     p.add_argument("--against", metavar="REPORT.json",
                    help="diff the model's analysis against a stored report")
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = dict(
-        command=args.command,
-        model_path=getattr(args, "model", None),
-        generate=getattr(args, "generate", None),
-        mode=getattr(args, "mode", "max"),
-        strategy=getattr(args, "strategy", "family"),
-        format=getattr(args, "format", "table"),
-        reps=getattr(args, "reps", 5),
-        seed=getattr(args, "seed", 0),
-        count=getattr(args, "count", 100),
-        witnesses=not getattr(args, "no_witness", False),
-        against=getattr(args, "against", None),
-    )
-    return RunConfig(**fields)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        cfg = config_from_args(args)
+        cfg = RunConfig(**vars(parser.parse_args(argv)))
         return _COMMANDS[cfg.command](cfg)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

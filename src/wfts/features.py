@@ -2,9 +2,11 @@
 
 A feature model declares an ordered list of feature names plus one boolean
 constraint; the valid products are exactly the constraint's satisfying
-assignments.  Product sets are kept canonical as bitsets over the enumerated
-valid products, so logical operations are exact set operations and equality
-is decidable by construction.  Everything here is immutable and shareable.
+assignments.  A product set is a plain int bitmask over the enumerated
+valid products (bit i is ``products[i]``): ``mask`` denotes an expression
+as one, logical operations are exact int operations (complement within
+``full_mask``), equal sets are equal ints, and ``expr_for_mask`` turns one
+back into a formula.  Everything here is immutable and shareable.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ class FeatureExpr:
     """Boolean formula over feature variables.
 
     Subclasses form a plain syntax tree; semantics live in
-    :meth:`FeatureModel.denote`.  `&`, `|` and `~` build And/Or/Not nodes.
+    :meth:`FeatureModel.mask`.  `&`, `|` and `~` build And/Or/Not nodes.
     """
 
     def __and__(self, other: "FeatureExpr") -> "FeatureExpr":
@@ -258,15 +260,6 @@ class FeatureModel:
             return self.mask(expr.left) | self.mask(expr.right)
         raise FeatureError(f"not a feature expression: {expr!r}")
 
-    def denote(self, expr: FeatureExpr) -> "ProductSet":
-        return ProductSet(self, self.mask(expr))
-
-    def is_satisfiable(self, expr: FeatureExpr) -> bool:
-        return self.mask(expr) != 0
-
-    def entails(self, a: FeatureExpr, b: FeatureExpr) -> bool:
-        return self.mask(a) & ~self.mask(b) & self.full_mask == 0
-
     def expr_for_mask(self, mask: int) -> FeatureExpr:
         """A compact formula denoting exactly the given product bitset."""
         return _expr_for_mask(self, mask & self.full_mask, 0, self.full_mask)
@@ -312,68 +305,3 @@ def _expr_for_mask(fm: FeatureModel, mask: int, i: int, care: int) -> FeatureExp
     if neg == TRUE:
         return Or(Not(v), pos)
     return Or(And(v, pos), And(Not(v), neg))
-
-
-class ProductSet:
-    """Canonical subset of a feature model's valid products.
-
-    Complement is always taken relative to the valid products, so two
-    logically equivalent feature expressions denote equal ProductSets.
-    """
-
-    __slots__ = ("model", "mask")
-
-    def __init__(self, model: FeatureModel, mask: int):
-        self.model = model
-        self.mask = mask & model.full_mask
-
-    def _check(self, other: "ProductSet") -> None:
-        if self.model is not other.model and self.model != other.model:
-            raise FeatureError("product sets belong to different feature models")
-
-    def __and__(self, other: "ProductSet") -> "ProductSet":
-        self._check(other)
-        return ProductSet(self.model, self.mask & other.mask)
-
-    def __or__(self, other: "ProductSet") -> "ProductSet":
-        self._check(other)
-        return ProductSet(self.model, self.mask | other.mask)
-
-    def __sub__(self, other: "ProductSet") -> "ProductSet":
-        self._check(other)
-        return ProductSet(self.model, self.mask & ~other.mask)
-
-    def __invert__(self) -> "ProductSet":
-        return ProductSet(self.model, self.model.full_mask & ~self.mask)
-
-    def __bool__(self) -> bool:
-        return self.mask != 0
-
-    def __len__(self) -> int:
-        return bin(self.mask).count("1")
-
-    def __contains__(self, product: Iterable[str]) -> bool:
-        return bool(self.mask >> self.model.product_index(product) & 1)
-
-    def __iter__(self) -> Iterator[frozenset]:
-        for i, p in enumerate(self.model.products):
-            if self.mask >> i & 1:
-                yield p
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, ProductSet)
-            and self.model == other.model
-            and self.mask == other.mask
-        )
-
-    def __hash__(self) -> int:
-        return hash(self.mask)
-
-    def to_expr(self) -> FeatureExpr:
-        return self.model.expr_for_mask(self.mask)
-
-    def __repr__(self) -> str:
-        shown = ["{" + ",".join(sorted(p)) + "}" for p in self]
-        return "ProductSet(" + " ".join(shown) + ")"
-

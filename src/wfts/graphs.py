@@ -6,11 +6,13 @@ cross-check reads the same object.  It also carries the one sign
 convention: min mode runs the maximizing algorithms on weights negated
 once, here.
 
-The classic algorithms (DFS finishing order, Kosaraju's two-pass SCC
-computation, plain reachability) are the per-product building blocks.  They
-double as the independent reference implementations that the symbolic
-algorithms are checked against, so they must follow the same canonical
-iteration order: states and out-edges in declaration order.
+``spread`` is the one reachability over product sets: symbolic
+reachability and both symbolic component routes run it.  The classic
+algorithms (DFS finishing order, Kosaraju's two-pass SCC computation, plain
+reachability) are the per-product building blocks.  They double as the
+independent reference implementations that the symbolic algorithms are
+checked against, so they must follow the same canonical iteration order:
+states and out-edges in declaration order.
 """
 
 from __future__ import annotations
@@ -142,6 +144,29 @@ def reachable_from(adj: list[list[int]], sources: list[int], n: int) -> list[boo
                 seen[v] = True
                 stack.append(v)
     return seen
+
+
+def spread(
+    seeds: list[tuple[int, int]],
+    blocked: list[int],
+    adj: list[list[tuple[int, int]]],
+) -> list[int]:
+    """Per state, the products under which it is connected to a seed along
+    ``adj`` (``im.out``: reached from it; ``im.pred``: reaching it).  Each
+    ``(state, mask)`` seed holds its state under its products, and no state
+    is entered under a product in its ``blocked`` mask."""
+    r = [0] * len(adj)
+    for s, m in seeds:
+        r[s] |= m
+    stack = list(seeds)
+    while stack:
+        s, px = stack.pop()
+        for sp, guard in adj[s]:
+            new = px & guard & ~(r[sp] | blocked[sp])
+            if new:
+                r[sp] |= new
+                stack.append((sp, new))
+    return r
 
 
 def tight_cycle(

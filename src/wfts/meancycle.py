@@ -19,6 +19,10 @@ Three routes to the same quantity live here:
   oracle both other routes are checked against.  Correct because some
   optimal-mean cycle is always simple.
 
+Every pointwise-best step of ``karp_cells`` (a walk-table row, the
+per-state minimum ratio, the maximum across states) is one fold,
+``_paint``, over candidates ranked best-first.
+
 The two Karp routes share one ``IndexedModel`` and its one sign
 convention: they maximize over weights that min mode negated once, inside
 the index, and their callers negate the result.  The oracle shares nothing
@@ -30,6 +34,7 @@ still shows as a disagreement.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd
 
 from .graphs import IndexedModel, kosaraju_components, reachable_from
@@ -67,37 +72,14 @@ def _paint(candidates: dict, context: int, ordered_values: list) -> Cells:
 def _fold_ratios(candidates: dict, context: int, maximize: bool) -> Cells:
     """Pointwise best over exact ratio candidates, in pure int arithmetic.
 
-    Candidates map (numerator, denominator) pairs in lowest terms (positive
-    denominator) to product regions; comparison is by cross-multiplication.
-    Equal-valued cells are merged once at the end.
+    Candidates map (numerator, denominator) pairs to product regions; they
+    are ranked by cross-multiplication and painted best-first.
     """
-    cells: Cells = [(context, None)]
-    for (ca, cb), region in candidates.items():
-        out: Cells = []
-        touched = False
-        for mask, val in cells:
-            inter = mask & region
-            if inter and (
-                val is None
-                or (ca * val[1] > val[0] * cb if maximize
-                    else ca * val[1] < val[0] * cb)
-            ):
-                touched = True
-                rest = mask & ~region
-                if rest:
-                    out.append((rest, val))
-                out.append((inter, (ca, cb)))
-            else:
-                out.append((mask, val))
-        if touched:
-            cells = out
-    if len(cells) > 1:
-        merged: dict[object, int] = {}
-        for mask, val in cells:
-            have = merged.get(val)
-            merged[val] = mask if have is None else have | mask
-        cells = [(m, v) for v, m in merged.items()]
-    return cells
+    # Exact because the keys are in lowest terms with positive denominators:
+    # equal values have equal keys, so no two keys tie in the ranking and
+    # ``_paint`` gives each value one cell.
+    by_ratio = cmp_to_key(lambda x, y: x[0] * y[1] - y[0] * x[1])
+    return _paint(candidates, context, sorted(candidates, key=by_ratio, reverse=maximize))
 
 
 Chain = tuple[int, int, int, int]  # (head, depth, weight offset, mask)

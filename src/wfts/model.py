@@ -13,12 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 from .features import TRUE, FeatureError, FeatureExpr, FeatureModel, check_depth
-
-if TYPE_CHECKING:
-    from .graphs import IndexedModel
+from .graphs import IndexedModel, spread
 
 
 class ModelError(ValueError):
@@ -155,19 +153,4 @@ def symbolic_reachable_masks(im: IndexedModel) -> list[int]:
     """For each state, the exact set of products (a bitmask) under which it
     is reachable from some initial state via guard-satisfying transitions."""
     full = im.feature_model.full_mask
-    reach = [0] * im.n
-    work = []
-    for i in im.initial:
-        if reach[i] != full:
-            reach[i] = full
-            work.append(i)
-    out = im.out
-    while work:
-        u = work.pop()
-        ru = reach[u]
-        for v, g in out[u]:
-            new = ru & g & ~reach[v]
-            if new:
-                reach[v] |= new
-                work.append(v)
-    return reach
+    return spread([(i, full) for i in im.initial], [0] * im.n, im.out)

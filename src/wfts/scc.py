@@ -23,14 +23,14 @@ masks partition correctly because a component's masks lie within the
 family of its tree node's path, and each product selects exactly one path:
 per product, the components containing it are the ones on its path.
 
-Both routes spread with one walk, ``_reaching``.
+Both routes spread with one walk, ``graphs.spread``.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .graphs import IndexedModel
+from .graphs import IndexedModel, spread
 from .ordering import FinishingTree
 
 
@@ -56,29 +56,6 @@ class SymbolicSccs:
         return self._components
 
 
-def _reaching(
-    s0: int,
-    lam0: int,
-    blocked: list[int],
-    adj: list[list[tuple[int, int]]],
-) -> list[int]:
-    """Products under which each state is connected to ``s0`` along ``adj``
-    (``im.out``: reached from it; ``im.pred``: reaching it), starting from
-    ``lam0`` at ``s0`` and never entering a state under a product in its
-    ``blocked`` mask."""
-    r = [0] * len(adj)
-    r[s0] = lam0
-    stack: list[tuple[int, int]] = [(s0, lam0)]
-    while stack:
-        s, px = stack.pop()
-        for sp, guard in adj[s]:
-            new = px & guard & ~(r[sp] | blocked[sp])
-            if new:
-                r[sp] |= new
-                stack.append((sp, new))
-    return r
-
-
 def forward_backward_sccs(im: IndexedModel, within: list[int]) -> list[SymbolicScc]:
     """The components of every product's graph restricted to ``within``
     (per state, a product mask), by forward-backward decomposition.
@@ -97,8 +74,8 @@ def forward_backward_sccs(im: IndexedModel, within: list[int]) -> list[SymbolicS
         if not lam:
             continue
         blocked = [full & ~m for m in remaining]
-        fwd = _reaching(v, lam, blocked, im.out)
-        bwd = _reaching(v, lam, blocked, im.pred)
+        fwd = spread([(v, lam)], blocked, im.out)
+        bwd = spread([(v, lam)], blocked, im.pred)
         masks = [f & b for f, b in zip(fwd, bwd)]
         components.append(SymbolicScc(v, masks))
         remaining = [r & ~m for r, m in zip(remaining, masks)]
@@ -126,7 +103,7 @@ def symbolic_sccs(tree: FinishingTree, im: IndexedModel) -> SymbolicSccs:
             s = idx[node.state]
             fresh = lam & ~assigned[s]
             if fresh:  # zero on a revisit: the first visit assigned it
-                masks = _reaching(s, fresh, assigned, pred)
+                masks = spread([(s, fresh)], assigned, pred)
                 components.append(SymbolicScc(s, masks))
                 for i, m in enumerate(masks):
                     if m:

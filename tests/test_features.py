@@ -23,6 +23,11 @@ def powerset(names):
     ]
 
 
+def products_of(fm, mask):
+    """The products a mask holds, as a set of feature sets."""
+    return {p for i, p in enumerate(fm.products) if mask >> i & 1}
+
+
 @pytest.fixture
 def fm_gl():
     return FeatureModel(["G", "A"])
@@ -34,35 +39,38 @@ def fm_stl():
 
 
 def test_denote_true_is_all_products(fm_stl):
-    assert len(fm_stl.denote(TRUE)) == 8
+    assert len(products_of(fm_stl, fm_stl.mask(TRUE))) == 8
 
 
 def test_denote_contradiction_is_empty(fm_gl):
     g = Var("G")
-    assert not fm_gl.denote(g & ~g)
+    assert fm_gl.mask(g & ~g) == 0
 
 
 def test_denote_disjunction_truth_table(fm_gl):
-    got = set(fm_gl.denote(Var("G") | Var("A")))
+    got = products_of(fm_gl, fm_gl.mask(Var("G") | Var("A")))
     assert got == {frozenset({"G"}), frozenset({"A"}), frozenset({"G", "A"})}
 
 
 def test_satisfiable_negated_disjunction(fm_gl):
     # The empty product satisfies neither G nor A.
-    assert fm_gl.is_satisfiable(~(Var("G") | Var("A")))
+    assert fm_gl.mask(~(Var("G") | Var("A"))) != 0
 
 
 def test_unsatisfiable_cases(fm_gl):
-    assert not fm_gl.is_satisfiable(FALSE)
-    assert not fm_gl.is_satisfiable(Var("G") & ~Var("G"))
+    assert fm_gl.mask(FALSE) == 0
+    assert fm_gl.mask(Var("G") & ~Var("G")) == 0
 
 
 def test_entailment(fm_gl):
+    def entails(a, b):
+        return fm_gl.mask(a) & ~fm_gl.mask(b) == 0
+
     g, a = Var("G"), Var("A")
-    assert fm_gl.entails(g, g | a)
-    assert not fm_gl.entails(g | a, g)
-    assert fm_gl.entails(g & a, TRUE)
-    assert fm_gl.entails(FALSE, g)
+    assert entails(g, g | a)
+    assert not entails(g | a, g)
+    assert entails(g & a, TRUE)
+    assert entails(FALSE, g)
 
 
 def test_enumerate_products_order(fm_gl):
@@ -120,40 +128,42 @@ def exprs(features, depth=3):
 @given(e=exprs(["x", "y", "z"]))
 def test_denotation_matches_truth_table(e):
     fm = FeatureModel(["x", "y", "z"])
-    got = set(fm.denote(e))
+    got = products_of(fm, fm.mask(e))
     expected = {p for p in powerset(["x", "y", "z"]) if _eval(e, p)}
     assert got == expected
-    assert fm.is_satisfiable(e) == bool(expected)
+    assert (fm.mask(e) != 0) == bool(expected)
 
 
 @given(a=exprs(["x", "y"]), b=exprs(["x", "y"]))
 def test_denotation_is_homomorphic(a, b):
     fm = FeatureModel(["x", "y"])
-    assert fm.denote(And(a, b)) == fm.denote(a) & fm.denote(b)
-    assert fm.denote(Or(a, b)) == fm.denote(a) | fm.denote(b)
-    assert fm.denote(Not(a)) == ~fm.denote(a)
+    assert fm.mask(And(a, b)) == fm.mask(a) & fm.mask(b)
+    assert fm.mask(Or(a, b)) == fm.mask(a) | fm.mask(b)
+    assert fm.mask(Not(a)) == fm.full_mask & ~fm.mask(a)
 
 
 @given(e=exprs(["x", "y", "z"]))
 def test_product_set_round_trips_through_expression(e):
     fm = FeatureModel(["x", "y", "z"])
-    ps = fm.denote(e)
-    assert fm.denote(ps.to_expr()) == ps
+    mask = fm.mask(e)
+    assert fm.mask(fm.expr_for_mask(mask)) == mask
 
 
 def test_equivalent_formulas_denote_equal_sets(fm_gl):
     g, a = Var("G"), Var("A")
-    de_morgan = fm_gl.denote(~(g | a))
-    assert de_morgan == fm_gl.denote(~g & ~a)
+    de_morgan = fm_gl.mask(~(g | a))
+    assert de_morgan == fm_gl.mask(~g & ~a)
 
 
 def test_product_set_ops_respect_valid_products():
     # Complement stays inside the constrained product set.
     fm = FeatureModel(["x", "y"], Var("x") | Var("y"))
-    everything = fm.denote(TRUE)
-    assert len(everything) == 3
-    nothing = ~everything
-    assert not nothing
+    everything = fm.mask(TRUE)
+    assert len(products_of(fm, everything)) == 3
+    assert fm.mask(~TRUE) == 0
+    not_x = fm.mask(~Var("x"))
+    assert not_x & ~everything == 0
+    assert products_of(fm, not_x) == {frozenset({"y"})}
 
 
 def _eval(e, product):

@@ -2,12 +2,12 @@ from hypothesis import given, settings, strategies as st
 
 from wfts.checks import check_scc_tree
 from wfts.features import FeatureModel, Not, Or, Var
-from wfts.graphs import IndexedModel, finish_order, kosaraju_components
+from wfts.graphs import IndexedModel, finish_order, kosaraju_components, spread
 from wfts.generators import taxi
 from wfts.model import Transition, Wfts, expand_lengths, symbolic_reachable_masks
 from wfts.ordering import build_finishing_tree, dfs_order
 from wfts.randgen import random_wfts
-from wfts.scc import _reaching, forward_backward_sccs, product_owners, symbolic_sccs
+from wfts.scc import forward_backward_sccs, product_owners, symbolic_sccs
 
 
 def components_of(w):
@@ -207,7 +207,7 @@ class TestReachExcluding:
         fm = grantreq.feature_model
         im = IndexedModel(grantreq)
         basic = fm.mask(Not(Or(Var("G"), Var("A"))))
-        masks = _reaching(im.index["s0"], basic, [0] * im.n, im.pred)
+        masks = spread([(im.index["s0"], basic)], [0] * im.n, im.pred)
         members = [s for s, m in zip(im.states, masks) if m]
         assert members == ["s0", "s1", "s3"]
         for m in masks:
@@ -221,7 +221,7 @@ class TestReachExcluding:
         for product in fm.products:
             bit = 1 << fm.product_index(product)
             classic = reachable_from(im.product_radj(bit), [0], im.n)
-            masks = _reaching(im.index["s0"], bit, [0] * im.n, im.pred)
+            masks = spread([(im.index["s0"], bit)], [0] * im.n, im.pred)
             got = [bool(m) for m in masks]
             assert got == classic
 
@@ -231,7 +231,7 @@ class TestReachExcluding:
         everything = fm.full_mask
         assigned = [0] * im.n
         assigned[im.index["s3"]] = everything
-        blocked = _reaching(im.index["s0"], everything, assigned, im.pred)
+        blocked = spread([(im.index["s0"], everything)], assigned, im.pred)
         # s3 already assigned: nothing reaches s0 except
         # itself (s2's clean edge still works where A is present).
         assert blocked[im.index["s1"]] == 0
@@ -246,5 +246,5 @@ class TestReachExcluding:
             bit = 1 << fm.product_index(product)
             for s in range(im.n):
                 classic = reachable_from(im.product_adj(bit), [s], im.n)
-                masks = _reaching(s, bit, [0] * im.n, im.out)
+                masks = spread([(s, bit)], [0] * im.n, im.out)
                 assert [bool(m) for m in masks] == classic
