@@ -11,7 +11,10 @@ reachable subgraph at once, by forward-backward decomposition over product
 sets seeded with symbolic reachability, and runs the partitioned Karp
 recurrence once per component;  ``analyze_products`` solves every
 product's graph separately.  They must agree exactly; the
-``strategy="both"`` entry point enforces that.
+``strategy="both"`` entry point enforces that.  Both share one witness
+stage: products with equal value and the same reachable enabled
+transitions form a class, found with symbolic reachability, and each
+class's optimal cycle is extracted once.
 
 Both read one ``IndexedModel`` per call, built by ``_indexed``, and one sign
 convention holds throughout: min mode runs the maximizing algorithms on
@@ -26,7 +29,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import IndexedModel, reachable_from, tight_cycle
+from .graphs import IndexedModel, tight_cycle
 from .meancycle import best_reachable_mean, karp_cells
 from .model import Wfts, symbolic_reachable_masks
 from .scc import forward_backward_sccs
@@ -58,10 +61,18 @@ class Report:
     def families(self) -> list[tuple[int, Fraction | None]]:
         """Products grouped by equal value, as (product mask, value) pairs
         in first-occurrence order."""
-        groups: dict[object, int] = {}
-        for i, outcome in enumerate(self.outcomes):
-            groups[outcome.value] = groups.get(outcome.value, 0) | (1 << i)
-        return [(mask, value) for value, mask in groups.items()]
+        return _value_classes([outcome.value for outcome in self.outcomes])
+
+
+def _value_classes(values: list[Fraction | None]) -> list[tuple[int, Fraction | None]]:
+    """Product indices grouped by equal value, as (product mask, value)
+    pairs in first-occurrence order."""
+    groups: dict[tuple[int, int] | None, list] = {}
+    for p, value in enumerate(values):
+        # Keyed by the ratio: hashing a Fraction is slow.
+        key = None if value is None else value.as_integer_ratio()
+        groups.setdefault(key, [0, value])[0] |= 1 << p
+    return [(mask, value) for mask, value in groups.values()]
 
 
 def _family_values(im: IndexedModel) -> list[Fraction | None]:
@@ -80,35 +91,63 @@ def _family_values(im: IndexedModel) -> list[Fraction | None]:
     return best
 
 
-def _witness(im: IndexedModel, bit: int, value: Fraction) -> tuple[str, ...] | None:
-    """An optimal cycle of mean ``value`` for one product, as original state
-    names.
+def _witnesses(
+    im: IndexedModel, values: list[Fraction | None]
+) -> list[tuple[str, ...] | None]:
+    """Per product, an optimal cycle of mean ``values[p]``, as original
+    state names (None where the value is undefined).
 
-    Runs on the product's reachable subgraph with ``im``'s signed weights;
-    intermediate states introduced by length expansion are dropped from the
-    rendering.
+    The cycle is ``tight_cycle`` run on the product's reachable subgraph
+    with ``im``'s signed weights.  That subgraph's edge list, in declaration
+    order, is the edges whose live mask (guard and symbolic reachability of
+    the source) holds the product, so products with equal value and equal
+    membership in every live mask give ``tight_cycle`` the same input.  The
+    valid products are partitioned into these classes, and the cycle is
+    computed once per class, for its lowest product.  Intermediate states
+    introduced by length expansion are dropped from the rendering.
     """
-    reach = reachable_from(im.product_adj(bit), im.initial, im.n)
-    edges = [(u, v, w) for u, v, w in im.product_edges(bit) if reach[u]]
-    cycle = tight_cycle(im.n, edges, im.initial, im.sign * value * im.scale)
-    if cycle is None:
-        return None
-    names = [im.states[u] for u in cycle]
-    visible = tuple(s for s in names if "#" not in s)
-    return visible or tuple(names)
+    reach = symbolic_reachable_masks(im)
+    live = [(u, v, w, g & reach[u]) for u, v, w, g in im.edges]
+    classes = [(mask, value) for mask, value in _value_classes(values)
+               if value is not None]
+    for cut in dict.fromkeys(m for *_, m in live if m):
+        refined = []
+        for mask, value in classes:
+            inside = mask & cut
+            if inside and inside != mask:
+                refined.append((inside, value))
+                refined.append((mask ^ inside, value))
+            else:
+                refined.append((mask, value))
+        classes = refined
+    witnesses: list[tuple[str, ...] | None] = [None] * len(values)
+    for mask, value in classes:
+        low = mask & -mask
+        edges = [(u, v, w) for u, v, w, m in live if m & low]
+        cycle = tight_cycle(im.n, edges, im.initial, im.sign * value * im.scale)
+        witness = None
+        if cycle is not None:
+            names = [im.states[u] for u in cycle]
+            witness = tuple(s for s in names if "#" not in s) or tuple(names)
+        while mask:
+            low = mask & -mask
+            witnesses[low.bit_length() - 1] = witness
+            mask ^= low
+    return witnesses
 
 
 def _outcomes(
-    w: Wfts, values: list[Fraction | None], im: IndexedModel | None
+    w: Wfts, values: list[Fraction | None], im: IndexedModel | None, timing: dict
 ) -> tuple[ProductOutcome, ...]:
-    """One outcome per product, with a witness cycle when ``im`` is given."""
-    outcomes = []
-    for i, (product, value) in enumerate(zip(w.feature_model.products, values)):
-        witness = None
-        if value is not None and im is not None:
-            witness = _witness(im, 1 << i, value)
-        outcomes.append(ProductOutcome(product, value, witness))
-    return tuple(outcomes)
+    """One outcome per product, with a witness cycle when ``im`` is given;
+    the witness stage's time goes into ``timing["witness_ms"]``."""
+    products = w.feature_model.products
+    if im is None:
+        return tuple(ProductOutcome(p, v) for p, v in zip(products, values))
+    start = time.perf_counter()
+    witnesses = _witnesses(im, values)
+    timing["witness_ms"] = (time.perf_counter() - start) * 1000.0
+    return tuple(map(ProductOutcome, products, values, witnesses))
 
 
 def _indexed(w: Wfts, mode: str) -> IndexedModel:
@@ -126,10 +165,9 @@ def analyze_family(w: Wfts, mode: str = "max", witnesses: bool = False) -> Repor
     values = _family_values(im)
     elapsed = (time.perf_counter() - start) * 1000.0
     values = [None if v is None else im.sign * v for v in values]
-    return Report(
-        mode, "family", _outcomes(w, values, im if witnesses else None),
-        {"family_ms": elapsed}, w,
-    )
+    timing = {"family_ms": elapsed}
+    outcomes = _outcomes(w, values, im if witnesses else None, timing)
+    return Report(mode, "family", outcomes, timing, w)
 
 
 def analyze_products(w: Wfts, mode: str = "max", witnesses: bool = False) -> Report:
@@ -141,10 +179,9 @@ def analyze_products(w: Wfts, mode: str = "max", witnesses: bool = False) -> Rep
         best = best_reachable_mean(im, 1 << i)
         values.append(None if best is None else im.sign * best)
     elapsed = (time.perf_counter() - start) * 1000.0
-    return Report(
-        mode, "product", _outcomes(w, values, im if witnesses else None),
-        {"product_ms": elapsed}, w,
-    )
+    timing = {"product_ms": elapsed}
+    outcomes = _outcomes(w, values, im if witnesses else None, timing)
+    return Report(mode, "product", outcomes, timing, w)
 
 
 def analyze_both(w: Wfts, mode: str = "max", witnesses: bool = False) -> Report:

@@ -20,7 +20,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 from . import generators
 from .analysis import (
@@ -239,7 +239,12 @@ def _cmd_validate(cfg: RunConfig) -> int:
 _COMMANDS = {"analyze": _cmd_analyze, "bench": _cmd_bench, "validate": _cmd_validate}
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line grammar, built once per process on first use:
+    argparse formats each option as it is added, which costs more than a
+    small analysis.  Parsing leaves the parser unchanged, since every
+    default is ``RunConfig``'s."""
     parser = _Parser(prog="wfts", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
     # Sub-commands leave out what is not given: every default is RunConfig's.

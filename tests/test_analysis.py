@@ -17,8 +17,9 @@ from wfts.analysis import (
 )
 from wfts.features import FeatureModel, Var
 from wfts.generators import grant_request, minepump_lite, taxi
+from wfts.graphs import IndexedModel, reachable_from, tight_cycle
 from wfts.model import Transition, Wfts, expand_lengths
-from wfts.randgen import random_corpus
+from wfts.randgen import random_corpus, random_wfts
 
 TAXI_GOLDEN = {
     frozenset(): Fraction(73, 6),
@@ -185,6 +186,10 @@ class TestReportFormats:
         assert set(data["timing"]) == {"family_ms"}
         both = report_to_dict(analyze_both(grantreq, "max"))
         assert set(both["timing"]) == {"family_ms", "product_ms"}
+        family = report_to_dict(analyze_family(grantreq, "max", witnesses=True))
+        assert set(family["timing"]) == {"family_ms", "witness_ms"}
+        product = report_to_dict(analyze_products(grantreq, "max", witnesses=True))
+        assert set(product["timing"]) == {"product_ms", "witness_ms"}
 
     def test_csv(self, grantreq):
         text = report_to_csv(analyze_family(grantreq, "max"))
@@ -275,3 +280,98 @@ class TestBeyondTheOracle:
         report = analyze_both(expand_lengths(taxi(licenses)), mode)
         assert len(report.outcomes) == 2 ** (licenses + 2)
         assert all(o.value is not None for o in report.outcomes)
+
+
+def _reference_witnesses(w: Wfts, mode: str, values) -> list:
+    """The per-product witness rule: ``tight_cycle`` on each product's
+    reachable subgraph, rendered without the states of length expansion."""
+    im = IndexedModel(w, 1 if mode == "max" else -1)
+    witnesses = []
+    for i, value in enumerate(values):
+        cycle = None
+        if value is not None:
+            bit = 1 << i
+            reach = reachable_from(im.product_adj(bit), im.initial, im.n)
+            edges = [(u, v, wt) for u, v, wt in im.product_edges(bit) if reach[u]]
+            cycle = tight_cycle(im.n, edges, im.initial, im.sign * value * im.scale)
+        if cycle is None:
+            witnesses.append(None)
+            continue
+        names = [im.states[u] for u in cycle]
+        witnesses.append(tuple(s for s in names if "#" not in s) or tuple(names))
+    return witnesses
+
+
+def _wide(count: int) -> list[Wfts]:
+    return [random_wfts(f"wide:{i}", max_states=16, max_features=10)
+            for i in range(count)]
+
+
+class TestWitnessSharing:
+    """Witnesses are extracted once per class of products with equal value
+    and equal reachable enabled transitions, and are exactly the cycles the
+    per-product rule picks."""
+
+    @pytest.mark.parametrize("mode", ["max", "min"])
+    def test_witnesses_equal_the_per_product_rule(self, mode):
+        models = random_corpus(0, 300) + _wide(32) + [taxi(k) for k in range(1, 6)]
+        for w in map(expand_lengths, models):
+            family = analyze_family(w, mode, witnesses=True)
+            product = analyze_products(w, mode, witnesses=True)
+            values = [o.value for o in family.outcomes]
+            assert [o.value for o in product.outcomes] == values
+            expected = _reference_witnesses(w, mode, values)
+            assert [o.witness for o in family.outcomes] == expected
+            assert [o.witness for o in product.outcomes] == expected
+
+    @staticmethod
+    def _count_calls(monkeypatch) -> list:
+        import wfts.analysis as analysis
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return tight_cycle(*args)
+
+        monkeypatch.setattr(analysis, "tight_cycle", counted)
+        return calls
+
+    @pytest.mark.parametrize("analyze", [analyze_family, analyze_products])
+    def test_features_guarding_nothing_reachable_share_one_call(
+        self, analyze, monkeypatch
+    ):
+        k = 4
+        w = Wfts(
+            ["a", "b", "c"],
+            ["a"],
+            [Transition("a", "b", 3), Transition("b", "a", 1),
+             Transition("c", "c", 9, Var("F0"))],  # c is unreachable
+            FeatureModel([f"F{i}" for i in range(k)]),
+        )
+        calls = self._count_calls(monkeypatch)
+        for mode in ("max", "min"):
+            report = analyze(w, mode, witnesses=True)
+            assert len(report.outcomes) == 2 ** k
+            assert {o.witness for o in report.outcomes} == {("a", "b")}
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("mode", ["max", "min"])
+    def test_one_call_per_value_and_reachable_projection(self, mode, monkeypatch):
+        w = next(expand_lengths(w) for w in _wide(32)
+                 if len(w.feature_model.features) >= 6)
+        im = IndexedModel(w)
+        values = [o.value for o in analyze_family(w, mode).outcomes]
+        classes = set()
+        for i, value in enumerate(values):
+            if value is None:
+                continue
+            bit = 1 << i
+            reach = reachable_from(im.product_adj(bit), im.initial, im.n)
+            projection = frozenset(
+                j for j, (u, _, _, g) in enumerate(im.edges) if g & bit and reach[u]
+            )
+            classes.add((value, projection))
+        calls = self._count_calls(monkeypatch)
+        analyze_family(w, mode, witnesses=True)
+        assert len(calls) == len(classes) < len(values)

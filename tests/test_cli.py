@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from wfts.cli import main
+from wfts.cli import build_parser, main
 from wfts.dsl import serialize
 from wfts.generators import taxi
 
@@ -39,7 +39,40 @@ def test_analyze_json_strategy_both(capsys):
     values = {tuple(p["features"]): p["decimal"] for p in data["products"]}
     assert values[()] == "12.17"
     assert values[("S", "T", "L1")] == "14.60"
-    assert set(data["timing"]) == {"family_ms", "product_ms"}
+    assert set(data["timing"]) == {"family_ms", "witness_ms", "product_ms"}
+
+
+def test_successive_calls_do_not_share_options(capsys):
+    """One parser serves every call in a process; no option given to one
+    call may reach the next, not even from a call that ends in a usage
+    error after parsing some of its options."""
+
+    def analyze(*options):
+        code, out, _ = run(
+            capsys, "analyze", "--generate", "grantrequest", "--format", "json",
+            *options,
+        )
+        assert code == 0
+        data = json.loads(out)
+        return data["mode"], all(p["witness"] for p in data["products"])
+
+    def usage_error():
+        code, out, err = run(
+            capsys, "analyze", "--generate", "grantrequest", "--mode", "min",
+            "--no-witness", "--format", "xml",
+        )
+        assert (code, out) == (1, "") and err.startswith("usage error")
+
+    assert build_parser() is build_parser()
+    assert analyze("--mode", "min") == ("min", True)
+    assert analyze() == ("max", True)
+    assert analyze("--no-witness") == ("max", False)
+    assert analyze() == ("max", True)
+    analyze("--mode", "min", "--no-witness")
+    usage_error()
+    assert analyze() == ("max", True)
+    usage_error()
+    assert analyze("--mode", "min") == ("min", True)
 
 
 def test_analyze_csv(capsys):
