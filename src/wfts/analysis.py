@@ -10,7 +10,8 @@ infinite run and report "undefined".
 reachable subgraph at once, by forward-backward decomposition over product
 sets seeded with symbolic reachability, and runs the partitioned Karp
 recurrence once per component;  ``analyze_products`` solves every
-product's graph separately.  They must agree exactly; the
+product's graph separately, by Howard policy iteration on the states with
+an infinite run from an initial state.  They must agree exactly; the
 ``strategy="both"`` entry point enforces that.  Both share one witness
 stage: products with equal value and the same reachable enabled
 transitions form a class, found with symbolic reachability, and each

@@ -80,13 +80,13 @@ def _lex(src: str) -> list[_Token]:
             col += j - i
             i = j
             continue
-        if c.isdigit():
+        if c.isdecimal():
             j = i
-            while j < n and src[j].isdigit():
+            while j < n and src[j].isdecimal():
                 j += 1
-            if j < n and src[j] == "." and j + 1 < n and src[j + 1].isdigit():
+            if j < n and src[j] == "." and j + 1 < n and src[j + 1].isdecimal():
                 j += 1
-                while j < n and src[j].isdigit():
+                while j < n and src[j].isdecimal():
                     j += 1
             tokens.append(_Token("number", src[i:j], line, col))
             col += j - i

@@ -9,9 +9,10 @@ once, here.
 ``spread`` is the one reachability over product sets: symbolic
 reachability and both symbolic component routes run it.  The classic
 algorithms (DFS finishing order, Kosaraju's two-pass SCC computation, plain
-reachability) are the per-product building blocks.  They double as the
-independent reference implementations that the symbolic algorithms are
-checked against, so they must follow the same canonical iteration order:
+reachability) are the per-product building blocks of the witness stage
+and the checks.  They double as the independent reference implementations
+that the symbolic algorithms are checked against, so they must follow the
+same canonical iteration order:
 states and out-edges in declaration order.
 """
 

@@ -12,9 +12,9 @@ Three routes to the same quantity live here:
   with a single way in, such as an intermediate state of length
   expansion, sits at some depth d below its head, and its Karp term is
   the head's term at the shifted horizon n - d.
-* ``best_reachable_mean`` — the product-based baseline: plain Karp
-  (``karp_best_mean``) on each reachable strongly connected component of
-  one product.
+* ``best_reachable_mean`` — the product-based baseline: Howard policy
+  iteration (Cochet-Terrasson et al. 1998) on the states of one product
+  that have an infinite run from an initial state.
 * ``brute_force_mean_cycle`` — exhaustive simple-cycle enumeration, the
   oracle both other routes are checked against.  Correct because some
   optimal-mean cycle is always simple.
@@ -23,7 +23,7 @@ Every pointwise-best step of ``karp_cells`` (a walk-table row, the
 per-state minimum ratio, the maximum across states) is one fold,
 ``_paint``, over candidates ranked best-first.
 
-The two Karp routes share one ``IndexedModel`` and its one sign
+The family and product routes share one ``IndexedModel`` and its one sign
 convention: they maximize over weights that min mode negated once, inside
 the index, and their callers negate the result.  The oracle shares nothing
 of that: it takes the model's own weights, unsigned and unscaled, and
@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd
 
-from .graphs import IndexedModel, kosaraju_components, reachable_from
+from .graphs import IndexedModel
 from .scc import SymbolicScc
 
 Cells = list[tuple[int, object]]  # (product mask, value or None)
@@ -269,74 +269,158 @@ def karp_cells(scc: SymbolicScc, im: IndexedModel) -> list[tuple[int, Fraction]]
     ]
 
 
-def karp_best_mean(
-    component: list[int], edges: list[tuple[int, int, int]]
-) -> Fraction | None:
-    """Classic Karp on one strongly connected component (scaled weights).
+def _live_out(im: IndexedModel, bit: int) -> list[list[tuple[int, int]] | None]:
+    """Per state, the ``(target, weight)`` out-edges of product ``bit`` in
+    declaration order, kept for the states with an infinite run from an
+    initial state and None for the others.
 
-    ``edges`` must already be restricted to the component.  Returns the
-    maximum mean of a cycle, or None if the component carries no edge.
+    One pass over ``im.edges`` gives the product's out-lists; the states
+    reached from the initial states are kept, and then the states with no
+    way out are removed until none is left.
     """
-    if not edges:
-        return None
-    n = len(component)
-    pos = {node: i for i, node in enumerate(component)}
-    local = [(pos[u], pos[v], w) for u, v, w in edges]
-    rows: list[list] = [[None] * n for _ in range(n + 1)]
-    rows[0][0] = 0  # anchor = first node of the component
-    for k in range(1, n + 1):
-        cur, prev = rows[k], rows[k - 1]
-        for u, v, w in local:
-            d = prev[u]
-            if d is None:
-                continue
-            cand = d + w
-            if cur[v] is None or cand > cur[v]:
-                cur[v] = cand
-    best = None
-    last = rows[n]
-    for v in range(n):
-        dn = last[v]
-        if dn is None:
-            continue
-        ratio = None
-        for k in range(n):
-            dk = rows[k][v]
-            if dk is None:
-                continue
-            cand = Fraction(dn - dk, n - k)
-            if ratio is None or cand < ratio:
-                ratio = cand
-        if ratio is not None and (best is None or ratio > best):
-            best = ratio
-    return best
+    n = im.n
+    succ: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for u, v, wt, g in im.edges:
+        if g & bit:
+            succ[u].append((v, wt))
+    alive = [False] * n
+    stack = []
+    for s in im.initial:
+        if not alive[s]:
+            alive[s] = True
+            stack.append(s)
+    # Every successor of a reached state is reached, so a reached state's
+    # out-degree within the reached part is its plain out-degree.
+    preds: list[list[int]] = [[] for _ in range(n)]
+    degree = [0] * n
+    dead_ends = []
+    while stack:
+        u = stack.pop()
+        degree[u] = len(succ[u])
+        if not degree[u]:
+            dead_ends.append(u)
+        for v, _ in succ[u]:
+            preds[v].append(u)
+            if not alive[v]:
+                alive[v] = True
+                stack.append(v)
+    stack = dead_ends
+    while stack:
+        u = stack.pop()
+        alive[u] = False
+        for p in preds[u]:
+            degree[p] -= 1
+            if not degree[p]:
+                stack.append(p)
+    return [
+        [(v, wt) for v, wt in succ[u] if alive[v]] if alive[u] else None
+        for u in range(n)
+    ]
+
+
+def _howard(out: list[list[tuple[int, int]] | None]) -> tuple[list[int], list[int]]:
+    """Howard policy iteration (Cochet-Terrasson et al. 1998) for maximum
+    cycle means.  ``out`` is ``_live_out``'s: every listed state has an
+    out-edge, and every edge's target is listed.  Returns, per listed state
+    v, the best mean of a cycle reachable from v as a reduced
+    ``(num[v], den[v])`` pair.
+
+    A policy picks one out-edge per state; each state then leads to one
+    policy cycle, whose mean it takes.  Its potential is kept scaled by the
+    den of that mean, x(v) = den * w - num + x(pi(v)), with x = 0 at the
+    cycle's root, so that the arithmetic stays in ints.  A state improves
+    first by mean (type 1, compared by cross-multiplication), and, when no
+    state can, by potential among successors of equal mean (type 2).  The
+    policy changes only on strict improvement, to the first best edge in
+    declaration order, and a cycle that survives an improvement keeps its
+    root: every round then strictly improves (mean, potential), so the
+    iteration ends, and it ends at the optimum.
+    """
+    n = len(out)
+    states = [u for u in range(n) if out[u] is not None]
+    # The first maximum-weight edge of every state.
+    policy = [max(edges, key=lambda edge: edge[1]) if edges else None for edges in out]
+    num = [0] * n
+    den = [1] * n
+    x = [0] * n
+    was_root = [False] * n
+    while True:
+        # Value determination: follow the policy from each state until the
+        # walk meets a valued state or closes a new cycle.
+        is_root = [False] * n
+        valued = [False] * n
+        walk = [-1] * n
+        for s in states:
+            path = []
+            v = s
+            while not valued[v] and walk[v] != s:
+                walk[v] = s
+                path.append(v)
+                v = policy[v][0]
+            if not valued[v]:
+                cycle = path[path.index(v):]
+                del path[-len(cycle):]
+                total = sum(policy[c][1] for c in cycle)
+                g = gcd(total, len(cycle))
+                r = next((i for i, c in enumerate(cycle) if was_root[c]), 0)
+                root = cycle[r]
+                # Valued backwards from the root: the cycle, then the
+                # path into it.
+                path += cycle[r + 1:] + cycle[:r]
+                num[root], den[root], x[root] = total // g, len(cycle) // g, 0
+                is_root[root] = valued[root] = True
+            for u in reversed(path):
+                t, wt = policy[u]
+                num[u], den[u] = num[t], den[t]
+                x[u] = den[t] * wt - num[t] + x[t]
+                valued[u] = True
+        was_root = is_root
+
+        changed = False
+        for u in states:  # type 1: a successor of better mean
+            bn, bd = num[u], den[u]
+            best = None
+            for edge in out[u]:
+                v = edge[0]
+                if num[v] * bd > bn * den[v]:
+                    bn, bd, best = num[v], den[v], edge
+            if best is not None:
+                policy[u] = best
+                changed = True
+        if not changed:
+            for u in states:  # type 2: equal mean, better potential
+                un, ud, bx = num[u], den[u], x[u]
+                best = None
+                for edge in out[u]:
+                    v, wt = edge
+                    if num[v] == un and den[v] == ud:
+                        cand = ud * wt - un + x[v]
+                        if cand > bx:
+                            bx, best = cand, edge
+                if best is not None:
+                    policy[u] = best
+                    changed = True
+        if not changed:
+            return num, den
 
 
 def best_reachable_mean(im: IndexedModel, bit: int) -> Fraction | None:
     """Best mean cycle of one product, restricted to the part reachable from
     the initial states, on ``im``'s signed weights (so maximizing).
 
-    The product-based pipeline: Kosaraju components of the product's
-    graph, classic Karp on every reachable component that carries an edge,
-    best of those.  None when the reachable subgraph is acyclic.
+    The product-based pipeline: the states with an infinite run from an
+    initial state (``_live_out``), Howard policy iteration on them
+    (``_howard``), and the best value of a surviving initial state.  None
+    when no initial state survives, i.e. when the reachable subgraph is
+    acyclic.
     """
-    adj = im.product_adj(bit)
-    reach = reachable_from(adj, im.initial, im.n)
-    components = kosaraju_components(adj, im.product_radj(bit), im.n)
-    comp_of = [0] * im.n
-    for cid, comp in enumerate(components):
-        for u in comp:
-            comp_of[u] = cid
-    comp_edges: list[list[tuple[int, int, int]]] = [[] for _ in components]
-    for u, v, wt in im.product_edges(bit):
-        if reach[u] and comp_of[u] == comp_of[v]:
-            comp_edges[comp_of[u]].append((u, v, wt))
-    best = None
-    for comp, edges in zip(components, comp_edges):
-        value = karp_best_mean(comp, edges)
-        if value is not None and (best is None or value > best):
-            best = value
-    return None if best is None else best / im.scale
+    out = _live_out(im, bit)
+    starts = [s for s in im.initial if out[s] is not None]
+    if not starts:
+        return None
+    num, den = _howard(out)
+    best = max(starts, key=cmp_to_key(lambda a, b: num[a] * den[b] - num[b] * den[a]))
+    return Fraction(num[best], den[best] * im.scale)
 
 
 def brute_force_mean_cycle(

@@ -274,7 +274,7 @@ class TestBeyondTheOracle:
     """Models past the brute-force oracle's 48 states: the family route
     (forward-backward components) and the product route must agree."""
 
-    @pytest.mark.parametrize("licenses", [5, 6])
+    @pytest.mark.parametrize("licenses", [5, 6, 8, 9])
     @pytest.mark.parametrize("mode", ["max", "min"])
     def test_taxi_strategies_agree(self, licenses, mode):
         report = analyze_both(expand_lengths(taxi(licenses)), mode)

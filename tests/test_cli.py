@@ -105,6 +105,20 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert "model error" in err
 
 
+@pytest.mark.parametrize("attribute", ["weight", "length"])
+def test_non_decimal_digit_is_a_parse_error(capsys, tmp_path, attribute):
+    # "²" is a digit to str.isdigit but not a decimal one, and Fraction()
+    # and int() reject it: the lexer must, with a position.
+    bad = tmp_path / "bad.wfts"
+    bad.write_text(
+        f"features {{ }}\nstates {{ s0 }}\ninit {{ s0 }}\ntrans s0 -> s0 {attribute}=\u00b2\n",
+        encoding="utf-8",
+    )
+    code, _, err = run(capsys, "analyze", str(bad))
+    assert code == 2
+    assert "4:23: unexpected character" in err
+
+
 def test_usage_errors(capsys):
     code, _, err = run(capsys, "analyze")
     assert code == 1
@@ -291,13 +305,14 @@ trans s2 -> s2 [A] weight=3
 """
 GUARD = FUZZ_BASE.index("G || A")
 LENGTH = FUZZ_BASE.index("length=2") + len("length=")
-# No piece carries a digit, so only deletions that join digits grow a length
-# or a weight, and no mutation makes a model too large to analyze in a moment.
+# No piece carries a decimal digit, so only deletions that join digits grow a
+# length or a weight, and no mutation makes a model too large to analyze in a
+# moment.
 PIECES = (
     "&&", "||", "!", "(", ")", "[", "]", "{", "}", "->", "=", ",", "-", ".",
     "#", " ", "\n", "\t", "G", "A", "x", "s0", "s2", "true", "false", "trans",
     "weight", "length", "action", "features", "states", "init", "constraint",
-    "\u00e9",
+    "\u00e9", "\u00b2",
 )
 EDITS = st.lists(
     st.tuples(st.integers(0, len(FUZZ_BASE)), st.integers(0, 8), st.sampled_from(PIECES)),

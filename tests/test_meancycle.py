@@ -47,7 +47,7 @@ def cycle_system(spec):
 
 
 class TestClassicKarp:
-    """Classic Karp through the product-based baseline."""
+    """Small cycle means through the product-based baseline."""
 
     def test_two_cycle(self):
         w = system([("a", "b", 3), ("b", "a", 1)])
@@ -117,6 +117,86 @@ class TestClassicKarp:
                  FeatureModel([]))
         with pytest.raises(ValueError):
             analyze_products(w)
+
+
+def both_signs(w):
+    """The product-based value of a featureless system's only product and
+    the oracle's on its reachable projection, per mode."""
+    for sign, mode in ((1, "max"), (-1, "min")):
+        im = IndexedModel(w, sign)
+        got = best_reachable_mean(im, 1)
+        oracle = brute_force_mean_cycle(*reachable_projection(im, 1), mode)
+        yield mode, None if got is None else sign * got, oracle
+
+
+class TestHoward:
+    """Howard policy iteration, the product-based route, against the
+    brute-force oracle: ties, parallel edges, self-loops, dead ends and
+    better cycles that no initial state reaches."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_equals_brute_force_on_the_reachable_projection(self, data):
+        core = [f"c{i}" for i in range(data.draw(st.integers(1, 5)))]
+        dead = [f"d{i}" for i in range(data.draw(st.integers(0, 2)))]
+        weights = data.draw(st.sampled_from(
+            [st.just(0), st.integers(-1, 1), st.integers(-10**6, 10**6)]
+        ))
+        divisor = data.draw(st.sampled_from([1, 1, 2, 3]))
+        core_state = st.sampled_from(core)
+        edges = data.draw(st.lists(st.tuples(core_state, core_state, weights),
+                                   max_size=3 * len(core)))
+        if data.draw(st.booleans()) and edges:
+            edges.append(edges[0])  # a parallel copy
+        # A branch of states with no way out hanging off the core.
+        for src, tgt in zip([data.draw(core_state)] + dead, dead):
+            edges.append((src, tgt, data.draw(weights)))
+        # Better cycles in both modes, behind states nothing enters.
+        top = max([abs(wt) for *_, wt in edges] + [1]) + 1
+        edges += [("z0", "z0", top), ("z1", "z1", -top),
+                  ("z0", core[0], 0), ("z1", data.draw(core_state), 0)]
+        edges = data.draw(st.permutations(edges))
+        states = core + dead + ["z0", "z1"]
+        initial = data.draw(st.lists(st.sampled_from(core + dead),
+                                     min_size=1, max_size=2, unique=True))
+        trans = [Transition(a, b, Fraction(wt, divisor)) for a, b, wt in edges]
+        w = Wfts(states, initial, trans, FeatureModel([]))
+        for mode, got, oracle in both_signs(w):
+            assert got == oracle, mode
+
+    def test_equal_mean_cycles_behind_one_initial_state(self):
+        # Both cycles have mean 2; the potentials tie at "i", which keeps
+        # its first edge.
+        w = system([("i", "p", 0), ("i", "q", 0), ("p", "p2", 3), ("p2", "p", 1),
+                    ("q", "q2", 2), ("q2", "q", 2)], ["i", "p", "p2", "q", "q2"])
+        for mode, got, oracle in both_signs(w):
+            assert got == oracle == 2, mode
+
+    def test_potential_improvement_closes_a_better_cycle(self):
+        # The first policy takes the heavier self-loop (mean 3); only a
+        # type-2 step, among successors of equal mean, finds a-b-a (mean 4).
+        w = system([("a", "a", 3), ("a", "b", 2), ("b", "a", 6)])
+        assert {mode: got for mode, got, _ in both_signs(w)} == {"max": 4, "min": 3}
+
+    def test_live_initial_state_beside_a_dead_end_one(self):
+        edges = [("d", "e", 5), ("a", "b", 1), ("b", "a", 3)]
+        w = Wfts(["d", "e", "a", "b"], ["d", "a"],
+                 [Transition(s, t, Fraction(wt)) for s, t, wt in edges],
+                 FeatureModel([]))
+        for mode, got, oracle in both_signs(w):
+            assert got == oracle == 2, mode
+        dead_only = Wfts(["d", "e", "a", "b"], ["d"], w.transitions, FeatureModel([]))
+        assert [got for _, got, _ in both_signs(dead_only)] == [None, None]
+
+    def test_cycle_reached_only_through_a_pruned_chain(self):
+        # c1 and c2 lose their dead branches but stay: they lead to the
+        # only cycle, c3-c4, of mean 1/2.
+        w = system([("i", "c1", 0), ("c1", "x1", 100), ("c1", "c2", 0),
+                    ("c2", "x2", -100), ("x2", "x3", 50), ("c2", "c3", 7),
+                    ("c3", "c4", 0), ("c4", "c3", 1)],
+                   ["i", "c1", "x1", "c2", "x2", "x3", "c3", "c4"])
+        for mode, got, oracle in both_signs(w):
+            assert got == oracle == Fraction(1, 2), mode
 
 
 class TestBruteForce:
