@@ -9,7 +9,7 @@ CLI command:
 * component equivalence — for both symbolic routes (the finishing tree's
   and forward-backward from every state under every product), the
   partition read off the components' masks at any product is exactly the
-  classic Kosaraju partition, computed once per product for both;
+  classic Kosaraju partition;
 * the oracle triangle — family-based, product-based and brute-force cycle
   enumeration report identical values for every product, in both modes.
 
@@ -17,6 +17,13 @@ Every suite reads the per-product graphs off one ``IndexedModel``, as both
 analyses do.  The brute-force oracle alone takes the model's own weights
 (``reachable_projection``): unsigned, unscaled Fractions compared directly in
 each mode, so it checks the index's sign and scale instead of sharing them.
+
+Every product is compared, but each classic reference runs once per
+distinct input: products with the same graph (``product_graphs``) share
+one DFS finishing order and one Kosaraju partition, and products with the
+same reachable projection share one oracle enumeration, which answers all
+modes at once.  Both keys are read off the plain per-product graphs,
+never off a symbolic result.
 
 Failures carry enough context to reproduce: ``check_model`` adds one header
 with the model text as given (before length expansion), and each line names
@@ -85,12 +92,27 @@ def check_order_coverage(order: DfsOrder) -> CheckResult:
     return result
 
 
-def check_tree(tree: FinishingTree, im: IndexedModel) -> CheckResult:
+def product_graphs(im: IndexedModel) -> list[int]:
+    """Per product, the bit of the first product with the same graph
+    (``product_adj``): the classic references run once per distinct bit."""
+    first: dict[tuple, int] = {}
+    return [
+        first.setdefault(tuple(map(tuple, im.product_adj(1 << p))), 1 << p)
+        for p in range(len(im.feature_model.products))
+    ]
+
+
+def check_tree(
+    tree: FinishingTree, im: IndexedModel, graphs: list[int] | None = None
+) -> CheckResult:
     """The five structural tree conditions, including per-product fidelity
-    against a classic DFS of the projection."""
+    against a classic DFS of the projection, run once per distinct graph
+    (``graphs`` as from ``product_graphs``)."""
     result = CheckResult("tree")
     fm = im.feature_model
     n = im.n
+    if graphs is None:
+        graphs = product_graphs(im)
 
     for leaf in tree.leaves():
         if leaf.depth != n:
@@ -108,6 +130,7 @@ def check_tree(tree: FinishingTree, im: IndexedModel) -> CheckResult:
                         f"sibling edges overlap below {node.state or 'root'}"
                     )
 
+    classic: dict[int, list[str]] = {}  # per distinct graph, its finish order
     for p_idx, product in enumerate(fm.products):
         bit = 1 << p_idx
         node = tree.root
@@ -131,9 +154,12 @@ def check_tree(tree: FinishingTree, im: IndexedModel) -> CheckResult:
             path.append(node.state)
         if not ok:
             continue
-        order = finish_ranks(im, bit)
-        # Path lists states in decreasing finishing time: n, n-1, ..., 1.
-        expected = [s for s, _ in sorted(order.items(), key=lambda kv: -kv[1])]
+        graph = graphs[p_idx]
+        if graph not in classic:
+            # Path lists states in decreasing finishing time: n, n-1, ..., 1.
+            order = finish_order(im.product_adj(graph), im.n)
+            classic[graph] = [im.states[u] for u in reversed(order)]
+        expected = classic[graph]
         if path != expected:
             result.failures.append(
                 f"product {format_product(product)}: path {path} != classic "
@@ -142,36 +168,46 @@ def check_tree(tree: FinishingTree, im: IndexedModel) -> CheckResult:
     return result
 
 
-def finish_ranks(im: IndexedModel, bit: int) -> dict[str, int]:
-    """Classic DFS finishing times (1-based) of one product's projection."""
-    order = finish_order(im.product_adj(bit), im.n)
-    return {im.states[u]: i + 1 for i, u in enumerate(order)}
-
-
 def _named(partition: list[list[int]], names: tuple[str, ...]) -> list[list[str]]:
     """A partition's distinct components as sorted state names."""
     return sorted(map(list, {tuple(sorted(names[u] for u in comp)) for comp in partition}))
 
 
-def check_scc_tree(routes: dict[str, list[SymbolicScc]], im: IndexedModel) -> CheckResult:
+def _kosaraju_labels(im: IndexedModel, bit: int) -> tuple[list[list[int]], list[int]]:
+    """Product ``bit``'s classic components and each state's component id."""
+    classic = kosaraju_components(im.product_adj(bit), im.product_radj(bit), im.n)
+    label = [0] * im.n
+    for cid, comp in enumerate(classic):
+        for u in comp:
+            label[u] = cid
+    return classic, label
+
+
+def check_scc_tree(
+    routes: dict[str, list[SymbolicScc]],
+    im: IndexedModel,
+    graphs: list[int] | None = None,
+) -> CheckResult:
     """Per product and per route, the partition read off the component
     masks equals the classic one, with every state in exactly one
     component.  ``routes`` maps a route's name to its components; Kosaraju
-    runs once per product for all of them."""
+    runs once per distinct graph (``graphs`` as from ``product_graphs``)
+    for all of them."""
     result = CheckResult("scc")
     fm = im.feature_model
     names = im.states
+    if graphs is None:
+        graphs = product_graphs(im)
     by_route = {
         route: product_owners(components, len(fm.products), im.n)
         for route, components in routes.items()
     }
+    references: dict[int, tuple[list[list[int]], list[int]]] = {}
     for p_idx, product in enumerate(fm.products):
-        bit = 1 << p_idx
-        classic = kosaraju_components(im.product_adj(bit), im.product_radj(bit), im.n)
-        label = [0] * im.n
-        for cid, comp in enumerate(classic):
-            for u in comp:
-                label[u] = cid
+        graph = graphs[p_idx]
+        if graph not in references:
+            references[graph] = _kosaraju_labels(im, graph)
+        classic, label = references[graph]
         where = f"product {format_product(product)}"
         for route, owners in by_route.items():
             owner = owners[p_idx]
@@ -223,52 +259,66 @@ def reachable_projection(
 def check_triangle(im: IndexedModel, modes=("max", "min"), label: str = "model") -> CheckResult:
     """Family-based == product-based == brute force, exactly, per product.
 
-    A product that reaches more states than the oracle enumerates is a
-    ModelError: the triangle cannot be checked on it.
+    The oracle enumerates each distinct reachable projection once, for all
+    modes, keyed on the projection itself: its state count and its edges,
+    with each weight as an exact int pair.  A product that reaches more
+    states than the oracle enumerates is a ModelError: the triangle cannot
+    be checked on it.
     """
     result = CheckResult("triangle")
     w = im.wfts
-    projections = [
-        reachable_projection(im, 1 << p) for p in range(len(w.feature_model.products))
-    ]
+    projections: list[tuple[int, list[tuple[int, int, Fraction]]]] = []
+    index: dict[tuple, int] = {}
+    which = []  # per product, its projection's position in ``projections``
+    for p in range(len(w.feature_model.products)):
+        n, edges = reachable_projection(im, 1 << p)
+        # A Fraction hashes slowly; its int pair is as exact.
+        key = (n, tuple([(u, v, wt.as_integer_ratio()) for u, v, wt in edges]))
+        if key not in index:
+            index[key] = len(projections)
+            projections.append((n, edges))
+        which.append(index[key])
     largest = max(n for n, _ in projections)
     if largest > BRUTE_FORCE_MAX_STATES:
         raise ModelError(
             f"{label}: a product reaches {largest} states after length "
             f"expansion; the brute-force oracle stops at {BRUTE_FORCE_MAX_STATES}"
         )
+    oracle = [brute_force_mean_cycle(n, edges, tuple(modes)) for n, edges in projections]
     for mode in modes:
         family = analyze_family(w, mode)
         products = analyze_products(w, mode)
         for p_idx, product in enumerate(w.feature_model.products):
-            oracle = brute_force_mean_cycle(*projections[p_idx], mode)
+            oracle_v = oracle[which[p_idx]][mode]
             fam_v = family.outcomes[p_idx].value
             prod_v = products.outcomes[p_idx].value
-            if not (fam_v == prod_v == oracle):
+            if not (fam_v == prod_v == oracle_v):
                 result.failures.append(
                     f"{label} mode={mode} product {format_product(product)}: "
-                    f"family={fam_v} product-based={prod_v} brute-force={oracle}"
+                    f"family={fam_v} product-based={prod_v} brute-force={oracle_v}"
                 )
     return result
 
 
 def check_model(w: Wfts, modes=("max", "min"), label: str = "model") -> CheckResult:
     """All suites on one system's length expansion, sharing one indexed
-    graph, one feature-aware DFS and one Kosaraju per product.  When a
-    suite fails, the failures start with one header holding ``w``'s own
+    graph, one feature-aware DFS and one grouping of the products by graph,
+    so that the classic DFS and Kosaraju run once per distinct graph.  When
+    a suite fails, the failures start with one header holding ``w``'s own
     text, which ``parse`` reads back."""
     result = CheckResult(label)
     im = IndexedModel(expand_lengths(w))
+    graphs = product_graphs(im)
     order = dfs_order(im)
     result.merge(check_order_coverage(order))
     tree = build_finishing_tree(order)
-    result.merge(check_tree(tree, im))
+    result.merge(check_tree(tree, im, graphs))
     full = [im.feature_model.full_mask] * im.n
     routes = {
         "tree": symbolic_sccs(tree, im).components(),
         "forward-backward": forward_backward_sccs(im, full),
     }
-    result.merge(check_scc_tree(routes, im))
+    result.merge(check_scc_tree(routes, im, graphs))
     result.merge(check_triangle(im, modes, label))
     if result.failures:
         result.failures.insert(0, _model_header(w, label))

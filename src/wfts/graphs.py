@@ -67,9 +67,6 @@ class IndexedModel:
     def product_radj(self, bit: int) -> list[list[int]]:
         return [[u for u, g in edges if g & bit] for edges in self.pred]
 
-    def product_edges(self, bit: int) -> list[tuple[int, int, int]]:
-        return [(u, v, wt) for u, v, wt, g in self.edges if g & bit]
-
 
 def finish_order(adj: list[list[int]], n: int) -> list[int]:
     """Nodes in increasing DFS finishing time, roots in index order.

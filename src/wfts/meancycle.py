@@ -16,8 +16,9 @@ Three routes to the same quantity live here:
   iteration (Cochet-Terrasson et al. 1998) on the states of one product
   that have an infinite run from an initial state.
 * ``brute_force_mean_cycle`` — exhaustive simple-cycle enumeration, the
-  oracle both other routes are checked against.  Correct because some
-  optimal-mean cycle is always simple.
+  oracle both other routes are checked against, answering both modes from
+  one enumeration.  Correct because some optimal-mean cycle is always
+  simple.
 
 Every pointwise-best step of ``karp_cells`` (a walk-table row, the
 per-state minimum ratio, the maximum across states) is one fold,
@@ -426,36 +427,40 @@ def best_reachable_mean(im: IndexedModel, bit: int) -> Fraction | None:
 def brute_force_mean_cycle(
     n: int,
     edges: list[tuple[int, int, Fraction]],
-    mode: str = "max",
+    modes: tuple[str, ...] = ("max", "min"),
     max_states: int = BRUTE_FORCE_MAX_STATES,
-) -> Fraction | None:
+) -> dict[str, Fraction | None]:
     """Best mean over all simple cycles of ``(u, v, weight)`` edges on
-    states ``0..n-1``, by exhaustive enumeration.
+    states ``0..n-1``, by exhaustive enumeration, per requested mode.
 
     Enumerates every simple cycle once (each rooted at its smallest state
-    index) and takes the best mean directly in the requested mode.  Guarded
-    by a state-count limit; this is an oracle for small systems, not an
-    algorithm.
+    index) and keeps both the largest and the smallest mean, compared
+    directly, so one enumeration answers every mode.  Returns a dict from
+    each of ``modes`` to its best mean, None when there is no cycle.
+    Guarded by a state-count limit; this is an oracle for small systems,
+    not an algorithm.
     """
-    if mode not in ("max", "min"):
-        raise ValueError(f"mode must be 'max' or 'min', not {mode!r}")
+    if isinstance(modes, str) or not set(modes) <= {"max", "min"}:
+        raise ValueError(f"modes must be a tuple of 'max' and 'min', not {modes!r}")
     if n > max_states:
         raise ValueError(f"{n} states exceed the brute-force guard ({max_states})")
     out: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]
     for u, v, w in edges:
         out[u].append((v, w))
 
-    best: Fraction | None = None
-    better = (lambda a, b: a > b) if mode == "max" else (lambda a, b: a < b)
+    hi: Fraction | None = None
+    lo: Fraction | None = None
     on_path = [False] * n
 
     def explore(root: int, u: int, total: Fraction, length: int) -> None:
-        nonlocal best
+        nonlocal hi, lo
         for v, w in out[u]:
             if v == root:
                 mean = (total + w) / (length + 1)
-                if best is None or better(mean, best):
-                    best = mean
+                if hi is None or mean > hi:
+                    hi = mean
+                if lo is None or mean < lo:
+                    lo = mean
             elif v > root and not on_path[v]:
                 on_path[v] = True
                 explore(root, v, total + w, length + 1)
@@ -465,4 +470,5 @@ def brute_force_mean_cycle(
         on_path[root] = True
         explore(root, root, Fraction(0), 0)
         on_path[root] = False
-    return best
+    best = {"max": hi, "min": lo}
+    return {mode: best[mode] for mode in modes}

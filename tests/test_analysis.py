@@ -292,7 +292,7 @@ def _reference_witnesses(w: Wfts, mode: str, values) -> list:
         if value is not None:
             bit = 1 << i
             reach = reachable_from(im.product_adj(bit), im.initial, im.n)
-            edges = [(u, v, wt) for u, v, wt in im.product_edges(bit) if reach[u]]
+            edges = [(u, v, wt) for u, v, wt, g in im.edges if g & bit and reach[u]]
             cycle = tight_cycle(im.n, edges, im.initial, im.sign * value * im.scale)
         if cycle is None:
             witnesses.append(None)

@@ -153,7 +153,10 @@ def test_check_failures_carry_the_unexpanded_model_text(monkeypatch):
     from wfts import checks
 
     # An oracle stubbed to disagree with both analyses on every product.
-    monkeypatch.setattr(checks, "brute_force_mean_cycle", lambda *args: Fraction(-999))
+    monkeypatch.setattr(
+        checks, "brute_force_mean_cycle",
+        lambda n, edges, modes: {mode: Fraction(-999) for mode in modes},
+    )
     result = checks.check_model(taxi(1), ("max",), "taxi:1")
     header, *lines = result.failures
     assert len(lines) == len(taxi(1).feature_model.products)

@@ -81,7 +81,7 @@ def product_edges(w, product):
     """One product's ``(source, target)`` pairs, read off the shared index."""
     im = IndexedModel(w)
     bit = 1 << w.feature_model.product_index(product)
-    return [(im.states[u], im.states[v]) for u, v, _ in im.product_edges(bit)]
+    return [(im.states[u], im.states[v]) for u, v, _, g in im.edges if g & bit]
 
 
 class TestProjection:
@@ -132,7 +132,8 @@ class TestExpandLengths:
         bit = 1 << taxi1_expanded.feature_model.product_index(frozenset())
         hops = {
             (im.states[u], im.states[v]): Fraction(wt, im.scale)
-            for u, v, wt in im.product_edges(bit)
+            for u, v, wt, g in im.edges
+            if g & bit
         }
         cycle = ["AP", "AP#R2#1", "R2", "P2", "P2#AR#1", "AR", "AP"]
         total = sum(hops[pair] for pair in zip(cycle, cycle[1:]))
