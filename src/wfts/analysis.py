@@ -13,9 +13,10 @@ recurrence once per component;  ``analyze_products`` solves every
 product's graph separately, by Howard policy iteration on the states with
 an infinite run from an initial state.  They must agree exactly; the
 ``strategy="both"`` entry point enforces that.  Both share one witness
-stage: products with equal value and the same reachable enabled
-transitions form a class, found with symbolic reachability, and each
-class's optimal cycle is extracted once.
+stage, ``_witnesses``, one symbolic pass for all products: per product, the
+witness lies in the tight component of the critical state (a state on a
+cycle of optimal mean) that finishes last in the classic DFS of the tight
+graph, and is the cycle a walk through that component closes.
 
 Both read one ``IndexedModel`` per call, built by ``_indexed``, and one sign
 convention holds throughout: min mode runs the maximizing algorithms on
@@ -30,9 +31,10 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import IndexedModel, tight_cycle
+from .graphs import IndexedModel, spread
 from .meancycle import best_reachable_mean, karp_cells
 from .model import Wfts, symbolic_reachable_masks
+from .ordering import dfs_order
 from .scc import forward_backward_sccs
 
 
@@ -92,48 +94,185 @@ def _family_values(im: IndexedModel) -> list[Fraction | None]:
     return best
 
 
+def _tight_graph(
+    im: IndexedModel, classes: list[tuple[int, Fraction]]
+) -> list[list[tuple[int, int]]]:
+    """Per state, its out-edges in declaration order as ``(target, tight
+    mask)`` pairs, without the edges that are tight for no product.
+
+    For a value class with ``a/b`` its signed, scaled value, the level of a
+    state is the longest walk from an initial state with every weight
+    shifted to ``w·b − a``; it is finite because the value is the best
+    cycle mean, so no shifted cycle is positive.  The levels come from one
+    label-correcting pass over ``(level → products)`` cells per state, in
+    first-in first-out order as Bellman–Ford's rounds.  An edge is tight
+    for a product that enables it when the target's level is the source's
+    plus the shifted weight.  The classes are disjoint, so one mask per
+    edge holds all of them.
+    """
+    n = im.n
+    arcs: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
+    for e, (u, v, w, g) in enumerate(im.edges):
+        if g:
+            arcs[u].append((e, v, w, g))
+    tight = [0] * len(im.edges)
+    for mask, value in classes:
+        num, b = value.as_integer_ratio()
+        a = im.sign * im.scale * num
+        level: list[dict[int, int] | None] = [None] * n
+        have = [0] * n  # per state, the products with a level
+        queue = []
+        for s in im.initial:
+            level[s] = {0: mask}
+            have[s] = mask
+            queue.append((s, mask, 0))
+        for u, m, lu in queue:  # first in, first out: the loop sees appends
+            m &= level[u].get(lu, 0)  # products still at this level
+            if not m:
+                continue
+            for _, v, w, g in arcs[u]:
+                gain = m & g
+                if not gain:
+                    continue
+                c = lu + w * b - a
+                cells = level[v]
+                if cells is None:
+                    cells = level[v] = {}
+                elif gain & have[v]:
+                    # Cells partition the products: a lower cell meets
+                    # ``gain`` only in products that no higher cell holds.
+                    lower = []
+                    for lv, mv in cells.items():
+                        if lv >= c:
+                            gain &= ~mv
+                        elif mv & gain:
+                            lower.append(lv)
+                    if not gain:
+                        continue
+                    for lv in lower:
+                        rest = cells.pop(lv) & ~gain
+                        if rest:
+                            cells[lv] = rest
+                have[v] |= gain
+                cells[c] = cells.get(c, 0) | gain
+                queue.append((v, gain, c))
+        for u, here in enumerate(level):
+            if not here:
+                continue
+            for e, v, w, g in arcs[u]:
+                there = level[v]
+                if there is None:
+                    continue
+                shift = w * b - a
+                for lu, mu in here.items():
+                    hit = mu & g & there.get(lu + shift, 0)
+                    if hit:
+                        tight[e] |= hit
+    out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for (u, v, _, _), m in zip(im.edges, tight):
+        if m:
+            out[u].append((v, m))
+    return out
+
+
 def _witnesses(
     im: IndexedModel, values: list[Fraction | None]
 ) -> list[tuple[str, ...] | None]:
     """Per product, an optimal cycle of mean ``values[p]``, as original
-    state names (None where the value is undefined).
+    state names (None where the value is undefined), for all products in
+    one symbolic pass.
 
-    The cycle is ``tight_cycle`` run on the product's reachable subgraph
-    with ``im``'s signed weights.  That subgraph's edge list, in declaration
-    order, is the edges whose live mask (guard and symbolic reachability of
-    the source) holds the product, so products with equal value and equal
-    membership in every live mask give ``tight_cycle`` the same input.  The
-    valid products are partitioned into these classes, and the cycle is
-    computed once per class, for its lowest product.  Intermediate states
-    introduced by length expansion are dropped from the rendering.
+    The rule, on each product's reachable subgraph with ``im``'s signed
+    weights: every cycle of the tight graph (``_tight_graph``) is optimal,
+    and a state is *critical* when it lies on one.  The witness lies in the
+    tight component of the critical state that finishes last in the
+    classic DFS of the tight graph (roots in index order, out-edges in
+    declaration order).  The walk starts at that component's smallest
+    state and steps to the smallest successor inside it until a state
+    repeats; the cycle it closes, rotated to its smallest state, is the
+    witness.
+
+    Symbolically, the DFS is ``dfs_order`` on the tight graph, and the
+    component comes from Kosaraju's second pass over its entries from the
+    last: an entry spreads backward, under its products not yet assigned,
+    to its component, and the products whose component has a tight edge
+    are done.  Kosaraju emits components in decreasing finishing time of
+    their roots, so that component holds the last critical state to
+    finish.  States without a tight edge in or out are assigned from the
+    start: each is a component of its own without an edge.  The walk
+    splits the product sets wherever the smallest successor differs.
+    Intermediate states introduced by length expansion are dropped from
+    the rendering.
     """
-    reach = symbolic_reachable_masks(im)
-    live = [(u, v, w, g & reach[u]) for u, v, w, g in im.edges]
+    witnesses: list[tuple[str, ...] | None] = [None] * len(values)
     classes = [(mask, value) for mask, value in _value_classes(values)
                if value is not None]
-    for cut in dict.fromkeys(m for *_, m in live if m):
-        refined = []
-        for mask, value in classes:
-            inside = mask & cut
-            if inside and inside != mask:
-                refined.append((inside, value))
-                refined.append((mask ^ inside, value))
+    context = 0
+    for mask, _ in classes:
+        context |= mask
+    if not context:
+        return witnesses
+    n = im.n
+    out = _tight_graph(im, classes)
+    pred: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    into = [0] * n
+    onward = [0] * n
+    for u, edges in enumerate(out):
+        for v, m in edges:
+            pred[v].append((u, m))
+            into[v] |= m
+            onward[u] |= m
+
+    # Kosaraju's second pass, up to each product's first component with an
+    # edge; the states without a tight edge in or out start assigned.
+    assigned = [context & ~(i & o) for i, o in zip(into, onward)]
+    component = [0] * n
+    left = context
+    for u, mask in reversed(dfs_order(im, out, context).stamps):
+        fresh = mask & left & ~assigned[u]
+        if not fresh:
+            continue
+        masks = spread([(u, fresh)], assigned, pred)
+        cyclic = 0
+        for x, m in enumerate(masks):
+            if m:
+                assigned[x] |= m
+                for y, tm in out[x]:
+                    cyclic |= m & tm & masks[y]
+        if cyclic:
+            left ^= cyclic
+            for x, m in enumerate(masks):
+                component[x] |= m & cyclic
+            if not left:
+                break
+
+    walks: list[tuple[int, list[int]]] = []
+    left = context ^ left
+    for u, m in enumerate(component):
+        hit = m & left
+        if hit:
+            walks.append((hit, [u]))
+            left ^= hit
+    while walks:
+        products, path = walks.pop()
+        for v, m in sorted(out[path[-1]]):
+            hit = products & m & component[v]
+            if not hit:
+                continue
+            products ^= hit
+            if v in path:
+                cycle = path[path.index(v):]
+                pivot = cycle.index(min(cycle))
+                names = [im.states[u] for u in cycle[pivot:] + cycle[:pivot]]
+                witness = tuple(s for s in names if "#" not in s) or tuple(names)
+                while hit:
+                    low = hit & -hit
+                    witnesses[low.bit_length() - 1] = witness
+                    hit ^= low
             else:
-                refined.append((mask, value))
-        classes = refined
-    witnesses: list[tuple[str, ...] | None] = [None] * len(values)
-    for mask, value in classes:
-        low = mask & -mask
-        edges = [(u, v, w) for u, v, w, m in live if m & low]
-        cycle = tight_cycle(im.n, edges, im.initial, im.sign * value * im.scale)
-        witness = None
-        if cycle is not None:
-            names = [im.states[u] for u in cycle]
-            witness = tuple(s for s in names if "#" not in s) or tuple(names)
-        while mask:
-            low = mask & -mask
-            witnesses[low.bit_length() - 1] = witness
-            mask ^= low
+                walks.append((hit, path + [v]))
+            if not products:
+                break
     return witnesses
 
 

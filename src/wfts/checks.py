@@ -19,11 +19,12 @@ analyses do.  The brute-force oracle alone takes the model's own weights
 each mode, so it checks the index's sign and scale instead of sharing them.
 
 Every product is compared, but each classic reference runs once per
-distinct input: products with the same graph (``product_graphs``) share
-one DFS finishing order and one Kosaraju partition, and products with the
-same reachable projection share one oracle enumeration, which answers all
-modes at once.  Both keys are read off the plain per-product graphs,
-never off a symbolic result.
+distinct input: products with the same graph share one DFS finishing order
+and one Kosaraju partition, and products with the same reachable
+projection share one oracle enumeration, which answers all modes at once.
+Both keys are read off the plain per-product graphs, never off a symbolic
+result, in one pass (``product_inputs``) that builds each product's
+adjacency once.
 
 Failures carry enough context to reproduce: ``check_model`` adds one header
 with the model text as given (before length expansion), and each line names
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .analysis import analyze_family, analyze_products, format_product
 from .dsl import serialize
@@ -67,9 +69,8 @@ def _model_header(w: Wfts, label: str) -> str:
 
 def check_order_coverage(order: DfsOrder) -> CheckResult:
     """Each state finishes exactly once per product: per state, the stamped
-    product sets are disjoint and cover all valid products."""
+    product sets are disjoint and cover the order's context."""
     result = CheckResult("order-coverage")
-    fm = order.model
     per_state: dict[str, list[int]] = {s: [] for s in order.states}
     for e in order.entries:
         if e.mask == 0:
@@ -81,10 +82,10 @@ def check_order_coverage(order: DfsOrder) -> CheckResult:
             if union & m:
                 result.failures.append(f"state {s}: overlapping finish entries")
             union |= m
-        if union != fm.full_mask:
+        if union != order.context:
             result.failures.append(f"state {s}: finish entries do not cover all products")
     total = sum(bin(m).count("1") for masks in per_state.values() for m in masks)
-    expected = len(order.states) * len(fm.products)
+    expected = len(order.states) * bin(order.context).count("1")
     if total != expected:
         result.failures.append(
             f"stamp count {total} != |S| * |products| = {expected}"
@@ -92,14 +93,39 @@ def check_order_coverage(order: DfsOrder) -> CheckResult:
     return result
 
 
-def product_graphs(im: IndexedModel) -> list[int]:
-    """Per product, the bit of the first product with the same graph
-    (``product_adj``): the classic references run once per distinct bit."""
+Projection = tuple[int, list[tuple[int, int, Fraction]]]
+
+
+class ProductInputs(NamedTuple):
+    """The classic references' inputs, grouped so that each runs once per
+    distinct input."""
+
+    graphs: list[int]  # per product, the first product's bit with its graph
+    projections: list[Projection]  # the distinct reachable projections
+    which: list[int]  # per product, its projection's position in them
+
+
+def product_inputs(im: IndexedModel) -> ProductInputs:
+    """One pass over the products: each product's adjacency
+    (``product_adj``) is built once, keys its graph and gives its
+    reachable projection, and is dropped before the next product's."""
     first: dict[tuple, int] = {}
-    return [
-        first.setdefault(tuple(map(tuple, im.product_adj(1 << p))), 1 << p)
-        for p in range(len(im.feature_model.products))
-    ]
+    graphs: list[int] = []
+    projections: list[Projection] = []
+    index: dict[tuple, int] = {}
+    which: list[int] = []
+    for p in range(len(im.feature_model.products)):
+        bit = 1 << p
+        adj = im.product_adj(bit)
+        graphs.append(first.setdefault(tuple(map(tuple, adj)), bit))
+        n, edges = reachable_projection(im, bit, adj)
+        # A Fraction hashes slowly; its int pair is as exact.
+        key = (n, tuple([(u, v, wt.as_integer_ratio()) for u, v, wt in edges]))
+        if key not in index:
+            index[key] = len(projections)
+            projections.append((n, edges))
+        which.append(index[key])
+    return ProductInputs(graphs, projections, which)
 
 
 def check_tree(
@@ -107,12 +133,12 @@ def check_tree(
 ) -> CheckResult:
     """The five structural tree conditions, including per-product fidelity
     against a classic DFS of the projection, run once per distinct graph
-    (``graphs`` as from ``product_graphs``)."""
+    (``graphs`` as in ``product_inputs``)."""
     result = CheckResult("tree")
     fm = im.feature_model
     n = im.n
     if graphs is None:
-        graphs = product_graphs(im)
+        graphs = product_inputs(im).graphs
 
     for leaf in tree.leaves():
         if leaf.depth != n:
@@ -191,13 +217,13 @@ def check_scc_tree(
     """Per product and per route, the partition read off the component
     masks equals the classic one, with every state in exactly one
     component.  ``routes`` maps a route's name to its components; Kosaraju
-    runs once per distinct graph (``graphs`` as from ``product_graphs``)
+    runs once per distinct graph (``graphs`` as in ``product_inputs``)
     for all of them."""
     result = CheckResult("scc")
     fm = im.feature_model
     names = im.states
     if graphs is None:
-        graphs = product_graphs(im)
+        graphs = product_inputs(im).graphs
     by_route = {
         route: product_owners(components, len(fm.products), im.n)
         for route, components in routes.items()
@@ -238,12 +264,15 @@ def check_scc_tree(
 
 
 def reachable_projection(
-    im: IndexedModel, bit: int
-) -> tuple[int, list[tuple[int, int, Fraction]]]:
+    im: IndexedModel, bit: int, adj: list[list[int]] | None = None
+) -> Projection:
     """Product ``bit``'s graph restricted to the states reachable from an
     initial state, renumbered in declaration order: the state count and
-    ``(u, v, weight)`` edges with the model's own weights."""
-    reach = reachable_from(im.product_adj(bit), im.initial, im.n)
+    ``(u, v, weight)`` edges with the model's own weights.  ``adj`` is the
+    product's adjacency, when the caller has it."""
+    if adj is None:
+        adj = im.product_adj(bit)
+    reach = reachable_from(adj, im.initial, im.n)
     local: dict[int, int] = {}
     for u, r in enumerate(reach):
         if r:
@@ -256,28 +285,26 @@ def reachable_projection(
     return len(local), edges
 
 
-def check_triangle(im: IndexedModel, modes=("max", "min"), label: str = "model") -> CheckResult:
+def check_triangle(
+    im: IndexedModel,
+    modes=("max", "min"),
+    label: str = "model",
+    inputs: ProductInputs | None = None,
+) -> CheckResult:
     """Family-based == product-based == brute force, exactly, per product.
 
     The oracle enumerates each distinct reachable projection once, for all
     modes, keyed on the projection itself: its state count and its edges,
-    with each weight as an exact int pair.  A product that reaches more
-    states than the oracle enumerates is a ModelError: the triangle cannot
-    be checked on it.
+    with each weight as an exact int pair (``inputs`` as from
+    ``product_inputs``).  A product that reaches more states than the
+    oracle enumerates is a ModelError: the triangle cannot be checked on
+    it.
     """
     result = CheckResult("triangle")
     w = im.wfts
-    projections: list[tuple[int, list[tuple[int, int, Fraction]]]] = []
-    index: dict[tuple, int] = {}
-    which = []  # per product, its projection's position in ``projections``
-    for p in range(len(w.feature_model.products)):
-        n, edges = reachable_projection(im, 1 << p)
-        # A Fraction hashes slowly; its int pair is as exact.
-        key = (n, tuple([(u, v, wt.as_integer_ratio()) for u, v, wt in edges]))
-        if key not in index:
-            index[key] = len(projections)
-            projections.append((n, edges))
-        which.append(index[key])
+    if inputs is None:
+        inputs = product_inputs(im)
+    projections, which = inputs.projections, inputs.which
     largest = max(n for n, _ in projections)
     if largest > BRUTE_FORCE_MAX_STATES:
         raise ModelError(
@@ -302,24 +329,26 @@ def check_triangle(im: IndexedModel, modes=("max", "min"), label: str = "model")
 
 def check_model(w: Wfts, modes=("max", "min"), label: str = "model") -> CheckResult:
     """All suites on one system's length expansion, sharing one indexed
-    graph, one feature-aware DFS and one grouping of the products by graph,
-    so that the classic DFS and Kosaraju run once per distinct graph.  When
+    graph, one feature-aware DFS and one grouping of the products by graph
+    and by reachable projection (``product_inputs``), so that the classic
+    DFS and Kosaraju run once per distinct graph and the oracle once per
+    distinct projection.  When
     a suite fails, the failures start with one header holding ``w``'s own
     text, which ``parse`` reads back."""
     result = CheckResult(label)
     im = IndexedModel(expand_lengths(w))
-    graphs = product_graphs(im)
+    inputs = product_inputs(im)
     order = dfs_order(im)
     result.merge(check_order_coverage(order))
     tree = build_finishing_tree(order)
-    result.merge(check_tree(tree, im, graphs))
+    result.merge(check_tree(tree, im, inputs.graphs))
     full = [im.feature_model.full_mask] * im.n
     routes = {
         "tree": symbolic_sccs(tree, im).components(),
         "forward-backward": forward_backward_sccs(im, full),
     }
-    result.merge(check_scc_tree(routes, im, graphs))
-    result.merge(check_triangle(im, modes, label))
+    result.merge(check_scc_tree(routes, im, inputs.graphs))
+    result.merge(check_triangle(im, modes, label, inputs))
     if result.failures:
         result.failures.insert(0, _model_header(w, label))
     return result

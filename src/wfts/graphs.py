@@ -7,18 +7,18 @@ convention: min mode runs the maximizing algorithms on weights negated
 once, here.
 
 ``spread`` is the one reachability over product sets: symbolic
-reachability and both symbolic component routes run it.  The classic
-algorithms (DFS finishing order, Kosaraju's two-pass SCC computation, plain
-reachability) are the per-product building blocks of the witness stage
-and the checks.  They double as the independent reference implementations
-that the symbolic algorithms are checked against, so they must follow the
-same canonical iteration order:
-states and out-edges in declaration order.
+reachability, both symbolic component routes and the witness stage's
+components run it.  The classic algorithms (DFS finishing order,
+Kosaraju's two-pass SCC computation, plain reachability) are the
+per-product references of the checks and of the witness rule's tests (a
+witness lies in the tight component of the critical state that finishes
+last in the classic DFS), so they must follow the same canonical
+iteration order as the symbolic algorithms: states and out-edges in
+declaration order.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 from typing import TYPE_CHECKING
 
@@ -165,63 +165,3 @@ def spread(
                 r[sp] |= new
                 stack.append((sp, new))
     return r
-
-
-def tight_cycle(
-    n: int,
-    edges: list[tuple[int, int, int]],
-    sources: list[int],
-    target_mean: Fraction,
-) -> list[int] | None:
-    """A cycle of mean exactly ``target_mean`` among ``edges``.
-
-    Requires that ``target_mean`` is the maximum cycle mean of the graph and
-    that every node lies on a path from ``sources`` (restrict beforehand).
-    Shifting weights by the target makes all cycles non-positive; longest
-    walk values L then converge, and every optimal cycle lies in the "tight"
-    subgraph where L[v] = L[u] + w.  Any cycle found there is optimal; we
-    pick one deterministically, preferring small node indices, and rotate it
-    to start at its smallest node.
-    """
-    a, b = target_mean.numerator, target_mean.denominator
-    shifted = [(u, v, w * b - a) for u, v, w in edges]
-    level: list[int | None] = [None] * n
-    for s in sources:
-        level[s] = 0
-    for _ in range(n):
-        changed = False
-        for u, v, w in shifted:
-            lu = level[u]
-            if lu is None:
-                continue
-            cand = lu + w
-            lv = level[v]
-            if lv is None or cand > lv:
-                level[v] = cand
-                changed = True
-        if not changed:
-            break
-    tight: list[list[int]] = [[] for _ in range(n)]
-    rtight: list[list[int]] = [[] for _ in range(n)]
-    for u, v, w in shifted:
-        if level[u] is not None and level[v] == level[u] + w:
-            tight[u].append(v)
-            rtight[v].append(u)
-    for members in kosaraju_components(tight, rtight, n):
-        mset = set(members)
-        has_edge = any(v in mset for u in members for v in tight[u])
-        if not has_edge:
-            continue
-        start = min(members)
-        path = [start]
-        seen_at = {start: 0}
-        while True:
-            u = path[-1]
-            nxt = min(v for v in tight[u] if v in mset)
-            if nxt in seen_at:
-                cycle = path[seen_at[nxt]:]
-                pivot = cycle.index(min(cycle))
-                return cycle[pivot:] + cycle[:pivot]
-            seen_at[nxt] = len(path)
-            path.append(nxt)
-    return None

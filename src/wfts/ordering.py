@@ -14,62 +14,79 @@ products accumulated along the path's edge labels.  Sibling edges carry
 disjoint product sets, every leaf sits at depth |S|, and each product selects
 exactly one path.
 
-The analysis takes its components from ``scc.forward_backward_sccs``; the
-tree is the independent route to them (``scc.symbolic_sccs``) that
-``checks`` compares with it.
+The search runs over any out-list and any context of products.  On the
+system's own guards it feeds the tree.  The analysis takes its components
+from ``scc.forward_backward_sccs``; the tree is the independent route to
+them (``scc.symbolic_sccs``) that ``checks`` compares with it.  On the
+tight graph, over the products with a value, it feeds the witness stage:
+scanned from the last entry, it yields each product's critical state that
+finishes last, whose tight component holds the witness cycle.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 from .graphs import IndexedModel
 
 
-@dataclass(frozen=True)
-class OrderEntry:
+class OrderEntry(NamedTuple):
     state: str
     mask: int  # products for which this entry is the state's finishing point
     time: int  # 1-based, consecutive
 
 
 class DfsOrder:
-    """Stamped finishing entries of the feature-aware DFS."""
+    """Stamped finishing entries of the feature-aware DFS over the products
+    of ``context``: ``stamps`` as ``(state index, mask)`` pairs, and
+    ``entries`` as named, timed records."""
 
-    def __init__(self, im: IndexedModel, entries: list[tuple[str, int]]):
-        self.states = im.states
-        self.model = im.feature_model
-        self.entries = tuple(
-            OrderEntry(state, mask, i + 1) for i, (state, mask) in enumerate(entries)
-        )
+    def __init__(self, states, context: int, stamps: list[tuple[int, int]]):
+        self.states = states
+        self.context = context
+        self.stamps = stamps
+
+    @cached_property
+    def entries(self) -> tuple[OrderEntry, ...]:
+        states = self.states
+        return tuple([
+            OrderEntry(states[u], mask, i) for i, (u, mask) in enumerate(self.stamps, 1)
+        ])
 
 
-def dfs_order(im: IndexedModel) -> DfsOrder:
+def dfs_order(
+    im: IndexedModel,
+    out: list[list[tuple[int, int]]] | None = None,
+    context: int | None = None,
+) -> DfsOrder:
     """Run the feature-aware DFS and return the stamped finishing order.
 
-    Per state the unexplored-products set starts at all valid products; a
+    The graph is ``out`` (per state, ``(target, mask)`` pairs in the order
+    the classic DFS tries them; ``im.out`` by default) over the products of
+    ``context`` (all valid products by default); ``im`` supplies the state
+    names.  Per state the unexplored-products set starts at ``context``; a
     visit under expression lam stamps the still-unexplored part of lam and
-    recurses along every out-edge whose guard leaves some product of lam
+    recurses along every out-edge whose mask leaves some product of lam
     unexplored at the target.  The recursion is realised with an explicit
     stack but preserves the recursive visit order exactly.
     """
-    out = im.out
-    white = [im.feature_model.full_mask] * im.n
-    entries: list[tuple[str, int]] = []
+    if out is None:
+        out = im.out
+    if context is None:
+        context = im.feature_model.full_mask
+    white = [context] * len(out)
+    entries: list[tuple[int, int]] = []
 
-    # Frame: [state, lam, exploring, next edge index]
+    # Frame: [state, lam, exploring, next edge index]; pushing a frame
+    # removes its products from the state's unexplored set.
     frames: list[list[int]] = []
-
-    def push(u: int, lam: int) -> None:
-        exploring = white[u] & lam
-        white[u] &= ~lam
-        frames.append([u, lam, exploring, 0])
-
-    for root in range(im.n):
-        if not white[root]:
+    for root, lam in enumerate(white):
+        if not lam:
             continue
-        push(root, white[root])
+        white[root] = 0
+        frames.append([root, lam, lam, 0])
         while frames:
             frame = frames[-1]
             u, lam, _, i = frame
@@ -79,16 +96,18 @@ def dfs_order(im: IndexedModel) -> DfsOrder:
                 v, guard = edges[i]
                 i += 1
                 nxt = guard & lam
-                if white[v] & nxt:
+                exploring = white[v] & nxt
+                if exploring:
                     frame[3] = i
-                    push(v, nxt)
+                    white[v] &= ~nxt
+                    frames.append([v, nxt, exploring, 0])
                     descended = True
                     break
             if not descended:
                 frame[3] = i
-                entries.append((im.states[u], frame[2]))
+                entries.append((u, frame[2]))
                 frames.pop()
-    return DfsOrder(im, entries)
+    return DfsOrder(im.states, context, entries)
 
 
 class TreeNode:
@@ -140,14 +159,14 @@ def build_finishing_tree(order: DfsOrder) -> FinishingTree:
     products intersect the path family and are not already covered by an
     earlier sibling.  The root scans from the very last entry.
     """
-    fm = order.model
+    context = order.context
     entries = order.entries
-    root = TreeNode(None, fm.full_mask, fm.full_mask, len(entries) + 1, None)
+    root = TreeNode(None, context, context, len(entries) + 1, None)
     nodes: list[TreeNode] = []
     queue = deque([root])
     while queue:
         node = queue.popleft()
-        not_children = fm.full_mask
+        not_children = context
         path = node.path_mask
         for j in range(node.found_at - 1, 0, -1):
             if not not_children & path:

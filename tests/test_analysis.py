@@ -3,9 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wfts.analysis import (
     StrategyMismatch,
+    _tight_graph,
+    _value_classes,
     analyze_both,
     analyze_family,
     analyze_products,
@@ -15,10 +18,12 @@ from wfts.analysis import (
     report_to_json,
     report_to_table,
 )
-from wfts.features import FeatureModel, Var
+from wfts.checks import check_order_coverage
+from wfts.features import TRUE, FeatureModel, Var
 from wfts.generators import grant_request, minepump_lite, taxi
-from wfts.graphs import IndexedModel, reachable_from, tight_cycle
+from wfts.graphs import IndexedModel, finish_order, kosaraju_components, reachable_from
 from wfts.model import Transition, Wfts, expand_lengths
+from wfts.ordering import dfs_order
 from wfts.randgen import random_corpus, random_wfts
 
 TAXI_GOLDEN = {
@@ -282,6 +287,82 @@ class TestBeyondTheOracle:
         assert all(o.value is not None for o in report.outcomes)
 
 
+def _tight_adjacency(
+    n: int, edges: list[tuple[int, int, int]], sources: list[int], target: Fraction
+) -> list[list[int]]:
+    """The tight graph of one product, edge order preserved: with weights
+    shifted by ``target`` (the best cycle mean, so no cycle is positive),
+    Bellman-Ford's longest walks L from ``sources`` converge, and an edge
+    is tight where L[v] = L[u] + w."""
+    a, b = target.numerator, target.denominator
+    shifted = [(u, v, w * b - a) for u, v, w in edges]
+    level: list[int | None] = [None] * n
+    for s in sources:
+        level[s] = 0
+    for _ in range(n):
+        changed = False
+        for u, v, w in shifted:
+            lu = level[u]
+            if lu is None:
+                continue
+            cand = lu + w
+            lv = level[v]
+            if lv is None or cand > lv:
+                level[v] = cand
+                changed = True
+        if not changed:
+            break
+    tight: list[list[int]] = [[] for _ in range(n)]
+    for u, v, w in shifted:
+        if level[u] is not None and level[v] == level[u] + w:
+            tight[u].append(v)
+    return tight
+
+
+def tight_cycle(
+    n: int,
+    edges: list[tuple[int, int, int]],
+    sources: list[int],
+    target_mean: Fraction,
+) -> list[int] | None:
+    """A cycle of mean exactly ``target_mean`` among ``edges``, the best
+    cycle mean of a graph whose nodes all lie on a path from ``sources``.
+
+    Every cycle of the tight graph is optimal.  Of Kosaraju's components,
+    in decreasing finishing time of their roots, the first with a tight
+    edge holds the cycle: start at its smallest node, step to the smallest
+    successor inside it until a node repeats, and rotate the closed cycle
+    to start at its smallest node.
+    """
+    tight = _tight_adjacency(n, edges, sources, target_mean)
+    rtight: list[list[int]] = [[] for _ in range(n)]
+    for u, targets in enumerate(tight):
+        for v in targets:
+            rtight[v].append(u)
+    for members in kosaraju_components(tight, rtight, n):
+        mset = set(members)
+        if not any(v in mset for u in members for v in tight[u]):
+            continue
+        path = [min(members)]
+        seen_at = {path[0]: 0}
+        while True:
+            nxt = min(v for v in tight[path[-1]] if v in mset)
+            if nxt in seen_at:
+                cycle = path[seen_at[nxt]:]
+                pivot = cycle.index(min(cycle))
+                return cycle[pivot:] + cycle[:pivot]
+            seen_at[nxt] = len(path)
+            path.append(nxt)
+    return None
+
+
+def _reachable_edges(im: IndexedModel, bit: int) -> list[tuple[int, int, int]]:
+    """Product ``bit``'s edges from its reachable states, in declaration
+    order, with ``im``'s signed weights."""
+    reach = reachable_from(im.product_adj(bit), im.initial, im.n)
+    return [(u, v, wt) for u, v, wt, g in im.edges if g & bit and reach[u]]
+
+
 def _reference_witnesses(w: Wfts, mode: str, values) -> list:
     """The per-product witness rule: ``tight_cycle`` on each product's
     reachable subgraph, rendered without the states of length expansion."""
@@ -290,9 +371,7 @@ def _reference_witnesses(w: Wfts, mode: str, values) -> list:
     for i, value in enumerate(values):
         cycle = None
         if value is not None:
-            bit = 1 << i
-            reach = reachable_from(im.product_adj(bit), im.initial, im.n)
-            edges = [(u, v, wt) for u, v, wt, g in im.edges if g & bit and reach[u]]
+            edges = _reachable_edges(im, 1 << i)
             cycle = tight_cycle(im.n, edges, im.initial, im.sign * value * im.scale)
         if cycle is None:
             witnesses.append(None)
@@ -307,40 +386,97 @@ def _wide(count: int) -> list[Wfts]:
             for i in range(count)]
 
 
+def _assert_witnesses_follow_the_rule(w: Wfts, mode: str) -> None:
+    family = analyze_family(w, mode, witnesses=True)
+    product = analyze_products(w, mode, witnesses=True)
+    values = [o.value for o in family.outcomes]
+    assert [o.value for o in product.outcomes] == values
+    expected = _reference_witnesses(w, mode, values)
+    assert [o.witness for o in family.outcomes] == expected
+    assert [o.witness for o in product.outcomes] == expected
+
+
 class TestWitnessSharing:
-    """Witnesses are extracted once per class of products with equal value
-    and equal reachable enabled transitions, and are exactly the cycles the
-    per-product rule picks."""
+    """The symbolic witness stage picks, for every product, exactly the
+    cycle the per-product rule (``tight_cycle``) picks, so products with the
+    same reachable behaviour share their witness."""
 
     @pytest.mark.parametrize("mode", ["max", "min"])
     def test_witnesses_equal_the_per_product_rule(self, mode):
-        models = random_corpus(0, 300) + _wide(32) + [taxi(k) for k in range(1, 6)]
+        models = (
+            random_corpus(0, 300)
+            + random_corpus(7, 300, max_states=12, max_features=6)
+            + _wide(32)
+            + [taxi(k) for k in range(1, 8)]
+            + [grant_request(), minepump_lite()]
+        )
         for w in map(expand_lengths, models):
-            family = analyze_family(w, mode, witnesses=True)
-            product = analyze_products(w, mode, witnesses=True)
-            values = [o.value for o in family.outcomes]
-            assert [o.value for o in product.outcomes] == values
-            expected = _reference_witnesses(w, mode, values)
-            assert [o.witness for o in family.outcomes] == expected
-            assert [o.witness for o in product.outcomes] == expected
+            _assert_witnesses_follow_the_rule(w, mode)
 
-    @staticmethod
-    def _count_calls(monkeypatch) -> list:
-        import wfts.analysis as analysis
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_ties_pick_the_per_product_cycle(self, data):
+        # Weights in {-1, 0, 1} make many cycles and walks tie, and ties
+        # decide which cycle is the witness.
+        states = [f"s{i}" for i in range(data.draw(st.integers(1, 6)))]
+        features = [f"F{i}" for i in range(data.draw(st.integers(0, 3)))]
+        guards = [TRUE, *map(Var, features), *(~Var(f) for f in features)]
+        state = st.sampled_from(states)
+        transitions = data.draw(st.lists(
+            st.builds(Transition, state, state, st.integers(-1, 1),
+                      st.sampled_from(guards), st.just("tau"),
+                      st.sampled_from([1, 1, 1, 2])),
+            min_size=1, max_size=14,
+        ))
+        initial = data.draw(st.lists(state, min_size=1, max_size=3, unique=True))
+        w = expand_lengths(Wfts(states, initial, transitions, FeatureModel(features)))
+        for mode in ("max", "min"):
+            _assert_witnesses_follow_the_rule(w, mode)
 
-        calls = []
+    @pytest.mark.parametrize("mode", ["max", "min"])
+    def test_dfs_on_the_tight_graph_gives_each_product_its_finish_order(self, mode):
+        checked = 0
+        for w in map(expand_lengths, random_corpus(3, 120) + [taxi(3)]):
+            im = IndexedModel(w, 1 if mode == "max" else -1)
+            values = [o.value for o in analyze_family(w, mode).outcomes]
+            classes = [(m, v) for m, v in _value_classes(values) if v is not None]
+            context = sum(m for m, _ in classes)
+            out = _tight_graph(im, classes)
+            order = dfs_order(im, out, context)
+            assert order.context == context
+            assert check_order_coverage(order).ok
+            for p, value in enumerate(values):
+                ranked = [e.state for e in order.entries if e.mask >> p & 1]
+                if value is None:
+                    assert ranked == []
+                    continue
+                edges = _reachable_edges(im, 1 << p)
+                target = im.sign * value * im.scale
+                tight = _tight_adjacency(im.n, edges, im.initial, target)
+                assert ranked == [im.states[u] for u in finish_order(tight, im.n)]
+                checked += 1
+        assert checked > 100
 
-        def counted(*args):
-            calls.append(args)
-            return tight_cycle(*args)
-
-        monkeypatch.setattr(analysis, "tight_cycle", counted)
-        return calls
+    @pytest.mark.parametrize("mode", ["max", "min"])
+    def test_walk_that_closes_a_cycle_away_from_its_start(self, mode):
+        # Every cycle has mean 0, so every edge is tight and the component
+        # is all four states.  The walk a -> d -> b -> d never returns to
+        # a, and the cycle it closes is rotated to start at b.
+        w = Wfts(
+            ["a", "b", "c", "d"],
+            ["a"],
+            [Transition("a", "d", 0), Transition("d", "c", 0), Transition("d", "b", 0),
+             Transition("b", "d", 0), Transition("c", "a", 0)],
+            FeatureModel([]),
+        )
+        for analyze in (analyze_family, analyze_products):
+            (outcome,) = analyze(w, mode, witnesses=True).outcomes
+            assert outcome.value == 0
+            assert outcome.witness == ("b", "d")
+        assert _reference_witnesses(w, mode, [Fraction(0)]) == [("b", "d")]
 
     @pytest.mark.parametrize("analyze", [analyze_family, analyze_products])
-    def test_features_guarding_nothing_reachable_share_one_call(
-        self, analyze, monkeypatch
-    ):
+    def test_features_guarding_nothing_reachable_share_one_witness(self, analyze):
         k = 4
         w = Wfts(
             ["a", "b", "c"],
@@ -349,29 +485,34 @@ class TestWitnessSharing:
              Transition("c", "c", 9, Var("F0"))],  # c is unreachable
             FeatureModel([f"F{i}" for i in range(k)]),
         )
-        calls = self._count_calls(monkeypatch)
         for mode in ("max", "min"):
             report = analyze(w, mode, witnesses=True)
             assert len(report.outcomes) == 2 ** k
+            assert {o.value for o in report.outcomes} == {Fraction(2)}
             assert {o.witness for o in report.outcomes} == {("a", "b")}
-        assert len(calls) == 2
 
     @pytest.mark.parametrize("mode", ["max", "min"])
-    def test_one_call_per_value_and_reachable_projection(self, mode, monkeypatch):
-        w = next(expand_lengths(w) for w in _wide(32)
-                 if len(w.feature_model.features) >= 6)
-        im = IndexedModel(w)
-        values = [o.value for o in analyze_family(w, mode).outcomes]
-        classes = set()
-        for i, value in enumerate(values):
-            if value is None:
-                continue
-            bit = 1 << i
-            reach = reachable_from(im.product_adj(bit), im.initial, im.n)
-            projection = frozenset(
-                j for j, (u, _, _, g) in enumerate(im.edges) if g & bit and reach[u]
-            )
-            classes.add((value, projection))
-        calls = self._count_calls(monkeypatch)
-        analyze_family(w, mode, witnesses=True)
-        assert len(calls) == len(classes) < len(values)
+    def test_one_witness_per_value_and_reachable_projection(self, mode):
+        # Products with equal value and equal reachable enabled transitions
+        # have the same reachable graph, so the rule gives them one cycle.
+        for w in map(expand_lengths, _wide(32)):
+            values = [o.value for o in analyze_family(w, mode).outcomes]
+            defined = [p for p, v in enumerate(values) if v is not None]
+            im = IndexedModel(w)
+            classes: dict = {}
+            for p in defined:
+                projection = frozenset(
+                    j for j, (u, _, _, g) in enumerate(im.edges)
+                    if (g >> p & 1) and reachable_from(
+                        im.product_adj(1 << p), im.initial, im.n)[u]
+                )
+                classes.setdefault((values[p], projection), []).append(p)
+            if defined and len(classes) < len(defined):
+                break
+        else:
+            pytest.fail("no wide model has a class of several defined products")
+        outcomes = analyze_family(w, mode, witnesses=True).outcomes
+        for members in classes.values():
+            assert outcomes[members[0]].witness is not None
+            assert {outcomes[p].witness for p in members} == {outcomes[members[0]].witness}
+        assert any(len(members) > 1 for members in classes.values())

@@ -19,7 +19,7 @@ import pytest
 from wfts.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-MODELS = ("taxi:1", "taxi:2", "taxi:3", "grantrequest", "minepump")
+MODELS = ("taxi:1", "taxi:2", "taxi:3", "taxi:5", "grantrequest", "minepump")
 MODES = ("max", "min")
 VARIANTS = {
     "family.txt": ("--format", "table"),
