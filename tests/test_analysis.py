@@ -501,10 +501,9 @@ class TestWitnessSharing:
             im = IndexedModel(w)
             classes: dict = {}
             for p in defined:
+                reach = reachable_from(im.product_adj(1 << p), im.initial, im.n)
                 projection = frozenset(
-                    j for j, (u, _, _, g) in enumerate(im.edges)
-                    if (g >> p & 1) and reachable_from(
-                        im.product_adj(1 << p), im.initial, im.n)[u]
+                    j for j, (u, _, _, g) in enumerate(im.edges) if g >> p & 1 and reach[u]
                 )
                 classes.setdefault((values[p], projection), []).append(p)
             if defined and len(classes) < len(defined):
