@@ -312,7 +312,7 @@ PIECES = (
     "&&", "||", "!", "(", ")", "[", "]", "{", "}", "->", "=", ",", "-", ".",
     "#", " ", "\n", "\t", "G", "A", "x", "s0", "s2", "true", "false", "trans",
     "weight", "length", "action", "features", "states", "init", "constraint",
-    "\u00e9", "\u00b2",
+    "\u00e9", "\u00b2", "\r", "\u00a0", "\u2028",
 )
 EDITS = st.lists(
     st.tuples(st.integers(0, len(FUZZ_BASE)), st.integers(0, 8), st.sampled_from(PIECES)),

@@ -163,3 +163,85 @@ def test_check_failures_carry_the_unexpanded_model_text(monkeypatch):
     assert all("brute-force=-999" in line and "model" not in line for line in lines)
     assert header.startswith("model taxi:1:\n")
     assert parse(header.split("\n", 1)[1]) == taxi(1)
+
+
+# Tokens as (kind, text, line, col), or the ParseError text, recorded from
+# the character-at-a-time lexer before it became one compiled regex.  Only
+# "\n" starts a line; every other character, whitespace included, is one
+# column.  An identifier starts with a letter or "_" (so not "²", which
+# ``str.isalnum`` accepts), and a number's fraction needs a digit after
+# the dot.
+LEX_TABLE = [
+    ("features\r\n{ G }", [("ident", "features", 1, 1), ("symbol", "{", 2, 1),
+                            ("ident", "G", 2, 3), ("symbol", "}", 2, 5), ("eof", "", 2, 6)]),
+    ("a\tb\x0cc", [("ident", "a", 1, 1), ("ident", "b", 1, 3), ("ident", "c", 1, 5),
+                   ("eof", "", 1, 6)]),
+    ("a\xa0b\u2028c\nd", [("ident", "a", 1, 1), ("ident", "b", 1, 3), ("ident", "c", 1, 5),
+                          ("ident", "d", 2, 1), ("eof", "", 2, 2)]),
+    ("a\x85b", [("ident", "a", 1, 1), ("ident", "b", 1, 3), ("eof", "", 1, 4)]),
+    ("\r\n\r\n  x", [("ident", "x", 3, 3), ("eof", "", 3, 4)]),
+    ("été x²", [("ident", "été", 1, 1), ("ident", "x²", 1, 5),
+                               ("eof", "", 1, 7)]),
+    ("\U0001d400 x", [("ident", "\U0001d400", 1, 1), ("ident", "x", 1, 3), ("eof", "", 1, 4)]),
+    ("x½", [("ident", "x½", 1, 1), ("eof", "", 1, 3)]),
+    ("²x", "1:1: unexpected character '²'"),
+    ("a ²", "1:3: unexpected character '²'"),
+    ("½x", "1:1: unexpected character '½'"),
+    ("Ⅻ", "1:1: unexpected character 'Ⅻ'"),
+    ("1.", "1:2: unexpected character '.'"),
+    ("1.5.2", "1:4: unexpected character '.'"),
+    ("12.50 -3", [("number", "12.50", 1, 1), ("symbol", "-", 1, 7), ("number", "3", 1, 8),
+                  ("eof", "", 1, 9)]),
+    ("s0->s1", [("ident", "s0", 1, 1), ("symbol", "->", 1, 3), ("ident", "s1", 1, 5),
+                ("eof", "", 1, 7)]),
+    ("s0- >s1", "1:5: unexpected character '>'"),
+    ("G && !A || (B)", [("ident", "G", 1, 1), ("symbol", "&&", 1, 3), ("symbol", "!", 1, 6),
+                        ("ident", "A", 1, 7), ("symbol", "||", 1, 9), ("symbol", "(", 1, 12),
+                        ("ident", "B", 1, 13), ("symbol", ")", 1, 14), ("eof", "", 1, 15)]),
+    ("weight=-0.25 [G]", [("ident", "weight", 1, 1), ("symbol", "=", 1, 7),
+                          ("symbol", "-", 1, 8), ("number", "0.25", 1, 9),
+                          ("symbol", "[", 1, 14), ("ident", "G", 1, 15),
+                          ("symbol", "]", 1, 16), ("eof", "", 1, 17)]),
+    ("&", "1:1: unexpected character '&'"),
+    ("a | b", "1:3: unexpected character '|'"),
+    # A comment that ends the input leaves end of input at its "#".
+    ("a # comment", [("ident", "a", 1, 1), ("eof", "", 1, 3)]),
+    ("a\n  # comment\n", [("ident", "a", 1, 1), ("eof", "", 3, 1)]),
+    ("a # c\nb", [("ident", "a", 1, 1), ("ident", "b", 2, 1), ("eof", "", 2, 2)]),
+    ("", [("eof", "", 1, 1)]),
+    ("$", "1:1: unexpected character '$'"),
+    ("x\n  $", "2:3: unexpected character '$'"),
+    ("a\r\n$", "2:1: unexpected character '$'"),
+    ("a\u2028$", "1:3: unexpected character '$'"),
+]
+
+# ParseError texts of whole documents, recorded with the table above.
+PARSE_ERROR_TABLE = [
+    ("features { G } # no newline", "1:16: expected 'states', found 'end of input'"),
+    ("features {\tG, }", "1:15: expected feature name, found '}'"),
+    ("features { G }\r\nstates { s0 }\u2028init { s1 }",
+     "2:10: initial state not declared: 's1'"),
+    ("features { G }\nstates { s0 }\ninit { s0 }\ntrans s0 -> s0 weight=1.",
+     "4:24: unexpected character '.'"),
+    ("features { G } states { s0 } init { s0 } trans s0 -> s0 weight=1 length=1.5",
+     "1:73: expected an integer, found '1.5'"),
+    ("features { G }\x0cstates { s0, s0 } init { s0 }", "1:25: duplicate state name: 's0'"),
+]
+
+
+@pytest.mark.parametrize("src,expected", LEX_TABLE)
+def test_lexer_tokens_and_positions(src, expected):
+    from wfts.dsl import _lex
+
+    try:
+        got = [(t.kind, t.text, t.line, t.col) for t in _lex(src)]
+    except ParseError as exc:
+        got = str(exc)
+    assert got == expected
+
+
+@pytest.mark.parametrize("src,expected", PARSE_ERROR_TABLE)
+def test_parse_error_positions(src, expected):
+    with pytest.raises(ParseError) as err:
+        parse(src)
+    assert str(err.value) == expected
