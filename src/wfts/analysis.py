@@ -30,6 +30,8 @@ import json
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from typing import Iterator
 
 from .graphs import IndexedModel, spread
 from .meancycle import best_reachable_mean, karp_cells
@@ -371,34 +373,68 @@ def decimal2(value: Fraction) -> str:
     return f"{sign}{q // 100}.{q % 100:02d}"
 
 
-def report_to_dict(report: Report, include_timing: bool = True) -> dict:
-    fm = report.wfts.feature_model
-    products = []
+def value_text(value: Fraction | None) -> str:
+    """A value as a report writes it: exact, or "undefined"."""
+    return "undefined" if value is None else str(value)
+
+
+def product_rows(report: Report, render=value_text) -> Iterator[tuple[list[str], object]]:
+    """Per product, in enumeration order: its features in declaration order
+    and ``render(value)``, which runs once per distinct value."""
+    features = report.wfts.feature_model.features
+    rendered: dict = {}
     for outcome in report.outcomes:
         value = outcome.value
-        products.append(
-            {
-                "features": sorted(outcome.product, key=fm.features.index),
-                "value": "undefined" if value is None else str(value),
-                "decimal": None if value is None else decimal2(value),
-                "witness": list(outcome.witness) if outcome.witness else None,
-            }
-        )
-    families = [
-        {
-            "expr": str(fm.expr_for_mask(mask)),
-            "value": "undefined" if value is None else str(value),
-        }
-        for mask, value in report.families()
-    ]
-    out = {"mode": report.mode, "products": products, "families": families}
-    if include_timing:
-        out["timing"] = {k: round(v, 3) for k, v in report.timing_ms.items()}
-    return out
+        # Keyed by the ratio: hashing a Fraction is slow.
+        key = None if value is None else value.as_integer_ratio()
+        text = rendered.get(key)
+        if text is None:
+            text = rendered[key] = render(value)
+        product = outcome.product
+        yield [f for f in features if f in product], text
+
+
+def _block(items: list[str], indent: int, brackets: str = "[]") -> str:
+    """Encoded items as ``json.dumps(..., indent=2)`` lays out a list (or,
+    with "{}", an object) that opens ``indent`` spaces in."""
+    if not items:
+        return brackets
+    inner = "\n" + " " * (indent + 2)
+    return f"{brackets[0]}{inner}{(',' + inner).join(items)}\n{' ' * indent}{brackets[1]}"
 
 
 def report_to_json(report: Report, include_timing: bool = True) -> str:
-    return json.dumps(report_to_dict(report, include_timing), indent=2)
+    """The report as ``json.dumps(..., indent=2)`` writes it, byte for byte,
+    without the pure-Python encoder that an indent selects: strings go
+    through the C ``encode_basestring_ascii``, and the text of each distinct
+    value and of each distinct witness is encoded once."""
+    enc = encode_basestring_ascii
+    # Feature names are ASCII identifiers, which JSON quotes as they are.
+    between = '",\n        "'
+
+    def fields(value: Fraction | None) -> str:
+        decimal = "null" if value is None else enc(decimal2(value))
+        return f'{enc(value_text(value))},\n      "decimal": {decimal}'
+
+    cycles: dict = {None: "null"}
+    products = []
+    for outcome, (features, text) in zip(report.outcomes, product_rows(report, fields)):
+        witness = outcome.witness
+        if witness not in cycles:
+            cycles[witness] = _block(list(map(enc, witness)), 6)
+        listed = f'[\n        "{between.join(features)}"\n      ]' if features else "[]"
+        products.append(f'{{\n      "features": {listed},\n      "value": {text},'
+                        f'\n      "witness": {cycles[witness]}\n    }}')
+    fm = report.wfts.feature_model
+    families = [f'{{\n      "expr": {enc(str(fm.expr_for_mask(mask)))},'
+                f'\n      "value": {enc(value_text(value))}\n    }}'
+                for mask, value in report.families()]
+    members = [f'"mode": {enc(report.mode)}', f'"products": {_block(products, 2)}',
+               f'"families": {_block(families, 2)}']
+    if include_timing:
+        timing = [f"{enc(k)}: {json.dumps(round(v, 3))}" for k, v in report.timing_ms.items()]
+        members.append(f'"timing": {_block(timing, 2, "{}")}')
+    return _block(members, 0, "{}")
 
 
 def report_to_table(report: Report, color: bool = False) -> str:

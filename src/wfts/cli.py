@@ -28,8 +28,8 @@ from .analysis import (
     analyze_both,
     analyze_family,
     analyze_products,
+    product_rows,
     report_to_csv,
-    report_to_dict,
     report_to_json,
     report_to_table,
 )
@@ -185,9 +185,7 @@ def _read_report(path: str, mode: str) -> tuple[str, list[tuple[tuple[str, ...],
 def _against_report(w: Wfts, path: str, mode: str) -> list[str]:
     mode, entries = _read_report(path, mode)
     report = analyze_both(expand_lengths(w), mode)
-    current = {
-        tuple(p["features"]): p["value"] for p in report_to_dict(report)["products"]
-    }
+    current = {tuple(features): value for features, value in product_rows(report)}
     diffs = []
     for key, value in entries:
         got = current.get(key)

@@ -19,7 +19,9 @@ extension is ``.wfts``.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from itertools import islice
 
 from .features import (
     FALSE, MAX_GUARD_DEPTH, TRUE, FeatureError, FeatureExpr, FeatureModel, Not, Var,
@@ -31,7 +33,12 @@ _KEYWORDS = {
     "action", "weight", "length", "true", "false",
 }
 
-_SYMBOLS = ("->", "&&", "||", "{", "}", "[", "]", "(", ")", ",", "=", "!", "-")
+# One token, then the whitespace and comments after it.  ``\w``, ``\d``
+# and ``\s`` are ``str.isalnum`` (or "_"), ``str.isdecimal`` and
+# ``str.isspace``.  A character that starts no token is an empty group.
+_SKIP = r"(?:\s+|#[^\n]*)*"
+_SKIP_RE = re.compile(_SKIP)
+_TOKEN_RE = re.compile(r"(?:([^\W\d]\w*|\d+(?:\.\d+)?|->|&&|\|\||[{}\[\](),=!-])|.)" + _SKIP)
 
 
 class ParseError(ValueError):
@@ -43,114 +50,92 @@ class ParseError(ValueError):
         self.col = col
 
 
-class _Token:
-    __slots__ = ("kind", "text", "line", "col")
+def _lex(src: str) -> list[str]:
+    """The token texts of ``src``, ended by "" for the end of input.
 
-    def __init__(self, kind: str, text: str, line: int, col: int):
-        self.kind = kind  # "ident" | "number" | "symbol" | "eof"
-        self.text = text
-        self.line = line
-        self.col = col
-
-
-def _lex(src: str) -> list[_Token]:
-    tokens = []
-    line, col = 1, 1
-    i, n = 0, len(src)
-    while i < n:
-        c = src[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c.isspace():
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isdecimal():
-            j = i
-            while j < n and src[j].isdecimal():
-                j += 1
-            if j < n and src[j] == "." and j + 1 < n and src[j + 1].isdecimal():
-                j += 1
-                while j < n and src[j].isdecimal():
-                    j += 1
-            tokens.append(_Token("number", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if src.startswith(sym, i):
-                tokens.append(_Token("symbol", sym, line, col))
-                col += len(sym)
-                i += len(sym)
-                break
-        else:
-            raise ParseError(line, col, f"unexpected character {c!r}")
-    tokens.append(_Token("eof", "", line, col))
+    Identifiers, numbers and symbols need no kind: an identifier starts
+    with a letter or "_", a number with a digit, and no symbol with
+    either.
+    """
+    tokens = _TOKEN_RE.findall(src, _SKIP_RE.match(src).end())
+    tokens.append("")
+    bad = tokens.index("")
+    if not src.isascii():
+        # ``[^\W\d]`` also takes the digits and numerals that are not
+        # decimal, such as "²", which cannot start an identifier.
+        bad = next((i for i, text in enumerate(tokens[:bad]) if text[0].isalnum()
+                    and not (text[0].isalpha() or text[0].isdecimal())), bad)
+    if bad < len(tokens) - 1:
+        offset = _offset(src, tokens, bad)
+        raise _error(src, offset, f"unexpected character {src[offset]!r}")
     return tokens
+
+
+def _offset(src: str, tokens: list[str], index: int) -> int:
+    """Where token ``index`` of ``_lex(src)`` starts.  The end of input is
+    at the "#" of a comment that runs to it."""
+    if index == len(tokens) - 1:
+        end = src.find("#", src.rfind("\n") + 1)
+        return len(src) if end < 0 else end
+    matches = _TOKEN_RE.finditer(src, _SKIP_RE.match(src).end())
+    return next(islice(matches, index, None)).start()
+
+
+def _error(src: str, offset: int, message: str) -> ParseError:
+    """A ParseError at ``offset`` of ``src``, where only "\\n" starts a line."""
+    return ParseError(src.count("\n", 0, offset) + 1, offset - src.rfind("\n", 0, offset),
+                      message)
+
+
+def _is_ident(text: str) -> bool:
+    return text[:1].isalpha() or text[:1] == "_"
 
 
 class _Parser:
     def __init__(self, src: str):
+        self.src = src
         self.tokens = _lex(src)
         self.pos = 0
         # Open "!" and "(" on the current parse path.  The parser recurses on
         # them, so their nesting is bounded like the tree's height.
         self.nesting = 0
 
-    def peek(self) -> _Token:
+    def peek(self) -> str:
         return self.tokens[self.pos]
 
-    def next(self) -> _Token:
+    def next(self) -> str:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def error(self, tok: _Token, message: str) -> ParseError:
-        return ParseError(tok.line, tok.col, message)
+    def accept(self, text: str) -> bool:
+        """Take the next token if it is ``text``."""
+        taken = self.tokens[self.pos] == text
+        self.pos += taken
+        return taken
 
-    def expect_symbol(self, sym: str) -> _Token:
+    def error(self, message: str, at: int | None = None) -> ParseError:
+        """An error at token ``at``, by default the one just taken; only now
+        is its position computed."""
+        at = self.pos - 1 if at is None else at
+        return _error(self.src, _offset(self.src, self.tokens, at), message)
+
+    def expect(self, text: str) -> None:
         tok = self.next()
-        if tok.kind != "symbol" or tok.text != sym:
-            raise self.error(tok, f"expected {sym!r}, found {tok.text or 'end of input'!r}")
+        if tok != text:
+            raise self.error(f"expected {text!r}, found {tok or 'end of input'!r}")
+
+    def expect_ident(self, what: str = "identifier") -> str:
+        tok = self.next()
+        if not _is_ident(tok):
+            raise self.error(f"expected {what}, found {tok or 'end of input'!r}")
+        if tok in _KEYWORDS:
+            raise self.error(f"keyword {tok!r} cannot be used as {what}")
         return tok
 
-    def expect_keyword(self, word: str) -> _Token:
-        tok = self.next()
-        if tok.kind != "ident" or tok.text != word:
-            raise self.error(tok, f"expected {word!r}, found {tok.text or 'end of input'!r}")
-        return tok
-
-    def expect_ident(self, what: str = "identifier") -> _Token:
-        tok = self.next()
-        if tok.kind != "ident":
-            raise self.error(tok, f"expected {what}, found {tok.text or 'end of input'!r}")
-        if tok.text in _KEYWORDS:
-            raise self.error(tok, f"keyword {tok.text!r} cannot be used as {what}")
-        return tok
-
-    def at_keyword(self, word: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "ident" and tok.text == word
-
-    def ident_list(self, what: str) -> list[_Token]:
+    def ident_list(self, what: str) -> list[str]:
         items = [self.expect_ident(what)]
-        while self.peek().kind == "symbol" and self.peek().text == ",":
-            self.next()
+        while self.accept(","):
             items.append(self.expect_ident(what))
         return items
 
@@ -159,144 +144,126 @@ class _Parser:
     # expression and the height of its tree.
     def parse_expr(self) -> tuple[FeatureExpr, int]:
         e, height = self.parse_and()
-        while self.peek().kind == "symbol" and self.peek().text == "||":
-            tok = self.next()
+        while self.accept("||"):
+            at = self.pos - 1
             right, h = self.parse_and()
-            e, height = e | right, self.deeper(tok, max(height, h))
+            e, height = e | right, self.deeper(at, max(height, h))
         return e, height
 
     def parse_and(self) -> tuple[FeatureExpr, int]:
         e, height = self.parse_unary()
-        while self.peek().kind == "symbol" and self.peek().text == "&&":
-            tok = self.next()
+        while self.accept("&&"):
+            at = self.pos - 1
             right, h = self.parse_unary()
-            e, height = e & right, self.deeper(tok, max(height, h))
+            e, height = e & right, self.deeper(at, max(height, h))
         return e, height
 
-    def deeper(self, tok: _Token, height: int) -> int:
-        """One level more than ``height``; past the bound, an error at ``tok``."""
+    def deeper(self, at: int, height: int) -> int:
+        """One level more than ``height``; past the bound, an error at token
+        ``at``."""
         if height >= MAX_GUARD_DEPTH:
             raise self.error(
-                tok, f"feature expression nests deeper than {MAX_GUARD_DEPTH} levels"
+                f"feature expression nests deeper than {MAX_GUARD_DEPTH} levels", at
             )
         return height + 1
 
     def parse_unary(self) -> tuple[FeatureExpr, int]:
-        tok = self.peek()
-        if tok.kind == "symbol" and tok.text in ("!", "("):
-            self.next()
-            self.nesting = self.deeper(tok, self.nesting)
-            if tok.text == "!":
+        at = self.pos
+        tok = self.next()
+        if tok == "!" or tok == "(":
+            self.nesting = self.deeper(at, self.nesting)
+            if tok == "!":
                 operand, height = self.parse_unary()
-                result = Not(operand), self.deeper(tok, height)
+                result = Not(operand), self.deeper(at, height)
             else:
                 result = self.parse_expr()
-                self.expect_symbol(")")
+                self.expect(")")
             self.nesting -= 1
             return result
-        if tok.kind == "ident":
-            self.next()
-            if tok.text == "true":
+        if _is_ident(tok):
+            if tok == "true":
                 return TRUE, 1
-            if tok.text == "false":
+            if tok == "false":
                 return FALSE, 1
-            if tok.text in _KEYWORDS:
-                raise self.error(tok, f"keyword {tok.text!r} cannot be used as a feature")
-            return Var(tok.text), 1
-        raise self.error(tok, f"expected a feature expression, found {tok.text or 'end of input'!r}")
+            if tok in _KEYWORDS:
+                raise self.error(f"keyword {tok!r} cannot be used as a feature")
+            return Var(tok), 1
+        raise self.error(f"expected a feature expression, found {tok or 'end of input'!r}")
 
     def parse_rational(self) -> Fraction:
-        tok = self.peek()
-        negative = False
-        if tok.kind == "symbol" and tok.text == "-":
-            self.next()
-            negative = True
-            tok = self.peek()
+        negative = self.accept("-")
         tok = self.next()
-        if tok.kind != "number":
-            raise self.error(tok, f"expected a number, found {tok.text or 'end of input'!r}")
-        value = Fraction(tok.text)
+        if not tok[:1].isdecimal():
+            raise self.error(f"expected a number, found {tok or 'end of input'!r}")
+        value = Fraction(tok)
         return -value if negative else value
 
     def parse_int(self) -> int:
         tok = self.next()
-        if tok.kind != "number" or "." in tok.text:
-            raise self.error(tok, f"expected an integer, found {tok.text or 'end of input'!r}")
-        return int(tok.text)
+        if not tok[:1].isdecimal() or "." in tok:
+            raise self.error(f"expected an integer, found {tok or 'end of input'!r}")
+        return int(tok)
 
     def parse_model(self) -> Wfts:
-        features_tok = self.expect_keyword("features")
-        self.expect_symbol("{")
-        feature_toks = []
-        if not (self.peek().kind == "symbol" and self.peek().text == "}"):
-            feature_toks = self.ident_list("feature name")
-        self.expect_symbol("}")
+        self.expect("features")
+        self.expect("{")
+        features_at = 0 if self.peek() == "}" else self.pos  # "features" if none
+        features = [] if self.peek() == "}" else self.ident_list("feature name")
+        self.expect("}")
 
         constraint: FeatureExpr = TRUE
-        if self.at_keyword("constraint"):
-            self.next()
+        if self.accept("constraint"):
             constraint, _ = self.parse_expr()
 
-        self.expect_keyword("states")
-        self.expect_symbol("{")
-        state_toks = self.ident_list("state name")
-        self.expect_symbol("}")
+        self.expect("states")
+        self.expect("{")
+        states_at = self.pos
+        states = self.ident_list("state name")
+        self.expect("}")
 
-        self.expect_keyword("init")
-        self.expect_symbol("{")
-        init_toks = self.ident_list("state name")
-        self.expect_symbol("}")
+        self.expect("init")
+        self.expect("{")
+        initial = self.ident_list("state name")
+        self.expect("}")
 
         transitions = []
-        while self.at_keyword("trans"):
+        while self.accept("trans"):
             transitions.append(self.parse_trans())
         tok = self.peek()
-        if tok.kind != "eof":
-            raise self.error(tok, f"expected 'trans' or end of input, found {tok.text!r}")
+        if tok:
+            raise self.error(f"expected 'trans' or end of input, found {tok!r}", self.pos)
 
         try:
-            fm = FeatureModel([t.text for t in feature_toks], constraint)
+            fm = FeatureModel(features, constraint)
         except FeatureError as exc:
-            tok = feature_toks[0] if feature_toks else features_tok
-            raise ParseError(tok.line, tok.col, str(exc)) from exc
+            raise self.error(str(exc), features_at) from exc
         try:
-            return Wfts(
-                [t.text for t in state_toks],
-                [t.text for t in init_toks],
-                transitions,
-                fm,
-            )
+            return Wfts(states, initial, transitions, fm)
         except ModelError as exc:
-            tok = state_toks[0]
-            raise ParseError(tok.line, tok.col, str(exc)) from exc
+            raise self.error(str(exc), states_at) from exc
 
     def parse_trans(self) -> Transition:
-        self.expect_keyword("trans")
         src = self.expect_ident("state name")
-        self.expect_symbol("->")
+        self.expect("->")
         tgt = self.expect_ident("state name")
         guard: FeatureExpr = TRUE
-        if self.peek().kind == "symbol" and self.peek().text == "[":
-            self.next()
+        if self.accept("["):
             guard, _ = self.parse_expr()
-            self.expect_symbol("]")
+            self.expect("]")
         action = "tau"
-        if self.at_keyword("action"):
-            self.next()
-            self.expect_symbol("=")
-            action = self.expect_ident("action name").text
-        self.expect_keyword("weight")
-        self.expect_symbol("=")
+        if self.accept("action"):
+            self.expect("=")
+            action = self.expect_ident("action name")
+        self.expect("weight")
+        self.expect("=")
         weight = self.parse_rational()
         length = 1
-        if self.at_keyword("length"):
-            self.next()
-            self.expect_symbol("=")
-            length_tok = self.peek()
+        if self.accept("length"):
+            self.expect("=")
             length = self.parse_int()
             if length < 1:
-                raise self.error(length_tok, "length must be >= 1")
-        return Transition(src.text, tgt.text, weight, guard, action, length)
+                raise self.error("length must be >= 1")
+        return Transition(src, tgt, weight, guard, action, length)
 
 
 def parse(src: str) -> Wfts:

@@ -193,22 +193,20 @@ class FeatureModel:
             if v not in seen:
                 raise FeatureError(f"unknown feature in constraint: {v!r}")
 
-        n = len(feats)
-        products = []
-        for code in range(1 << n):
-            # Bit j of the lex code is the j-th declared feature (MSB first).
-            prod = frozenset(
-                feats[j] for j in range(n) if (code >> (n - 1 - j)) & 1
-            )
-            if _eval(constraint, prod):
-                products.append(prod)
+        # Doubling the list, last feature first, lists the bit-vectors in
+        # lexicographic order: the feature added last is the top bit.
+        products = [frozenset()]
+        for f in reversed(feats):
+            products += [p | {f} for p in products]
+        if not isinstance(constraint, _TrueExpr):
+            products = [p for p in products if _eval(constraint, p)]
         if not products:
             raise FeatureError("feature model admits no valid products")
         self._products = tuple(products)
         self._index = {p: i for i, p in enumerate(products)}
         self.full_mask = (1 << len(products)) - 1
         self._feature_masks = {
-            f: sum(1 << i for i, p in enumerate(products) if f in p)
+            f: int("".join(["1" if f in p else "0" for p in reversed(products)]), 2)
             for f in feats
         }
         self._mask_cache: dict[FeatureExpr, int] = {}

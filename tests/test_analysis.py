@@ -14,7 +14,6 @@ from wfts.analysis import (
     analyze_products,
     decimal2,
     report_to_csv,
-    report_to_dict,
     report_to_json,
     report_to_table,
 )
@@ -25,6 +24,34 @@ from wfts.graphs import IndexedModel, finish_order, kosaraju_components, reachab
 from wfts.model import Transition, Wfts, expand_lengths
 from wfts.ordering import dfs_order
 from wfts.randgen import random_corpus, random_wfts
+
+def reference_dict(report, include_timing: bool = True) -> dict:
+    """The report as plain data, in the shape ``report_to_json`` writes:
+    ``json.dumps(reference_dict(r, t), indent=2)`` is its reference."""
+    fm = report.wfts.feature_model
+    products = []
+    for outcome in report.outcomes:
+        value = outcome.value
+        products.append(
+            {
+                "features": sorted(outcome.product, key=fm.features.index),
+                "value": "undefined" if value is None else str(value),
+                "decimal": None if value is None else decimal2(value),
+                "witness": list(outcome.witness) if outcome.witness else None,
+            }
+        )
+    families = [
+        {
+            "expr": str(fm.expr_for_mask(mask)),
+            "value": "undefined" if value is None else str(value),
+        }
+        for mask, value in report.families()
+    ]
+    out = {"mode": report.mode, "products": products, "families": families}
+    if include_timing:
+        out["timing"] = {k: round(v, 3) for k, v in report.timing_ms.items()}
+    return out
+
 
 TAXI_GOLDEN = {
     frozenset(): Fraction(73, 6),
@@ -136,7 +163,7 @@ class TestUndefined:
 
     def test_undefined_rendering(self, half_dead):
         report = analyze_family(half_dead, "max", witnesses=True)
-        data = report_to_dict(report)
+        data = reference_dict(report)
         empty = next(p for p in data["products"] if p["features"] == [])
         assert empty["value"] == "undefined"
         assert empty["decimal"] is None
@@ -187,13 +214,13 @@ class TestReportFormats:
         assert list(data["families"][0]) == ["expr", "value"]
 
     def test_json_timing_section(self, grantreq):
-        data = report_to_dict(analyze_family(grantreq, "max"))
+        data = reference_dict(analyze_family(grantreq, "max"))
         assert set(data["timing"]) == {"family_ms"}
-        both = report_to_dict(analyze_both(grantreq, "max"))
+        both = reference_dict(analyze_both(grantreq, "max"))
         assert set(both["timing"]) == {"family_ms", "product_ms"}
-        family = report_to_dict(analyze_family(grantreq, "max", witnesses=True))
+        family = reference_dict(analyze_family(grantreq, "max", witnesses=True))
         assert set(family["timing"]) == {"family_ms", "witness_ms"}
-        product = report_to_dict(analyze_products(grantreq, "max", witnesses=True))
+        product = reference_dict(analyze_products(grantreq, "max", witnesses=True))
         assert set(product["timing"]) == {"product_ms", "witness_ms"}
 
     def test_csv(self, grantreq):
@@ -206,6 +233,55 @@ class TestReportFormats:
         report = analyze_family(grantreq, "max")
         assert "\x1b[1m" in report_to_table(report, color=True)
         assert "\x1b" not in report_to_table(report, color=False)
+
+
+# State names JSON must escape: quotes, backslashes, control characters,
+# non-ASCII, astral-plane and lone surrogate code points (no whitespace,
+# which ``Wfts`` rejects).
+HOSTILE = st.text(
+    st.sampled_from('"\\/\x00\x07\x1b\x7fa#é\u2603\U0001f600\ud800') | st.characters(),
+    min_size=1, max_size=4,
+).filter(lambda s: not any(c.isspace() for c in s))
+
+
+def assert_json_matches_reference(report) -> None:
+    for timing in (True, False):
+        expected = json.dumps(reference_dict(report, timing), indent=2)
+        assert report_to_json(report, timing) == expected
+
+
+class TestJsonEmitter:
+    """``report_to_json`` writes ``json.dumps(..., indent=2)``'s bytes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_bytes_equal_the_reference_encoder(self, data):
+        states = data.draw(st.lists(HOSTILE, min_size=1, max_size=5, unique=True))
+        features = [f"F{i}" for i in range(data.draw(st.integers(0, 3)))]
+        guards = [TRUE, *map(Var, features), *(~Var(f) for f in features)]
+        state = st.sampled_from(states)
+        # Few transitions leave cycles out, so some values are undefined.
+        transitions = data.draw(st.lists(
+            st.builds(Transition, state, state,
+                      st.fractions(-20, 20, max_denominator=7),
+                      st.sampled_from(guards), st.just("tau"), st.sampled_from([1, 1, 2])),
+            max_size=8,
+        ))
+        initial = data.draw(st.lists(state, min_size=1, max_size=2, unique=True))
+        w = expand_lengths(Wfts(states, initial, transitions, FeatureModel(features)))
+        mode = data.draw(st.sampled_from(["max", "min"]))
+        report = analyze_family(w, mode, witnesses=data.draw(st.booleans()))
+        assert_json_matches_reference(report)
+        # JSON's float rule, odd floats included.
+        report.timing_ms = data.draw(st.dictionaries(
+            st.sampled_from(["family_ms", "witness_ms", "product_ms"]), st.floats()))
+        assert_json_matches_reference(report)
+
+    @pytest.mark.parametrize("mode", ["max", "min"])
+    def test_bytes_equal_the_reference_encoder_on_the_corpus(self, mode):
+        for w in map(expand_lengths, random_corpus(0, 300)):
+            for witnesses in (True, False):
+                assert_json_matches_reference(analyze_family(w, mode, witnesses))
 
 
 class TestStrategyMismatch:

@@ -229,14 +229,25 @@ PARSE_ERROR_TABLE = [
 ]
 
 
+def _kind(text: str) -> str:
+    if not text:
+        return "eof"
+    if text[0].isalpha() or text[0] == "_":
+        return "ident"
+    return "number" if text[0].isdecimal() else "symbol"
+
+
 @pytest.mark.parametrize("src,expected", LEX_TABLE)
 def test_lexer_tokens_and_positions(src, expected):
-    from wfts.dsl import _lex
+    from wfts.dsl import _error, _lex, _offset
 
     try:
-        got = [(t.kind, t.text, t.line, t.col) for t in _lex(src)]
+        tokens = _lex(src)
     except ParseError as exc:
         got = str(exc)
+    else:
+        at = [_error(src, _offset(src, tokens, i), "") for i in range(len(tokens))]
+        got = [(_kind(text), text, e.line, e.col) for text, e in zip(tokens, at)]
     assert got == expected
 
 

@@ -1,7 +1,7 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from wfts.features import (
     FALSE,
@@ -170,3 +170,45 @@ def _eval(e, product):
     from wfts.features import _eval as impl
 
     return impl(e, product)
+
+
+def reference_products(features, constraint):
+    """The valid products by the definition: every bit-vector code in
+    increasing order, its top bit the first declared feature."""
+    n = len(features)
+    products = []
+    for code in range(1 << n):
+        product = frozenset(features[j] for j in range(n) if code >> (n - 1 - j) & 1)
+        if _eval(constraint, product):
+            products.append(product)
+    return products
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_enumeration_matches_the_definition(data):
+    count = data.draw(st.integers(0, 12))
+    # Declared out of name order, so that name order cannot stand in for it.
+    features = data.draw(st.permutations([f"f{i}" for i in range(count)]))
+    constraint = data.draw(st.sampled_from([TRUE, FALSE]) | exprs(features))
+    expected = reference_products(features, constraint)
+    if not expected:
+        with pytest.raises(FeatureError):
+            FeatureModel(features, constraint)
+        return
+    fm = FeatureModel(features, constraint)
+    assert fm.products == tuple(expected)
+    assert [fm.product_index(p) for p in expected] == list(range(len(expected)))
+    for f in features:
+        assert fm.mask(Var(f)) == sum(1 << i for i, p in enumerate(expected) if f in p)
+
+
+@pytest.mark.parametrize("features,constraint", [
+    ([], FALSE),
+    (["x", "y", "z"], Var("y") & ~Var("y")),
+    (["x", "y"], (Var("x") | Var("y")) & ~Var("x") & ~Var("y")),
+])
+def test_constraints_without_products_are_rejected(features, constraint):
+    assert reference_products(features, constraint) == []
+    with pytest.raises(FeatureError):
+        FeatureModel(features, constraint)
