@@ -33,9 +33,10 @@ _KEYWORDS = {
     "action", "weight", "length", "true", "false",
 }
 
-# One token, then the whitespace and comments after it.  ``\w``, ``\d``
-# and ``\s`` are ``str.isalnum`` (or "_"), ``str.isdecimal`` and
-# ``str.isspace``.  A character that starts no token is an empty group.
+# One token, or one character that starts none (an empty group), then the
+# whitespace and comments after it, so that nothing backtracks into them at
+# the end of input.  ``\w``, ``\d`` and ``\s`` are ``str.isalnum`` (or
+# "_"), ``str.isdecimal`` and ``str.isspace``.
 _SKIP = r"(?:\s+|#[^\n]*)*"
 _SKIP_RE = re.compile(_SKIP)
 _TOKEN_RE = re.compile(r"(?:([^\W\d]\w*|\d+(?:\.\d+)?|->|&&|\|\||[{}\[\](),=!-])|.)" + _SKIP)
@@ -51,12 +52,9 @@ class ParseError(ValueError):
 
 
 def _lex(src: str) -> list[str]:
-    """The token texts of ``src``, ended by "" for the end of input.
-
-    Identifiers, numbers and symbols need no kind: an identifier starts
-    with a letter or "_", a number with a digit, and no symbol with
-    either.
-    """
+    """The token texts of ``src``, ended by "" for the end of input.  They
+    need no kind: an identifier starts with a letter or "_", a number with
+    a digit, and a symbol with neither."""
     tokens = _TOKEN_RE.findall(src, _SKIP_RE.match(src).end())
     tokens.append("")
     bad = tokens.index("")
