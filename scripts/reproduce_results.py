@@ -17,7 +17,6 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 from wfts.analysis import analyze_both, report_to_csv, report_to_table
 from wfts.bench import bench_model, rows_to_csv, rows_to_table, trend_warnings
 from wfts.generators import grant_request, minepump_lite, taxi
-from wfts.model import expand_lengths
 
 
 def main() -> int:
@@ -35,7 +34,7 @@ def main() -> int:
         ("minepump", minepump_lite(), "max"),
         ("minepump", minepump_lite(), "min"),
     ]:
-        report = analyze_both(expand_lengths(model), mode, witnesses=True)
+        report = analyze_both(model, mode, witnesses=True)
         sections.append((f"{label} ({mode})", report))
         print(f"== {label} ({mode}, both strategies agree) ==")
         print(report_to_table(report))

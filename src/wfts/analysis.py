@@ -18,10 +18,11 @@ witness lies in the tight component of the critical state (a state on a
 cycle of optimal mean) that finishes last in the classic DFS of the tight
 graph, and is the cycle a walk through that component closes.
 
-Both read one ``IndexedModel`` per call, built by ``_indexed``, and one sign
-convention holds throughout: min mode runs the maximizing algorithms on
-weights negated once, inside ``IndexedModel``, and negates the values they
-return.
+Both take a system as written and read one ``IndexedModel`` per call, built
+by ``_indexed``: it indexes the system's length expansion, so that cycle
+means are taken per unit step.  One sign convention holds throughout: min
+mode runs the maximizing algorithms on weights negated once, inside
+``IndexedModel``, and negates the values they return.
 """
 
 from __future__ import annotations
@@ -294,10 +295,9 @@ def _outcomes(
 
 def _indexed(w: Wfts, mode: str) -> IndexedModel:
     """The one indexed graph of an analysis, signed for ``mode``."""
-    sign = _sign(mode)
-    if any(t.length != 1 for t in w.transitions):
-        raise ValueError("expand_lengths must run before analysis")
-    return IndexedModel(w, sign)
+    if mode not in ("max", "min"):
+        raise ValueError(f"mode must be 'max' or 'min', not {mode!r}")
+    return IndexedModel(w, 1 if mode == "max" else -1)
 
 
 def analyze_family(w: Wfts, mode: str = "max", witnesses: bool = False) -> Report:
@@ -345,14 +345,6 @@ def analyze_both(w: Wfts, mode: str = "max", witnesses: bool = False) -> Report:
     timing = dict(fam.timing_ms)
     timing.update(prod.timing_ms)
     return Report(mode, "both", fam.outcomes, timing, w)
-
-
-def _sign(mode: str) -> int:
-    if mode == "max":
-        return 1
-    if mode == "min":
-        return -1
-    raise ValueError(f"mode must be 'max' or 'min', not {mode!r}")
 
 
 # -- rendering ---------------------------------------------------------------
@@ -403,7 +395,7 @@ def _block(items: list[str], indent: int, brackets: str = "[]") -> str:
     return f"{brackets[0]}{inner}{(',' + inner).join(items)}\n{' ' * indent}{brackets[1]}"
 
 
-def report_to_json(report: Report, include_timing: bool = True) -> str:
+def report_to_json(report: Report) -> str:
     """The report as ``json.dumps(..., indent=2)`` writes it, byte for byte,
     without the pure-Python encoder that an indent selects: strings go
     through the C ``encode_basestring_ascii``, and the text of each distinct
@@ -429,11 +421,9 @@ def report_to_json(report: Report, include_timing: bool = True) -> str:
     families = [f'{{\n      "expr": {enc(str(fm.expr_for_mask(mask)))},'
                 f'\n      "value": {enc(value_text(value))}\n    }}'
                 for mask, value in report.families()]
+    timing = [f"{enc(k)}: {json.dumps(round(v, 3))}" for k, v in report.timing_ms.items()]
     members = [f'"mode": {enc(report.mode)}', f'"products": {_block(products, 2)}',
-               f'"families": {_block(families, 2)}']
-    if include_timing:
-        timing = [f"{enc(k)}: {json.dumps(round(v, 3))}" for k, v in report.timing_ms.items()]
-        members.append(f'"timing": {_block(timing, 2, "{}")}')
+               f'"families": {_block(families, 2)}', f'"timing": {_block(timing, 2, "{}")}']
     return _block(members, 0, "{}")
 
 

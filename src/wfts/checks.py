@@ -41,7 +41,7 @@ from .analysis import analyze_family, analyze_products, format_product
 from .dsl import serialize
 from .graphs import IndexedModel, finish_order, kosaraju_components, reachable_from
 from .meancycle import BRUTE_FORCE_MAX_STATES, brute_force_mean_cycle
-from .model import ModelError, Wfts, expand_lengths
+from .model import ModelError, Wfts
 from .ordering import DfsOrder, FinishingTree, build_finishing_tree, dfs_order
 from .randgen import random_corpus
 from .scc import SymbolicScc, forward_backward_sccs, product_owners, symbolic_sccs
@@ -336,7 +336,7 @@ def check_model(w: Wfts, modes=("max", "min"), label: str = "model") -> CheckRes
     a suite fails, the failures start with one header holding ``w``'s own
     text, which ``parse`` reads back."""
     result = CheckResult(label)
-    im = IndexedModel(expand_lengths(w))
+    im = IndexedModel(w)
     inputs = product_inputs(im)
     order = dfs_order(im)
     result.merge(check_order_coverage(order))

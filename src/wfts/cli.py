@@ -37,7 +37,7 @@ from .bench import bench_model, rows_to_csv, rows_to_json_dict, rows_to_table, t
 from .checks import check_model, check_random_batch
 from .dsl import ParseError, parse
 from .features import FeatureError
-from .model import ModelError, Wfts, expand_lengths
+from .model import ModelError, Wfts
 
 EXIT_OK, EXIT_USAGE, EXIT_MODEL, EXIT_MISMATCH = 0, 1, 2, 3
 
@@ -125,7 +125,7 @@ def _generate_range(spec: str) -> list[tuple[str, Wfts]]:
 
 
 def _cmd_analyze(cfg: RunConfig) -> int:
-    w = expand_lengths(cfg.load_model())
+    w = cfg.load_model()
     if cfg.strategy == "family":
         report = analyze_family(w, cfg.mode, cfg.witnesses)
     elif cfg.strategy == "product":
@@ -184,7 +184,7 @@ def _read_report(path: str, mode: str) -> tuple[str, list[tuple[tuple[str, ...],
 
 def _against_report(w: Wfts, path: str, mode: str) -> list[str]:
     mode, entries = _read_report(path, mode)
-    report = analyze_both(expand_lengths(w), mode)
+    report = analyze_both(w, mode)
     current = {tuple(features): value for features, value in product_rows(report)}
     diffs = []
     for key, value in entries:

@@ -232,12 +232,13 @@ class FeatureModel:
             raise FeatureError(f"not a valid product: {sorted(p)}") from None
 
     def mask(self, expr: FeatureExpr) -> int:
-        """Raw bitset of valid products satisfying ``expr``."""
-        cached = self._mask_cache.get(expr)
-        if cached is not None:
-            return cached
-        m = self._mask_uncached(expr)
-        self._mask_cache[expr] = m
+        """Raw bitset of valid products satisfying ``expr``.  FeatureError
+        if ``expr`` nests deeper than ``MAX_GUARD_DEPTH`` levels."""
+        try:
+            return self._mask_cache[expr]
+        except (KeyError, RecursionError):  # RecursionError: too deep to hash
+            check_depth(expr)
+        m = self._mask_cache[expr] = self._mask_uncached(expr)
         return m
 
     def _mask_uncached(self, expr: FeatureExpr) -> int:
@@ -251,11 +252,11 @@ class FeatureModel:
             except KeyError:
                 raise FeatureError(f"unknown feature: {expr.name!r}") from None
         if isinstance(expr, Not):
-            return self.full_mask & ~self.mask(expr.operand)
+            return self.full_mask & ~self._mask_uncached(expr.operand)
         if isinstance(expr, And):
-            return self.mask(expr.left) & self.mask(expr.right)
+            return self._mask_uncached(expr.left) & self._mask_uncached(expr.right)
         if isinstance(expr, Or):
-            return self.mask(expr.left) | self.mask(expr.right)
+            return self._mask_uncached(expr.left) | self._mask_uncached(expr.right)
         raise FeatureError(f"not a feature expression: {expr!r}")
 
     def expr_for_mask(self, mask: int) -> FeatureExpr:

@@ -18,7 +18,7 @@ compact so exhaustive oracles stay cheap.
 from __future__ import annotations
 
 from .dsl import parse
-from .features import TRUE, FeatureModel, Var
+from .features import MAX_FEATURES, TRUE, FeatureModel, Var
 from .model import Transition, Wfts
 
 
@@ -29,8 +29,8 @@ def taxi(licenses: int = 1) -> Wfts:
     eight products.  Each further license Li adds its own PeI/ReI location
     pair and the nine transitions touching it.
     """
-    if licenses < 0:
-        raise ValueError("licenses must be >= 0")
+    if not 0 <= licenses <= MAX_FEATURES - 2:  # S and T are the other two
+        raise ValueError(f"licenses must be between 0 and {MAX_FEATURES - 2}")
     s, t = Var("S"), Var("T")
     features = ["S", "T"] + [f"L{i}" for i in range(1, licenses + 1)]
     fm = FeatureModel(features)

@@ -1,10 +1,10 @@
 """The indexed graph of one analysis, and classic graph algorithms on it.
 
-``IndexedModel`` is the only place where a system becomes integer states,
-guard bitmasks and adjacency lists; every layer of an analysis and every
-cross-check reads the same object.  It also carries the one sign
-convention: min mode runs the maximizing algorithms on weights negated
-once, here.
+``IndexedModel`` is the only place where a system becomes unit steps,
+integer states, guard bitmasks and adjacency lists; every layer of an
+analysis and every cross-check reads the same object, so each takes a
+system as written.  It also carries the one sign convention: min mode runs
+the maximizing algorithms on weights negated once, here.
 
 ``spread`` is the one reachability over product sets: symbolic
 reachability, both symbolic component routes and the witness stage's
@@ -20,25 +20,26 @@ declaration order.
 from __future__ import annotations
 
 from math import lcm
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:
-    from .model import Wfts
+from .model import Wfts, expand_lengths
 
 
 class IndexedModel:
-    """A system flattened to integer indices with bit-mask guards.
+    """A system's length expansion flattened to integer indices with
+    bit-mask guards.
 
-    ``edges`` holds one ``(u, v, weight, guard mask)`` per transition in
-    declaration order; ``out[u]`` and ``pred[v]`` list ``(neighbour, guard
-    mask)`` pairs in that order, without the edges no valid product enables.
-    Weights are scaled to integers by the least common multiple of the
-    denominators, so that the inner loops stay in int arithmetic, and
-    multiplied by ``sign`` (1 for max mode, -1 for min mode).  Lengths are
-    ignored: the cycle-mean layers need ``expand_lengths`` to have run.
+    ``wfts``, ``states`` and ``transitions`` are ``expand_lengths(w)``'s,
+    so cycle means are taken per unit step.  ``edges`` holds one ``(u, v,
+    weight, guard mask)`` per unit transition in declaration order;
+    ``out[u]`` and ``pred[v]`` list ``(neighbour, guard mask)`` pairs in
+    that order, without the edges no valid product enables.  Weights are
+    scaled to integers by the least common multiple of the denominators, so
+    that the inner loops stay in int arithmetic, and multiplied by ``sign``
+    (1 for max mode, -1 for min mode).
     """
 
     def __init__(self, w: Wfts, sign: int = 1):
+        w = expand_lengths(w)
         fm = w.feature_model
         self.wfts = w
         self.feature_model = fm

@@ -428,7 +428,6 @@ def brute_force_mean_cycle(
     n: int,
     edges: list[tuple[int, int, Fraction]],
     modes: tuple[str, ...] = ("max", "min"),
-    max_states: int = BRUTE_FORCE_MAX_STATES,
 ) -> dict[str, Fraction | None]:
     """Best mean over all simple cycles of ``(u, v, weight)`` edges on
     states ``0..n-1``, by exhaustive enumeration, per requested mode.
@@ -437,13 +436,13 @@ def brute_force_mean_cycle(
     index) and keeps both the largest and the smallest mean, compared
     directly, so one enumeration answers every mode.  Returns a dict from
     each of ``modes`` to its best mean, None when there is no cycle.
-    Guarded by a state-count limit; this is an oracle for small systems,
-    not an algorithm.
+    Guarded by ``BRUTE_FORCE_MAX_STATES``; this is an oracle for small
+    systems, not an algorithm.
     """
     if isinstance(modes, str) or not set(modes) <= {"max", "min"}:
         raise ValueError(f"modes must be a tuple of 'max' and 'min', not {modes!r}")
-    if n > max_states:
-        raise ValueError(f"{n} states exceed the brute-force guard ({max_states})")
+    if n > BRUTE_FORCE_MAX_STATES:
+        raise ValueError(f"{n} states exceed the brute-force limit {BRUTE_FORCE_MAX_STATES}")
     out: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]
     for u, v, w in edges:
         out[u].append((v, w))

@@ -1,8 +1,9 @@
 """Weighted featured transition systems: the model and its basic transforms.
 
 A transition carries a feature-expression guard, an exact rational weight and
-a positive integer length.  Lengths model multi-step trips; ``expand_lengths``
-rewrites them into chains of unit transitions before any analysis runs, so
+a positive integer length.  Lengths model multi-step trips; every analysis
+takes a system as written, and ``graphs.IndexedModel`` indexes its
+``expand_lengths``, which rewrites them into chains of unit transitions, so
 that cycle means are taken per unit step.  Weights stay exact Fractions
 throughout; nothing here touches floating point.  A single product's system
 is not a separate object: every analysis reads it off the shared
@@ -11,12 +12,15 @@ is not a separate object: every analysis reads it off the shared
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from .features import TRUE, FeatureError, FeatureExpr, FeatureModel, check_depth
-from .graphs import IndexedModel, spread
+from .features import TRUE, FeatureError, FeatureExpr, FeatureModel
+
+if TYPE_CHECKING:
+    from .graphs import IndexedModel
 
 
 class ModelError(ValueError):
@@ -93,7 +97,6 @@ class Wfts:
             if t.target not in seen:
                 raise ModelError(f"undeclared target state: {t.target!r}")
             try:
-                check_depth(t.guard)  # before mask() hashes it recursively
                 self.feature_model.mask(t.guard)
             except FeatureError as exc:
                 raise ModelError(
@@ -123,7 +126,9 @@ def expand_lengths(w: Wfts) -> Wfts:
     hops have weight 0 and guard true.  Intermediate states are named
     ``src#tgt#i`` with a per-(source, target) running counter; ``#`` cannot
     occur in parsed models, so the names never collide with user states.
-    A system whose lengths are all 1 is returned as it is.
+    A system whose lengths are all 1 is returned as it is.  The result is
+    not validated again: ``w`` was, and the hops it adds are valid by
+    construction.
     """
     if all(t.length == 1 for t in w.transitions):
         return w
@@ -146,11 +151,15 @@ def expand_lengths(w: Wfts) -> Wfts:
         )
         for a, b in zip(chain[1:], chain[2:]):
             new_trans.append(Transition(a, b, Fraction(0), TRUE, "tau", 1))
-    return Wfts(new_states, w.initial, new_trans, w.feature_model)
+    expanded = copy.copy(w)
+    expanded.states, expanded.transitions = tuple(new_states), tuple(new_trans)
+    return expanded
 
 
 def symbolic_reachable_masks(im: IndexedModel) -> list[int]:
     """For each state, the exact set of products (a bitmask) under which it
     is reachable from some initial state via guard-satisfying transitions."""
+    from .graphs import spread  # graphs imports this module
+
     full = im.feature_model.full_mask
     return spread([(i, full) for i in im.initial], [0] * im.n, im.out)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -289,6 +290,15 @@ def test_validate_against_unreadable_report_is_a_model_error(capsys, tmp_path):
 )
 def test_bad_generator_arguments_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("usage error:")
+    assert out == ""
+
+
+def test_huge_taxi_license_count_is_rejected_before_building(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "analyze", "--generate", "taxi:99999999999999")
+    assert time.perf_counter() - start < 1.0
     assert code == 1
     assert err.startswith("usage error:")
     assert out == ""

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from wfts.features import (
     FALSE,
+    MAX_GUARD_DEPTH,
     TRUE,
     And,
     FeatureError,
@@ -102,6 +103,20 @@ def test_duplicate_and_invalid_names_rejected():
 def test_unknown_feature_in_expression(fm_gl):
     with pytest.raises(FeatureError):
         fm_gl.mask(Var("Z"))
+
+
+def test_too_deep_expression_is_a_feature_error():
+    fm = FeatureModel(["G"])
+    shallow = deep = Var("G")
+    for levels in range(1, 1002):
+        deep = deep & Var("G")
+        if levels == MAX_GUARD_DEPTH:
+            shallow = deep
+    assert fm.mask(shallow) == fm.mask(Var("G"))
+    # A 1,001-deep chain once raised RecursionError while it was hashed.
+    for e in (And(shallow, Var("G")), deep):
+        with pytest.raises(FeatureError, match="deeper than"):
+            fm.mask(e)
 
 
 def test_no_features_single_product():

@@ -3,12 +3,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wfts.analysis import analyze_products, decimal2
+from wfts.analysis import (
+    analyze_both, analyze_family, analyze_products, decimal2, report_to_json,
+)
 from wfts.checks import reachable_projection
 from wfts.features import TRUE, FeatureModel
+from wfts.generators import grant_request, minepump_lite, taxi
 from wfts.graphs import IndexedModel
 from wfts.meancycle import best_reachable_mean, brute_force_mean_cycle
 from wfts.model import Transition, Wfts, expand_lengths
+from wfts.randgen import random_corpus
+
+from test_golden import without_timing
 
 
 def system(edges, states=None):
@@ -112,11 +118,18 @@ class TestClassicKarp:
         assert decimal2(value) == shown
         assert product_mean(w, "min") == expected  # a single cycle
 
-    def test_rejects_unexpanded_input(self):
-        w = Wfts(["a", "b"], ["a"], [Transition("a", "b", 1, length=2)],
-                 FeatureModel([]))
-        with pytest.raises(ValueError):
-            analyze_products(w)
+    @pytest.mark.parametrize("mode", ["max", "min"])
+    def test_analyses_take_the_system_as_written(self, mode):
+        models = ([taxi(k) for k in range(1, 5)] + [grant_request(), minepump_lite()]
+                  + random_corpus(0, 60))
+        assert any(t.length > 1 for w in models for t in w.transitions)
+        for w in models:
+            expanded = expand_lengths(w)
+            for analyze in (analyze_family, analyze_products, analyze_both):
+                written, unit = analyze(w, mode, True), analyze(expanded, mode, True)
+                assert written.outcomes == unit.outcomes  # values and witnesses
+                assert (without_timing(report_to_json(written) + "\n")
+                        == without_timing(report_to_json(unit) + "\n"))
 
 
 def both_signs(w):

@@ -86,17 +86,23 @@ def product_edges(w, product):
 
 class TestProjection:
     def test_taxi_empty_product_keeps_the_unguarded_core(self, taxi1):
+        def chain(*states):
+            return list(zip(states, states[1:]))
+
         pairs = product_edges(taxi1, frozenset())
-        # All 7 unguarded transitions of the base service survive; every
-        # S-, T- and licensed transition is dropped.
-        assert len(pairs) == 7
-        assert set(pairs) == {
-            ("R1", "P1"), ("P1", "AR"), ("AR", "AP"),
-            ("AP", "R2"), ("R2", "P2"), ("P2", "AR"), ("AP", "R1"),
-        }
+        # All 7 unguarded transitions of the base service survive as 13
+        # unit steps through the states of length expansion.
+        core = chain("R1", "P1", "P1#AR#1", "P1#AR#2", "AR", "AP", "AP#R2#1",
+                     "R2", "P2", "P2#AR#1", "AR") + chain("AP", "AP#R1#1", "AP#R1#2", "R1")
+        # Every S-, T- and licensed transition loses its first step, the
+        # only guarded one: the unguarded rest of the two four-step licensed
+        # trips stays, unreachable.
+        tails = (chain("AP#Re1#1", "AP#Re1#2", "AP#Re1#3", "Re1")
+                 + chain("Pe1#AR#1", "Pe1#AR#2", "Pe1#AR#3", "AR"))
+        assert sorted(pairs) == sorted(core + tails)
         # A product's graph never drops states.
         im = IndexedModel(taxi1)
-        assert len(im.product_adj(1)) == im.n == len(taxi1.states)
+        assert len(im.product_adj(1)) == im.n == len(expand_lengths(taxi1).states) == 20
 
     def test_grant_request_empty_product_isolates_s2(self, grantreq):
         touching = [p for p in product_edges(grantreq, frozenset()) if "s2" in p]
