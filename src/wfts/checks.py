@@ -15,8 +15,11 @@ CLI command:
 
 Every suite reads the per-product graphs off one ``IndexedModel``, as both
 analyses do.  The brute-force oracle alone takes the model's own weights
-(``reachable_projection``): unsigned, unscaled Fractions compared directly in
-each mode, so it checks the index's sign and scale instead of sharing them.
+(``reachable_projection``): unsigned Fractions that it scales to ints by
+the lcm of their own denominators, summing paths in ints and comparing
+cycles by cross-multiplication in each mode.  Neither that scale nor that
+comparison comes from the index, so the oracle checks the index's sign and
+scale instead of sharing them.
 
 Every product is compared, but each classic reference runs once per
 distinct input: products with the same graph share one DFS finishing order

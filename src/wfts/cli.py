@@ -120,6 +120,14 @@ def _generate_range(spec: str) -> list[tuple[str, Wfts]]:
             raise UsageError(f"bad generator range in {spec!r}: {exc}") from exc
         if not sizes:
             raise UsageError(f"empty generator range in {spec!r}")
+        # Fail on the first size ``taxi`` rejects before building any model;
+        # at most MAX_LICENSES + 2 sizes are looked at.
+        bad = next((i for i in sizes if not 0 <= i <= generators.MAX_LICENSES), None)
+        if bad is not None:
+            raise UsageError(
+                f"bad generator argument in 'taxi:{bad}': "
+                f"licenses must be between 0 and {generators.MAX_LICENSES}"
+            )
         return [(f"taxi:{i}", _generate(f"taxi:{i}")) for i in sizes]
     return [(spec, _generate(spec))]
 

@@ -21,6 +21,9 @@ from .dsl import parse
 from .features import MAX_FEATURES, TRUE, FeatureModel, Var
 from .model import Transition, Wfts
 
+# Most extra licenses ``taxi`` builds: S and T are the other two features.
+MAX_LICENSES = MAX_FEATURES - 2
+
 
 def taxi(licenses: int = 1) -> Wfts:
     """The taxi/shuttle system with ``licenses`` extra-license features.
@@ -29,8 +32,8 @@ def taxi(licenses: int = 1) -> Wfts:
     eight products.  Each further license Li adds its own PeI/ReI location
     pair and the nine transitions touching it.
     """
-    if not 0 <= licenses <= MAX_FEATURES - 2:  # S and T are the other two
-        raise ValueError(f"licenses must be between 0 and {MAX_FEATURES - 2}")
+    if not 0 <= licenses <= MAX_LICENSES:
+        raise ValueError(f"licenses must be between 0 and {MAX_LICENSES}")
     s, t = Var("S"), Var("T")
     features = ["S", "T"] + [f"L{i}" for i in range(1, licenses + 1)]
     fm = FeatureModel(features)

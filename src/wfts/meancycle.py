@@ -27,16 +27,18 @@ per-state minimum ratio, the maximum across states) is one fold,
 The family and product routes share one ``IndexedModel`` and its one sign
 convention: they maximize over weights that min mode negated once, inside
 the index, and their callers negate the result.  The oracle shares nothing
-of that: it takes the model's own weights, unsigned and unscaled, and
-compares means directly in each mode, so a fault in the sign or the scale
-still shows as a disagreement.
+of that: it takes the model's own unsigned weights, scales them to ints by
+the lcm of their own denominators, sums each path in ints and compares the
+closed cycles' (total, length) pairs by cross-multiplication in each mode.
+Its scale comes only from the edges it is given, so a fault in the index's
+sign or scale still shows as a disagreement.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cmp_to_key
-from math import gcd
+from math import gcd, lcm
 
 from .graphs import IndexedModel
 from .scc import SymbolicScc
@@ -433,9 +435,12 @@ def brute_force_mean_cycle(
     states ``0..n-1``, by exhaustive enumeration, per requested mode.
 
     Enumerates every simple cycle once (each rooted at its smallest state
-    index) and keeps both the largest and the smallest mean, compared
-    directly, so one enumeration answers every mode.  Returns a dict from
-    each of ``modes`` to its best mean, None when there is no cycle.
+    index) and keeps both the largest and the smallest mean, so one
+    enumeration answers every mode.  The weights are scaled by the lcm of
+    their denominators, so each path's total is an int, and a closed
+    cycle's ``(total, length)`` pair is compared with the best ones by
+    cross-multiplication, exact since lengths are positive.  Returns a dict
+    from each of ``modes`` to its best mean, None when there is no cycle.
     Guarded by ``BRUTE_FORCE_MAX_STATES``; this is an oracle for small
     systems, not an algorithm.
     """
@@ -443,23 +448,24 @@ def brute_force_mean_cycle(
         raise ValueError(f"modes must be a tuple of 'max' and 'min', not {modes!r}")
     if n > BRUTE_FORCE_MAX_STATES:
         raise ValueError(f"{n} states exceed the brute-force limit {BRUTE_FORCE_MAX_STATES}")
-    out: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]
+    scale = lcm(*(w.denominator for _, _, w in edges))
+    out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for u, v, w in edges:
-        out[u].append((v, w))
+        out[u].append((v, w.numerator * (scale // w.denominator)))
 
-    hi: Fraction | None = None
-    lo: Fraction | None = None
+    hi: tuple[int, int] | None = None  # best (total, length) per mode
+    lo: tuple[int, int] | None = None
     on_path = [False] * n
 
-    def explore(root: int, u: int, total: Fraction, length: int) -> None:
+    def explore(root: int, u: int, total: int, length: int) -> None:
         nonlocal hi, lo
         for v, w in out[u]:
             if v == root:
-                mean = (total + w) / (length + 1)
-                if hi is None or mean > hi:
-                    hi = mean
-                if lo is None or mean < lo:
-                    lo = mean
+                t, k = total + w, length + 1
+                if hi is None or t * hi[1] > hi[0] * k:
+                    hi = (t, k)
+                if lo is None or t * lo[1] < lo[0] * k:
+                    lo = (t, k)
             elif v > root and not on_path[v]:
                 on_path[v] = True
                 explore(root, v, total + w, length + 1)
@@ -467,7 +473,10 @@ def brute_force_mean_cycle(
 
     for root in range(n):
         on_path[root] = True
-        explore(root, root, Fraction(0), 0)
+        explore(root, root, 0, 0)
         on_path[root] = False
     best = {"max": hi, "min": lo}
-    return {mode: best[mode] for mode in modes}
+    return {
+        mode: None if best[mode] is None else Fraction(best[mode][0], best[mode][1] * scale)
+        for mode in modes
+    }

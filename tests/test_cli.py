@@ -4,6 +4,7 @@ import time
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from wfts import generators
 from wfts.cli import build_parser, main
 from wfts.dsl import serialize
 from wfts.generators import taxi
@@ -302,6 +303,52 @@ def test_huge_taxi_license_count_is_rejected_before_building(capsys):
     assert code == 1
     assert err.startswith("usage error:")
     assert out == ""
+
+
+def test_out_of_bound_taxi_range_builds_no_model(capsys, monkeypatch):
+    builds = []
+
+    def counting_taxi(licenses=1):
+        builds.append(licenses)
+        return taxi(1)
+
+    monkeypatch.setattr(generators, "taxi", counting_taxi)
+    code, out, err = run(capsys, "bench", "--generate", "taxi:1..99999999999999")
+    assert (code, out, builds) == (1, "", [])
+    assert err == (
+        "usage error: bad generator argument in 'taxi:19': "
+        "licenses must be between 0 and 18\n"
+    )
+
+
+# Every range that builds stays within taxi:0..3, so each case is quick.
+SIZES = st.sampled_from([-2, -1, 0, 1, 2, 3, 19, 10**14])
+BENCH_SPECS = st.one_of(
+    st.builds("taxi:{}..{}".format, SIZES, SIZES),
+    st.sampled_from(["taxi:x", "taxi:1..x", "taxi:3", "minepump", "minepump:1",
+                     "grantrequest", "pump", "", ":"]),
+)
+
+
+def option(name, values):
+    """``[name, value]`` for a drawn value, nothing when the option is left out."""
+    return st.one_of(st.just([]), st.sampled_from(values).map(lambda v: [name, str(v)]))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(spec="taxi:1..100000000000000", reps=["--reps", "1"], fmt=[], mode=[])
+@example(spec="taxi:-2..19", reps=["--reps", "-1"], fmt=[], mode=[])
+@given(
+    spec=BENCH_SPECS,
+    reps=option("--reps", [-1, 0, 1]),
+    fmt=option("--format", ["table", "json", "csv", "xml"]),
+    mode=option("--mode", ["max", "min", "avg"]),
+)
+def test_bench_arguments_end_in_an_exit_code(capsys, spec, reps, fmt, mode):
+    # Left out, --reps is 5; the drawn specs that build cost little even so.
+    code, _, _ = run(capsys, "bench", "--generate", spec, *reps, *fmt, *mode)
+    assert code in (0, 1, 2)
 
 
 FUZZ_BASE = """features { G, A }

@@ -52,6 +52,33 @@ def cycle_system(spec):
     return expand_lengths(Wfts(states, [states[0]], trans, FeatureModel([])))
 
 
+def reference_mean_cycle(n, edges, modes=("max", "min")):
+    """The oracle's per-mode answer in plain ``Fraction`` arithmetic: every
+    simple cycle, rooted at its smallest state, with its mean compared
+    directly.  ``brute_force_mean_cycle`` must return an equal dict."""
+    out = [[] for _ in range(n)]
+    for u, v, w in edges:
+        out[u].append((v, w))
+    means = []
+    on_path = [False] * n
+
+    def explore(root, u, total, length):
+        for v, w in out[u]:
+            if v == root:
+                means.append((total + w) / (length + 1))
+            elif v > root and not on_path[v]:
+                on_path[v] = True
+                explore(root, v, total + w, length + 1)
+                on_path[v] = False
+
+    for root in range(n):
+        on_path[root] = True
+        explore(root, root, Fraction(0), 0)
+        on_path[root] = False
+    best = {"max": max(means, default=None), "min": min(means, default=None)}
+    return {mode: best[mode] for mode in modes}
+
+
 class TestClassicKarp:
     """Small cycle means through the product-based baseline."""
 
@@ -242,16 +269,32 @@ class TestBruteForce:
         rng = random.Random(f"karp:{seed}")
         n = rng.randint(1, 7)
         states = [f"s{i}" for i in range(n)]
+
+        def weight():
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
         # ring to force strong connectivity, plus random chords
-        edges = [(states[i], states[(i + 1) % n], rng.randint(-9, 9)) for i in range(n)]
+        edges = [(states[i], states[(i + 1) % n], weight()) for i in range(n)]
         for _ in range(rng.randint(0, 2 * n)):
-            edges.append(
-                (rng.choice(states), rng.choice(states), rng.randint(-9, 9))
-            )
+            edges.append((rng.choice(states), rng.choice(states), weight()))
         w = system(edges, states)
         oracle = brute_force_mean_cycle(*graph(edges, states))
         for mode in ("max", "min"):
             assert product_mean(w, mode) == oracle[mode]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_fraction_reference(self, data):
+        """The int enumeration scales by its own edges' lcm, so it is drawn
+        fractional weights; with integer weights that scale is 1."""
+        n = data.draw(st.integers(1, 7))
+        state = st.integers(0, n - 1)
+        weight = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
+        edges = data.draw(st.lists(st.tuples(state, state, weight), max_size=14))
+        if data.draw(st.booleans()):  # a DAG: every edge climbs, no cycle
+            edges = [(min(u, v), max(u, v), w) for u, v, w in edges if u != v]
+        modes = data.draw(st.sampled_from([("max",), ("min",), ("max", "min")]))
+        assert brute_force_mean_cycle(n, edges, modes) == reference_mean_cycle(n, edges, modes)
 
 
 def test_mode_validation():
