@@ -6,23 +6,24 @@ from an initial state, which equals the best mean-weight cycle reachable
 from an initial state.  Products whose reachable subgraph is acyclic have no
 infinite run and report "undefined".
 
-``analyze_family`` computes the symbolic components of every product's
-reachable subgraph at once, by forward-backward decomposition over product
-sets seeded with symbolic reachability, and runs the partitioned Karp
-recurrence once per component;  ``analyze_products`` solves every
-product's graph separately, by Howard policy iteration on the states with
-an infinite run from an initial state.  They must agree exactly; the
-``strategy="both"`` entry point enforces that.  Both share one witness
-stage, ``_witnesses``, one symbolic pass for all products: per product, the
-witness lies in the tight component of the critical state (a state on a
-cycle of optimal mean) that finishes last in the classic DFS of the tight
-graph, and is the cycle a walk through that component closes.
+A report holds the values as disjoint ``(product mask, value)`` classes;
+its ``outcomes`` are their per-product view.  ``analyze_family`` computes
+the symbolic components of every product's reachable subgraph at once, by
+forward-backward decomposition over product sets seeded with symbolic
+reachability, and merges the cells of a partitioned Karp recurrence per
+component;  ``analyze_products`` solves every product's graph separately,
+by Howard policy iteration on the states with an infinite run from an
+initial state.  They must agree exactly; ``analyze_both`` enforces that.
+One witness stage, ``_witnesses``, is a symbolic pass over the classes: per
+product, the witness lies in the tight component of the critical state (a
+state on a cycle of optimal mean) that finishes last in the classic DFS of
+the tight graph, and is the cycle a walk through that component closes.
 
 Both take a system as written and read one ``IndexedModel`` per call, built
-by ``_indexed``: it indexes the system's length expansion, so that cycle
+by ``_analyze``: it indexes the system's length expansion, so that cycle
 means are taken per unit step.  One sign convention holds throughout: min
 mode runs the maximizing algorithms on weights negated once, inside
-``IndexedModel``, and negates the values they return.
+``IndexedModel``, and negates the values they return, once per class.
 """
 
 from __future__ import annotations
@@ -31,14 +32,17 @@ import json
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from typing import Iterator
 
 from .graphs import IndexedModel, spread
-from .meancycle import best_reachable_mean, karp_cells
+from .meancycle import _fold_ratios, best_reachable_mean, karp_cells
 from .model import Wfts, symbolic_reachable_masks
 from .ordering import dfs_order
 from .scc import forward_backward_sccs
+
+Classes = list[tuple[int, Fraction | None]]  # disjoint (product mask, value)
 
 
 class StrategyMismatch(AssertionError):
@@ -54,47 +58,75 @@ class ProductOutcome:
 
 @dataclass
 class Report:
+    """The result: the values as disjoint ``(product mask, value)`` classes
+    covering every product, one per distinct value (None = undefined), by
+    lowest product; a witness per product when sought.  ``outcomes`` is
+    their per-product view, built on first read."""
+
     mode: str
     strategy: str
-    outcomes: tuple[ProductOutcome, ...]  # product enumeration order
+    classes: Classes
+    witnesses: list[tuple[str, ...] | None] | None  # product enumeration order
     timing_ms: dict
     wfts: Wfts
 
+    @cached_property
+    def outcomes(self) -> tuple[ProductOutcome, ...]:
+        """One outcome per product, in enumeration order."""
+        products = self.wfts.feature_model.products
+        values = _per_product(self.classes, len(products))
+        return tuple(map(ProductOutcome, products, values,
+                         self.witnesses or [None] * len(products)))
+
     def value_of(self, product) -> Fraction | None:
-        i = self.wfts.feature_model.product_index(product)
-        return self.outcomes[i].value
+        bit = 1 << self.wfts.feature_model.product_index(product)
+        return next(value for mask, value in self.classes if mask & bit)
 
-    def families(self) -> list[tuple[int, Fraction | None]]:
+    def families(self) -> Classes:
         """Products grouped by equal value, as (product mask, value) pairs
-        in first-occurrence order."""
-        return _value_classes([outcome.value for outcome in self.outcomes])
+        ordered by their lowest product."""
+        return self.classes
 
 
-def _value_classes(values: list[Fraction | None]) -> list[tuple[int, Fraction | None]]:
-    """Product indices grouped by equal value, as (product mask, value)
-    pairs in first-occurrence order."""
-    groups: dict[tuple[int, int] | None, list] = {}
-    for p, value in enumerate(values):
-        # Keyed by the ratio: hashing a Fraction is slow.
-        key = None if value is None else value.as_integer_ratio()
-        groups.setdefault(key, [0, value])[0] |= 1 << p
-    return [(mask, value) for mask, value in groups.values()]
+def _per_product(cells: list[tuple[int, object]], count: int) -> list:
+    """Per product, the item of the disjoint cell holding it, else None."""
+    items = [None] * count
+    for mask, item in cells:
+        bits = bin(mask)[:1:-1]  # the digit of product p at index p
+        p = bits.find("1")
+        while p >= 0:
+            items[p] = item
+            p = bits.find("1", p + 1)
+    return items
 
 
-def _family_values(im: IndexedModel) -> list[Fraction | None]:
-    """Best per-product means of ``im``'s signed weights, via the symbolic
-    pipeline (maximizing)."""
+def _merge(im: IndexedModel, cells) -> Classes:
+    """The classes of ``(product mask, value)`` cells of a maximizing route:
+    each product takes the best value of the cells holding it, else None,
+    negated once per class in min mode; ordered by lowest product."""
+    candidates: dict[tuple[int, int], int] = {}
+    for mask, value in cells:
+        if value is not None:
+            # Keyed by the ratio: hashing a Fraction is slow.
+            key = value.as_integer_ratio()
+            candidates[key] = candidates.get(key, 0) | mask
+    classes = [(mask, None if r is None else im.sign * Fraction(*r)) for mask, r
+               in _fold_ratios(candidates, im.feature_model.full_mask, maximize=True)]
+    return sorted(classes, key=lambda cell: cell[0] & -cell[0])
+
+
+def _family_values(im: IndexedModel) -> Classes:
+    """The products' best means as value classes, via the symbolic
+    pipeline: the Karp cells of every component."""
     components = forward_backward_sccs(im, symbolic_reachable_masks(im))
-    best: list[Fraction | None] = [None] * len(im.feature_model.products)
-    for scc in components:
-        for mask, value in karp_cells(scc, im):
-            while mask:
-                low = mask & -mask
-                p = low.bit_length() - 1
-                mask ^= low
-                if best[p] is None or value > best[p]:
-                    best[p] = value
-    return best
+    return _merge(im, (cell for scc in components for cell in karp_cells(scc, im)))
+
+
+def _product_values(im: IndexedModel) -> Classes:
+    """The products' best means as value classes, one Howard run per
+    product."""
+    bits = [1 << p for p in range(len(im.feature_model.products))]
+    return _merge(im, ((bit, best_reachable_mean(im, bit)) for bit in bits))
 
 
 def _tight_graph(
@@ -178,12 +210,10 @@ def _tight_graph(
     return out
 
 
-def _witnesses(
-    im: IndexedModel, values: list[Fraction | None]
-) -> list[tuple[str, ...] | None]:
-    """Per product, an optimal cycle of mean ``values[p]``, as original
-    state names (None where the value is undefined), for all products in
-    one symbolic pass.
+def _witnesses(im: IndexedModel, classes: Classes) -> list[tuple[str, ...] | None]:
+    """Per product, an optimal cycle of its value in ``classes``, as
+    original state names (None where the value is undefined), for all
+    products in one symbolic pass.
 
     The rule, on each product's reachable subgraph with ``im``'s signed
     weights: every cycle of the tight graph (``_tight_graph``) is optimal,
@@ -207,14 +237,11 @@ def _witnesses(
     Intermediate states introduced by length expansion are dropped from
     the rendering.
     """
-    witnesses: list[tuple[str, ...] | None] = [None] * len(values)
-    classes = [(mask, value) for mask, value in _value_classes(values)
-               if value is not None]
-    context = 0
-    for mask, _ in classes:
-        context |= mask
+    count = len(im.feature_model.products)
+    classes = [(mask, value) for mask, value in classes if value is not None]
+    context = sum(mask for mask, _ in classes)  # the classes are disjoint
     if not context:
-        return witnesses
+        return [None] * count
     n = im.n
     out = _tight_graph(im, classes)
     pred: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -249,6 +276,7 @@ def _witnesses(
             if not left:
                 break
 
+    found: list[tuple[int, tuple[str, ...]]] = []
     walks: list[tuple[int, list[int]]] = []
     left = context ^ left
     for u, m in enumerate(component):
@@ -267,84 +295,62 @@ def _witnesses(
                 cycle = path[path.index(v):]
                 pivot = cycle.index(min(cycle))
                 names = [im.states[u] for u in cycle[pivot:] + cycle[:pivot]]
-                witness = tuple(s for s in names if "#" not in s) or tuple(names)
-                while hit:
-                    low = hit & -hit
-                    witnesses[low.bit_length() - 1] = witness
-                    hit ^= low
+                found.append((hit, tuple(s for s in names if "#" not in s) or tuple(names)))
             else:
                 walks.append((hit, path + [v]))
             if not products:
                 break
-    return witnesses
+    return _per_product(found, count)
 
 
-def _outcomes(
-    w: Wfts, values: list[Fraction | None], im: IndexedModel | None, timing: dict
-) -> tuple[ProductOutcome, ...]:
-    """One outcome per product, with a witness cycle when ``im`` is given;
-    the witness stage's time goes into ``timing["witness_ms"]``."""
-    products = w.feature_model.products
-    if im is None:
-        return tuple(ProductOutcome(p, v) for p, v in zip(products, values))
+def _timed(timing: dict, key: str, stage, *args):
+    """``stage(*args)``, with its time put into ``timing[key]``."""
     start = time.perf_counter()
-    witnesses = _witnesses(im, values)
-    timing["witness_ms"] = (time.perf_counter() - start) * 1000.0
-    return tuple(map(ProductOutcome, products, values, witnesses))
+    result = stage(*args)
+    timing[key] = (time.perf_counter() - start) * 1000.0
+    return result
 
 
-def _indexed(w: Wfts, mode: str) -> IndexedModel:
-    """The one indexed graph of an analysis, signed for ``mode``."""
+def _analyze(w: Wfts, mode: str, witnesses: bool, strategy: str, **routes) -> Report:
+    """The report of the value classes that ``routes`` compute on one
+    indexed graph, each timed under its keyword.  Their classes must be
+    equal, and are compared before any witness is sought."""
     if mode not in ("max", "min"):
         raise ValueError(f"mode must be 'max' or 'min', not {mode!r}")
-    return IndexedModel(w, 1 if mode == "max" else -1)
+    im = IndexedModel(w, 1 if mode == "max" else -1)
+    timing: dict = {}
+    classes, *others = [_timed(timing, key, route, im) for key, route in routes.items()]
+    for other in others:
+        if other != classes:
+            count = len(w.feature_model.products)
+            lines = [
+                f"  product {format_product(p)}: family={v1} product-based={v2}"
+                for p, v1, v2 in zip(w.feature_model.products, _per_product(classes, count),
+                                     _per_product(other, count))
+                if v1 != v2
+            ]
+            raise StrategyMismatch(
+                "family-based and product-based analyses disagree:\n" + "\n".join(lines)
+            )
+    found = _timed(timing, "witness_ms", _witnesses, im, classes) if witnesses else None
+    return Report(mode, strategy, classes, found, timing, w)
 
 
 def analyze_family(w: Wfts, mode: str = "max", witnesses: bool = False) -> Report:
     """Family-based analysis: one symbolic run answering every product."""
-    im = _indexed(w, mode)
-    start = time.perf_counter()
-    values = _family_values(im)
-    elapsed = (time.perf_counter() - start) * 1000.0
-    values = [None if v is None else im.sign * v for v in values]
-    timing = {"family_ms": elapsed}
-    outcomes = _outcomes(w, values, im if witnesses else None, timing)
-    return Report(mode, "family", outcomes, timing, w)
+    return _analyze(w, mode, witnesses, "family", family_ms=_family_values)
 
 
 def analyze_products(w: Wfts, mode: str = "max", witnesses: bool = False) -> Report:
     """Product-based baseline: solve each product's graph separately."""
-    im = _indexed(w, mode)
-    start = time.perf_counter()
-    values = []
-    for i in range(len(w.feature_model.products)):
-        best = best_reachable_mean(im, 1 << i)
-        values.append(None if best is None else im.sign * best)
-    elapsed = (time.perf_counter() - start) * 1000.0
-    timing = {"product_ms": elapsed}
-    outcomes = _outcomes(w, values, im if witnesses else None, timing)
-    return Report(mode, "product", outcomes, timing, w)
+    return _analyze(w, mode, witnesses, "product", product_ms=_product_values)
 
 
 def analyze_both(w: Wfts, mode: str = "max", witnesses: bool = False) -> Report:
-    """Run both strategies and fail loudly if they disagree anywhere."""
-    fam = analyze_family(w, mode, witnesses)
-    prod = analyze_products(w, mode)
-    diffs = []
-    for a, b in zip(fam.outcomes, prod.outcomes):
-        if a.value != b.value:
-            diffs.append((a.product, a.value, b.value))
-    if diffs:
-        lines = [
-            f"  product {format_product(p)}: family={v1} product-based={v2}"
-            for p, v1, v2 in diffs
-        ]
-        raise StrategyMismatch(
-            "family-based and product-based analyses disagree:\n" + "\n".join(lines)
-        )
-    timing = dict(fam.timing_ms)
-    timing.update(prod.timing_ms)
-    return Report(mode, "both", fam.outcomes, timing, w)
+    """Run both strategies on one indexed graph and fail loudly if they
+    disagree anywhere, before any witness is sought."""
+    return _analyze(w, mode, witnesses, "both",
+                    family_ms=_family_values, product_ms=_product_values)
 
 
 # -- rendering ---------------------------------------------------------------
@@ -373,17 +379,11 @@ def value_text(value: Fraction | None) -> str:
 def product_rows(report: Report, render=value_text) -> Iterator[tuple[list[str], object]]:
     """Per product, in enumeration order: its features in declaration order
     and ``render(value)``, which runs once per distinct value."""
-    features = report.wfts.feature_model.features
-    rendered: dict = {}
-    for outcome in report.outcomes:
-        value = outcome.value
-        # Keyed by the ratio: hashing a Fraction is slow.
-        key = None if value is None else value.as_integer_ratio()
-        text = rendered.get(key)
-        if text is None:
-            text = rendered[key] = render(value)
-        product = outcome.product
-        yield [f for f in features if f in product], text
+    fm = report.wfts.feature_model
+    texts = _per_product([(mask, render(value)) for mask, value in report.classes],
+                         len(fm.products))
+    for product, text in zip(fm.products, texts):
+        yield [f for f in fm.features if f in product], text
 
 
 def _block(items: list[str], indent: int, brackets: str = "[]") -> str:

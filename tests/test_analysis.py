@@ -1,5 +1,6 @@
 import json
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from wfts.analysis import (
     StrategyMismatch,
     _tight_graph,
-    _value_classes,
     analyze_both,
     analyze_family,
     analyze_products,
@@ -18,6 +18,7 @@ from wfts.analysis import (
     report_to_table,
 )
 from wfts.checks import check_order_coverage
+from wfts.cli import main
 from wfts.features import TRUE, FeatureModel, Var
 from wfts.generators import grant_request, minepump_lite, taxi
 from wfts.graphs import IndexedModel, finish_order, kosaraju_components, reachable_from
@@ -194,6 +195,26 @@ class TestFamilies:
             union |= m
         assert union == taxi1_expanded.feature_model.full_mask
 
+    @pytest.mark.parametrize("mode", ["max", "min"])
+    def test_both_strategies_give_the_same_classes_on_the_corpus(self, mode):
+        for w in random_corpus(0, 300):
+            fm = w.feature_model
+            family, product = analyze_family(w, mode), analyze_products(w, mode)
+            classes = family.families()
+            assert classes == product.families()
+            union = 0
+            for mask, _ in classes:
+                assert mask and not mask & union
+                union |= mask
+            assert union == fm.full_mask
+            lowest = [mask & -mask for mask, _ in classes]
+            assert lowest == sorted(lowest)
+            values = [value for _, value in classes]
+            assert len(set(values)) == len(values)
+            for report in (family, product):
+                for outcome in report.outcomes:
+                    assert report.value_of(outcome.product) == outcome.value
+
     def test_equal_values_coalesce(self, taxi1_expanded):
         report = analyze_family(taxi1_expanded, "max")
         families = {v for _, v in report.families()}
@@ -287,11 +308,34 @@ class TestStrategyMismatch:
     def test_disagreement_raises(self, grantreq, monkeypatch):
         import wfts.analysis as analysis
 
-        broken = lambda im: [Fraction(1)] * len(im.feature_model.products)
+        broken = lambda im: [(im.feature_model.full_mask, Fraction(1))]
         monkeypatch.setattr(analysis, "_family_values", broken)
         with pytest.raises(StrategyMismatch) as err:
             analyze_both(grantreq, "max")
         assert "family=1" in str(err.value)
+
+    def test_a_value_below_the_best_fails_before_witnesses(self, monkeypatch):
+        # The witness stage's level pass does not end on a value below the
+        # true best, so the values must be compared before it runs.
+        import wfts.analysis as analysis
+
+        family = analysis._family_values
+        lowered = lambda im: [(m, v if v is None else v - Fraction(1, 1000))
+                              for m, v in family(im)]
+        monkeypatch.setattr(analysis, "_family_values", lowered)
+
+        def expire(signum, frame):
+            raise TimeoutError("analyze --strategy both ran on past 5 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, 5)
+        try:
+            with pytest.raises(StrategyMismatch):
+                analyze_both(taxi(1), "max", witnesses=True)
+            assert main(["analyze", "--generate", "taxi:1", "--strategy", "both"]) == 3
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 class TestDecimal2:
@@ -513,8 +557,9 @@ class TestWitnessSharing:
         checked = 0
         for w in map(expand_lengths, random_corpus(3, 120) + [taxi(3)]):
             im = IndexedModel(w, 1 if mode == "max" else -1)
-            values = [o.value for o in analyze_family(w, mode).outcomes]
-            classes = [(m, v) for m, v in _value_classes(values) if v is not None]
+            report = analyze_family(w, mode)
+            values = [o.value for o in report.outcomes]
+            classes = [(m, v) for m, v in report.families() if v is not None]
             context = sum(m for m, _ in classes)
             out = _tight_graph(im, classes)
             order = dfs_order(im, out, context)
