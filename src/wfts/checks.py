@@ -14,20 +14,23 @@ CLI command:
   enumeration report identical values for every product, in both modes.
 
 Every suite reads the per-product graphs off one ``IndexedModel``, as both
-analyses do.  The brute-force oracle alone takes the model's own weights
-(``reachable_projection``): unsigned Fractions that it scales to ints by
-the lcm of their own denominators, summing paths in ints and comparing
-cycles by cross-multiplication in each mode.  Neither that scale nor that
-comparison comes from the index, so the oracle checks the index's sign and
-scale instead of sharing them.
+analyses do; the triangle adds its min-signed twin for min mode, so that
+``check_model`` builds two.  The brute-force oracle alone takes the model's
+own weights (``reachable_projection``): unsigned Fractions that it scales
+to ints by the lcm of their own denominators, summing paths in ints and
+comparing cycles by cross-multiplication in each mode.  Neither that scale
+nor that comparison comes from the index, so the oracle checks the index's
+sign and scale instead of sharing them.
 
 Every product is compared, but each classic reference runs once per
 distinct input: products with the same graph share one DFS finishing order
 and one Kosaraju partition, and products with the same reachable
-projection share one oracle enumeration, which answers all modes at once.
-Both keys are read off the plain per-product graphs, never off a symbolic
-result, in one pass (``product_inputs``) that builds each product's
-adjacency once.
+projection share one oracle enumeration, which answers all modes at once,
+and one product-route value per mode.  Both keys are read off the plain
+per-product graphs, never off a symbolic result, in one pass
+(``product_inputs``) that builds each product's adjacency once.  A model
+that the oracle cannot enumerate is rejected right after that pass,
+before any suite runs.
 
 Failures carry enough context to reproduce: ``check_model`` adds one header
 with the model text as given (before length expansion), and each line names
@@ -40,10 +43,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .analysis import analyze_family, analyze_products, format_product
+from .analysis import _family_values, _per_product, format_product
 from .dsl import serialize
 from .graphs import IndexedModel, finish_order, kosaraju_components, reachable_from
-from .meancycle import BRUTE_FORCE_MAX_STATES, brute_force_mean_cycle
+from .meancycle import BRUTE_FORCE_MAX_STATES, best_reachable_mean, brute_force_mean_cycle
 from .model import ModelError, Wfts
 from .ordering import DfsOrder, FinishingTree, build_finishing_tree, dfs_order
 from .randgen import random_corpus
@@ -288,6 +291,17 @@ def reachable_projection(
     return len(local), edges
 
 
+def check_oracle_limit(projections: list[Projection], label: str = "model") -> None:
+    """Raise a ModelError when a projection has more states than the
+    brute-force oracle enumerates: the triangle cannot be checked."""
+    largest = max(n for n, _ in projections)
+    if largest > BRUTE_FORCE_MAX_STATES:
+        raise ModelError(
+            f"{label}: a product reaches {largest} states after length "
+            f"expansion; the brute-force oracle stops at {BRUTE_FORCE_MAX_STATES}"
+        )
+
+
 def check_triangle(
     im: IndexedModel,
     modes=("max", "min"),
@@ -296,32 +310,40 @@ def check_triangle(
 ) -> CheckResult:
     """Family-based == product-based == brute force, exactly, per product.
 
-    The oracle enumerates each distinct reachable projection once, for all
-    modes, keyed on the projection itself: its state count and its edges,
-    with each weight as an exact int pair (``inputs`` as from
-    ``product_inputs``).  A product that reaches more states than the
-    oracle enumerates is a ModelError: the triangle cannot be checked on
-    it.
+    Both references run once per distinct reachable projection (``inputs``
+    as from ``product_inputs``), keyed on the projection itself: its state
+    count and its edges, with each weight as an exact int pair.  The oracle
+    enumerates it once for all modes; the product route runs Howard
+    (``best_reachable_mean``) once per mode, on the projection's lowest
+    product.  Howard reads only a product's reachable states and edges, so
+    the products that share a projection share its value; a graph key,
+    which holds target lists only, would not do.  The family route runs once
+    per mode.  Both routes read ``im`` in the mode of its sign and one twin
+    index of the other sign.  A product that reaches more states than the
+    oracle enumerates is a ModelError (``check_oracle_limit``).
     """
     result = CheckResult("triangle")
-    w = im.wfts
     if inputs is None:
         inputs = product_inputs(im)
     projections, which = inputs.projections, inputs.which
-    largest = max(n for n, _ in projections)
-    if largest > BRUTE_FORCE_MAX_STATES:
-        raise ModelError(
-            f"{label}: a product reaches {largest} states after length "
-            f"expansion; the brute-force oracle stops at {BRUTE_FORCE_MAX_STATES}"
-        )
+    check_oracle_limit(projections, label)
     oracle = [brute_force_mean_cycle(n, edges, tuple(modes)) for n, edges in projections]
+    first = [0] * len(projections)  # per projection, its lowest product
+    for p in reversed(range(len(which))):
+        first[which[p]] = p
+    products = im.feature_model.products
+    indexes = {im.sign: im}
     for mode in modes:
-        family = analyze_family(w, mode)
-        products = analyze_products(w, mode)
-        for p_idx, product in enumerate(w.feature_model.products):
+        sign = 1 if mode == "max" else -1
+        if sign not in indexes:
+            indexes[sign] = IndexedModel(im.wfts, sign)
+        signed = indexes[sign]
+        family = _per_product(_family_values(signed), len(products))
+        routed = [best_reachable_mean(signed, 1 << p) for p in first]
+        routed = [v if v is None else sign * v for v in routed]
+        for p_idx, product in enumerate(products):
+            fam_v, prod_v = family[p_idx], routed[which[p_idx]]
             oracle_v = oracle[which[p_idx]][mode]
-            fam_v = family.outcomes[p_idx].value
-            prod_v = products.outcomes[p_idx].value
             if not (fam_v == prod_v == oracle_v):
                 result.failures.append(
                     f"{label} mode={mode} product {format_product(product)}: "
@@ -331,16 +353,19 @@ def check_triangle(
 
 
 def check_model(w: Wfts, modes=("max", "min"), label: str = "model") -> CheckResult:
-    """All suites on one system's length expansion, sharing one indexed
-    graph, one feature-aware DFS and one grouping of the products by graph
-    and by reachable projection (``product_inputs``), so that the classic
-    DFS and Kosaraju run once per distinct graph and the oracle once per
-    distinct projection.  When
-    a suite fails, the failures start with one header holding ``w``'s own
-    text, which ``parse`` reads back."""
+    """All suites on one system's length expansion, sharing one grouping of
+    the products by graph and by reachable projection (``product_inputs``),
+    one feature-aware DFS and two indexed graphs: the max-signed one that
+    every suite reads, and its min-signed twin, which the triangle builds
+    for min mode.  The classic DFS and Kosaraju run once per distinct
+    graph, the oracle and the product route once per distinct projection.
+    A model past the oracle's limit raises its ModelError before any suite
+    runs.  When a suite fails, the failures start with one header holding
+    ``w``'s own text, which ``parse`` reads back."""
     result = CheckResult(label)
     im = IndexedModel(w)
     inputs = product_inputs(im)
+    check_oracle_limit(inputs.projections, label)
     order = dfs_order(im)
     result.merge(check_order_coverage(order))
     tree = build_finishing_tree(order)

@@ -1,7 +1,9 @@
-"""``check_model`` runs each classic reference once per distinct input and
-still compares every product, and its verdicts do not depend on the order
-in which features are declared."""
+"""``check_model`` runs each classic reference and the product route once
+per distinct input on two indexed graphs, still compares every product,
+rejects a model past the oracle's limit before any suite runs, and its
+verdicts do not depend on the order in which features are declared."""
 
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -12,7 +14,7 @@ from wfts.analysis import analyze_family, analyze_products, format_product
 from wfts.features import FeatureModel, Var
 from wfts.generators import grant_request, minepump_lite, taxi
 from wfts.graphs import IndexedModel
-from wfts.model import Transition, Wfts, expand_lengths
+from wfts.model import ModelError, Transition, Wfts, expand_lengths
 from wfts.randgen import random_corpus
 
 
@@ -69,8 +71,11 @@ def test_projections_that_differ_only_in_weights_are_not_shared(monkeypatch):
         FeatureModel(["F"]),
     )
     calls = counting(monkeypatch, "brute_force_mean_cycle")
+    routed = counting(monkeypatch, "best_reachable_mean")
     assert checks.check_model(w).ok
     assert len(calls) == 2
+    # The product route runs for both products, in each mode.
+    assert sorted((im.sign, bit) for im, bit in routed) == [(-1, 1), (-1, 2), (1, 1), (1, 2)]
 
 
 def test_classic_references_run_once_per_distinct_product_graph(monkeypatch):
@@ -85,35 +90,109 @@ def test_classic_references_run_once_per_distinct_product_graph(monkeypatch):
     assert len(kosaraju) == len(finish) == distinct
 
 
-def test_an_oracle_wrong_on_one_projection_fails_every_product_sharing_it(
-    monkeypatch,
-):
-    w = taxi(2)
-    per_product = projections(w)
-    # The projection most products share, and those products.
-    wrong, sharing = Counter(per_product).most_common(1)[0]
-    assert 1 < sharing < len(per_product)
-    oracle = checks.brute_force_mean_cycle
+TAXI2 = taxi(2)
+TAXI2_PROJECTIONS = projections(TAXI2)
+# The projection most products of taxi:2 share, and how many share it.
+WRONG, SHARING = Counter(TAXI2_PROJECTIONS).most_common(1)[0]
 
-    def stub(n, edges, modes):
-        if (n, tuple(edges)) == wrong:
-            return {mode: Fraction(-999) for mode in modes}
-        return oracle(n, edges, modes)
 
-    monkeypatch.setattr(checks, "brute_force_mean_cycle", stub)
-    result = checks.check_model(w, ("max", "min"), "taxi:2")
+def failures_wrong_on_one_projection(monkeypatch, name, stub) -> list[str]:
+    """The failure lines of ``check_model`` on taxi:2 with ``checks.<name>``
+    replaced by ``stub``, which is wrong on ``WRONG`` alone: after the
+    model header, one line per mode for every product with that projection,
+    and none for any other product."""
+    assert 1 < SHARING < len(TAXI2_PROJECTIONS)
+    monkeypatch.setattr(checks, name, stub)
+    result = checks.check_model(TAXI2, ("max", "min"), "taxi:2")
     header, *lines = result.failures
     assert header.startswith("model taxi:2:\n")
     expected = {
         f"taxi:2 mode={mode} product {format_product(product)}:"
         for mode in ("max", "min")
-        for product, projection in zip(w.feature_model.products, per_product)
-        if projection == wrong
+        for product, projection in zip(TAXI2.feature_model.products, TAXI2_PROJECTIONS)
+        if projection == WRONG
     }
-    assert len(expected) == 2 * sharing
+    assert len(expected) == 2 * SHARING
     assert {line.split(" family=")[0] for line in lines} == expected
     assert len(lines) == len(expected)
+    return lines
+
+
+def test_an_oracle_wrong_on_one_projection_fails_every_product_sharing_it(
+    monkeypatch,
+):
+    oracle = checks.brute_force_mean_cycle
+
+    def stub(n, edges, modes):
+        if (n, tuple(edges)) == WRONG:
+            return {mode: Fraction(-999) for mode in modes}
+        return oracle(n, edges, modes)
+
+    lines = failures_wrong_on_one_projection(monkeypatch, "brute_force_mean_cycle", stub)
     assert all("brute-force=-999" in line for line in lines)
+
+
+def test_a_product_route_wrong_on_one_projection_fails_every_product_sharing_it(
+    monkeypatch,
+):
+    route = checks.best_reachable_mean
+
+    def stub(im, bit):
+        if TAXI2_PROJECTIONS[bit.bit_length() - 1] == WRONG:
+            return im.sign * Fraction(-999)  # -999 once the sign is applied
+        return route(im, bit)
+
+    lines = failures_wrong_on_one_projection(monkeypatch, "best_reachable_mean", stub)
+    form = re.compile(r"taxi:2 mode=(max|min) product \{[\w,]*\}: "
+                      r"family=(-?\d+(/\d+)?) product-based=-999 brute-force=\2")
+    assert all(form.fullmatch(line) for line in lines)
+
+
+def _shares_projections(w: Wfts) -> bool:
+    return len(set(projections(w))) < len(w.feature_model.products)
+
+
+SHARED = [("taxi:4", taxi(4)), next(
+    (f"random[11:{i}]", w) for i, w in enumerate(random_corpus(11, 40)) if _shares_projections(w)
+)]
+
+
+@pytest.mark.parametrize("label, w", SHARED, ids=[label for label, _ in SHARED])
+def test_product_route_runs_once_per_distinct_projection_per_mode(monkeypatch, label, w):
+    per_product = projections(w)
+    lowest = {}
+    for p, projection in enumerate(per_product):
+        lowest.setdefault(projection, 1 << p)
+    assert len(lowest) < len(per_product)
+    calls = counting(monkeypatch, "best_reachable_mean")
+    assert checks.check_model(w, ("max", "min"), label).ok
+    for sign in (1, -1):
+        bits = [bit for im, bit in calls if im.sign == sign]
+        assert sorted(bits) == sorted(lowest.values())
+    assert len(calls) == 2 * len(lowest)
+
+
+def test_check_model_builds_one_index_per_sign(monkeypatch):
+    signs = []
+    init = IndexedModel.__init__
+
+    def counted(self, w, sign=1):
+        signs.append(sign)
+        init(self, w, sign)
+
+    monkeypatch.setattr(IndexedModel, "__init__", counted)
+    assert checks.check_model(taxi(3), ("max", "min"), "taxi:3").ok
+    assert sorted(signs) == [-1, 1]
+
+
+def test_a_model_past_the_oracle_limit_fails_before_any_suite(monkeypatch):
+    calls = counting(monkeypatch, "dfs_order")
+    with pytest.raises(ModelError, match=(
+        r"^taxi:5: a product reaches 52 states after length expansion; "
+        r"the brute-force oracle stops at 48$"
+    )):
+        checks.check_model(taxi(5), ("max", "min"), "taxi:5")
+    assert calls == []
 
 
 def _reordered(w: Wfts) -> Wfts:
