@@ -37,7 +37,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Iterator
 
 from .graphs import IndexedModel, spread
-from .meancycle import _fold_ratios, best_reachable_mean, karp_cells
+from .meancycle import _paint, best_reachable_mean, karp_cells
 from .model import Wfts, symbolic_reachable_masks
 from .ordering import dfs_order
 from .scc import forward_backward_sccs
@@ -46,7 +46,7 @@ Classes = list[tuple[int, Fraction | None]]  # disjoint (product mask, value)
 
 
 class StrategyMismatch(AssertionError):
-    """Family-based and product-based analyses disagreed."""
+    """Two value routes disagreed, or a cycle beats a reported value."""
 
 
 @dataclass(frozen=True)
@@ -101,17 +101,16 @@ def _per_product(cells: list[tuple[int, object]], count: int) -> list:
 
 
 def _merge(im: IndexedModel, cells) -> Classes:
-    """The classes of ``(product mask, value)`` cells of a maximizing route:
-    each product takes the best value of the cells holding it, else None,
-    negated once per class in min mode; ordered by lowest product."""
-    candidates: dict[tuple[int, int], int] = {}
-    for mask, value in cells:
-        if value is not None:
-            # Keyed by the ratio: hashing a Fraction is slow.
-            key = value.as_integer_ratio()
+    """The classes of ``(product mask, mean)`` cells of a maximizing route,
+    each mean an int over ``im.denominator``: each product takes the best
+    mean of the cells holding it, else None, as a ``Fraction`` built once
+    per class and negated in min mode; ordered by lowest product."""
+    candidates: dict[int, int] = {}
+    for mask, key in cells:
+        if key is not None:
             candidates[key] = candidates.get(key, 0) | mask
-    classes = [(mask, None if r is None else im.sign * Fraction(*r)) for mask, r
-               in _fold_ratios(candidates, im.feature_model.full_mask, maximize=True)]
+    classes = [(mask, None if key is None else Fraction(im.sign * key, im.denominator))
+               for mask, key in _paint(candidates, im.feature_model.full_mask)]
     return sorted(classes, key=lambda cell: cell[0] & -cell[0])
 
 
@@ -126,7 +125,9 @@ def _product_values(im: IndexedModel) -> Classes:
     """The products' best means as value classes, one Howard run per
     product."""
     bits = [1 << p for p in range(len(im.feature_model.products))]
-    return _merge(im, ((bit, best_reachable_mean(im, bit)) for bit in bits))
+    values = [(bit, best_reachable_mean(im, bit)) for bit in bits]
+    return _merge(im, ((bit, v.numerator * (im.denominator // v.denominator))
+                       for bit, v in values if v is not None))
 
 
 def _tight_graph(
@@ -140,7 +141,10 @@ def _tight_graph(
     shifted to ``w·b − a``; it is finite because the value is the best
     cycle mean, so no shifted cycle is positive.  The levels come from one
     label-correcting pass over ``(level → products)`` cells per state, in
-    first-in first-out order as Bellman–Ford's rounds.  An edge is tight
+    first-in first-out order as Bellman–Ford's rounds.  Each entry carries
+    the length of its walk; without a positive shifted cycle every level
+    is met first by a simple walk, so a push at length ``n`` or more
+    raises ``StrategyMismatch``: a cycle beats the value.  An edge is tight
     for a product that enables it when the target's level is the source's
     plus the shifted weight.  The classes are disjoint, so one mask per
     edge holds all of them.
@@ -160,11 +164,12 @@ def _tight_graph(
         for s in im.initial:
             level[s] = {0: mask}
             have[s] = mask
-            queue.append((s, mask, 0))
-        for u, m, lu in queue:  # first in, first out: the loop sees appends
+            queue.append((s, mask, 0, 0))
+        for u, m, lu, steps in queue:  # first in, first out: the loop sees appends
             m &= level[u].get(lu, 0)  # products still at this level
             if not m:
                 continue
+            steps += 1
             for _, v, w, g in arcs[u]:
                 gain = m & g
                 if not gain:
@@ -188,9 +193,12 @@ def _tight_graph(
                         rest = cells.pop(lv) & ~gain
                         if rest:
                             cells[lv] = rest
+                if steps >= n:
+                    raise StrategyMismatch(f"a cycle beats the value {value} "
+                                           f"under {im.feature_model.expr_for_mask(gain)}")
                 have[v] |= gain
                 cells[c] = cells.get(c, 0) | gain
-                queue.append((v, gain, c))
+                queue.append((v, gain, c, steps))
         for u, here in enumerate(level):
             if not here:
                 continue

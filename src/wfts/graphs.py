@@ -35,7 +35,9 @@ class IndexedModel:
     that order, without the edges no valid product enables.  Weights are
     scaled to integers by the least common multiple of the denominators, so
     that the inner loops stay in int arithmetic, and multiplied by ``sign``
-    (1 for max mode, -1 for min mode).
+    (1 for max mode, -1 for min mode).  A simple cycle has at most ``n``
+    steps, so every cycle mean is an int over ``denominator``, ``scale``
+    times ``period`` = lcm(1..n): total t over k steps is t·(period // k).
     """
 
     def __init__(self, w: Wfts, sign: int = 1):
@@ -49,14 +51,17 @@ class IndexedModel:
         self.n = len(w.states)
         self.index = {s: i for i, s in enumerate(w.states)}
         self.initial = [self.index[s] for s in w.initial]
-        self.scale = lcm(1, *(t.weight.denominator for t in w.transitions))
+        self.scale = scale = lcm(1, *(t.weight.denominator for t in w.transitions))
+        self.period = lcm(1, *range(2, self.n + 1))
+        self.denominator = self.period * scale
         self.edges: list[tuple[int, int, int, int]] = []
         self.out: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
         self.pred: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
         for t in w.transitions:
             g = fm.mask(t.guard)
             u, v = self.index[t.source], self.index[t.target]
-            self.edges.append((u, v, sign * int(t.weight * self.scale), g))
+            weight = t.weight.numerator * (scale // t.weight.denominator)
+            self.edges.append((u, v, sign * weight, g))
             if g:
                 self.out[u].append((v, g))
                 self.pred[v].append((u, g))

@@ -21,8 +21,11 @@ Three routes to the same quantity live here:
   simple.
 
 Every pointwise-best step of ``karp_cells`` (a walk-table row, the
-per-state minimum ratio, the maximum across states) is one fold,
-``_paint``, over candidates ranked best-first.
+per-state minimum mean, the maximum across states) is one fold,
+``_paint``, over ints ranked by a plain sort.  Means are ints over the
+index's one denominator: a candidate (D_H - D_k)/(H - k) is (D_H - D_k)
+· (period // (H - k)), so no ratio is reduced or cross-multiplied, and
+the caller builds a ``Fraction`` once per value class.
 
 The family and product routes share one ``IndexedModel`` and its one sign
 convention: they maximize over weights that min mode negated once, inside
@@ -37,7 +40,6 @@ sign or scale still shows as a disagreement.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cmp_to_key
 from math import gcd, lcm
 
 from .graphs import IndexedModel
@@ -49,17 +51,19 @@ Cells = list[tuple[int, object]]  # (product mask, value or None)
 BRUTE_FORCE_MAX_STATES = 48
 
 
-def _paint(candidates: dict, context: int, ordered_values: list) -> Cells:
-    """Partition ``context`` by pointwise-best candidate value.
+def _paint(candidates: dict[int, int], context: int, maximize: bool = True) -> Cells:
+    """Partition ``context`` by pointwise-best (largest, or smallest unless
+    ``maximize``) candidate value.
 
-    ``ordered_values`` lists candidate values best-first; each product gets
-    the first candidate region that covers it.  Products no candidate covers
-    form a trailing ``None`` cell.  The result is the coarsest partition of
-    the pointwise-best function, so equal-valued cells are already merged.
+    ``candidates`` map int values to product regions; each product gets
+    the first region, best value first, that covers it.  Products no
+    candidate covers form a trailing ``None`` cell.  The result is the
+    coarsest partition of the pointwise-best function, so equal-valued
+    cells are already merged.
     """
     cells: Cells = []
     covered = 0
-    for val in ordered_values:
+    for val in sorted(candidates, reverse=maximize):
         region = candidates[val] & ~covered
         if region:
             cells.append((region, val))
@@ -70,19 +74,6 @@ def _paint(candidates: dict, context: int, ordered_values: list) -> Cells:
     if rest:
         cells.append((rest, None))
     return cells
-
-
-def _fold_ratios(candidates: dict, context: int, maximize: bool) -> Cells:
-    """Pointwise best over exact ratio candidates, in pure int arithmetic.
-
-    Candidates map (numerator, denominator) pairs to product regions; they
-    are ranked by cross-multiplication and painted best-first.
-    """
-    # Exact because the keys are in lowest terms with positive denominators:
-    # equal values have equal keys, so no two keys tie in the ranking and
-    # ``_paint`` gives each value one cell.
-    by_ratio = cmp_to_key(lambda x, y: x[0] * y[1] - y[0] * x[1])
-    return _paint(candidates, context, sorted(candidates, key=by_ratio, reverse=maximize))
 
 
 Chain = tuple[int, int, int, int]  # (head, depth, weight offset, mask)
@@ -182,14 +173,14 @@ def _walk_tables(
         for v in heads:
             into = proposals.get(v)
             if into:
-                row[v] = _paint(into, masks[v], sorted(into, reverse=True))
+                row[v] = _paint(into, masks[v])
             else:
                 row[v] = [(masks[v], None)]
         rows.append(row)
     return rows
 
 
-def karp_cells(scc: SymbolicScc, im: IndexedModel) -> list[tuple[int, Fraction]]:
+def karp_cells(scc: SymbolicScc, im: IndexedModel) -> list[tuple[int, int]]:
     """Maximum mean-cycle values of one symbolic component, per family.
 
     Karp's formula over the component's member states, with n their count:
@@ -206,8 +197,9 @@ def karp_cells(scc: SymbolicScc, im: IndexedModel) -> list[tuple[int, Fraction]]
     Each table cell list partitions the products under which its state is
     in the component, refined as transitions with different guards propose
     different walk weights; the minima and the final maximum refine the
-    same way.  Only families that actually contain a cycle are returned;
-    ratios stay exact (int pairs, Fraction at the end).
+    same way.  Only families that actually contain a cycle are returned,
+    each with its value as an exact int over ``im.denominator``: a horizon
+    is at most n ≤ ``im.n`` steps, so ``im.period`` is a multiple of it.
     """
     masks = scc.masks
     n = sum(1 for m in masks if m)
@@ -227,8 +219,8 @@ def karp_cells(scc: SymbolicScc, im: IndexedModel) -> list[tuple[int, Fraction]]
     for h, d, _, m in chains.values():
         key = (h, n - d)
         horizons[key] = horizons.get(key, 0) | m
-    scale = im.scale
-    top: dict[tuple[int, int], int] = {}
+    steps = [0] + [im.period // span for span in range(1, n + 1)]
+    top: dict[int, int] = {}
     for (v, horizon), context in horizons.items():
         dn_cells = [
             (m & context, dn) for m, dn in rows[horizon][v]
@@ -236,12 +228,12 @@ def karp_cells(scc: SymbolicScc, im: IndexedModel) -> list[tuple[int, Fraction]]
         ]
         if not dn_cells:
             continue
-        ratios: dict[tuple[int, int], int] = {}
+        means: dict[int, int] = {}
         for k in range(horizon):
             dk_cells = rows[k][v]
             if len(dk_cells) == 1 and dk_cells[0][1] is None:
                 continue
-            span = horizon - k
+            step = steps[horizon - k]
             for m2, dn in dn_cells:
                 remaining = m2
                 for m3, dk in dk_cells:
@@ -250,26 +242,16 @@ def karp_cells(scc: SymbolicScc, im: IndexedModel) -> list[tuple[int, Fraction]]
                         continue
                     remaining ^= region
                     if dk is not None:
-                        g = gcd(dn - dk, span)
-                        key = ((dn - dk) // g, span // g)
-                        have = ratios.get(key)
-                        ratios[key] = region if have is None else have | region
+                        key = (dn - dk) * step
+                        have = means.get(key)
+                        means[key] = region if have is None else have | region
                     if not remaining:
                         break
-        if not ratios:
-            continue
-        # Per state the minimum ratio wins; across states the maximum wins.
-        for mask, val in _fold_ratios(ratios, context, maximize=False):
-            if val is not None:
-                have = top.get(val)
-                top[val] = mask if have is None else have | mask
-    if not top:
-        return []
-    return [
-        (mask, Fraction(val[0], val[1] * scale))
-        for mask, val in _fold_ratios(top, masks[s0], maximize=True)
-        if val is not None
-    ]
+        # Per state the minimum mean wins; across states the maximum wins.
+        for mask, key in _paint(means, context, maximize=False):
+            if key is not None:
+                top[key] = top.get(key, 0) | mask
+    return [cell for cell in _paint(top, masks[s0]) if cell[1] is not None]
 
 
 def _live_out(im: IndexedModel, bit: int) -> list[list[tuple[int, int]] | None]:
@@ -422,8 +404,8 @@ def best_reachable_mean(im: IndexedModel, bit: int) -> Fraction | None:
     if not starts:
         return None
     num, den = _howard(out)
-    best = max(starts, key=cmp_to_key(lambda a, b: num[a] * den[b] - num[b] * den[a]))
-    return Fraction(num[best], den[best] * im.scale)
+    # A reduced den divides its cycle's length, so it divides ``im.period``.
+    return Fraction(max(num[s] * (im.period // den[s]) for s in starts), im.denominator)
 
 
 def brute_force_mean_cycle(

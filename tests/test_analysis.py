@@ -1,6 +1,7 @@
 import json
 import random
 import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -315,27 +316,52 @@ class TestStrategyMismatch:
         assert "family=1" in str(err.value)
 
     def test_a_value_below_the_best_fails_before_witnesses(self, monkeypatch):
-        # The witness stage's level pass does not end on a value below the
-        # true best, so the values must be compared before it runs.
+        # The values are compared before the witness stage runs, so the
+        # failure names both routes' values.
         import wfts.analysis as analysis
 
         family = analysis._family_values
         lowered = lambda im: [(m, v if v is None else v - Fraction(1, 1000))
                               for m, v in family(im)]
         monkeypatch.setattr(analysis, "_family_values", lowered)
-
-        def expire(signum, frame):
-            raise TimeoutError("analyze --strategy both ran on past 5 s")
-
-        previous = signal.signal(signal.SIGALRM, expire)
-        signal.setitimer(signal.ITIMER_REAL, 5)
-        try:
-            with pytest.raises(StrategyMismatch):
+        with within(5, "analyze --strategy both"):
+            with pytest.raises(StrategyMismatch) as err:
                 analyze_both(taxi(1), "max", witnesses=True)
+            assert "product-based=" in str(err.value)
             assert main(["analyze", "--generate", "taxi:1", "--strategy", "both"]) == 3
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
+
+    @pytest.mark.parametrize("mode, shift", [("max", -1), ("min", 1)])
+    def test_a_value_below_the_best_fails_the_level_pass(self, mode, shift, monkeypatch,
+                                                          capsys):
+        # With one route, the witness stage is the only check: its level
+        # pass meets a positive shifted cycle, and a push at walk length n
+        # ends it with exit 3.  "Below" is in the signed frame: a min value
+        # is raised.
+        import wfts.analysis as analysis
+
+        family = analysis._family_values
+        moved = lambda im: [(m, v if v is None else v + Fraction(shift, 1000))
+                            for m, v in family(im)]
+        monkeypatch.setattr(analysis, "_family_values", moved)
+        argv = ["analyze", "--generate", "taxi:1", "--strategy", "family", "--mode", mode]
+        with within(5, "analyze --strategy family"):
+            assert main(argv) == 3
+        assert "a cycle beats the value" in capsys.readouterr().err
+
+
+@contextmanager
+def within(seconds, what):
+    """Fail the block with a TimeoutError once it runs past ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"{what} ran on past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestDecimal2:

@@ -7,7 +7,7 @@ from wfts.analysis import (
     analyze_both, analyze_family, analyze_products, decimal2, report_to_json,
 )
 from wfts.checks import reachable_projection
-from wfts.features import TRUE, FeatureModel
+from wfts.features import TRUE, FeatureModel, Var
 from wfts.generators import grant_request, minepump_lite, taxi
 from wfts.graphs import IndexedModel
 from wfts.meancycle import best_reachable_mean, brute_force_mean_cycle
@@ -325,7 +325,8 @@ class TestPartitionDiscipline:
                 candidates[val] |= region
             else:
                 candidates[val] = region
-        cells = _paint(candidates, context, sorted(candidates, reverse=True))
+        maximize = data.draw(st.booleans())
+        cells = _paint(candidates, context, maximize)
         union = 0
         for mask, _ in cells:
             assert mask, "empty cell"
@@ -338,7 +339,7 @@ class TestPartitionDiscipline:
             bit = 1 << bit_i
             if not context & bit:
                 continue
-            best = max(
+            best = (max if maximize else min)(
                 (v for v, region in candidates.items() if region & bit),
                 default=None,
             )
@@ -348,21 +349,27 @@ class TestPartitionDiscipline:
     @settings(max_examples=120, deadline=None)
     @given(data=st.data())
     def test_fold_ratios(self, data):
-        from math import gcd
+        # Ratios of steps 1..9 are folded as the index folds cycle means:
+        # ints over one denominator, the lcm of 1..9 times the weights'
+        # scale, ranked by a plain sort.
+        from math import lcm
 
-        from wfts.meancycle import _fold_ratios
+        from wfts.meancycle import _paint
 
+        period = lcm(*range(1, 10))
+        scale = data.draw(st.integers(1, 6))
         context = data.draw(st.integers(1, 0xFFFF))
         candidates = {}
+        ratios = {}
         for _ in range(data.draw(st.integers(0, 6))):
             num = data.draw(st.integers(-15, 15))
             den = data.draw(st.integers(1, 9))
-            g = gcd(num, den)
-            key = (num // g, den // g)
+            key = num * (period // den)
+            ratios[key] = Fraction(num, den * scale)
             region = data.draw(st.integers(0, 0xFFFF)) & context
             candidates[key] = candidates.get(key, 0) | region
         maximize = data.draw(st.booleans())
-        cells = _fold_ratios(candidates, context, maximize)
+        cells = _paint(candidates, context, maximize)
         union = 0
         for mask, _ in cells:
             assert mask and union & mask == 0
@@ -374,14 +381,61 @@ class TestPartitionDiscipline:
             if not context & bit:
                 continue
             covering = [
-                Fraction(*ratio)
-                for ratio, region in candidates.items() if region & bit
+                ratios[key] for key, region in candidates.items() if region & bit
             ]
             got = next(v for mask, v in cells if mask & bit)
             if not covering:
                 assert got is None
             else:
-                assert Fraction(*got) == pick(covering)
+                assert Fraction(got, period * scale) == pick(covering)
+
+
+class TestCommonDenominator:
+    """Every cycle mean of an analysis is an int over the index's one
+    denominator, ``IndexedModel.denominator``, and the routes rank and
+    merge means as such ints."""
+
+    @pytest.mark.parametrize("mode", ["max", "min"])
+    def test_every_class_value_is_an_int_over_the_denominator(self, mode):
+        from wfts.analysis import _family_values, _product_values
+
+        for w in random_corpus(0, 300):
+            im = IndexedModel(w, 1 if mode == "max" else -1)
+            family, product = _family_values(im), _product_values(im)
+            assert family == product
+            for _, value in family:
+                assert value is None or (value * im.denominator).denominator == 1
+
+    @pytest.mark.parametrize("k", range(3, 14))
+    def test_farey_neighbours(self, k):
+        # Two cycles through s0, of k and k - 1 steps, at c per step but
+        # one step 1 lower: their means c - 1/k and c - 1/(k - 1) are
+        # Farey neighbours over the scale 3, 1/(k(k - 1)) apart.
+        c = Fraction(2, 3)
+        fm = FeatureModel(["F", "G"])
+        trans = [
+            Transition("s0", "a", c - 1, Var("F")),
+            Transition("a", "s0", c * (k - 1), TRUE, "tau", k - 1),
+            Transition("s0", "b", c - 1, Var("G")),
+            Transition("b", "s0", c * (k - 2), TRUE, "tau", k - 2),
+        ]
+        w = Wfts(["s0", "a", "b"], ["s0"], trans, fm)
+        long, short = c - Fraction(1, k), c - Fraction(1, k - 1)
+        assert long - short == Fraction(1, k * (k - 1))
+        expected = {
+            "max": {frozenset(): None, frozenset("F"): long, frozenset("G"): short,
+                    frozenset("FG"): long},
+            "min": {frozenset(): None, frozenset("F"): long, frozenset("G"): short,
+                    frozenset("FG"): short},
+        }
+        for sign, mode in ((1, "max"), (-1, "min")):
+            family, product = analyze_family(w, mode), analyze_products(w, mode)
+            im = IndexedModel(w, sign)
+            for outcome in family.outcomes:
+                bit = 1 << fm.product_index(outcome.product)
+                oracle = brute_force_mean_cycle(*reachable_projection(im, bit))[mode]
+                assert outcome.value == product.value_of(outcome.product) == oracle
+                assert outcome.value == expected[mode][outcome.product]
 
 
 class TestWalkTableFidelity:
