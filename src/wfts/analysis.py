@@ -64,7 +64,6 @@ class Report:
     their per-product view, built on first read."""
 
     mode: str
-    strategy: str
     classes: Classes
     witnesses: list[tuple[str, ...] | None] | None  # product enumeration order
     timing_ms: dict
@@ -319,7 +318,7 @@ def _timed(timing: dict, key: str, stage, *args):
     return result
 
 
-def _analyze(w: Wfts, mode: str, witnesses: bool, strategy: str, **routes) -> Report:
+def _analyze(w: Wfts, mode: str, witnesses: bool, **routes) -> Report:
     """The report of the value classes that ``routes`` compute on one
     indexed graph, each timed under its keyword.  Their classes must be
     equal, and are compared before any witness is sought."""
@@ -341,23 +340,23 @@ def _analyze(w: Wfts, mode: str, witnesses: bool, strategy: str, **routes) -> Re
                 "family-based and product-based analyses disagree:\n" + "\n".join(lines)
             )
     found = _timed(timing, "witness_ms", _witnesses, im, classes) if witnesses else None
-    return Report(mode, strategy, classes, found, timing, w)
+    return Report(mode, classes, found, timing, w)
 
 
 def analyze_family(w: Wfts, mode: str = "max", witnesses: bool = False) -> Report:
     """Family-based analysis: one symbolic run answering every product."""
-    return _analyze(w, mode, witnesses, "family", family_ms=_family_values)
+    return _analyze(w, mode, witnesses, family_ms=_family_values)
 
 
 def analyze_products(w: Wfts, mode: str = "max", witnesses: bool = False) -> Report:
     """Product-based baseline: solve each product's graph separately."""
-    return _analyze(w, mode, witnesses, "product", product_ms=_product_values)
+    return _analyze(w, mode, witnesses, product_ms=_product_values)
 
 
 def analyze_both(w: Wfts, mode: str = "max", witnesses: bool = False) -> Report:
     """Run both strategies on one indexed graph and fail loudly if they
     disagree anywhere, before any witness is sought."""
-    return _analyze(w, mode, witnesses, "both",
+    return _analyze(w, mode, witnesses,
                     family_ms=_family_values, product_ms=_product_values)
 
 

@@ -23,14 +23,16 @@ nor that comparison comes from the index, so the oracle checks the index's
 sign and scale instead of sharing them.
 
 Every product is compared, but each classic reference runs once per
-distinct input: products with the same graph share one DFS finishing order
-and one Kosaraju partition, and products with the same reachable
-projection share one oracle enumeration, which answers all modes at once,
-and one product-route value per mode.  Both keys are read off the plain
-per-product graphs, never off a symbolic result, in one pass
-(``product_inputs``) that builds each product's adjacency once.  A model
-that the oracle cannot enumerate is rejected right after that pass,
-before any suite runs.
+distinct input, in one place (``product_inputs``): products with the same
+graph share one DFS finishing order, which is both the tree's reference
+and the first pass of their Kosaraju partition, and products with the same
+reachable projection share one oracle enumeration, which answers both
+modes at once.  Both keys are read off the plain per-product graphs, never
+off a symbolic result, in one pass that builds each product's adjacency
+once.  A model that the oracle cannot enumerate is rejected right after
+that pass, before any reference or suite runs.  The suites only compare;
+the product route, which is under test, runs in the triangle once per
+projection and mode.
 
 Failures carry enough context to reproduce: ``check_model`` adds one header
 with the model text as given (before length expansion), and each line names
@@ -103,48 +105,63 @@ Projection = tuple[int, list[tuple[int, int, Fraction]]]
 
 
 class ProductInputs(NamedTuple):
-    """The classic references' inputs, grouped so that each runs once per
-    distinct input."""
+    """Each classic reference's answer, once per distinct input, and the
+    input that each product reads."""
 
-    graphs: list[int]  # per product, the first product's bit with its graph
+    graph_of: list[int]  # per product, its graph's position in the two below
+    orders: list[list[int]]  # per distinct graph, its classic DFS finish order
+    components: list[list[list[int]]]  # per distinct graph, its Kosaraju SCCs
+    projection_of: list[int]  # per product, its projection's position below
     projections: list[Projection]  # the distinct reachable projections
-    which: list[int]  # per product, its projection's position in them
+    lowest: list[int]  # per projection, the bit of its lowest product
+    oracle: list[dict[str, Fraction | None]]  # per projection, brute force
 
 
-def product_inputs(im: IndexedModel) -> ProductInputs:
-    """One pass over the products: each product's adjacency
-    (``product_adj``) is built once, keys its graph and gives its
-    reachable projection, and is dropped before the next product's."""
-    first: dict[tuple, int] = {}
-    graphs: list[int] = []
-    projections: list[Projection] = []
+def product_inputs(im: IndexedModel, label: str) -> ProductInputs:
+    """One pass over the products groups them: each product's adjacency
+    (``product_adj``) is built once, keys its graph and gives its reachable
+    projection (``reachable_projection``).  Then each classic reference
+    runs once per distinct input: the DFS finishing order per graph, which
+    is also Kosaraju's first pass, and the oracle per projection, once the
+    largest projection has passed ``check_oracle_limit``."""
+    graphs: dict[tuple, int] = {}  # adjacency -> its position
+    bits: list[int] = []  # per graph, the bit of its lowest product
+    graph_of: list[int] = []
     index: dict[tuple, int] = {}
-    which: list[int] = []
+    projections: list[Projection] = []
+    lowest: list[int] = []
+    projection_of: list[int] = []
     for p in range(len(im.feature_model.products)):
         bit = 1 << p
         adj = im.product_adj(bit)
-        graphs.append(first.setdefault(tuple(map(tuple, adj)), bit))
+        graph_of.append(graphs.setdefault(tuple(map(tuple, adj)), len(graphs)))
+        if len(bits) < len(graphs):
+            bits.append(bit)
         n, edges = reachable_projection(im, bit, adj)
         # A Fraction hashes slowly; its int pair is as exact.
         key = (n, tuple([(u, v, wt.as_integer_ratio()) for u, v, wt in edges]))
         if key not in index:
             index[key] = len(projections)
             projections.append((n, edges))
-        which.append(index[key])
-    return ProductInputs(graphs, projections, which)
+            lowest.append(bit)
+        projection_of.append(index[key])
+    check_oracle_limit(projections, label)
+    orders = [finish_order(adj, im.n) for adj in graphs]
+    components = [
+        kosaraju_components(order, im.product_radj(bit)) for order, bit in zip(orders, bits)
+    ]
+    oracle = [brute_force_mean_cycle(n, edges) for n, edges in projections]
+    return ProductInputs(
+        graph_of, orders, components, projection_of, projections, lowest, oracle
+    )
 
 
-def check_tree(
-    tree: FinishingTree, im: IndexedModel, graphs: list[int] | None = None
-) -> CheckResult:
+def check_tree(tree: FinishingTree, im: IndexedModel, inputs: ProductInputs) -> CheckResult:
     """The five structural tree conditions, including per-product fidelity
-    against a classic DFS of the projection, run once per distinct graph
-    (``graphs`` as in ``product_inputs``)."""
+    against the classic DFS finishing order of the product's graph."""
     result = CheckResult("tree")
     fm = im.feature_model
     n = im.n
-    if graphs is None:
-        graphs = product_inputs(im).graphs
 
     for leaf in tree.leaves():
         if leaf.depth != n:
@@ -162,7 +179,8 @@ def check_tree(
                         f"sibling edges overlap below {node.state or 'root'}"
                     )
 
-    classic: dict[int, list[str]] = {}  # per distinct graph, its finish order
+    # A path lists states in decreasing finishing time: n, n-1, ..., 1.
+    classic = [[im.states[u] for u in reversed(order)] for order in inputs.orders]
     for p_idx, product in enumerate(fm.products):
         bit = 1 << p_idx
         node = tree.root
@@ -186,12 +204,7 @@ def check_tree(
             path.append(node.state)
         if not ok:
             continue
-        graph = graphs[p_idx]
-        if graph not in classic:
-            # Path lists states in decreasing finishing time: n, n-1, ..., 1.
-            order = finish_order(im.product_adj(graph), im.n)
-            classic[graph] = [im.states[u] for u in reversed(order)]
-        expected = classic[graph]
+        expected = classic[inputs.graph_of[p_idx]]
         if path != expected:
             result.failures.append(
                 f"product {format_product(product)}: path {path} != classic "
@@ -205,41 +218,30 @@ def _named(partition: list[list[int]], names: tuple[str, ...]) -> list[list[str]
     return sorted(map(list, {tuple(sorted(names[u] for u in comp)) for comp in partition}))
 
 
-def _kosaraju_labels(im: IndexedModel, bit: int) -> tuple[list[list[int]], list[int]]:
-    """Product ``bit``'s classic components and each state's component id."""
-    classic = kosaraju_components(im.product_adj(bit), im.product_radj(bit), im.n)
-    label = [0] * im.n
-    for cid, comp in enumerate(classic):
-        for u in comp:
-            label[u] = cid
-    return classic, label
-
-
 def check_scc_tree(
-    routes: dict[str, list[SymbolicScc]],
-    im: IndexedModel,
-    graphs: list[int] | None = None,
+    routes: dict[str, list[SymbolicScc]], im: IndexedModel, inputs: ProductInputs
 ) -> CheckResult:
     """Per product and per route, the partition read off the component
-    masks equals the classic one, with every state in exactly one
-    component.  ``routes`` maps a route's name to its components; Kosaraju
-    runs once per distinct graph (``graphs`` as in ``product_inputs``)
-    for all of them."""
+    masks equals the classic one of the product's graph, with every state
+    in exactly one component.  ``routes`` maps a route's name to its
+    components."""
     result = CheckResult("scc")
     fm = im.feature_model
     names = im.states
-    if graphs is None:
-        graphs = product_inputs(im).graphs
     by_route = {
         route: product_owners(components, len(fm.products), im.n)
         for route, components in routes.items()
     }
-    references: dict[int, tuple[list[list[int]], list[int]]] = {}
+    labels = []  # per graph, each state's classic component id
+    for classic in inputs.components:
+        label = [0] * im.n
+        for cid, comp in enumerate(classic):
+            for u in comp:
+                label[u] = cid
+        labels.append(label)
     for p_idx, product in enumerate(fm.products):
-        graph = graphs[p_idx]
-        if graph not in references:
-            references[graph] = _kosaraju_labels(im, graph)
-        classic, label = references[graph]
+        graph = inputs.graph_of[p_idx]
+        classic, label = inputs.components[graph], labels[graph]
         where = f"product {format_product(product)}"
         for route, owners in by_route.items():
             owner = owners[p_idx]
@@ -269,15 +271,11 @@ def check_scc_tree(
     return result
 
 
-def reachable_projection(
-    im: IndexedModel, bit: int, adj: list[list[int]] | None = None
-) -> Projection:
-    """Product ``bit``'s graph restricted to the states reachable from an
-    initial state, renumbered in declaration order: the state count and
-    ``(u, v, weight)`` edges with the model's own weights.  ``adj`` is the
-    product's adjacency, when the caller has it."""
-    if adj is None:
-        adj = im.product_adj(bit)
+def reachable_projection(im: IndexedModel, bit: int, adj: list[list[int]]) -> Projection:
+    """Product ``bit``'s graph, whose adjacency is ``adj``, restricted to
+    the states reachable from an initial state, renumbered in declaration
+    order: the state count and ``(u, v, weight)`` edges with the model's
+    own weights."""
     reach = reachable_from(adj, im.initial, im.n)
     local: dict[int, int] = {}
     for u, r in enumerate(reach):
@@ -291,7 +289,7 @@ def reachable_projection(
     return len(local), edges
 
 
-def check_oracle_limit(projections: list[Projection], label: str = "model") -> None:
+def check_oracle_limit(projections: list[Projection], label: str) -> None:
     """Raise a ModelError when a projection has more states than the
     brute-force oracle enumerates: the triangle cannot be checked."""
     largest = max(n for n, _ in projections)
@@ -302,48 +300,30 @@ def check_oracle_limit(projections: list[Projection], label: str = "model") -> N
         )
 
 
-def check_triangle(
-    im: IndexedModel,
-    modes=("max", "min"),
-    label: str = "model",
-    inputs: ProductInputs | None = None,
-) -> CheckResult:
-    """Family-based == product-based == brute force, exactly, per product.
+def check_triangle(im: IndexedModel, inputs: ProductInputs, label: str) -> CheckResult:
+    """Family-based == product-based == brute force, exactly, per product,
+    in both modes.
 
-    Both references run once per distinct reachable projection (``inputs``
-    as from ``product_inputs``), keyed on the projection itself: its state
-    count and its edges, with each weight as an exact int pair.  The oracle
-    enumerates it once for all modes; the product route runs Howard
-    (``best_reachable_mean``) once per mode, on the projection's lowest
-    product.  Howard reads only a product's reachable states and edges, so
-    the products that share a projection share its value; a graph key,
-    which holds target lists only, would not do.  The family route runs once
-    per mode.  Both routes read ``im`` in the mode of its sign and one twin
-    index of the other sign.  A product that reaches more states than the
-    oracle enumerates is a ModelError (``check_oracle_limit``).
+    The oracle's answer is the one of the product's reachable projection,
+    keyed on the projection itself: its state count and its edges, with
+    each weight as an exact int pair.  The product route runs Howard
+    (``best_reachable_mean``) once per projection and mode, on the
+    projection's lowest product.  Howard reads only a product's reachable
+    states and edges, so the products that share a projection share its
+    value; a graph key, which holds target lists only, would not do.  The
+    family route runs once per mode.  Both routes read ``im`` in the mode
+    of its sign and one twin index of the other sign.
     """
     result = CheckResult("triangle")
-    if inputs is None:
-        inputs = product_inputs(im)
-    projections, which = inputs.projections, inputs.which
-    check_oracle_limit(projections, label)
-    oracle = [brute_force_mean_cycle(n, edges, tuple(modes)) for n, edges in projections]
-    first = [0] * len(projections)  # per projection, its lowest product
-    for p in reversed(range(len(which))):
-        first[which[p]] = p
     products = im.feature_model.products
-    indexes = {im.sign: im}
-    for mode in modes:
-        sign = 1 if mode == "max" else -1
-        if sign not in indexes:
-            indexes[sign] = IndexedModel(im.wfts, sign)
-        signed = indexes[sign]
+    for mode, sign in (("max", 1), ("min", -1)):
+        signed = im if im.sign == sign else IndexedModel(im.wfts, sign)
         family = _per_product(_family_values(signed), len(products))
-        routed = [best_reachable_mean(signed, 1 << p) for p in first]
+        routed = [best_reachable_mean(signed, bit) for bit in inputs.lowest]
         routed = [v if v is None else sign * v for v in routed]
         for p_idx, product in enumerate(products):
-            fam_v, prod_v = family[p_idx], routed[which[p_idx]]
-            oracle_v = oracle[which[p_idx]][mode]
+            which = inputs.projection_of[p_idx]
+            fam_v, prod_v, oracle_v = family[p_idx], routed[which], inputs.oracle[which][mode]
             if not (fam_v == prod_v == oracle_v):
                 result.failures.append(
                     f"{label} mode={mode} product {format_product(product)}: "
@@ -352,39 +332,37 @@ def check_triangle(
     return result
 
 
-def check_model(w: Wfts, modes=("max", "min"), label: str = "model") -> CheckResult:
+def check_model(w: Wfts, label: str = "model") -> CheckResult:
     """All suites on one system's length expansion, sharing one grouping of
-    the products by graph and by reachable projection (``product_inputs``),
-    one feature-aware DFS and two indexed graphs: the max-signed one that
-    every suite reads, and its min-signed twin, which the triangle builds
-    for min mode.  The classic DFS and Kosaraju run once per distinct
-    graph, the oracle and the product route once per distinct projection.
-    A model past the oracle's limit raises its ModelError before any suite
-    runs.  When a suite fails, the failures start with one header holding
-    ``w``'s own text, which ``parse`` reads back."""
+    the products with every classic reference's answers
+    (``product_inputs``), one feature-aware DFS and two indexed graphs: the
+    max-signed one that every suite reads, and its min-signed twin, which
+    the triangle builds for min mode.  A model past the oracle's limit
+    raises its ModelError before any suite runs.  When a suite fails, the
+    failures start with one header holding ``w``'s own text, which
+    ``parse`` reads back."""
     result = CheckResult(label)
     im = IndexedModel(w)
-    inputs = product_inputs(im)
-    check_oracle_limit(inputs.projections, label)
+    inputs = product_inputs(im, label)
     order = dfs_order(im)
     result.merge(check_order_coverage(order))
     tree = build_finishing_tree(order)
-    result.merge(check_tree(tree, im, inputs.graphs))
+    result.merge(check_tree(tree, im, inputs))
     full = [im.feature_model.full_mask] * im.n
     routes = {
         "tree": symbolic_sccs(tree, im).components(),
         "forward-backward": forward_backward_sccs(im, full),
     }
-    result.merge(check_scc_tree(routes, im, inputs.graphs))
-    result.merge(check_triangle(im, modes, label, inputs))
+    result.merge(check_scc_tree(routes, im, inputs))
+    result.merge(check_triangle(im, inputs, label))
     if result.failures:
         result.failures.insert(0, _model_header(w, label))
     return result
 
 
-def check_random_batch(seed: int, count: int, modes=("max", "min")) -> CheckResult:
+def check_random_batch(seed: int, count: int) -> CheckResult:
     """The full suite over a deterministic batch of random systems."""
     result = CheckResult(f"random batch seed={seed} count={count}")
     for i, w in enumerate(random_corpus(seed, count)):
-        result.merge(check_model(w, modes, label=f"random[{seed}:{i}]"))
+        result.merge(check_model(w, label=f"random[{seed}:{i}]"))
     return result

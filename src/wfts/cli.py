@@ -81,6 +81,11 @@ class RunConfig:
                 raise ModelError(
                     f"cannot read {self.model_path}: {exc.strerror}"
                 ) from exc
+            except UnicodeDecodeError as exc:
+                raise ModelError(
+                    f"cannot read {self.model_path}: not UTF-8 text "
+                    f"(byte {exc.object[exc.start]:#04x} at offset {exc.start})"
+                ) from exc
         raise UsageError("a model is required: --generate SPEC or a .wfts path")
 
 

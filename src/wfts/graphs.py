@@ -9,7 +9,7 @@ the maximizing algorithms on weights negated once, here.
 ``spread`` is the one reachability over product sets: symbolic
 reachability, both symbolic component routes and the witness stage's
 components run it.  The classic algorithms (DFS finishing order,
-Kosaraju's two-pass SCC computation, plain reachability) are the
+Kosaraju's second pass over that order, plain reachability) are the
 per-product references of the checks and of the witness rule's tests (a
 witness lies in the tight component of the critical state that finishes
 last in the classic DFS), so they must follow the same canonical
@@ -105,16 +105,13 @@ def finish_order(adj: list[list[int]], n: int) -> list[int]:
     return order
 
 
-def kosaraju_components(
-    adj: list[list[int]], radj: list[list[int]], n: int
-) -> list[list[int]]:
-    """SCCs via two DFS passes, in decreasing finishing time of their roots.
-
-    Within each component, nodes appear in the order the transpose search
-    assigned them (the root first).
+def kosaraju_components(order: list[int], radj: list[list[int]]) -> list[list[int]]:
+    """SCCs by Kosaraju's second pass: ``order`` is the first pass's
+    ``finish_order`` of the graph whose transpose is ``radj``.  Components
+    come in decreasing finishing time of their roots; within each, nodes
+    appear in the order the transpose search assigned them (the root first).
     """
-    order = finish_order(adj, n)
-    comp = [-1] * n
+    comp = [-1] * len(radj)
     components: list[list[int]] = []
     for root in reversed(order):
         if comp[root] != -1:

@@ -409,12 +409,10 @@ def best_reachable_mean(im: IndexedModel, bit: int) -> Fraction | None:
 
 
 def brute_force_mean_cycle(
-    n: int,
-    edges: list[tuple[int, int, Fraction]],
-    modes: tuple[str, ...] = ("max", "min"),
+    n: int, edges: list[tuple[int, int, Fraction]]
 ) -> dict[str, Fraction | None]:
     """Best mean over all simple cycles of ``(u, v, weight)`` edges on
-    states ``0..n-1``, by exhaustive enumeration, per requested mode.
+    states ``0..n-1``, by exhaustive enumeration, in both modes.
 
     Enumerates every simple cycle once (each rooted at its smallest state
     index) and keeps both the largest and the smallest mean, so one
@@ -422,12 +420,10 @@ def brute_force_mean_cycle(
     their denominators, so each path's total is an int, and a closed
     cycle's ``(total, length)`` pair is compared with the best ones by
     cross-multiplication, exact since lengths are positive.  Returns a dict
-    from each of ``modes`` to its best mean, None when there is no cycle.
+    from "max" and "min" to the best mean, None when there is no cycle.
     Guarded by ``BRUTE_FORCE_MAX_STATES``; this is an oracle for small
     systems, not an algorithm.
     """
-    if isinstance(modes, str) or not set(modes) <= {"max", "min"}:
-        raise ValueError(f"modes must be a tuple of 'max' and 'min', not {modes!r}")
     if n > BRUTE_FORCE_MAX_STATES:
         raise ValueError(f"{n} states exceed the brute-force limit {BRUTE_FORCE_MAX_STATES}")
     scale = lcm(*(w.denominator for _, _, w in edges))
@@ -457,8 +453,7 @@ def brute_force_mean_cycle(
         on_path[root] = True
         explore(root, root, 0, 0)
         on_path[root] = False
-    best = {"max": hi, "min": lo}
     return {
-        mode: None if best[mode] is None else Fraction(best[mode][0], best[mode][1] * scale)
-        for mode in modes
+        mode: None if best is None else Fraction(best[0], best[1] * scale)
+        for mode, best in (("max", hi), ("min", lo))
     }

@@ -14,6 +14,8 @@ from .features import FALSE, TRUE, FeatureError, FeatureExpr, FeatureModel, Not,
 from .model import Transition, Wfts
 
 _ACTIONS = ("tau", "go", "step", "work")
+MAX_WEIGHT = 10  # weights are integers in [-MAX_WEIGHT, MAX_WEIGHT]
+MAX_LENGTH = 3  # the longest transition length drawn
 
 
 def random_expr(rng: random.Random, features: tuple[str, ...], depth: int = 2) -> FeatureExpr:
@@ -33,13 +35,7 @@ def random_expr(rng: random.Random, features: tuple[str, ...], depth: int = 2) -
     return TRUE if rng.random() < 0.7 else FALSE
 
 
-def random_wfts(
-    seed,
-    max_states: int = 8,
-    max_features: int = 4,
-    max_weight: int = 10,
-    max_length: int = 3,
-) -> Wfts:
+def random_wfts(seed, max_states: int = 8, max_features: int = 4) -> Wfts:
     """One random system, reproducible from ``seed``."""
     rng = random.Random(seed)
     n_states = rng.randint(2, max_states)
@@ -66,10 +62,10 @@ def random_wfts(
             Transition(
                 rng.choice(states),
                 rng.choice(states),
-                Fraction(rng.randint(-max_weight, max_weight)),
+                Fraction(rng.randint(-MAX_WEIGHT, MAX_WEIGHT)),
                 guard,
                 rng.choice(_ACTIONS),
-                rng.choice((1, 1, 1, 2, max_length)),
+                rng.choice((1, 1, 1, 2, MAX_LENGTH)),
             )
         )
     initial = rng.sample(states, rng.randint(1, n_states))

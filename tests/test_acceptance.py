@@ -19,6 +19,7 @@ from wfts.checks import (
     check_scc_tree,
     check_tree,
     check_triangle,
+    product_inputs,
 )
 from wfts.cli import main
 from wfts.features import Or, Var
@@ -55,8 +56,19 @@ def corpus():
 
 @pytest.fixture(scope="module")
 def corpus_trees(corpus):
+    """Per model, its index, the products' grouping with the classic
+    references' answers, and its finishing tree."""
     graphs = [(label, IndexedModel(w)) for label, w in corpus]
-    return [(label, im, build_finishing_tree(dfs_order(im))) for label, im in graphs]
+    return [
+        (label, im, product_inputs(im, label), build_finishing_tree(dfs_order(im)))
+        for label, im in graphs
+    ]
+
+
+def triangle(w, label):
+    """``check_triangle`` on ``w``, with the grouping it reads."""
+    im = IndexedModel(w)
+    return check_triangle(im, product_inputs(im, label), label)
 
 
 TAXI_GOLDEN = {
@@ -135,8 +147,7 @@ def test_criterion_3_oracle_triangle(corpus, capsys):
         start = time.perf_counter()
         failures = []
         for label, w in corpus:
-            result = check_triangle(IndexedModel(w), ("max", "min"), label)
-            failures.extend(result.failures)
+            failures.extend(triangle(w, label).failures)
         elapsed = time.perf_counter() - start
         detail = (
             f"{len(corpus)} models x products x 2 modes in {elapsed:.1f}s"
@@ -149,9 +160,9 @@ def test_criterion_3_oracle_triangle(corpus, capsys):
 def test_criterion_4_tree_conditions(corpus_trees, capsys):
     with capsys.disabled():
         failures = []
-        for label, im, tree in corpus_trees:
+        for label, im, inputs, tree in corpus_trees:
             failures.extend(f"{label}: {f}" for f in check_order_coverage(tree.order).failures)
-            failures.extend(f"{label}: {f}" for f in check_tree(tree, im).failures)
+            failures.extend(f"{label}: {f}" for f in check_tree(tree, im, inputs).failures)
         report(4, "finishing-tree conditions",
                not failures, failures[0] if failures else
                f"{len(corpus_trees)} trees, all five conditions + DFS fidelity")
@@ -160,13 +171,13 @@ def test_criterion_4_tree_conditions(corpus_trees, capsys):
 def test_criterion_5_component_equivalence(corpus_trees, capsys):
     with capsys.disabled():
         failures = []
-        for label, im, tree in corpus_trees:
+        for label, im, inputs, tree in corpus_trees:
             full = [im.feature_model.full_mask] * im.n
             routes = {
                 "tree": symbolic_sccs(tree, im).components(),
                 "forward-backward": forward_backward_sccs(im, full),
             }
-            result = check_scc_tree(routes, im)
+            result = check_scc_tree(routes, im, inputs)
             failures.extend(f"{label}: {f}" for f in result.failures)
         report(5, "symbolic component equivalence",
                not failures, failures[0] if failures else
@@ -228,9 +239,7 @@ def test_criterion_7_scaling_and_shift(corpus, capsys):
             # Fractional weights: the shared index scales them (scale 2 and
             # 3), which integral inputs never exercise.
             for variant in variants:
-                failures.extend(
-                    check_triangle(IndexedModel(variant), ("max", "min"), label).failures
-                )
+                failures.extend(triangle(variant, label).failures)
             for mode in ("max", "min"):
                 base = [o.value for o in analyze_family(w, mode).outcomes]
                 scaled = [o.value for o in analyze_family(variants[0], mode).outcomes]

@@ -484,7 +484,7 @@ def tight_cycle(
     for u, targets in enumerate(tight):
         for v in targets:
             rtight[v].append(u)
-    for members in kosaraju_components(tight, rtight, n):
+    for members in kosaraju_components(finish_order(tight, n), rtight):
         mset = set(members)
         if not any(v in mset for u in members for v in tight[u]):
             continue

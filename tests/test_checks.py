@@ -1,7 +1,9 @@
 """``check_model`` runs each classic reference and the product route once
 per distinct input on two indexed graphs, still compares every product,
 rejects a model past the oracle's limit before any suite runs, and its
-verdicts do not depend on the order in which features are declared."""
+verdicts do not depend on the order in which features are declared.  The
+tree and order-coverage suites name each corruption of a taxi:2 tree or
+order in fixed failure lines."""
 
 import re
 from collections import Counter
@@ -13,8 +15,10 @@ from wfts import checks
 from wfts.analysis import analyze_family, analyze_products, format_product
 from wfts.features import FeatureModel, Var
 from wfts.generators import grant_request, minepump_lite, taxi
+from wfts import graphs as graphs_module
 from wfts.graphs import IndexedModel
 from wfts.model import ModelError, Transition, Wfts, expand_lengths
+from wfts.ordering import DfsOrder, build_finishing_tree, dfs_order
 from wfts.randgen import random_corpus
 
 
@@ -25,8 +29,8 @@ def projections(w: Wfts) -> list:
     return [
         (n, tuple(edges))
         for n, edges in (
-            checks.reachable_projection(im, 1 << p)
-            for p in range(len(w.feature_model.products))
+            checks.reachable_projection(im, bit, im.product_adj(bit))
+            for bit in (1 << p for p in range(len(w.feature_model.products)))
         )
     ]
 
@@ -40,16 +44,19 @@ def graphs(w: Wfts) -> list:
     ]
 
 
-def counting(monkeypatch, name: str) -> list:
-    """Replace ``checks.<name>`` with a wrapper that records each call."""
+def counting(monkeypatch, name: str, *owners) -> list:
+    """Replace ``<owner>.<name>`` on every owner (``checks`` by default)
+    with one wrapper that records each call."""
+    owners = owners or (checks,)
     calls = []
-    original = getattr(checks, name)
+    original = getattr(owners[0], name)
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(checks, name, counted)
+    for owner in owners:
+        monkeypatch.setattr(owner, name, counted)
     return calls
 
 
@@ -57,10 +64,9 @@ def test_oracle_runs_once_per_distinct_reachable_projection(monkeypatch):
     w = taxi(4)
     distinct = set(projections(w))
     calls = counting(monkeypatch, "brute_force_mean_cycle")
-    assert checks.check_model(w, ("max", "min"), "taxi:4").ok
-    assert len(calls) == len(distinct) < 2 * len(w.feature_model.products)
+    assert checks.check_model(w, "taxi:4").ok
     # Each call answers both modes at once.
-    assert all(modes == ("max", "min") for _, _, modes in calls)
+    assert len(calls) == len(distinct) < len(w.feature_model.products)
 
 
 def test_projections_that_differ_only_in_weights_are_not_shared(monkeypatch):
@@ -85,9 +91,12 @@ def test_classic_references_run_once_per_distinct_product_graph(monkeypatch):
     )
     distinct = len(set(graphs(w)))
     kosaraju = counting(monkeypatch, "kosaraju_components")
-    finish = counting(monkeypatch, "finish_order")
+    # Every DFS finishing order, wherever Kosaraju would take its own.
+    finish = counting(monkeypatch, "finish_order", checks, graphs_module)
+    adj = counting(monkeypatch, "product_adj", IndexedModel)
     assert checks.check_model(w).ok
     assert len(kosaraju) == len(finish) == distinct
+    assert [bit for _, bit in adj] == [1 << p for p in range(len(w.feature_model.products))]
 
 
 TAXI2 = taxi(2)
@@ -103,7 +112,7 @@ def failures_wrong_on_one_projection(monkeypatch, name, stub) -> list[str]:
     and none for any other product."""
     assert 1 < SHARING < len(TAXI2_PROJECTIONS)
     monkeypatch.setattr(checks, name, stub)
-    result = checks.check_model(TAXI2, ("max", "min"), "taxi:2")
+    result = checks.check_model(TAXI2, "taxi:2")
     header, *lines = result.failures
     assert header.startswith("model taxi:2:\n")
     expected = {
@@ -123,10 +132,10 @@ def test_an_oracle_wrong_on_one_projection_fails_every_product_sharing_it(
 ):
     oracle = checks.brute_force_mean_cycle
 
-    def stub(n, edges, modes):
+    def stub(n, edges):
         if (n, tuple(edges)) == WRONG:
-            return {mode: Fraction(-999) for mode in modes}
-        return oracle(n, edges, modes)
+            return {"max": Fraction(-999), "min": Fraction(-999)}
+        return oracle(n, edges)
 
     lines = failures_wrong_on_one_projection(monkeypatch, "brute_force_mean_cycle", stub)
     assert all("brute-force=-999" in line for line in lines)
@@ -165,7 +174,7 @@ def test_product_route_runs_once_per_distinct_projection_per_mode(monkeypatch, l
         lowest.setdefault(projection, 1 << p)
     assert len(lowest) < len(per_product)
     calls = counting(monkeypatch, "best_reachable_mean")
-    assert checks.check_model(w, ("max", "min"), label).ok
+    assert checks.check_model(w, label).ok
     for sign in (1, -1):
         bits = [bit for im, bit in calls if im.sign == sign]
         assert sorted(bits) == sorted(lowest.values())
@@ -181,7 +190,7 @@ def test_check_model_builds_one_index_per_sign(monkeypatch):
         init(self, w, sign)
 
     monkeypatch.setattr(IndexedModel, "__init__", counted)
-    assert checks.check_model(taxi(3), ("max", "min"), "taxi:3").ok
+    assert checks.check_model(taxi(3), "taxi:3").ok
     assert sorted(signs) == [-1, 1]
 
 
@@ -191,7 +200,7 @@ def test_a_model_past_the_oracle_limit_fails_before_any_suite(monkeypatch):
         r"^taxi:5: a product reaches 52 states after length expansion; "
         r"the brute-force oracle stops at 48$"
     )):
-        checks.check_model(taxi(5), ("max", "min"), "taxi:5")
+        checks.check_model(taxi(5), "taxi:5")
     assert calls == []
 
 
@@ -225,4 +234,75 @@ def test_feature_declaration_order_changes_no_value(label, w):
                 assert got.value_of(product) == want.value_of(product), (
                     label, analyze.__name__, mode, sorted(product)
                 )
-    assert checks.check_model(reordered, ("max", "min"), label).ok
+    assert checks.check_model(reordered, label).ok
+
+
+def taxi2_tree():
+    """taxi:2's index and finishing tree, with the leaf that two products
+    share and its parent: a fresh tree per call, free to corrupt."""
+    im = IndexedModel(TAXI2)
+    tree = build_finishing_tree(dfs_order(im))
+    leaf = tree.leaves()[1]
+    assert bin(leaf.path_mask).count("1") == 2 and leaf.parent.children == [leaf]
+    return im, tree, leaf
+
+
+def tree_failures(tree, im) -> list[str]:
+    return checks.check_tree(tree, im, checks.product_inputs(im, "taxi:2")).failures
+
+
+def test_a_swapped_node_state_fails_each_product_on_its_path():
+    im, tree, leaf = taxi2_tree()
+    want = leaf.path_states()
+    leaf.state, leaf.parent.state = leaf.parent.state, leaf.state
+    got = leaf.path_states()
+    assert got[-2:] == want[:-3:-1] == ["P2#AR#1", "P2"]
+    assert tree_failures(tree, im) == [
+        f"product {product}: path {got} != classic finish order {want}"
+        for product in ("{L1}", "{L1,S}")
+    ]
+
+
+def test_a_cleared_edge_mask_strands_its_products():
+    im, tree, _ = taxi2_tree()
+    child = tree.root.children[2]
+    assert (child.state, bin(child.path_mask).count("1")) == ("R1", 4)
+    child.edge_mask = 0
+    assert tree_failures(tree, im) == [
+        "product {L1,L2} matches 0 children at depth 1",
+        "product {L1,L2,T} matches 0 children at depth 1",
+        "product {L1,L2,S} matches 0 children at depth 1",
+        "product {L1,L2,S,T} matches 0 children at depth 1",
+    ]
+
+
+def test_a_dropped_path_mask_bit_is_named_at_its_depth():
+    im, tree, leaf = taxi2_tree()
+    leaf.path_mask &= leaf.path_mask - 1  # its lowest product, {L1}
+    assert tree_failures(tree, im) == ["product {L1} missing from path mask at depth 28"]
+
+
+def test_an_emptied_order_entry_fails_coverage_and_count():
+    order = dfs_order(IndexedModel(TAXI2))
+    u, mask = order.stamps[0]
+    assert mask == order.context  # 16 products
+    corrupted = DfsOrder(order.states, order.context, [(u, 0), *order.stamps[1:]])
+    assert checks.check_order_coverage(corrupted).failures == [
+        "entry 1 for P2#AR#1 is empty",
+        "state P2#AR#1: finish entries do not cover all products",
+        "stamp count 432 != |S| * |products| = 448",
+    ]
+
+
+def test_a_widened_order_entry_overlaps_its_state():
+    order = dfs_order(IndexedModel(TAXI2))
+    stamps = list(order.stamps)
+    # Entry 9 takes entry 25's 4 products too: both are Pe2#AR#1's.
+    (u, mask), (v, other) = stamps[8], stamps[24]
+    assert u == v and bin(other).count("1") == 4
+    stamps[8] = (u, mask | other)
+    corrupted = DfsOrder(order.states, order.context, stamps)
+    assert checks.check_order_coverage(corrupted).failures == [
+        "state Pe2#AR#1: overlapping finish entries",
+        "stamp count 452 != |S| * |products| = 448",
+    ]

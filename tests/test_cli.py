@@ -99,6 +99,16 @@ def test_missing_file_is_a_model_error(capsys):
     assert "missing.wfts" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "validate"])
+def test_a_file_that_is_not_utf8_is_a_model_error(capsys, tmp_path, command):
+    bad = tmp_path / "bad.wfts"
+    bad.write_bytes(b"features { }\n\xff\n")
+    code, out, err = run(capsys, command, str(bad))
+    assert code == 2
+    assert out == ""
+    assert err == f"model error: cannot read {bad}: not UTF-8 text (byte 0xff at offset 13)\n"
+
+
 def test_parse_error_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.wfts"
     bad.write_text("features { }", encoding="utf-8")

@@ -155,11 +155,11 @@ def test_check_failures_carry_the_unexpanded_model_text(monkeypatch):
     # An oracle stubbed to disagree with both analyses on every product.
     monkeypatch.setattr(
         checks, "brute_force_mean_cycle",
-        lambda n, edges, modes: {mode: Fraction(-999) for mode in modes},
+        lambda n, edges: {"max": Fraction(-999), "min": Fraction(-999)},
     )
-    result = checks.check_model(taxi(1), ("max",), "taxi:1")
+    result = checks.check_model(taxi(1), "taxi:1")
     header, *lines = result.failures
-    assert len(lines) == len(taxi(1).feature_model.products)
+    assert len(lines) == 2 * len(taxi(1).feature_model.products)
     assert all("brute-force=-999" in line and "model" not in line for line in lines)
     assert header.startswith("model taxi:1:\n")
     assert parse(header.split("\n", 1)[1]) == taxi(1)

@@ -1,6 +1,6 @@
 from hypothesis import given, settings, strategies as st
 
-from wfts.checks import check_order_coverage, check_tree
+from wfts.checks import check_order_coverage, check_tree, product_inputs
 from wfts.features import FeatureModel, Or, Var
 from wfts.graphs import IndexedModel
 from wfts.model import Transition, Wfts, expand_lengths
@@ -107,7 +107,7 @@ def test_tree_conditions_on_bundled_models(taxi1_expanded, grantreq, minepump):
     for w in (taxi1_expanded, grantreq, expand_lengths(minepump)):
         im = IndexedModel(w)
         tree = build_finishing_tree(dfs_order(im))
-        result = check_tree(tree, im)
+        result = check_tree(tree, im, product_inputs(im, "model"))
         assert result.ok, result.failures
 
 
@@ -135,6 +135,6 @@ def test_tree_conditions_on_random_models(seed):
     result = check_order_coverage(order)
     assert result.ok, result.failures
     tree = build_finishing_tree(order)
-    result = check_tree(tree, im)
+    result = check_tree(tree, im, product_inputs(im, f"tree:{seed}"))
     assert result.ok, result.failures
 

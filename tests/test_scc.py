@@ -1,6 +1,6 @@
 from hypothesis import given, settings, strategies as st
 
-from wfts.checks import check_scc_tree
+from wfts.checks import check_scc_tree, product_inputs
 from wfts.features import FeatureModel, Not, Or, Var
 from wfts.graphs import IndexedModel, finish_order, kosaraju_components, spread
 from wfts.generators import taxi
@@ -41,6 +41,11 @@ def routes_of(w):
     }
 
 
+def check(routes, im):
+    """``check_scc_tree`` on ``routes``, against ``im``'s classic components."""
+    return check_scc_tree(routes, im, product_inputs(im, "model"))
+
+
 def assert_routes_match_kosaraju(w):
     """Per product, both routes' partitions equal Kosaraju's (as sets of
     state sets), and forward-backward keeps its shape invariants."""
@@ -53,7 +58,8 @@ def assert_routes_match_kosaraju(w):
     }
     for p in range(products):
         bit = 1 << p
-        classic = kosaraju_components(im.product_adj(bit), im.product_radj(bit), im.n)
+        classic = kosaraju_components(finish_order(im.product_adj(bit), im.n),
+                                      im.product_radj(bit))
         expected = {frozenset(c) for c in classic}
         assert as_sets["forward-backward"][p] == expected == as_sets["tree"][p]
     for within in (full_start(im), symbolic_reachable_masks(im)):
@@ -101,7 +107,7 @@ def test_no_feature_model_matches_kosaraju():
         fm,
     )
     im = IndexedModel(w)
-    classic = kosaraju_components(im.product_adj(1), im.product_radj(1), im.n)
+    classic = kosaraju_components(finish_order(im.product_adj(1), im.n), im.product_radj(1))
     classic_names = [[w.states[u] for u in comp] for comp in classic]
     assert partition_at(w, frozenset()) == classic_names
 
@@ -131,7 +137,8 @@ def test_single_product_anchor_reachability_degenerates_to_classic(grantreq):
     for product in fm.products:
         p_idx = fm.product_index(product)
         bit = 1 << p_idx
-        classic = kosaraju_components(im.product_adj(bit), im.product_radj(bit), im.n)
+        classic = kosaraju_components(finish_order(im.product_adj(bit), im.n),
+                                      im.product_radj(bit))
         classic_sets = {frozenset(grantreq.states[u] for u in c) for c in classic}
         symbolic_sets = {frozenset(c) for c in partitions[p_idx]}
         assert symbolic_sets == classic_sets
@@ -139,7 +146,7 @@ def test_single_product_anchor_reachability_degenerates_to_classic(grantreq):
 
 def test_equivalence_on_bundled_models(taxi1_expanded, grantreq, minepump):
     for w in (taxi1_expanded, grantreq, expand_lengths(minepump)):
-        result = check_scc_tree(routes_of(w), IndexedModel(w))
+        result = check(routes_of(w), IndexedModel(w))
         assert result.ok, result.failures
         assert_routes_match_kosaraju(w)
 
@@ -148,7 +155,7 @@ def test_equivalence_on_bundled_models(taxi1_expanded, grantreq, minepump):
 @given(seed=st.integers(0, 10**9))
 def test_equivalence_on_random_models(seed):
     w = expand_lengths(random_wfts(f"scc:{seed}"))
-    result = check_scc_tree(routes_of(w), IndexedModel(w))
+    result = check(routes_of(w), IndexedModel(w))
     assert result.ok, result.failures
     assert_routes_match_kosaraju(w)
 
@@ -167,7 +174,7 @@ def test_forward_backward_route_failures_name_the_route(grantreq):
     im = IndexedModel(grantreq)
     routes = routes_of(grantreq)
     doubled = routes["forward-backward"] * 2
-    result = check_scc_tree({**routes, "forward-backward": doubled}, im)
+    result = check({**routes, "forward-backward": doubled}, im)
     assert result.failures
     assert all(f.startswith("forward-backward route, product ") for f in result.failures)
     assert any("in two components" in f for f in result.failures)
@@ -191,9 +198,9 @@ def test_components_disjoint_along_paths(taxi1_expanded):
 def test_check_reports_shared_and_unassigned_states(grantreq):
     im = IndexedModel(grantreq)
     components = components_of(grantreq)
-    doubled = check_scc_tree({"tree": components + components[:1]}, im)
+    doubled = check({"tree": components + components[:1]}, im)
     assert any("tree route" in f and "in two components" in f for f in doubled.failures)
-    dropped = check_scc_tree({"tree": components[1:]}, im)
+    dropped = check({"tree": components[1:]}, im)
     assert any("tree route" in f and "states assigned" in f for f in dropped.failures)
 
 
