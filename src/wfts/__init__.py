@@ -4,10 +4,9 @@ A featured transition system superimposes every product of a software
 product line in one model whose transitions carry feature-expression guards;
 adding rational weights makes long-run average cost a per-product quantity.
 This package computes the maximum or minimum limit average for all products
-at once (family-based, via strongly connected components over product
-sets and a partitioned Karp recurrence) and per product
-(enumerative baseline), plus a brute-force cycle oracle that both are
-validated against.  The layers live in the submodules; the package exports
+at once (family-based, via one policy iteration over product sets) and
+per product (enumerative baseline), plus a brute-force cycle oracle that
+both are validated against.  The layers live in the submodules; the package exports
 the names needed to build, write and analyze a model.
 """
 

@@ -7,13 +7,14 @@ from an initial state.  Products whose reachable subgraph is acyclic have no
 infinite run and report "undefined".
 
 A report holds the values as disjoint ``(product mask, value)`` classes;
-its ``outcomes`` are their per-product view.  ``analyze_family`` computes
-the symbolic components of every product's reachable subgraph at once, by
-forward-backward decomposition over product sets seeded with symbolic
-reachability, and merges the cells of a partitioned Karp recurrence per
-component;  ``analyze_products`` solves every product's graph separately,
-by Howard policy iteration on the states with an infinite run from an
-initial state.  They must agree exactly; ``analyze_both`` enforces that.
+its ``outcomes`` are their per-product view.  ``analyze_family`` runs one
+Howard policy iteration for every product at once, on the live graph (per
+state, the products that reach it from an initial state and have an
+infinite run from it), with policies and values held as cells of
+products, and merges each product's values at its initial states;
+``analyze_products`` solves every product's graph separately, by the same
+policy iteration on the states with an infinite run from an initial
+state.  They must agree exactly; ``analyze_both`` enforces that.
 One witness stage, ``_witnesses``, is a symbolic pass over the classes: per
 product, the witness lies in the tight component of the critical state (a
 state on a cycle of optimal mean) that finishes last in the classic DFS of
@@ -37,10 +38,9 @@ from json.encoder import encode_basestring_ascii
 from typing import Iterator
 
 from .graphs import IndexedModel, spread
-from .meancycle import _paint, best_reachable_mean, karp_cells
-from .model import Wfts, symbolic_reachable_masks
+from .meancycle import _paint, best_reachable_mean, family_means
+from .model import Wfts
 from .ordering import dfs_order
-from .scc import forward_backward_sccs
 
 Classes = list[tuple[int, Fraction | None]]  # disjoint (product mask, value)
 
@@ -115,9 +115,8 @@ def _merge(im: IndexedModel, cells) -> Classes:
 
 def _family_values(im: IndexedModel) -> Classes:
     """The products' best means as value classes, via the symbolic
-    pipeline: the Karp cells of every component."""
-    components = forward_backward_sccs(im, symbolic_reachable_masks(im))
-    return _merge(im, (cell for scc in components for cell in karp_cells(scc, im)))
+    pipeline: one policy iteration over product sets on the live graph."""
+    return _merge(im, family_means(im))
 
 
 def _product_values(im: IndexedModel) -> Classes:

@@ -6,10 +6,9 @@ CLI command:
 * tree conditions — the finishing-order tree is well-formed and, for every
   single product, reproduces the classic DFS finishing order of that
   product's projection;
-* component equivalence — for both symbolic routes (the finishing tree's
-  and forward-backward from every state under every product), the
-  partition read off the components' masks at any product is exactly the
-  classic Kosaraju partition;
+* component equivalence — the partition read off the finishing tree's
+  symbolic components at any product is exactly the classic Kosaraju
+  partition;
 * the oracle triangle — family-based, product-based and brute-force cycle
   enumeration report identical values for every product, in both modes.
 
@@ -52,7 +51,7 @@ from .meancycle import BRUTE_FORCE_MAX_STATES, best_reachable_mean, brute_force_
 from .model import ModelError, Wfts
 from .ordering import DfsOrder, FinishingTree, build_finishing_tree, dfs_order
 from .randgen import random_corpus
-from .scc import SymbolicScc, forward_backward_sccs, product_owners, symbolic_sccs
+from .scc import SymbolicScc, product_owners, symbolic_sccs
 
 
 @dataclass
@@ -348,11 +347,7 @@ def check_model(w: Wfts, label: str = "model") -> CheckResult:
     result.merge(check_order_coverage(order))
     tree = build_finishing_tree(order)
     result.merge(check_tree(tree, im, inputs))
-    full = [im.feature_model.full_mask] * im.n
-    routes = {
-        "tree": symbolic_sccs(tree, im).components(),
-        "forward-backward": forward_backward_sccs(im, full),
-    }
+    routes = {"tree": symbolic_sccs(tree, im).components()}
     result.merge(check_scc_tree(routes, im, inputs))
     result.merge(check_triangle(im, inputs, label))
     if result.failures:

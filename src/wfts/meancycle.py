@@ -2,30 +2,28 @@
 
 Three routes to the same quantity live here:
 
-* ``karp_cells`` — the family-based dynamic program over a symbolic
-  component.  It is Karp's recurrence where every table cell is defined on a
-  partition of the products for which its state belongs to the component;
-  cells split whenever an update improves only part of a partition.  The
-  table is chain-contracted: only *heads* (the anchor and the states with
-  more than one way in) get rows, filled by a recurrence with transit
-  times over the chains between them (Hartmann & Orlin 1993).  A state
-  with a single way in, such as an intermediate state of length
-  expansion, sits at some depth d below its head, and its Karp term is
-  the head's term at the shifted horizon n - d.
-* ``best_reachable_mean`` — the product-based baseline: Howard policy
-  iteration (Cochet-Terrasson et al. 1998) on the states of one product
-  that have an infinite run from an initial state.
+* ``family_means`` — the family-based route: Howard policy iteration
+  (Cochet-Terrasson et al. 1998) for every product at once.  It runs on
+  the live graph (``live_masks``: per state, the products that reach it
+  from an initial state and have an infinite run from it), with policies
+  and values held as cells of products that split only where the
+  products' choices or values differ.
+* ``best_reachable_mean`` — the product-based baseline: the same policy
+  iteration (``_howard``) on the states of one product that have an
+  infinite run from an initial state (``_live_out``).
 * ``brute_force_mean_cycle`` — exhaustive simple-cycle enumeration, the
   oracle both other routes are checked against, answering both modes from
   one enumeration.  Correct because some optimal-mean cycle is always
   simple.
 
-Every pointwise-best step of ``karp_cells`` (a walk-table row, the
-per-state minimum mean, the maximum across states) is one fold,
-``_paint``, over ints ranked by a plain sort.  Means are ints over the
-index's one denominator: a candidate (D_H - D_k)/(H - k) is (D_H - D_k)
-· (period // (H - k)), so no ratio is reduced or cross-multiplied, and
-the caller builds a ``Fraction`` once per value class.
+Every pointwise-best choice over product sets (a policy improvement, the
+caller's merge of the values at the initial states) is one fold,
+``_paint``, over ints ranked by a plain sort.  The family route keys
+means as ints over the index's one denominator: a cycle of total t over k
+steps has key t · (period // k), so no ratio is reduced or
+cross-multiplied, and the caller builds a ``Fraction`` once per value
+class.  The paper's route, components and a partitioned Karp recurrence
+per component, is the tests' reference for ``family_means``.
 
 The family and product routes share one ``IndexedModel`` and its one sign
 convention: they maximize over weights that min mode negated once, inside
@@ -43,7 +41,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .graphs import IndexedModel
-from .scc import SymbolicScc
+from .model import symbolic_reachable_masks
 
 Cells = list[tuple[int, object]]  # (product mask, value or None)
 
@@ -51,13 +49,14 @@ Cells = list[tuple[int, object]]  # (product mask, value or None)
 BRUTE_FORCE_MAX_STATES = 48
 
 
-def _paint(candidates: dict[int, int], context: int, maximize: bool = True) -> Cells:
+def _paint(candidates: dict, context: int, maximize: bool = True) -> Cells:
     """Partition ``context`` by pointwise-best (largest, or smallest unless
     ``maximize``) candidate value.
 
-    ``candidates`` map int values to product regions; each product gets
-    the first region, best value first, that covers it.  Products no
-    candidate covers form a trailing ``None`` cell.  The result is the
+    ``candidates`` map values (ints, or tuples of ints ranked in order) to
+    product regions; each product gets the first region, best value first,
+    that covers it.  Products no candidate covers form a trailing ``None``
+    cell.  The result is the
     coarsest partition of the pointwise-best function, so equal-valued
     cells are already merged.
     """
@@ -76,182 +75,221 @@ def _paint(candidates: dict[int, int], context: int, maximize: bool = True) -> C
     return cells
 
 
-Chain = tuple[int, int, int, int]  # (head, depth, weight offset, mask)
+def live_masks(im: IndexedModel) -> list[int]:
+    """Per state, the products under which it is reached from an initial
+    state and has an infinite run: ``symbolic_reachable_masks`` with the
+    states that have no way out peeled per product, as ``_live_out`` peels
+    them for one product.
 
-
-def _contract(
-    masks: list[int], s0: int, edges: list[tuple[int, int, int, int]]
-) -> tuple[list[int], dict[int, Chain], dict[tuple[int, int], list]]:
-    """Contract the states with exactly one way in.
-
-    ``edges`` are the component's ``(u, v, weight, mask)`` edges.  Every
-    member other than the anchor that has exactly one in-edge among them is
-    contracted: all its walks from the anchor run through one chain of
-    single in-edges back to a *head* (the anchor or a state with several
-    ways in).  Such a state resolves to ``(head, depth, weight offset,
-    mask)``, the mask being the products that enable the whole chain.
-    Contracted states that no head reaches lie on a cycle nothing enters,
-    so no walk from the anchor visits them; they are left out.
-
-    Returns the heads, the chains of the contracted states, and the hops
-    between heads keyed by (source head, length), each a list of
-    ``(target head, weight, mask)``.
+    The peel is a worklist to the greatest fixpoint: a state keeps the
+    reached products that enable an edge to a state that keeps them, and a
+    state that loses products puts back the predecessors that led to it
+    under them.
     """
-    n_in = [0] * len(masks)
-    outs: list[list[tuple[int, int, int]]] = [[] for _ in masks]
-    for u, v, wt, em in edges:
-        n_in[v] += 1
-        outs[u].append((v, wt, em))
-    contracted = [v != s0 and n_in[v] == 1 for v in range(len(masks))]
-    heads = [v for v, m in enumerate(masks) if m and not contracted[v]]
-    chains: dict[int, Chain] = {}
-    for h in heads:
-        # Single in-edges make the contracted states below a head a tree.
-        stack = [(v, 1, wt, em) for v, wt, em in outs[h] if contracted[v]]
-        while stack:
-            c, d, off, m = stack.pop()
-            chains[c] = (h, d, off, m)
-            stack.extend(
-                (v, d + 1, off + wt, m & em) for v, wt, em in outs[c] if contracted[v]
-            )
-    hops: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-    for u, v, wt, em in edges:
-        if contracted[v]:
+    live = symbolic_reachable_masks(im)
+    out, pred = im.out, im.pred
+    stack = [u for u in range(im.n) if live[u]]
+    while stack:
+        u = stack.pop()
+        have = live[u]
+        if not have:
             continue
-        if not contracted[u]:
-            key, hop = (u, 1), (v, wt, em)
-        elif u in chains:
-            h, d, off, m = chains[u]
-            key, hop = (h, d + 1), (v, off + wt, m & em)
-        else:
-            continue
-        hops.setdefault(key, []).append(hop)
-    return heads, chains, hops
+        keep = 0
+        for v, g in out[u]:
+            keep |= g & live[v]
+        keep &= have
+        if keep != have:
+            live[u] = keep
+            lost = have ^ keep
+            stack.extend(p for p, g in pred[u] if live[p] & g & lost)
+    return live
 
 
-def _walk_tables(
-    masks: list[int],
-    heads: list[int],
-    s0: int,
-    hops: dict[tuple[int, int], list[tuple[int, int, int]]],
-    n: int,
-) -> list[list[Cells | None]]:
-    """Partitioned best-walk weights of the heads: rows[k][v] is the maximum
-    weight of a length-k walk from the anchor to head v, per family of
-    products, with D_k(v) = max D_{k-L}(u) + w over hops (u, v, w, L).
-    Rows hold None for the states that are not heads."""
-    rows: list[list[Cells | None]] = []
-    row0: list[Cells | None] = [None] * len(masks)
-    for v in heads:
-        row0[v] = [(masks[v], 0 if v == s0 else None)]
-    rows.append(row0)
-    for k in range(1, n + 1):
-        proposals: dict[int, dict[int, int]] = {}
-        for (u, length), out_edges in hops.items():
-            if length > k:
-                continue
-            pcells = rows[k - length][u]
-            if len(pcells) == 1 and pcells[0][1] is None:
-                continue
-            for v, wt, edge_mask in out_edges:
-                into = proposals.get(v)
-                if into is None:
-                    into = proposals[v] = {}
-                remaining = edge_mask
-                for m3, val3 in pcells:
-                    region = remaining & m3
-                    if not region:
-                        continue
-                    remaining ^= region
-                    if val3 is not None:
-                        cand = val3 + wt
-                        have = into.get(cand)
-                        into[cand] = region if have is None else have | region
-                    if not remaining:
-                        break
-        row: list[Cells | None] = [None] * len(masks)
-        for v in heads:
-            into = proposals.get(v)
-            if into:
-                row[v] = _paint(into, masks[v])
+Values = list[dict[tuple[int, int], int]]  # per state, (key, potential) -> products
+
+
+def _determine(
+    policy: list[list[tuple[int, int, int]]], todo: list[int], period: int
+) -> Values:
+    """Value determination of product-partitioned policies: per state,
+    ``(mean key, potential)`` cells over its products in ``todo``.
+
+    ``policy[u]`` holds ``(mask, target, weight)`` cells.  A walk from each
+    state in index order follows the policy under the products it still
+    lacks a value for, splits at each cell, and closes a cycle where it
+    meets a state already on the walk.  The cycle's key is its total times
+    ``period // length``; its root is its smallest state, with potential
+    0, and the cycle's other states are valued backwards from it.  A state
+    leaving the walk takes its other products' values from its successors,
+    x(u) = period·w − key + x(π(u)).  Equal cells of a state share one
+    entry.  No step recurses.
+    """
+    n = len(policy)
+    values: Values = [{} for _ in range(n)]
+    valued = [0] * n
+    depth = [-1] * n  # position on the current walk
+    for s in range(n):
+        m = todo[s] & ~valued[s]
+        if not m:
+            continue
+        walk = [(s, m, 0, iter(policy[s]))]  # (state, products, weight in, cells left)
+        depth[s] = 0
+        while walk:
+            u, mu, _, cells = walk[-1]
+            for c, v, wt in cells:
+                hit = mu & c & ~valued[v]
+                if not hit:
+                    continue
+                d = depth[v]
+                if d < 0:
+                    depth[v] = len(walk)
+                    walk.append((v, hit, wt, iter(policy[v])))
+                    break
+                # The products of ``hit`` follow walk[d:] around to v.
+                cycle = [f[0] for f in walk[d:]]
+                steps = [f[2] for f in walk[d + 1:]]  # steps[i]: cycle[i] -> cycle[i + 1]
+                steps.append(wt)
+                key = sum(steps) * (period // len(cycle))
+                r = cycle.index(min(cycle))
+                x = 0
+                for i in range(r, r - len(cycle), -1):
+                    here = values[cycle[i]]
+                    here[key, x] = here.get((key, x), 0) | hit
+                    valued[cycle[i]] |= hit
+                    x += period * steps[i - 1] - key
             else:
-                row[v] = [(masks[v], None)]
-        rows.append(row)
-    return rows
+                left = mu & ~valued[u]
+                if left:
+                    here = values[u]
+                    for c, v, wt in policy[u]:
+                        r = left & c
+                        if not r:
+                            continue
+                        for (key, x), mv in values[v].items():
+                            hit = r & mv
+                            if hit:
+                                cell = (key, period * wt - key + x)
+                                here[cell] = here.get(cell, 0) | hit
+                    valued[u] |= left
+                depth[u] = -1
+                walk.pop()
+    return values
 
 
-def karp_cells(scc: SymbolicScc, im: IndexedModel) -> list[tuple[int, int]]:
-    """Maximum mean-cycle values of one symbolic component, per family.
-
-    Karp's formula over the component's member states, with n their count:
-    the best over states v of the least (D[n][v]-D[k][v])/(n-k), where
-    D[k][v] is the best weight of a length-k walk from the anchor to v.
-    When products share the component, one product's members may be fewer
-    than n; the formula holds at any horizon of at least that many.
-    States with one way in (``_contract``) get no table rows: D is kept
-    only for heads, and a contracted state at depth d below head h has
-    D[k] = D_h[k-d] + offset, so its Karp term is h's term at the shifted
-    horizon n-d, restricted to its chain's mask.  The min-over-k step runs
-    once per distinct (head, horizon) pair, on the OR of their masks.
-
-    Each table cell list partitions the products under which its state is
-    in the component, refined as transitions with different guards propose
-    different walk weights; the minima and the final maximum refine the
-    same way.  Only families that actually contain a cycle are returned,
-    each with its value as an exact int over ``im.denominator``: a horizon
-    is at most n ≤ ``im.n`` steps, so ``im.period`` is a multiple of it.
-    """
-    masks = scc.masks
-    n = sum(1 for m in masks if m)
-    s0 = scc.anchor
-
-    edges = []
-    for u, v, wt, g in im.edges:
-        edge_mask = g & masks[u] & masks[v]
-        if edge_mask:
-            edges.append((u, v, wt, edge_mask))
-    if not edges:
-        return []
-
-    heads, chains, hops = _contract(masks, s0, edges)
-    rows = _walk_tables(masks, heads, s0, hops, n)
-    horizons: dict[tuple[int, int], int] = {(v, n): masks[v] for v in heads}
-    for h, d, _, m in chains.values():
-        key = (h, n - d)
-        horizons[key] = horizons.get(key, 0) | m
-    steps = [0] + [im.period // span for span in range(1, n + 1)]
-    top: dict[int, int] = {}
-    for (v, horizon), context in horizons.items():
-        dn_cells = [
-            (m & context, dn) for m, dn in rows[horizon][v]
-            if dn is not None and m & context
-        ]
-        if not dn_cells:
+def _adopt(cells: dict[int, int], candidates: dict, context: int) -> int:
+    """Move each product of ``context`` that has a candidate to the edge of
+    its best one, in one state's policy ``cells`` (edge position ->
+    products).  Candidates are keyed ``(rank, -edge position)``, so that a
+    tie goes to the first edge.  Returns the products that moved."""
+    moved = 0
+    for region, best in _paint(candidates, context):
+        if best is None:
             continue
-        means: dict[int, int] = {}
-        for k in range(horizon):
-            dk_cells = rows[k][v]
-            if len(dk_cells) == 1 and dk_cells[0][1] is None:
-                continue
-            step = steps[horizon - k]
-            for m2, dn in dn_cells:
-                remaining = m2
-                for m3, dk in dk_cells:
-                    region = remaining & m3
-                    if not region:
+        for f in list(cells):
+            rest = cells[f] & ~region
+            if rest:
+                cells[f] = rest
+            else:
+                del cells[f]
+        e = -best[1]
+        cells[e] = cells.get(e, 0) | region
+        moved |= region
+    return moved
+
+
+def family_means(im: IndexedModel) -> list[tuple[int, int]]:
+    """Best reachable cycle means of every product, as ``(product mask,
+    mean)`` cells with each mean an int over ``im.denominator``: Howard
+    policy iteration (``_howard``) for all products at once, on the live
+    graph (``live_masks``) with ``im``'s signed weights, so maximizing.
+
+    A policy picks one out-edge per state and product; it is held as cells
+    of products per edge, and the values as ``(key, potential)`` cells
+    (``_determine``).  Each product's run is ``_howard``'s: the first
+    policy takes the first maximum-weight edge, a state improves to the
+    first edge of strictly better mean (type 1), and only a product with
+    no type-1 change in a round improves by strictly better potential among
+    successors of equal mean (type 2).  Every cycle is rooted at its
+    smallest state, so a cycle that survives an improvement keeps its
+    root, and every round strictly improves each changed product.  A
+    product whose policy does not change is final and leaves the round;
+    its cells are its values at its initial states, and the caller's merge
+    takes the best of them.  Products without a live initial state have
+    no cell.
+    """
+    n, period = im.n, im.period
+    live = live_masks(im)
+    outs: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for u, v, wt, g in im.edges:
+        m = g & live[u] & live[v]
+        if m:
+            outs[u].append((v, wt, m))
+    policy: list[dict[int, int]] = []  # per state, edge position -> products
+    for u, edges in enumerate(outs):
+        cells = {}
+        left = live[u]
+        for e in sorted(range(len(edges)), key=lambda e: -edges[e][1]):
+            m = edges[e][2] & left
+            if m:
+                cells[e] = m
+                left ^= m
+        policy.append(cells)
+    active = 0
+    for s in im.initial:
+        active |= live[s]
+    found: list[tuple[int, int]] = []
+    while active:
+        todo = [m & active for m in live]
+        values = _determine(
+            [[(m, *outs[u][e][:2]) for e, m in cells.items() if m & active]
+             for u, cells in enumerate(policy)],
+            todo, period,
+        )
+        # A state with one edge has no choice to improve.
+        states = [u for u in range(n) if todo[u] and len(outs[u]) > 1]
+        better = 0
+        for u in states:  # type 1: a successor of better mean
+            edges = outs[u]
+            for (ku, _), mu in values[u].items():
+                candidates: dict[tuple[int, int], int] = {}
+                for e, (v, _, em) in enumerate(edges):
+                    r = em & mu
+                    if not r:
                         continue
-                    remaining ^= region
-                    if dk is not None:
-                        key = (dn - dk) * step
-                        have = means.get(key)
-                        means[key] = region if have is None else have | region
-                    if not remaining:
-                        break
-        # Per state the minimum mean wins; across states the maximum wins.
-        for mask, key in _paint(means, context, maximize=False):
-            if key is not None:
-                top[key] = top.get(key, 0) | mask
-    return [cell for cell in _paint(top, masks[s0]) if cell[1] is not None]
+                    for (kv, _), mv in values[v].items():
+                        hit = r & mv
+                        if hit and kv > ku:
+                            candidates[kv, -e] = candidates.get((kv, -e), 0) | hit
+                if candidates:
+                    better |= _adopt(policy[u], candidates, mu)
+        level = active & ~better
+        if level:
+            for u in states:  # type 2: equal mean, better potential
+                edges = outs[u]
+                for (ku, xu), mu in values[u].items():
+                    mu &= level
+                    if not mu:
+                        continue
+                    candidates = {}
+                    for e, (v, wt, em) in enumerate(edges):
+                        r = em & mu
+                        if not r:
+                            continue
+                        base = period * wt - ku
+                        for (kv, xv), mv in values[v].items():
+                            hit = r & mv
+                            if hit and kv == ku and base + xv > xu:
+                                cand = (base + xv, -e)
+                                candidates[cand] = candidates.get(cand, 0) | hit
+                    if candidates:
+                        better |= _adopt(policy[u], candidates, mu)
+        final = active & ~better
+        for s in im.initial:
+            for (key, _), m in values[s].items():
+                if m & final:
+                    found.append((m & final, key))
+        active = better
+    return found
 
 
 def _live_out(im: IndexedModel, bit: int) -> list[list[tuple[int, int]] | None]:

@@ -15,9 +15,9 @@ disjoint product sets, every leaf sits at depth |S|, and each product selects
 exactly one path.
 
 The search runs over any out-list and any context of products.  On the
-system's own guards it feeds the tree.  The analysis takes its components
-from ``scc.forward_backward_sccs``; the tree is the independent route to
-them (``scc.symbolic_sccs``) that ``checks`` compares with it.  On the
+system's own guards it feeds the tree, whose components
+(``scc.symbolic_sccs``) ``checks`` compares with every product's classic
+Kosaraju partition; the analysis's values need no components.  On the
 tight graph, over the products with a value, it feeds the witness stage:
 scanned from the last entry, it yields each product's critical state that
 finishes last, whose tight component holds the witness cycle.

@@ -1,29 +1,23 @@
-"""Symbolic strongly connected components over product sets, two routes.
+"""Symbolic strongly connected components over product sets.
 
 A component is an anchor state and, per state, the products that put the
 state in it; one product's SCC partition is read off the masks alone
 (``product_owners``).
 
-``forward_backward_sccs`` is the route the analysis takes (Xie & Beerel
-1999; Gentilini, Piazza & Policriti 2003): from each state in index order,
-for the products it still has, the states reached from it meet the states
-reaching it in its component, and those masks leave the remaining set.
-Seeded with symbolic reachability, it gives each product the components of
-its reachable subgraph, and products that share behaviour share one
-component: at most one component per state.
+``symbolic_sccs`` is the paper's route, read off the finishing tree, which
+``checks`` compares with the classic Kosaraju partition of every product.
+The classic two-pass scheme processes states in decreasing finishing time
+and, for each unassigned state, collects everything reachable in the
+transpose graph among unassigned states.  Here the finishing order comes
+from the tree (one order per family of products), and "assigned" is a
+per-state product set threaded along each root-to-leaf path and restored
+on backtracking.  Its masks partition correctly because a component's
+masks lie within the family of its tree node's path, and each product
+selects exactly one path: per product, the components containing it are
+the ones on its path.  The spread is ``graphs.spread``.
 
-``symbolic_sccs`` is the paper's route, read off the finishing tree, and
-the independent second route that ``checks`` compares with it.  The classic
-two-pass scheme processes states in decreasing finishing time and, for each
-unassigned state, collects everything reachable in the transpose graph
-among unassigned states.  Here the finishing order comes from the tree (one
-order per family of products), and "assigned" is a per-state product set
-threaded along each root-to-leaf path and restored on backtracking.  Its
-masks partition correctly because a component's masks lie within the
-family of its tree node's path, and each product selects exactly one path:
-per product, the components containing it are the ones on its path.
-
-Both routes spread with one walk, ``graphs.spread``.
+The analysis needs no components: its policy iteration
+(``meancycle.family_means``) runs on the live graph as a whole.
 """
 
 from __future__ import annotations
@@ -54,32 +48,6 @@ class SymbolicSccs:
 
     def components(self) -> list[SymbolicScc]:
         return self._components
-
-
-def forward_backward_sccs(im: IndexedModel, within: list[int]) -> list[SymbolicScc]:
-    """The components of every product's graph restricted to ``within``
-    (per state, a product mask), by forward-backward decomposition.
-
-    For each state ``v`` in index order that still has products ``lam`` in
-    ``remaining``, the states reached from ``v`` and the states reaching it,
-    both under ``lam`` and inside ``remaining``, meet in ``v``'s component
-    for each of those products.  Clearing the component from ``remaining``
-    removes whole components per product, so later spreads stay exact.
-    """
-    full = im.feature_model.full_mask
-    remaining = list(within)
-    components: list[SymbolicScc] = []
-    for v in range(im.n):
-        lam = remaining[v]
-        if not lam:
-            continue
-        blocked = [full & ~m for m in remaining]
-        fwd = spread([(v, lam)], blocked, im.out)
-        bwd = spread([(v, lam)], blocked, im.pred)
-        masks = [f & b for f, b in zip(fwd, bwd)]
-        components.append(SymbolicScc(v, masks))
-        remaining = [r & ~m for r, m in zip(remaining, masks)]
-    return components
 
 
 def symbolic_sccs(tree: FinishingTree, im: IndexedModel) -> SymbolicSccs:

@@ -29,7 +29,9 @@ from wfts.meancycle import best_reachable_mean
 from wfts.model import Transition, Wfts, expand_lengths
 from wfts.ordering import build_finishing_tree, dfs_order
 from wfts.randgen import random_corpus
-from wfts.scc import forward_backward_sccs, symbolic_sccs
+from wfts.scc import symbolic_sccs
+
+from karp_reference import forward_backward_sccs
 
 SEED = 20260808
 CORPUS_SIZE = 500

@@ -406,8 +406,8 @@ def _metamorphic_models():
 
 class TestDeclarationOrder:
     """Per-product family values do not depend on the order in which states
-    and transitions are declared, although the component pivots (index
-    order) and the DFS order do."""
+    and transitions are declared, although the cycle roots and walks
+    (index order), the tie-breaks (edge order) and the DFS order do."""
 
     @pytest.mark.parametrize("mode", ["max", "min"])
     def test_permuted_declarations_keep_family_values(self, mode):
@@ -422,7 +422,8 @@ class TestDeclarationOrder:
 
 class TestBeyondTheOracle:
     """Models past the brute-force oracle's 48 states: the family route
-    (forward-backward components) and the product route must agree."""
+    (policy iteration over product sets) and the product route must
+    agree."""
 
     @pytest.mark.parametrize("licenses", [5, 6, 8, 9])
     @pytest.mark.parametrize("mode", ["max", "min"])

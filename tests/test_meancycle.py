@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,13 +8,15 @@ from wfts.analysis import (
     analyze_both, analyze_family, analyze_products, decimal2, report_to_json,
 )
 from wfts.checks import reachable_projection
-from wfts.features import TRUE, FeatureModel, Var
+from wfts.features import TRUE, And, FeatureModel, Not, Or, Var
 from wfts.generators import grant_request, minepump_lite, taxi
 from wfts.graphs import IndexedModel
 from wfts.meancycle import best_reachable_mean, brute_force_mean_cycle
 from wfts.model import Transition, Wfts, expand_lengths
 from wfts.randgen import random_corpus
 
+from karp_reference import karp_values
+from test_analysis import within
 from test_golden import without_timing
 
 
@@ -243,6 +246,107 @@ class TestHoward:
             assert got == oracle == Fraction(1, 2), mode
 
 
+class TestFamilyHoward:
+    """The family route, policy iteration over product sets on the live
+    graph, against the Karp reference and the per-product oracle."""
+
+    GUARDS = [TRUE, Var("F"), Var("G"), Var("H"), Not(Var("F")),
+              And(Var("G"), Not(Var("H"))), Or(Var("F"), Var("H"))]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_equals_karp_and_brute_force(self, data):
+        from wfts.analysis import _family_values, _per_product
+
+        core = [f"c{i}" for i in range(data.draw(st.integers(1, 5)))]
+        dead = [f"d{i}" for i in range(data.draw(st.integers(1, 2)))]
+        weights = data.draw(st.sampled_from(
+            [st.just(0), st.integers(-1, 1), st.integers(-10**6, 10**6)]
+        ))
+        divisor = data.draw(st.sampled_from([1, 2, 3, 7]))
+        guard = st.sampled_from(self.GUARDS)
+        core_state = st.sampled_from(core)
+        edges = data.draw(st.lists(st.tuples(core_state, core_state, weights, guard),
+                                   min_size=1, max_size=3 * len(core)))
+        # A parallel edge of equal weight under another guard (a tie), and
+        # a self-loop.
+        a, b, wt, _ = edges[0]
+        edges.append((a, b, wt, data.draw(guard)))
+        loop = data.draw(core_state)
+        edges.append((loop, loop, data.draw(weights), data.draw(guard)))
+        # A branch of states with no way out hanging off the core.
+        for src, tgt in zip([data.draw(core_state)] + dead, dead):
+            edges.append((src, tgt, data.draw(weights), data.draw(guard)))
+        # Better cycles in both modes, behind states nothing enters.
+        top = max([abs(e[2]) for e in edges] + [1]) + 1
+        edges += [("z0", "z0", top, TRUE), ("z1", "z1", -top, data.draw(guard)),
+                  ("z0", core[0], 0, TRUE), ("z1", data.draw(core_state), 0, TRUE)]
+        edges = data.draw(st.permutations(edges))
+        initial = data.draw(st.lists(st.sampled_from(core + dead),
+                                     min_size=1, max_size=2, unique=True))
+        fm = FeatureModel(["F", "G", "H"])
+        trans = [Transition(a, b, Fraction(wt, divisor), g) for a, b, wt, g in edges]
+        w = Wfts(core + dead + ["z0", "z1"], initial, trans, fm)
+        for sign, mode in ((1, "max"), (-1, "min")):
+            im = IndexedModel(w, sign)
+            with within(10, "family policy iteration"):
+                family = _family_values(im)
+            assert family == karp_values(im), mode
+            values = _per_product(family, len(fm.products))
+            for p, value in enumerate(values):
+                oracle = brute_force_mean_cycle(*projection(im, 1 << p))[mode]
+                assert value == oracle, (mode, sorted(fm.products[p]))
+
+    def test_one_product_ends_while_another_improves_by_potential(self, monkeypatch):
+        # Without F, a's self-loop (mean 3) is the only cycle: the first
+        # policy is final after round 1.  With F, only a type-2 step, among
+        # successors of equal mean, finds a-b-a (mean 4), in a second round.
+        import wfts.meancycle as meancycle
+
+        rounds = []
+        determine = meancycle._determine
+
+        def recorded(policy, todo, period):
+            active = 0
+            for m in todo:
+                active |= m
+            rounds.append(active)
+            return determine(policy, todo, period)
+
+        monkeypatch.setattr(meancycle, "_determine", recorded)
+        fm = FeatureModel(["F"])
+        w = Wfts(["a", "b"], ["a"], [Transition("a", "a", 3),
+                                      Transition("a", "b", 2, Var("F")),
+                                      Transition("b", "a", 6)], fm)
+        with within(5, "family policy iteration"):
+            report = analyze_family(w, "max")
+        assert {o.product: o.value for o in report.outcomes} == {
+            frozenset(): 3, frozenset("F"): 4}
+        with_f = 1 << fm.product_index({"F"})
+        assert rounds == [fm.full_mask, with_f]
+
+    def test_long_expansion_under_the_default_recursion_limit(self):
+        # About 9,000 expanded states: no walk of the analysis recurses.
+        from wfts.dsl import parse
+
+        w = parse("features { A }\nstates { s, t }\ninit { s }\n"
+                  "trans s -> t weight=4 length=6000\n"
+                  "trans t -> s [A] weight=0 length=3000\n"
+                  "trans t -> s weight=0\n")
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            with within(30, "a 9,000-state analysis"):
+                best = analyze_family(w, "max", witnesses=True)
+                least = analyze_family(w, "min")
+        finally:
+            sys.setrecursionlimit(limit)
+        assert [(o.value, o.witness) for o in best.outcomes] == [
+            (Fraction(4, 6001), ("s", "t"))] * 2
+        assert {o.product: o.value for o in least.outcomes} == {
+            frozenset(): Fraction(4, 6001), frozenset("A"): Fraction(1, 2250)}
+
+
 class TestBruteForce:
     def test_dag_has_no_cycle(self):
         assert brute_force_mean_cycle(*graph([("a", "b", 1), ("b", "c", 1)])) == {
@@ -437,10 +541,10 @@ class TestCommonDenominator:
 
 
 class TestWalkTableFidelity:
-    """Per product, the partitioned walk-weight table must match a classic
-    per-product Karp table on the same component, cell for cell: a head's
-    row directly, a contracted state's row as its head's row ``depth``
-    steps earlier plus the chain's weight offset."""
+    """Per product, the Karp reference's partitioned walk-weight table must
+    match a classic per-product Karp table on the same component, cell for
+    cell: a head's row directly, a contracted state's row as its head's row
+    ``depth`` steps earlier plus the chain's weight offset."""
 
     def classic_rows(self, edges, n_states, s0, n):
         rows = [[None] * n_states for _ in range(n + 1)]
@@ -454,7 +558,7 @@ class TestWalkTableFidelity:
         return rows
 
     def assert_matches_classic(self, w, label):
-        from wfts.meancycle import _contract, _walk_tables
+        from karp_reference import _contract, _walk_tables
         from wfts.ordering import build_finishing_tree, dfs_order
         from wfts.scc import symbolic_sccs
 
@@ -516,8 +620,10 @@ class TestWalkTableFidelity:
 
 
 class TestShiftedHorizons:
-    """A contracted state's Karp term is its head's term at horizon n - d.
-    Reading the heads at horizon n alone loses these cycles."""
+    """In the Karp reference, a contracted state's Karp term is its head's
+    term at horizon n - d; reading the heads at horizon n alone loses these
+    cycles.  The family route, the product route and the oracle must give
+    the same values."""
 
     @pytest.mark.parametrize(
         "transitions, best, least",
@@ -531,6 +637,7 @@ class TestShiftedHorizons:
         ],
     )
     def test_family_product_and_brute_force_agree(self, transitions, best, least):
+        from karp_reference import karp_values
         from wfts.analysis import analyze_family
         from wfts.dsl import parse
 
@@ -539,9 +646,10 @@ class TestShiftedHorizons:
         )
         w = expand_lengths(parse(text))
         oracle_graph = projection(IndexedModel(w), 1)
-        for mode, expected in (("max", best), ("min", least)):
+        for sign, mode, expected in ((1, "max", best), (-1, "min", least)):
             (family,) = analyze_family(w, mode).outcomes
             assert family.value == expected
+            assert karp_values(IndexedModel(w, sign)) == [(1, expected)]
             assert product_mean(w, mode) == expected
             assert brute_force_mean_cycle(*oracle_graph)[mode] == expected
 

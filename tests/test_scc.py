@@ -7,7 +7,9 @@ from wfts.generators import taxi
 from wfts.model import Transition, Wfts, expand_lengths, symbolic_reachable_masks
 from wfts.ordering import build_finishing_tree, dfs_order
 from wfts.randgen import random_wfts
-from wfts.scc import forward_backward_sccs, product_owners, symbolic_sccs
+from wfts.scc import product_owners, symbolic_sccs
+
+from karp_reference import forward_backward_sccs
 
 
 def components_of(w):
@@ -33,7 +35,8 @@ def full_start(im):
 
 
 def routes_of(w):
-    """Both routes' components, as ``check_model`` compares them."""
+    """The finishing tree's components, which ``check_model`` compares, and
+    the Karp reference's forward-backward ones."""
     im = IndexedModel(w)
     return {
         "tree": components_of(w),
