@@ -81,11 +81,6 @@ class Report:
         bit = 1 << self.wfts.feature_model.product_index(product)
         return next(value for mask, value in self.classes if mask & bit)
 
-    def families(self) -> Classes:
-        """Products grouped by equal value, as (product mask, value) pairs
-        ordered by their lowest product."""
-        return self.classes
-
 
 def _per_product(cells: list[tuple[int, object]], count: int) -> list:
     """Per product, the item of the disjoint cell holding it, else None."""
@@ -426,7 +421,7 @@ def report_to_json(report: Report) -> str:
     fm = report.wfts.feature_model
     families = [f'{{\n      "expr": {enc(str(fm.expr_for_mask(mask)))},'
                 f'\n      "value": {enc(value_text(value))}\n    }}'
-                for mask, value in report.families()]
+                for mask, value in report.classes]
     timing = [f"{enc(k)}: {json.dumps(round(v, 3))}" for k, v in report.timing_ms.items()]
     members = [f'"mode": {enc(report.mode)}', f'"products": {_block(products, 2)}',
                f'"families": {_block(families, 2)}', f'"timing": {_block(timing, 2, "{}")}']

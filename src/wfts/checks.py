@@ -22,16 +22,17 @@ nor that comparison comes from the index, so the oracle checks the index's
 sign and scale instead of sharing them.
 
 Every product is compared, but each classic reference runs once per
-distinct input, in one place (``product_inputs``): products with the same
-graph share one DFS finishing order, which is both the tree's reference
-and the first pass of their Kosaraju partition, and products with the same
-reachable projection share one oracle enumeration, which answers both
-modes at once.  Both keys are read off the plain per-product graphs, never
-off a symbolic result, in one pass that builds each product's adjacency
-once.  A model that the oracle cannot enumerate is rejected right after
-that pass, before any reference or suite runs.  The suites only compare;
-the product route, which is under test, runs in the triangle once per
-projection and mode.
+distinct input, in one place (``product_inputs``).  The unit is a block
+(``product_blocks``): the products that enable the same edges, an atom of
+the guards' algebra, so that every mask a correct symbolic route computes
+holds a block whole or not at all.  Each block gets one adjacency, one
+reachable projection and one DFS finishing order, which is both the
+tree's reference and Kosaraju's first pass; blocks with the same
+projection share one oracle enumeration, which answers both modes.  A
+model that the oracle cannot enumerate is rejected before any other
+reference or suite runs.  The suites only compare, a block at a time
+where its products agree; the product route, which is under test, runs
+in the triangle once per projection and mode.
 
 Failures carry enough context to reproduce: ``check_model`` adds one header
 with the model text as given (before length expansion), and each line names
@@ -51,7 +52,7 @@ from .meancycle import BRUTE_FORCE_MAX_STATES, best_reachable_mean, brute_force_
 from .model import ModelError, Wfts
 from .ordering import DfsOrder, FinishingTree, build_finishing_tree, dfs_order
 from .randgen import random_corpus
-from .scc import SymbolicScc, product_owners, symbolic_sccs
+from .scc import SymbolicScc, symbolic_sccs
 
 
 @dataclass
@@ -103,39 +104,51 @@ def check_order_coverage(order: DfsOrder) -> CheckResult:
 Projection = tuple[int, list[tuple[int, int, Fraction]]]
 
 
-class ProductInputs(NamedTuple):
-    """Each classic reference's answer, once per distinct input, and the
-    input that each product reads."""
+def product_blocks(im: IndexedModel) -> list[int]:
+    """The products split by the edges they enable: the full mask refined
+    by every distinct guard mask of ``im.edges``, sorted by lowest product."""
+    blocks = [im.feature_model.full_mask]
+    for g in {g for *_, g in im.edges}:
+        blocks = [part for b in blocks for part in (b & g, b & ~g) if part]
+    return sorted(blocks, key=lambda b: b & -b)
 
-    graph_of: list[int]  # per product, its graph's position in the two below
-    orders: list[list[int]]  # per distinct graph, its classic DFS finish order
-    components: list[list[list[int]]]  # per distinct graph, its Kosaraju SCCs
-    projection_of: list[int]  # per product, its projection's position below
+
+def _bits(mask: int):
+    """The products of ``mask``, lowest first."""
+    while mask:
+        yield (mask & -mask).bit_length() - 1
+        mask &= mask - 1
+
+
+class ProductInputs(NamedTuple):
+    """The blocks, each classic reference's answer once per distinct input,
+    and the input that each block reads."""
+
+    blocks: list[int]  # product_blocks(im)
+    block_of: list[int]  # per product, its block's position
+    orders: list[list[int]]  # per block, its classic DFS finish order
+    components: list[list[list[int]]]  # per block, its Kosaraju SCCs
+    projection_of: list[int]  # per block, its projection's position below
     projections: list[Projection]  # the distinct reachable projections
     lowest: list[int]  # per projection, the bit of its lowest product
     oracle: list[dict[str, Fraction | None]]  # per projection, brute force
 
 
 def product_inputs(im: IndexedModel, label: str) -> ProductInputs:
-    """One pass over the products groups them: each product's adjacency
-    (``product_adj``) is built once, keys its graph and gives its reachable
-    projection (``reachable_projection``).  Then each classic reference
-    runs once per distinct input: the DFS finishing order per graph, which
-    is also Kosaraju's first pass, and the oracle per projection, once the
-    largest projection has passed ``check_oracle_limit``."""
-    graphs: dict[tuple, int] = {}  # adjacency -> its position
-    bits: list[int] = []  # per graph, the bit of its lowest product
-    graph_of: list[int] = []
+    """One pass over the blocks builds each block's adjacency
+    (``product_adj`` at its lowest product) and reachable projection
+    (``reachable_projection``).  Once the largest projection has passed
+    ``check_oracle_limit``, each classic reference runs once per distinct
+    input: the DFS finishing order per block, which is also Kosaraju's
+    first pass, and the oracle per projection."""
+    blocks = product_blocks(im)
+    bits = [block & -block for block in blocks]  # each block's lowest product
+    adjs = [im.product_adj(bit) for bit in bits]
     index: dict[tuple, int] = {}
     projections: list[Projection] = []
     lowest: list[int] = []
     projection_of: list[int] = []
-    for p in range(len(im.feature_model.products)):
-        bit = 1 << p
-        adj = im.product_adj(bit)
-        graph_of.append(graphs.setdefault(tuple(map(tuple, adj)), len(graphs)))
-        if len(bits) < len(graphs):
-            bits.append(bit)
+    for bit, adj in zip(bits, adjs):
         n, edges = reachable_projection(im, bit, adj)
         # A Fraction hashes slowly; its int pair is as exact.
         key = (n, tuple([(u, v, wt.as_integer_ratio()) for u, v, wt in edges]))
@@ -145,21 +158,23 @@ def product_inputs(im: IndexedModel, label: str) -> ProductInputs:
             lowest.append(bit)
         projection_of.append(index[key])
     check_oracle_limit(projections, label)
-    orders = [finish_order(adj, im.n) for adj in graphs]
-    components = [
-        kosaraju_components(order, im.product_radj(bit)) for order, bit in zip(orders, bits)
-    ]
+    orders = [finish_order(adj, im.n) for adj in adjs]
+    components = [kosaraju_components(o, im.product_radj(bit)) for o, bit in zip(orders, bits)]
     oracle = [brute_force_mean_cycle(n, edges) for n, edges in projections]
+    count = len(im.feature_model.products)
+    block_of = _per_product([(block, i) for i, block in enumerate(blocks)], count)
     return ProductInputs(
-        graph_of, orders, components, projection_of, projections, lowest, oracle
+        blocks, block_of, orders, components, projection_of, projections, lowest, oracle
     )
 
 
 def check_tree(tree: FinishingTree, im: IndexedModel, inputs: ProductInputs) -> CheckResult:
     """The five structural tree conditions, including per-product fidelity
-    against the classic DFS finishing order of the product's graph."""
+    against the classic DFS finishing order of the product's graph: one
+    walk down the tree splits the products wherever the children's edge
+    masks differ."""
     result = CheckResult("tree")
-    fm = im.feature_model
+    products = im.feature_model.products
     n = im.n
 
     for leaf in tree.leaves():
@@ -180,35 +195,37 @@ def check_tree(tree: FinishingTree, im: IndexedModel, inputs: ProductInputs) -> 
 
     # A path lists states in decreasing finishing time: n, n-1, ..., 1.
     classic = [[im.states[u] for u in reversed(order)] for order in inputs.orders]
-    for p_idx, product in enumerate(fm.products):
-        bit = 1 << p_idx
-        node = tree.root
-        path = []
-        ok = True
-        for depth in range(1, n + 1):
-            matching = [c for c in node.children if c.edge_mask & bit]
-            if len(matching) != 1:
-                result.failures.append(
-                    f"product {format_product(product)} matches {len(matching)} "
-                    f"children at depth {depth}"
-                )
-                ok = False
-                break
-            node = matching[0]
-            if not node.path_mask & bit:
-                result.failures.append(
-                    f"product {format_product(product)} missing from path mask "
-                    f"at depth {depth}"
-                )
-            path.append(node.state)
-        if not ok:
+    lines: list[tuple[int, int, str]] = []  # (product, depth, failure)
+    walk = [(tree.root, im.feature_model.full_mask)]
+    while walk:
+        node, here = walk.pop()
+        if node.depth == n:
+            path = node.path_states()
+            while here:
+                b = inputs.block_of[(here & -here).bit_length() - 1]
+                if path != classic[b]:
+                    lines += [(p, n + 1, f"product {format_product(products[p])}: path "
+                               f"{path} != classic finish order {classic[b]}")
+                              for p in _bits(here & inputs.blocks[b])]
+                here &= ~inputs.blocks[b]
             continue
-        expected = classic[inputs.graph_of[p_idx]]
-        if path != expected:
-            result.failures.append(
-                f"product {format_product(product)}: path {path} != classic "
-                f"finish order {expected}"
-            )
+        depth = node.depth + 1
+        once = twice = 0
+        for child in node.children:
+            twice |= once & child.edge_mask
+            once |= child.edge_mask
+        for p in _bits(here & (twice | ~once)):
+            matching = sum(1 for child in node.children if child.edge_mask >> p & 1)
+            lines.append((p, depth, f"product {format_product(products[p])} matches "
+                          f"{matching} children at depth {depth}"))
+        for child in node.children:
+            down = here & child.edge_mask & ~twice
+            if down:
+                lines += [(p, depth, f"product {format_product(products[p])} missing "
+                           f"from path mask at depth {depth}")
+                          for p in _bits(down & ~child.path_mask)]
+                walk.append((child, down))
+    result.failures += [line for *_, line in sorted(lines)]
     return result
 
 
@@ -223,50 +240,53 @@ def check_scc_tree(
     """Per product and per route, the partition read off the component
     masks equals the classic one of the product's graph, with every state
     in exactly one component.  ``routes`` maps a route's name to its
-    components."""
+    components.  The masks are read at each block's lowest product, and at
+    every product of a block that some mask holds only part of."""
     result = CheckResult("scc")
-    fm = im.feature_model
+    products = im.feature_model.products
     names = im.states
-    by_route = {
-        route: product_owners(components, len(fm.products), im.n)
-        for route, components in routes.items()
-    }
-    labels = []  # per graph, each state's classic component id
-    for classic in inputs.components:
-        label = [0] * im.n
-        for cid, comp in enumerate(classic):
-            for u in comp:
-                label[u] = cid
-        labels.append(label)
-    for p_idx, product in enumerate(fm.products):
-        graph = inputs.graph_of[p_idx]
-        classic, label = inputs.components[graph], labels[graph]
-        where = f"product {format_product(product)}"
-        for route, owners in by_route.items():
-            owner = owners[p_idx]
-            # Equal partitions: owner and label determine each other.
-            pairs = len(set(zip(owner, label)))
+    blocks, block_of = inputs.blocks, inputs.block_of
+    lowest = sum(block & -block for block in blocks)
+    lines: list[tuple[int, int, str]] = []  # (product, route, failure)
+    for r, (route, components) in enumerate(routes.items()):
+        owners: dict[int, list[int]] = {}  # per product read, each state's component
+        passes = [lowest]  # then the other products of the blocks that a mask splits
+        for read in passes:
+            owners.update((p, [-1] * im.n) for p in _bits(read))
+            split = 0
+            for c, scc in enumerate(components):
+                for v, m in enumerate(scc.masks):
+                    if not m:
+                        continue
+                    whole = 0
+                    for p in _bits(m & read):
+                        row = owners[p]
+                        row[v] = c if row[v] == -1 else -2  # -2: in several
+                        whole |= blocks[block_of[p]]
+                    split |= whole ^ m
+            if split and read == lowest:
+                passes.append(sum({blocks[block_of[p]] for p in _bits(split)}) & ~lowest)
+        for p, owner in owners.items():
+            classic = inputs.components[block_of[p]]
+            # Equal partitions: a state's two components determine each other.
+            pairs = len({(owner[u], cid) for cid, comp in enumerate(classic) for u in comp})
             if min(owner, default=0) >= 0 and pairs == len(set(owner)) == len(classic):
                 continue
-            symbolic: dict[int, list[int]] = {}
-            for u, c in enumerate(owner):
-                if c >= 0:
-                    symbolic.setdefault(c, []).append(u)
-            result.failures.append(
-                f"{route} route, {where}: symbolic SCCs "
-                f"{_named(list(symbolic.values()), names)} != classic "
-                f"{_named(classic, names)}"
-            )
-            for u, c in enumerate(owner):
-                if c == -2:
-                    result.failures.append(
-                        f"{route} route, {where}: state {names[u]} in two components"
-                    )
+            symbolic = [[u for u, c in enumerate(owner) if c == k]
+                        for k in set(owner) if k >= 0]
+            failures = [f"symbolic SCCs {_named(symbolic, names)} "
+                        f"!= classic {_named(classic, names)}"]
+            failures += [f"state {names[u]} in two components"
+                         for u, c in enumerate(owner) if c == -2]
             assigned = sum(1 for c in owner if c != -1)
             if assigned != im.n:
-                result.failures.append(
-                    f"{route} route, {where}: {assigned} of {im.n} states assigned"
-                )
+                failures.append(f"{assigned} of {im.n} states assigned")
+            # A product read in the second pass stands for itself alone.
+            block = blocks[block_of[p]]
+            for q in _bits(1 << p if block & sum(passes[1:]) else block):
+                where = f"{route} route, product {format_product(products[q])}"
+                lines += [(q, r, f"{where}: {failure}") for failure in failures]
+    result.failures += [line for *_, line in sorted(lines, key=lambda line: line[:2])]
     return result
 
 
@@ -309,9 +329,8 @@ def check_triangle(im: IndexedModel, inputs: ProductInputs, label: str) -> Check
     (``best_reachable_mean``) once per projection and mode, on the
     projection's lowest product.  Howard reads only a product's reachable
     states and edges, so the products that share a projection share its
-    value; a graph key, which holds target lists only, would not do.  The
-    family route runs once per mode.  Both routes read ``im`` in the mode
-    of its sign and one twin index of the other sign.
+    value.  The family route runs once per mode.  Both routes read ``im``
+    in the mode of its sign and one twin index of the other sign.
     """
     result = CheckResult("triangle")
     products = im.feature_model.products
@@ -321,7 +340,7 @@ def check_triangle(im: IndexedModel, inputs: ProductInputs, label: str) -> Check
         routed = [best_reachable_mean(signed, bit) for bit in inputs.lowest]
         routed = [v if v is None else sign * v for v in routed]
         for p_idx, product in enumerate(products):
-            which = inputs.projection_of[p_idx]
+            which = inputs.projection_of[inputs.block_of[p_idx]]
             fam_v, prod_v, oracle_v = family[p_idx], routed[which], inputs.oracle[which][mode]
             if not (fam_v == prod_v == oracle_v):
                 result.failures.append(
@@ -332,8 +351,8 @@ def check_triangle(im: IndexedModel, inputs: ProductInputs, label: str) -> Check
 
 
 def check_model(w: Wfts, label: str = "model") -> CheckResult:
-    """All suites on one system's length expansion, sharing one grouping of
-    the products with every classic reference's answers
+    """All suites on one system's length expansion, sharing one partition
+    of the products into blocks with every classic reference's answers
     (``product_inputs``), one feature-aware DFS and two indexed graphs: the
     max-signed one that every suite reads, and its min-signed twin, which
     the triangle builds for min mode.  A model past the oracle's limit

@@ -49,9 +49,8 @@ Cells = list[tuple[int, object]]  # (product mask, value or None)
 BRUTE_FORCE_MAX_STATES = 48
 
 
-def _paint(candidates: dict, context: int, maximize: bool = True) -> Cells:
-    """Partition ``context`` by pointwise-best (largest, or smallest unless
-    ``maximize``) candidate value.
+def _paint(candidates: dict, context: int) -> Cells:
+    """Partition ``context`` by pointwise-best (largest) candidate value.
 
     ``candidates`` map values (ints, or tuples of ints ranked in order) to
     product regions; each product gets the first region, best value first,
@@ -62,7 +61,7 @@ def _paint(candidates: dict, context: int, maximize: bool = True) -> Cells:
     """
     cells: Cells = []
     covered = 0
-    for val in sorted(candidates, reverse=maximize):
+    for val in sorted(candidates, reverse=True):
         region = candidates[val] & ~covered
         if region:
             cells.append((region, val))

@@ -1,8 +1,9 @@
 """Symbolic strongly connected components over product sets.
 
 A component is an anchor state and, per state, the products that put the
-state in it; one product's SCC partition is read off the masks alone
-(``product_owners``).
+state in it; one product's SCC partition is read off the masks alone, as
+``checks.check_scc_tree`` does once per block of products that enable the
+same edges.
 
 ``symbolic_sccs`` is the paper's route, read off the finishing tree, which
 ``checks`` compares with the classic Kosaraju partition of every product.
@@ -87,23 +88,3 @@ def symbolic_sccs(tree: FinishingTree, im: IndexedModel) -> SymbolicSccs:
         assert not snapshots, "assignment snapshots must pop in lockstep"
     return SymbolicSccs(components)
 
-
-def product_owners(
-    components: list[SymbolicScc], products: int, n: int
-) -> list[list[int]]:
-    """Per product, each of the ``n`` states' component: the index of the
-    one whose mask holds the product, -1 if none does and -2 if several do.
-
-    One pass scatters each mask's set bits, so the cost is the number of
-    (state, product) memberships plus one scan of every component's masks,
-    and the result holds one int per (product, state).
-    """
-    owners = [[-1] * n for _ in range(products)]
-    for c, scc in enumerate(components):
-        for v, m in enumerate(scc.masks):
-            while m:
-                low = m & -m
-                row = owners[low.bit_length() - 1]
-                row[v] = c if row[v] == -1 else -2
-                m ^= low
-    return owners

@@ -228,10 +228,11 @@ def karp_cells(scc: SymbolicScc, im: IndexedModel) -> list[tuple[int, int]]:
                         means[key] = region if have is None else have | region
                     if not remaining:
                         break
-        # Per state the minimum mean wins; across states the maximum wins.
-        for mask, key in _paint(means, context, maximize=False):
+        # Per state the minimum mean wins, painted as the largest negation;
+        # across states the maximum wins.
+        for mask, key in _paint({-key: m for key, m in means.items()}, context):
             if key is not None:
-                top[key] = top.get(key, 0) | mask
+                top[-key] = top.get(-key, 0) | mask
     return [cell for cell in _paint(top, masks[s0]) if cell[1] is not None]
 
 

@@ -49,7 +49,7 @@ def reference_dict(report) -> dict:
             "expr": str(fm.expr_for_mask(mask)),
             "value": "undefined" if value is None else str(value),
         }
-        for mask, value in report.families()
+        for mask, value in report.classes
     ]
     timing = {k: round(v, 3) for k, v in report.timing_ms.items()}
     return {"mode": report.mode, "products": products, "families": families,
@@ -188,7 +188,7 @@ class TestUndefined:
 class TestFamilies:
     def test_families_partition_products(self, taxi1_expanded):
         report = analyze_family(taxi1_expanded, "max")
-        families = report.families()
+        families = report.classes
         masks = [mask for mask, _ in families]
         union = 0
         for m in masks:
@@ -201,8 +201,8 @@ class TestFamilies:
         for w in random_corpus(0, 300):
             fm = w.feature_model
             family, product = analyze_family(w, mode), analyze_products(w, mode)
-            classes = family.families()
-            assert classes == product.families()
+            classes = family.classes
+            assert classes == product.classes
             union = 0
             for mask, _ in classes:
                 assert mask and not mask & union
@@ -218,9 +218,9 @@ class TestFamilies:
 
     def test_equal_values_coalesce(self, taxi1_expanded):
         report = analyze_family(taxi1_expanded, "max")
-        families = {v for _, v in report.families()}
+        families = {v for _, v in report.classes}
         assert Fraction(14) in families
-        by_value = {v: mask for mask, v in report.families()}
+        by_value = {v: mask for mask, v in report.classes}
         index = taxi1_expanded.feature_model.product_index
         assert by_value[Fraction(14)] == (1 << index({"T"})) | (1 << index({"L1", "T"}))
 
@@ -586,7 +586,7 @@ class TestWitnessSharing:
             im = IndexedModel(w, 1 if mode == "max" else -1)
             report = analyze_family(w, mode)
             values = [o.value for o in report.outcomes]
-            classes = [(m, v) for m, v in report.families() if v is not None]
+            classes = [(m, v) for m, v in report.classes if v is not None]
             context = sum(m for m, _ in classes)
             out = _tight_graph(im, classes)
             order = dfs_order(im, out, context)

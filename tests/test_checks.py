@@ -1,15 +1,18 @@
-"""``check_model`` runs each classic reference and the product route once
-per distinct input on two indexed graphs, still compares every product,
-rejects a model past the oracle's limit before any suite runs, and its
-verdicts do not depend on the order in which features are declared.  The
-tree and order-coverage suites name each corruption of a taxi:2 tree or
-order in fixed failure lines."""
+"""``check_model`` splits the products into the blocks that a grouping by
+enabled edges finds, runs each classic reference and the product route
+once per distinct input on two indexed graphs, still compares every
+product, rejects a model past the oracle's limit before any suite runs,
+and its verdicts do not depend on the order in which features are
+declared.  The tree, component and order-coverage suites name each
+corruption of a tree, component or order in fixed failure lines, also
+when it touches a product that is not its block's lowest."""
 
 import re
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wfts import checks
 from wfts.analysis import analyze_family, analyze_products, format_product
@@ -19,7 +22,8 @@ from wfts import graphs as graphs_module
 from wfts.graphs import IndexedModel
 from wfts.model import ModelError, Transition, Wfts, expand_lengths
 from wfts.ordering import DfsOrder, build_finishing_tree, dfs_order
-from wfts.randgen import random_corpus
+from wfts.randgen import random_corpus, random_wfts
+from wfts.scc import symbolic_sccs
 
 
 def projections(w: Wfts) -> list:
@@ -42,6 +46,44 @@ def graphs(w: Wfts) -> list:
         tuple(map(tuple, im.product_adj(1 << p)))
         for p in range(len(w.feature_model.products))
     ]
+
+
+def reference_blocks(im: IndexedModel) -> list[int]:
+    """The products grouped one by one by the edges they enable: one mask
+    per distinct set of enabled edges, in order of lowest product."""
+    groups: dict[tuple, int] = {}
+    for p in range(len(im.feature_model.products)):
+        enabled = tuple(i for i, (*_, g) in enumerate(im.edges) if g >> p & 1)
+        groups[enabled] = groups.get(enabled, 0) | 1 << p
+    return list(groups.values())
+
+
+def assert_blocks_are_the_grouping(w: Wfts) -> None:
+    """``product_blocks`` finds the classes of equal enabled edges, and a
+    block's products share one graph."""
+    im = IndexedModel(w)
+    blocks = checks.product_blocks(im)
+    assert blocks == reference_blocks(im)
+    per_product = graphs(w)
+    for block in blocks:
+        assert len({per_product[p] for p in checks._bits(block)}) == 1
+
+
+BLOCK_MODELS = [(f"taxi:{k}", taxi(k)) for k in range(1, 5)] + [
+    ("minepump", minepump_lite()), ("grantrequest", grant_request())
+]
+
+
+@pytest.mark.parametrize("label, w", BLOCK_MODELS, ids=[label for label, _ in BLOCK_MODELS])
+def test_blocks_equal_the_per_product_grouping_on_bundled_models(label, w):
+    assert_blocks_are_the_grouping(w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**9), wide=st.booleans())
+def test_blocks_equal_the_per_product_grouping_on_random_models(seed, wide):
+    sizes = {"max_states": 16, "max_features": 10} if wide else {}
+    assert_blocks_are_the_grouping(random_wfts(f"blocks:{seed}", **sizes))
 
 
 def counting(monkeypatch, name: str, *owners) -> list:
@@ -84,19 +126,19 @@ def test_projections_that_differ_only_in_weights_are_not_shared(monkeypatch):
     assert sorted((im.sign, bit) for im, bit in routed) == [(-1, 1), (-1, 2), (1, 1), (1, 2)]
 
 
-def test_classic_references_run_once_per_distinct_product_graph(monkeypatch):
+def test_classic_references_run_once_per_block(monkeypatch):
     w = next(
         w for w in random_corpus(11, 40)
-        if len(set(graphs(w))) < len(w.feature_model.products)
+        if len(checks.product_blocks(IndexedModel(w))) < len(w.feature_model.products)
     )
-    distinct = len(set(graphs(w)))
+    blocks = checks.product_blocks(IndexedModel(w))
     kosaraju = counting(monkeypatch, "kosaraju_components")
     # Every DFS finishing order, wherever Kosaraju would take its own.
     finish = counting(monkeypatch, "finish_order", checks, graphs_module)
     adj = counting(monkeypatch, "product_adj", IndexedModel)
     assert checks.check_model(w).ok
-    assert len(kosaraju) == len(finish) == distinct
-    assert [bit for _, bit in adj] == [1 << p for p in range(len(w.feature_model.products))]
+    assert len(kosaraju) == len(finish) == len(blocks)
+    assert [bit for _, bit in adj] == [block & -block for block in blocks]
 
 
 TAXI2 = taxi(2)
@@ -306,3 +348,70 @@ def test_a_widened_order_entry_overlaps_its_state():
         "state Pe2#AR#1: overlapping finish entries",
         "stamp count 452 != |S| * |products| = 448",
     ]
+
+
+# A wide random model: 64 products in 9 blocks, the largest of 16.
+WIDE = random_wfts("wide:4", max_states=16, max_features=10)
+
+
+def wide_tree():
+    """WIDE's index, its inputs and a fresh finishing tree, free to
+    corrupt, and a product that is not its block's lowest."""
+    im = IndexedModel(WIDE)
+    inputs = checks.product_inputs(im, "wide:4")
+    block = max(inputs.blocks, key=lambda b: bin(b).count("1"))
+    assert bin(block).count("1") == 16
+    q = list(checks._bits(block))[1]
+    return im, inputs, build_finishing_tree(dfs_order(im)), q
+
+
+def test_a_tree_edge_without_a_non_lowest_product_fails_that_product_alone():
+    im, inputs, tree, q = wide_tree()
+    assert checks.check_tree(tree, im, inputs).ok
+    node = next(node for node in tree.nodes
+                if node.depth == im.n // 2 and node.path_mask >> q & 1)
+    node.edge_mask &= ~(1 << q)
+    product = format_product(WIDE.feature_model.products[q])
+    assert checks.check_tree(tree, im, inputs).failures == [
+        f"product {product} matches 0 children at depth {im.n // 2}"
+    ]
+
+
+def test_a_component_without_a_non_lowest_product_fails_that_product_alone():
+    im, inputs, tree, q = wide_tree()
+    components = symbolic_sccs(tree, im).components()
+    assert checks.check_scc_tree({"tree": components}, im, inputs).ok
+    scc = next(scc for scc in components if scc.masks[scc.anchor] >> q & 1)
+    scc.masks[scc.anchor] &= ~(1 << q)
+    product = format_product(WIDE.feature_model.products[q])
+    failures = checks.check_scc_tree({"tree": components}, im, inputs).failures
+    assert failures[0].startswith(f"tree route, product {product}: symbolic SCCs ")
+    assert failures[1:] == [
+        f"tree route, product {product}: {im.n - 1} of {im.n} states assigned"
+    ]
+
+
+def named_products(failures: list[str]) -> set[str]:
+    return {re.search(r"product (\{[\w,]*\})", line).group(1) for line in failures}
+
+
+def products_of(mask: int) -> set[str]:
+    return {format_product(WIDE.feature_model.products[p]) for p in checks._bits(mask)}
+
+
+def test_a_swapped_leaf_fails_every_product_of_its_blocks():
+    im, inputs, tree, q = wide_tree()
+    leaf = next(leaf for leaf in tree.leaves() if leaf.path_mask >> q & 1)
+    leaf.state, leaf.parent.state = leaf.parent.state, leaf.state
+    failures = checks.check_tree(tree, im, inputs).failures
+    assert len(failures) == bin(leaf.path_mask).count("1") > 1
+    assert named_products(failures) == products_of(leaf.path_mask)
+
+
+def test_a_dropped_component_fails_every_product_of_its_blocks():
+    im, inputs, tree, q = wide_tree()
+    components = symbolic_sccs(tree, im).components()
+    scc = next(scc for scc in components if scc.masks[scc.anchor] >> q & 1)
+    components.remove(scc)
+    failures = checks.check_scc_tree({"tree": components}, im, inputs).failures
+    assert named_products(failures) == products_of(scc.masks[scc.anchor])

@@ -427,8 +427,7 @@ class TestPartitionDiscipline:
                 candidates[val] |= region
             else:
                 candidates[val] = region
-        maximize = data.draw(st.booleans())
-        cells = _paint(candidates, context, maximize)
+        cells = _paint(candidates, context)
         union = 0
         for mask, _ in cells:
             assert mask, "empty cell"
@@ -441,7 +440,7 @@ class TestPartitionDiscipline:
             bit = 1 << bit_i
             if not context & bit:
                 continue
-            best = (max if maximize else min)(
+            best = max(
                 (v for v, region in candidates.items() if region & bit),
                 default=None,
             )
@@ -470,14 +469,12 @@ class TestPartitionDiscipline:
             ratios[key] = Fraction(num, den * scale)
             region = data.draw(st.integers(0, 0xFFFF)) & context
             candidates[key] = candidates.get(key, 0) | region
-        maximize = data.draw(st.booleans())
-        cells = _paint(candidates, context, maximize)
+        cells = _paint(candidates, context)
         union = 0
         for mask, _ in cells:
             assert mask and union & mask == 0
             union |= mask
         assert union == context
-        pick = max if maximize else min
         for bit_i in range(16):
             bit = 1 << bit_i
             if not context & bit:
@@ -489,7 +486,7 @@ class TestPartitionDiscipline:
             if not covering:
                 assert got is None
             else:
-                assert Fraction(got, period * scale) == pick(covering)
+                assert Fraction(got, period * scale) == max(covering)
 
 
 class TestCommonDenominator:

@@ -7,7 +7,7 @@ from wfts.generators import taxi
 from wfts.model import Transition, Wfts, expand_lengths, symbolic_reachable_masks
 from wfts.ordering import build_finishing_tree, dfs_order
 from wfts.randgen import random_wfts
-from wfts.scc import product_owners, symbolic_sccs
+from wfts.scc import symbolic_sccs
 
 from karp_reference import forward_backward_sccs
 
@@ -15,6 +15,18 @@ from karp_reference import forward_backward_sccs
 def components_of(w):
     im = IndexedModel(w)
     return symbolic_sccs(build_finishing_tree(dfs_order(im)), im).components()
+
+
+def product_owners(components, products, n):
+    """Per product, each of the ``n`` states' component: the index of the
+    one whose mask holds the product, -1 if none does and -2 if several do."""
+    owners = [[-1] * n for _ in range(products)]
+    for c, scc in enumerate(components):
+        for v, m in enumerate(scc.masks):
+            for p in range(products):
+                if m >> p & 1:
+                    owners[p][v] = c if owners[p][v] == -1 else -2
+    return owners
 
 
 def product_partitions(components, products, n):
