@@ -182,10 +182,14 @@ def check_tree(tree: FinishingTree, im: IndexedModel, inputs: ProductInputs) -> 
             result.failures.append(
                 f"leaf {leaf.state} at depth {leaf.depth}, expected {n}"
             )
-    for node in tree.nodes:
-        states = node.path_states()
-        if len(set(states)) != len(states):
-            result.failures.append(f"repeated state on path {states}")
+    bits: dict[str, int] = {}  # a bit per state name
+    on_path = {tree.root: 0}  # per node, its path's states; -1 below a repeat
+    for node in tree.nodes:  # a parent comes before its children
+        bit = bits.setdefault(node.state, 1 << len(bits))
+        above = on_path[node.parent]
+        on_path[node] = -1 if above & bit else above | bit
+        if on_path[node] < 0:
+            result.failures.append(f"repeated state on path {node.path_states()}")
         for i, a in enumerate(node.children):
             for b in node.children[i + 1:]:
                 if a.edge_mask & b.edge_mask:

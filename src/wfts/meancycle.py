@@ -7,7 +7,10 @@ Three routes to the same quantity live here:
   the live graph (``live_masks``: per state, the products that reach it
   from an initial state and have an infinite run from it), with policies
   and values held as cells of products that split only where the
-  products' choices or values differ.
+  products' choices or values differ.  A round is one sweep that pairs
+  each cell of a state with its successors' cells once; the type-2 steps
+  it finds wait for the sweep's end, and the values are determined on
+  the policy cells in place.
 * ``best_reachable_mean`` — the product-based baseline: the same policy
   iteration (``_howard``) on the states of one product that have an
   infinite run from an initial state (``_live_out``).
@@ -105,21 +108,23 @@ def live_masks(im: IndexedModel) -> list[int]:
 
 
 Values = list[dict[tuple[int, int], int]]  # per state, (key, potential) -> products
+Edges = list[list[tuple[int, int, int]]]  # per state, (target, weight, products)
 
 
 def _determine(
-    policy: list[list[tuple[int, int, int]]], todo: list[int], period: int
+    policy: list[dict[int, int]], outs: Edges, todo: list[int], period: int
 ) -> Values:
     """Value determination of product-partitioned policies: per state,
     ``(mean key, potential)`` cells over its products in ``todo``.
 
-    ``policy[u]`` holds ``(mask, target, weight)`` cells.  A walk from each
-    state in index order follows the policy under the products it still
-    lacks a value for, splits at each cell, and closes a cycle where it
-    meets a state already on the walk.  The cycle's key is its total times
-    ``period // length``; its root is its smallest state, with potential
-    0, and the cycle's other states are valued backwards from it.  A state
-    leaving the walk takes its other products' values from its successors,
+    ``policy[u]`` maps a position in ``outs[u]`` to the products that take
+    that edge, and is read in place.  A walk from each state in index
+    order follows the policy under the products it still lacks a value
+    for, splits at each cell, and closes a cycle where it meets a state
+    already on the walk.  The cycle's key is its total times ``period //
+    length``; its root is its smallest state, with potential 0, and the
+    cycle's other states are valued backwards from it.  A state leaving
+    the walk takes its other products' values from its successors,
     x(u) = period·w − key + x(π(u)).  Equal cells of a state share one
     entry.  No step recurses.
     """
@@ -131,18 +136,19 @@ def _determine(
         m = todo[s] & ~valued[s]
         if not m:
             continue
-        walk = [(s, m, 0, iter(policy[s]))]  # (state, products, weight in, cells left)
+        walk = [(s, m, 0, iter(policy[s].items()))]  # (state, products, weight in, cells left)
         depth[s] = 0
         while walk:
             u, mu, _, cells = walk[-1]
-            for c, v, wt in cells:
+            for e, c in cells:
+                v, wt, _ = outs[u][e]
                 hit = mu & c & ~valued[v]
                 if not hit:
                     continue
                 d = depth[v]
                 if d < 0:
                     depth[v] = len(walk)
-                    walk.append((v, hit, wt, iter(policy[v])))
+                    walk.append((v, hit, wt, iter(policy[v].items())))
                     break
                 # The products of ``hit`` follow walk[d:] around to v.
                 cycle = [f[0] for f in walk[d:]]
@@ -160,10 +166,11 @@ def _determine(
                 left = mu & ~valued[u]
                 if left:
                     here = values[u]
-                    for c, v, wt in policy[u]:
+                    for e, c in policy[u].items():
                         r = left & c
                         if not r:
                             continue
+                        v, wt, _ = outs[u][e]
                         for (key, x), mv in values[v].items():
                             hit = r & mv
                             if hit:
@@ -203,85 +210,71 @@ def family_means(im: IndexedModel) -> list[tuple[int, int]]:
     graph (``live_masks``) with ``im``'s signed weights, so maximizing.
 
     A policy picks one out-edge per state and product; it is held as cells
-    of products per edge, and the values as ``(key, potential)`` cells
-    (``_determine``).  Each product's run is ``_howard``'s: the first
-    policy takes the first maximum-weight edge, a state improves to the
-    first edge of strictly better mean (type 1), and only a product with
-    no type-1 change in a round improves by strictly better potential among
-    successors of equal mean (type 2).  Every cycle is rooted at its
-    smallest state, so a cycle that survives an improvement keeps its
-    root, and every round strictly improves each changed product.  A
-    product whose policy does not change is final and leaves the round;
-    its cells are its values at its initial states, and the caller's merge
-    takes the best of them.  Products without a live initial state have
-    no cell.
+    of products per edge, which ``_determine`` reads in place, and the
+    values as ``(key, potential)`` cells.  Each product's run is
+    ``_howard``'s: the first policy takes the first maximum-weight edge,
+    a state improves to the first edge of strictly better mean (type 1),
+    and only a product with no type-1 change in a round improves by
+    strictly better potential among successors of equal mean (type 2).
+    Every choice is one ``_adopt``.  A round is one sweep: each cell of a
+    state with a choice meets each successor's cells once, for both its
+    type-1 candidates, adopted at once, and its type-2 ones, kept until
+    the sweep has shown which products no type-1 step moved.  Every cycle
+    is rooted at its smallest state, so a cycle that survives an
+    improvement keeps its root, and every round strictly improves each
+    changed product.  A product whose policy does not change is final and
+    leaves the round; its cells are its values at its initial states, and
+    the caller's merge takes the best of them.  Products without a live
+    initial state have no cell.
     """
     n, period = im.n, im.period
     live = live_masks(im)
-    outs: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    outs: Edges = [[] for _ in range(n)]
     for u, v, wt, g in im.edges:
         m = g & live[u] & live[v]
         if m:
             outs[u].append((v, wt, m))
-    policy: list[dict[int, int]] = []  # per state, edge position -> products
+    policy: list[dict[int, int]] = [{} for _ in range(n)]  # per state, edge position -> products
     for u, edges in enumerate(outs):
-        cells = {}
-        left = live[u]
-        for e in sorted(range(len(edges)), key=lambda e: -edges[e][1]):
-            m = edges[e][2] & left
-            if m:
-                cells[e] = m
-                left ^= m
-        policy.append(cells)
+        _adopt(policy[u], {(wt, -e): m for e, (_, wt, m) in enumerate(edges)}, live[u])
     active = 0
     for s in im.initial:
         active |= live[s]
     found: list[tuple[int, int]] = []
     while active:
         todo = [m & active for m in live]
-        values = _determine(
-            [[(m, *outs[u][e][:2]) for e, m in cells.items() if m & active]
-             for u, cells in enumerate(policy)],
-            todo, period,
-        )
-        # A state with one edge has no choice to improve.
-        states = [u for u in range(n) if todo[u] and len(outs[u]) > 1]
+        values = _determine(policy, outs, todo, period)
         better = 0
-        for u in states:  # type 1: a successor of better mean
-            edges = outs[u]
-            for (ku, _), mu in values[u].items():
-                candidates: dict[tuple[int, int], int] = {}
-                for e, (v, _, em) in enumerate(edges):
+        kept = []  # (state, type-2 candidates, products) of each cell
+        for u, edges in enumerate(outs):
+            if len(edges) < 2:  # one edge leaves no choice
+                continue
+            for (ku, xu), mu in values[u].items():
+                up: dict[tuple[int, int], int] = {}  # a successor of better mean
+                tie: dict[tuple[int, int], int] = {}  # equal mean, better potential
+                for e, (v, wt, em) in enumerate(edges):
                     r = em & mu
                     if not r:
                         continue
-                    for (kv, _), mv in values[v].items():
+                    base = period * wt - ku
+                    for (kv, xv), mv in values[v].items():
                         hit = r & mv
-                        if hit and kv > ku:
-                            candidates[kv, -e] = candidates.get((kv, -e), 0) | hit
-                if candidates:
-                    better |= _adopt(policy[u], candidates, mu)
-        level = active & ~better
-        if level:
-            for u in states:  # type 2: equal mean, better potential
-                edges = outs[u]
-                for (ku, xu), mu in values[u].items():
-                    mu &= level
-                    if not mu:
-                        continue
-                    candidates = {}
-                    for e, (v, wt, em) in enumerate(edges):
-                        r = em & mu
-                        if not r:
+                        if not hit:
                             continue
-                        base = period * wt - ku
-                        for (kv, xv), mv in values[v].items():
-                            hit = r & mv
-                            if hit and kv == ku and base + xv > xu:
-                                cand = (base + xv, -e)
-                                candidates[cand] = candidates.get(cand, 0) | hit
-                    if candidates:
-                        better |= _adopt(policy[u], candidates, mu)
+                        if kv > ku:
+                            up[kv, -e] = up.get((kv, -e), 0) | hit
+                        elif kv == ku and base + xv > xu:
+                            cand = (base + xv, -e)
+                            tie[cand] = tie.get(cand, 0) | hit
+                if up:
+                    better |= _adopt(policy[u], up, mu)
+                if tie:
+                    kept.append((u, tie, mu))
+        level = active & ~better
+        for u, candidates, mu in kept:
+            mu &= level
+            if mu:
+                better |= _adopt(policy[u], {c: m & mu for c, m in candidates.items()}, mu)
         final = active & ~better
         for s in im.initial:
             for (key, _), m in values[s].items():

@@ -305,6 +305,25 @@ def test_a_swapped_node_state_fails_each_product_on_its_path():
     ]
 
 
+def test_a_repeated_state_fails_its_node_and_every_node_below():
+    im, tree, _ = taxi2_tree()
+    top = tree.root.children[0]
+    node = top.children[0]
+    node.state = top.state
+
+    def below(n):
+        while n is not None and n is not node:
+            n = n.parent
+        return n is node
+
+    want = [f"repeated state on path {n.path_states()}" for n in tree.nodes if below(n)]
+    assert len(want) > im.n - 1  # the node's whole subtree
+    got = [line for line in tree_failures(tree, im) if line.startswith("repeated")]
+    assert got == want
+    node.state = "nowhere"  # a name the model lacks is no repeat
+    assert not [line for line in tree_failures(tree, im) if line.startswith("repeated")]
+
+
 def test_a_cleared_edge_mask_strands_its_products():
     im, tree, _ = taxi2_tree()
     child = tree.root.children[2]

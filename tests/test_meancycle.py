@@ -16,6 +16,7 @@ from wfts.model import Transition, Wfts, expand_lengths
 from wfts.randgen import random_corpus
 
 from karp_reference import karp_values
+from ring import ring
 from test_analysis import within
 from test_golden import without_timing
 
@@ -306,12 +307,12 @@ class TestFamilyHoward:
         rounds = []
         determine = meancycle._determine
 
-        def recorded(policy, todo, period):
+        def recorded(policy, outs, todo, period):
             active = 0
             for m in todo:
                 active |= m
             rounds.append(active)
-            return determine(policy, todo, period)
+            return determine(policy, outs, todo, period)
 
         monkeypatch.setattr(meancycle, "_determine", recorded)
         fm = FeatureModel(["F"])
@@ -324,6 +325,48 @@ class TestFamilyHoward:
             frozenset(): 3, frozenset("F"): 4}
         with_f = 1 << fm.product_index({"F"})
         assert rounds == [fm.full_mask, with_f]
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_ring_equals_karp_products_and_brute_force(self, k):
+        # In max mode no two products of the ring share a value.
+        from wfts.analysis import _family_values, _per_product, _product_values
+
+        w = ring(k)
+        count = len(w.feature_model.products)
+        for sign, mode in ((1, "max"), (-1, "min")):
+            im = IndexedModel(w, sign)
+            with within(10, "family policy iteration"):
+                family = _family_values(im)
+            assert family == karp_values(im) == _product_values(im), mode
+            assert mode == "min" or len(family) == count
+            for p, value in enumerate(_per_product(family, count)):
+                oracle = brute_force_mean_cycle(*projection(im, 1 << p))[mode]
+                assert value == oracle, (mode, p)
+
+    ROUNDS = [(f"taxi:{k}", taxi(k), [3, 3]) for k in range(1, 8)] + [
+        ("minepump", minepump_lite(), [4, 5]), ("grantrequest", grant_request(), [1, 1])
+    ] + [(f"ring:{k}", ring(k), [1, 1]) for k in range(1, 10)]
+
+    @pytest.mark.parametrize("label, w, rounds", ROUNDS, ids=[r[0] for r in ROUNDS])
+    def test_round_counts(self, monkeypatch, label, w, rounds):
+        # One value determination per round, in max then min mode.
+        import wfts.meancycle as meancycle
+        from wfts.analysis import _family_values
+
+        calls = []
+        determine = meancycle._determine
+
+        def counted(*args):
+            calls.append(None)
+            return determine(*args)
+
+        monkeypatch.setattr(meancycle, "_determine", counted)
+        got = []
+        for sign in (1, -1):
+            calls.clear()
+            _family_values(IndexedModel(w, sign))
+            got.append(len(calls))
+        assert got == rounds
 
     def test_long_expansion_under_the_default_recursion_limit(self):
         # About 9,000 expanded states: no walk of the analysis recurses.
