@@ -22,9 +22,13 @@ the tight graph, and is the cycle a walk through that component closes.
 
 Both take a system as written and read one ``IndexedModel`` per call, built
 by ``_analyze``: it indexes the system's length expansion, so that cycle
-means are taken per unit step.  One sign convention holds throughout: min
-mode runs the maximizing algorithms on weights negated once, inside
-``IndexedModel``, and negates the values they return, once per class.
+means are taken per unit step.  The value routes read its series view, one
+arc of weight and length per chain of pass-through states, whose cycle
+ratios Σweight/Σlength are those means; the witness stage reads the unit
+steps, so that a witness names the states a run visits.  One sign
+convention holds throughout: min mode runs the maximizing algorithms on
+weights negated once, inside ``IndexedModel``, and negates the values
+they return, once per class.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Iterator
 
 from .graphs import IndexedModel, spread
-from .meancycle import _paint, best_reachable_mean, family_means
+from .meancycle import _paint, best_reachable_key, family_means
 from .model import Wfts
 from .ordering import dfs_order
 
@@ -118,9 +122,7 @@ def _product_values(im: IndexedModel) -> Classes:
     """The products' best means as value classes, one Howard run per
     product."""
     bits = [1 << p for p in range(len(im.feature_model.products))]
-    values = [(bit, best_reachable_mean(im, bit)) for bit in bits]
-    return _merge(im, ((bit, v.numerator * (im.denominator // v.denominator))
-                       for bit, v in values if v is not None))
+    return _merge(im, ((bit, best_reachable_key(im, bit)) for bit in bits))
 
 
 def _tight_graph(

@@ -4,7 +4,12 @@
 integer states, guard bitmasks and adjacency lists; every layer of an
 analysis and every cross-check reads the same object, so each takes a
 system as written.  It also carries the one sign convention: min mode runs
-the maximizing algorithms on weights negated once, here.
+the maximizing algorithms on weights negated once, here.  Its ``series``
+view folds every chain of pass-through states back into one arc with a
+weight and a length; the two value routes read that view, and the
+witnesses, the checks and the oracle read the unit steps.  The series view
+is contracted from the unit steps, not read off the declared transitions,
+so a system that is already expanded gets the same view.
 
 ``spread`` is the one reachability over product sets: symbolic
 reachability, both symbolic component routes and the witness stage's
@@ -19,9 +24,32 @@ declaration order.
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import lcm
+from typing import NamedTuple
 
 from .model import Wfts, expand_lengths
+
+
+class Series(NamedTuple):
+    """An index with every pass-through state folded into the arc that
+    crosses it (``IndexedModel.series``).
+
+    ``kept[i]`` is the index of state i; ``initial`` lists the initial
+    states.  ``arcs`` holds one ``(u, v, weight, length, guard mask,
+    first-hop weight)`` per chain of edges from a kept state through
+    pass-through states to the next kept state, in the declaration order
+    of its first hop: the chain's total weight, its number of unit steps,
+    the AND of its guards (never 0) and the weight of its first edge.
+    ``out`` and ``pred`` list ``(neighbour, guard mask)`` pairs in that
+    order, as ``IndexedModel.out`` and ``pred`` do.
+    """
+
+    kept: tuple[int, ...]
+    initial: list[int]
+    arcs: list[tuple[int, int, int, int, int, int]]
+    out: list[list[tuple[int, int]]]
+    pred: list[list[tuple[int, int]]]
 
 
 class IndexedModel:
@@ -65,6 +93,54 @@ class IndexedModel:
             if g:
                 self.out[u].append((v, g))
                 self.pred[v].append((u, g))
+
+    @cached_property
+    def series(self) -> Series:
+        """This graph with every pass-through state folded into one arc.
+
+        A state is pass-through when it is not initial and has exactly one
+        in-edge and one out-edge that some valid product enables; a length
+        expansion's ``#`` states are, and so may be declared states.  A
+        chain of them between two kept states becomes one arc, whose means
+        are cost-to-time ratios: a cycle of arcs has mean Σweight / Σlength,
+        its mean over the unit steps.  Arcs whose guards no product meets
+        at once are dropped, and so are cycles of pass-through states alone,
+        which no kept state enters.  Kept states keep their index order, so
+        a cycle's smallest kept state is the same in both views.
+        """
+        out, pred = self.out, self.pred
+        through = [len(o) == 1 and len(p) == 1 for o, p in zip(out, pred)]
+        for s in self.initial:
+            through[s] = False
+        if not any(through):
+            arcs = [(u, v, wt, 1, g, wt) for u, v, wt, g in self.edges if g]
+            return Series(tuple(range(self.n)), self.initial, arcs, out, pred)
+        kept = tuple(u for u in range(self.n) if not through[u])
+        number = [-1] * self.n
+        for i, u in enumerate(kept):
+            number[u] = i
+        onward = {}  # pass-through state -> its one edge (target, weight, guard)
+        for u, v, wt, g in self.edges:
+            if g and through[u]:
+                onward[u] = (v, wt, g)
+        arcs = []
+        s_out: list[list[tuple[int, int]]] = [[] for _ in kept]
+        s_pred: list[list[tuple[int, int]]] = [[] for _ in kept]
+        for u, v, first, g in self.edges:
+            if not g or through[u]:
+                continue
+            total, length = first, 1
+            while g and through[v]:
+                v, wt, guard = onward[v]
+                total += wt
+                length += 1
+                g &= guard
+            if g:
+                a, b = number[u], number[v]
+                arcs.append((a, b, total, length, g, first))
+                s_out[a].append((b, g))
+                s_pred[b].append((a, g))
+        return Series(kept, [number[s] for s in self.initial], arcs, s_out, s_pred)
 
     def product_adj(self, bit: int) -> list[list[int]]:
         """Forward adjacency for one product (edge order preserved)."""

@@ -4,16 +4,17 @@ Three routes to the same quantity live here:
 
 * ``family_means`` — the family-based route: Howard policy iteration
   (Cochet-Terrasson et al. 1998) for every product at once.  It runs on
-  the live graph (``live_masks``: per state, the products that reach it
-  from an initial state and have an infinite run from it), with policies
-  and values held as cells of products that split only where the
-  products' choices or values differ.  A round is one sweep that pairs
-  each cell of a state with its successors' cells once; the type-2 steps
-  it finds wait for the sweep's end, and the values are determined on
-  the policy cells in place.
-* ``best_reachable_mean`` — the product-based baseline: the same policy
-  iteration (``_howard``) on the states of one product that have an
-  infinite run from an initial state (``_live_out``).
+  the live part of the index's series view (``live_masks``: per state,
+  the products that reach it from an initial state and have an infinite
+  run from it), with policies and values held as cells of products that
+  split only where the products' choices or values differ.  A round is
+  one sweep that pairs each cell of a state with its successors' cells
+  once; the type-2 steps it finds wait for the sweep's end, and the
+  values are determined on the policy cells in place.
+* ``best_reachable_key`` — the product-based baseline: the same policy
+  iteration (``_howard``) on the series states of one product that have
+  an infinite run from an initial state (``_live_out``);
+  ``best_reachable_mean`` gives its value as a ``Fraction``.
 * ``brute_force_mean_cycle`` — exhaustive simple-cycle enumeration, the
   oracle both other routes are checked against, answering both modes from
   one enumeration.  Correct because some optimal-mean cycle is always
@@ -23,10 +24,25 @@ Every pointwise-best choice over product sets (a policy improvement, the
 caller's merge of the values at the initial states) is one fold,
 ``_paint``, over ints ranked by a plain sort.  The family route keys
 means as ints over the index's one denominator: a cycle of total t over k
-steps has key t · (period // k), so no ratio is reduced or
+unit steps has key t · (period // k), so no ratio is reduced or
 cross-multiplied, and the caller builds a ``Fraction`` once per value
-class.  The paper's route, components and a partitioned Karp recurrence
-per component, is the tests' reference for ``family_means``.
+class.
+
+Both Howard routes run on ``IndexedModel.series``, where a chain of
+pass-through states is one arc of weight w and length ℓ (the number of
+unit steps it stands for).  A cycle's mean is then the cost-to-time ratio
+Σw / Σℓ, and Howard's iteration carries over to that ratio form (Dasdan,
+Irani and Gupta 1999) with the length in the potentials: x(u) = period·w
+− key·ℓ + x(π(u)) in the family route, x(u) = den·w − num·ℓ + x(π(u)) in
+the product route.  A pass-through state has one choice, and the first
+policy ranks arcs by their first hop's weight, which is the edge the unit
+steps' first policy compares.  The family route roots a cycle at its
+smallest kept state; when the pass-through states are a length chain's
+``#`` states, indexed after every declared state, that is the unit steps'
+root too, and the iteration is the one on the unit steps, arc for chain
+and round for round.  The paper's route, components and a partitioned
+Karp recurrence per component, is the tests' reference for
+``family_means``; it reads the unit steps.
 
 The family and product routes share one ``IndexedModel`` and its one sign
 convention: they maximize over weights that min mode negated once, inside
@@ -43,8 +59,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .graphs import IndexedModel
-from .model import symbolic_reachable_masks
+from .graphs import IndexedModel, spread
 
 Cells = list[tuple[int, object]]  # (product mask, value or None)
 
@@ -78,19 +93,21 @@ def _paint(candidates: dict, context: int) -> Cells:
 
 
 def live_masks(im: IndexedModel) -> list[int]:
-    """Per state, the products under which it is reached from an initial
-    state and has an infinite run: ``symbolic_reachable_masks`` with the
-    states that have no way out peeled per product, as ``_live_out`` peels
-    them for one product.
+    """Per state of ``im.series``, the products under which it is reached
+    from an initial state and has an infinite run: symbolic reachability
+    with the states that have no way out peeled per product, as
+    ``_live_out`` peels them for one product.
 
     The peel is a worklist to the greatest fixpoint: a state keeps the
     reached products that enable an edge to a state that keeps them, and a
     state that loses products puts back the predecessors that led to it
     under them.
     """
-    live = symbolic_reachable_masks(im)
-    out, pred = im.out, im.pred
-    stack = [u for u in range(im.n) if live[u]]
+    g = im.series
+    full = im.feature_model.full_mask
+    live = spread([(s, full) for s in g.initial], [0] * len(g.kept), g.out)
+    out, pred = g.out, g.pred
+    stack = [u for u, m in enumerate(live) if m]
     while stack:
         u = stack.pop()
         have = live[u]
@@ -108,7 +125,7 @@ def live_masks(im: IndexedModel) -> list[int]:
 
 
 Values = list[dict[tuple[int, int], int]]  # per state, (key, potential) -> products
-Edges = list[list[tuple[int, int, int]]]  # per state, (target, weight, products)
+Edges = list[list[tuple[int, int, int, int]]]  # per state, (target, weight, length, products)
 
 
 def _determine(
@@ -121,12 +138,13 @@ def _determine(
     that edge, and is read in place.  A walk from each state in index
     order follows the policy under the products it still lacks a value
     for, splits at each cell, and closes a cycle where it meets a state
-    already on the walk.  The cycle's key is its total times ``period //
-    length``; its root is its smallest state, with potential 0, and the
-    cycle's other states are valued backwards from it.  A state leaving
-    the walk takes its other products' values from its successors,
-    x(u) = period·w − key + x(π(u)).  Equal cells of a state share one
-    entry.  No step recurses.
+    already on the walk.  The cycle's key is its total weight times
+    ``period //`` its total length; its root is its smallest state, with
+    potential 0, and the cycle's other states are valued backwards from
+    it.  A state leaving the walk takes its other products' values from
+    its successors, x(u) = period·w − key·ℓ + x(π(u)) over an arc of
+    weight w and length ℓ.  Equal cells of a state share one entry.  No
+    step recurses.
     """
     n = len(policy)
     values: Values = [{} for _ in range(n)]
@@ -136,32 +154,35 @@ def _determine(
         m = todo[s] & ~valued[s]
         if not m:
             continue
-        walk = [(s, m, 0, iter(policy[s].items()))]  # (state, products, weight in, cells left)
+        # (state, products, weight and length of the arc in, cells left)
+        walk = [(s, m, 0, 0, iter(policy[s].items()))]
         depth[s] = 0
         while walk:
-            u, mu, _, cells = walk[-1]
+            u, mu, _, _, cells = walk[-1]
             for e, c in cells:
-                v, wt, _ = outs[u][e]
+                v, wt, ln, _ = outs[u][e]
                 hit = mu & c & ~valued[v]
                 if not hit:
                     continue
                 d = depth[v]
                 if d < 0:
                     depth[v] = len(walk)
-                    walk.append((v, hit, wt, iter(policy[v].items())))
+                    walk.append((v, hit, wt, ln, iter(policy[v].items())))
                     break
                 # The products of ``hit`` follow walk[d:] around to v.
                 cycle = [f[0] for f in walk[d:]]
-                steps = [f[2] for f in walk[d + 1:]]  # steps[i]: cycle[i] -> cycle[i + 1]
-                steps.append(wt)
-                key = sum(steps) * (period // len(cycle))
+                # steps[i]: the arc cycle[i] -> cycle[i + 1]
+                steps = [(f[2], f[3]) for f in walk[d + 1:]]
+                steps.append((wt, ln))
+                key = sum(w for w, _ in steps) * (period // sum(k for _, k in steps))
                 r = cycle.index(min(cycle))
                 x = 0
                 for i in range(r, r - len(cycle), -1):
                     here = values[cycle[i]]
                     here[key, x] = here.get((key, x), 0) | hit
                     valued[cycle[i]] |= hit
-                    x += period * steps[i - 1] - key
+                    w, k = steps[i - 1]
+                    x += period * w - key * k
             else:
                 left = mu & ~valued[u]
                 if left:
@@ -170,11 +191,11 @@ def _determine(
                         r = left & c
                         if not r:
                             continue
-                        v, wt, _ = outs[u][e]
+                        v, wt, ln, _ = outs[u][e]
                         for (key, x), mv in values[v].items():
                             hit = r & mv
                             if hit:
-                                cell = (key, period * wt - key + x)
+                                cell = (key, period * wt - key * ln + x)
                                 here[cell] = here.get(cell, 0) | hit
                     valued[u] |= left
                 depth[u] = -1
@@ -207,15 +228,18 @@ def family_means(im: IndexedModel) -> list[tuple[int, int]]:
     """Best reachable cycle means of every product, as ``(product mask,
     mean)`` cells with each mean an int over ``im.denominator``: Howard
     policy iteration (``_howard``) for all products at once, on the live
-    graph (``live_masks``) with ``im``'s signed weights, so maximizing.
+    part (``live_masks``) of the series view ``im.series`` with ``im``'s
+    signed weights, so maximizing.  A mean is a cost-to-time ratio, an
+    arc's weight counting over its length (Dasdan, Irani and Gupta 1999).
 
-    A policy picks one out-edge per state and product; it is held as cells
-    of products per edge, which ``_determine`` reads in place, and the
+    A policy picks one out-arc per state and product; it is held as cells
+    of products per arc, which ``_determine`` reads in place, and the
     values as ``(key, potential)`` cells.  Each product's run is
-    ``_howard``'s: the first policy takes the first maximum-weight edge,
-    a state improves to the first edge of strictly better mean (type 1),
-    and only a product with no type-1 change in a round improves by
-    strictly better potential among successors of equal mean (type 2).
+    ``_howard``'s: the first policy takes the first arc of maximum
+    first-hop weight, a state improves to the first arc of strictly better
+    mean (type 1), and only a product with no type-1 change in a round
+    improves by strictly better potential among successors of equal mean
+    (type 2).
     Every choice is one ``_adopt``.  A round is one sweep: each cell of a
     state with a choice meets each successor's cells once, for both its
     type-1 candidates, adopted at once, and its type-2 ones, kept until
@@ -227,18 +251,21 @@ def family_means(im: IndexedModel) -> list[tuple[int, int]]:
     the caller's merge takes the best of them.  Products without a live
     initial state have no cell.
     """
-    n, period = im.n, im.period
+    g = im.series
+    n, period = len(g.kept), im.period
     live = live_masks(im)
     outs: Edges = [[] for _ in range(n)]
-    for u, v, wt, g in im.edges:
-        m = g & live[u] & live[v]
+    firsts: list[dict[tuple[int, int], int]] = [{} for _ in range(n)]
+    for u, v, wt, ln, guard, first in g.arcs:
+        m = guard & live[u] & live[v]
         if m:
-            outs[u].append((v, wt, m))
+            firsts[u][first, -len(outs[u])] = m
+            outs[u].append((v, wt, ln, m))
     policy: list[dict[int, int]] = [{} for _ in range(n)]  # per state, edge position -> products
-    for u, edges in enumerate(outs):
-        _adopt(policy[u], {(wt, -e): m for e, (_, wt, m) in enumerate(edges)}, live[u])
+    for u in range(n):
+        _adopt(policy[u], firsts[u], live[u])
     active = 0
-    for s in im.initial:
+    for s in g.initial:
         active |= live[s]
     found: list[tuple[int, int]] = []
     while active:
@@ -252,11 +279,11 @@ def family_means(im: IndexedModel) -> list[tuple[int, int]]:
             for (ku, xu), mu in values[u].items():
                 up: dict[tuple[int, int], int] = {}  # a successor of better mean
                 tie: dict[tuple[int, int], int] = {}  # equal mean, better potential
-                for e, (v, wt, em) in enumerate(edges):
+                for e, (v, wt, ln, em) in enumerate(edges):
                     r = em & mu
                     if not r:
                         continue
-                    base = period * wt - ku
+                    base = period * wt - ku * ln
                     for (kv, xv), mv in values[v].items():
                         hit = r & mv
                         if not hit:
@@ -276,7 +303,7 @@ def family_means(im: IndexedModel) -> list[tuple[int, int]]:
             if mu:
                 better |= _adopt(policy[u], {c: m & mu for c, m in candidates.items()}, mu)
         final = active & ~better
-        for s in im.initial:
+        for s in g.initial:
             for (key, _), m in values[s].items():
                 if m & final:
                     found.append((m & final, key))
@@ -284,23 +311,28 @@ def family_means(im: IndexedModel) -> list[tuple[int, int]]:
     return found
 
 
-def _live_out(im: IndexedModel, bit: int) -> list[list[tuple[int, int]] | None]:
-    """Per state, the ``(target, weight)`` out-edges of product ``bit`` in
-    declaration order, kept for the states with an infinite run from an
-    initial state and None for the others.
+Arcs = list[list[tuple[int, int, int, int]]]  # per state, (target, weight, length, first hop)
 
-    One pass over ``im.edges`` gives the product's out-lists; the states
+
+def _live_out(im: IndexedModel, bit: int) -> list[list[tuple[int, int, int, int]] | None]:
+    """Per state of ``im.series``, the ``(target, weight, length, first-hop
+    weight)`` out-arcs of product ``bit`` in declaration order, kept for
+    the states with an infinite run from an initial state and None for the
+    others.
+
+    One pass over the arcs gives the product's out-lists; the states
     reached from the initial states are kept, and then the states with no
     way out are removed until none is left.
     """
-    n = im.n
-    succ: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for u, v, wt, g in im.edges:
-        if g & bit:
-            succ[u].append((v, wt))
+    g = im.series
+    n = len(g.kept)
+    succ: Arcs = [[] for _ in range(n)]
+    for u, v, wt, ln, guard, first in g.arcs:
+        if guard & bit:
+            succ[u].append((v, wt, ln, first))
     alive = [False] * n
     stack = []
-    for s in im.initial:
+    for s in g.initial:
         if not alive[s]:
             alive[s] = True
             stack.append(s)
@@ -314,7 +346,7 @@ def _live_out(im: IndexedModel, bit: int) -> list[list[tuple[int, int]] | None]:
         degree[u] = len(succ[u])
         if not degree[u]:
             dead_ends.append(u)
-        for v, _ in succ[u]:
+        for v, *_ in succ[u]:
             preds[v].append(u)
             if not alive[v]:
                 alive[v] = True
@@ -328,22 +360,25 @@ def _live_out(im: IndexedModel, bit: int) -> list[list[tuple[int, int]] | None]:
             if not degree[p]:
                 stack.append(p)
     return [
-        [(v, wt) for v, wt in succ[u] if alive[v]] if alive[u] else None
+        [arc for arc in succ[u] if alive[arc[0]]] if alive[u] else None
         for u in range(n)
     ]
 
 
-def _howard(out: list[list[tuple[int, int]] | None]) -> tuple[list[int], list[int]]:
+def _howard(out: list[list[tuple[int, int, int, int]] | None]) -> tuple[list[int], list[int]]:
     """Howard policy iteration (Cochet-Terrasson et al. 1998) for maximum
-    cycle means.  ``out`` is ``_live_out``'s: every listed state has an
-    out-edge, and every edge's target is listed.  Returns, per listed state
-    v, the best mean of a cycle reachable from v as a reduced
-    ``(num[v], den[v])`` pair.
+    cycle means, in the ratio form of Dasdan, Irani and Gupta (1999): a
+    cycle's mean is its total weight over its total length.  ``out`` is
+    ``_live_out``'s: every listed state has an out-arc, and every arc's
+    target is listed.  Returns, per listed state v, the best mean of a
+    cycle reachable from v as a reduced ``(num[v], den[v])`` pair.
 
-    A policy picks one out-edge per state; each state then leads to one
+    A policy picks one out-arc per state; each state then leads to one
     policy cycle, whose mean it takes.  Its potential is kept scaled by the
-    den of that mean, x(v) = den * w - num + x(pi(v)), with x = 0 at the
-    cycle's root, so that the arithmetic stays in ints.  A state improves
+    den of that mean, x(v) = den * w - num * l + x(pi(v)) over an arc of
+    weight w and length l, with x = 0 at the cycle's root, so that the
+    arithmetic stays in ints.  The first policy takes the first arc of
+    maximum first-hop weight.  A state improves
     first by mean (type 1, compared by cross-multiplication), and, when no
     state can, by potential among successors of equal mean (type 2).  The
     policy changes only on strict improvement, to the first best edge in
@@ -353,8 +388,8 @@ def _howard(out: list[list[tuple[int, int]] | None]) -> tuple[list[int], list[in
     """
     n = len(out)
     states = [u for u in range(n) if out[u] is not None]
-    # The first maximum-weight edge of every state.
-    policy = [max(edges, key=lambda edge: edge[1]) if edges else None for edges in out]
+    # The first arc of maximum first-hop weight of every state.
+    policy = [max(edges, key=lambda edge: edge[3]) if edges else None for edges in out]
     num = [0] * n
     den = [1] * n
     x = [0] * n
@@ -376,18 +411,19 @@ def _howard(out: list[list[tuple[int, int]] | None]) -> tuple[list[int], list[in
                 cycle = path[path.index(v):]
                 del path[-len(cycle):]
                 total = sum(policy[c][1] for c in cycle)
-                g = gcd(total, len(cycle))
+                length = sum(policy[c][2] for c in cycle)
+                g = gcd(total, length)
                 r = next((i for i, c in enumerate(cycle) if was_root[c]), 0)
                 root = cycle[r]
                 # Valued backwards from the root: the cycle, then the
                 # path into it.
                 path += cycle[r + 1:] + cycle[:r]
-                num[root], den[root], x[root] = total // g, len(cycle) // g, 0
+                num[root], den[root], x[root] = total // g, length // g, 0
                 is_root[root] = valued[root] = True
             for u in reversed(path):
-                t, wt = policy[u]
+                t, wt, ln, _ = policy[u]
                 num[u], den[u] = num[t], den[t]
-                x[u] = den[t] * wt - num[t] + x[t]
+                x[u] = den[t] * wt - num[t] * ln + x[t]
                 valued[u] = True
         was_root = is_root
 
@@ -407,9 +443,9 @@ def _howard(out: list[list[tuple[int, int]] | None]) -> tuple[list[int], list[in
                 un, ud, bx = num[u], den[u], x[u]
                 best = None
                 for edge in out[u]:
-                    v, wt = edge
+                    v, wt, ln, _ = edge
                     if num[v] == un and den[v] == ud:
-                        cand = ud * wt - un + x[v]
+                        cand = ud * wt - un * ln + x[v]
                         if cand > bx:
                             bx, best = cand, edge
                 if best is not None:
@@ -419,23 +455,30 @@ def _howard(out: list[list[tuple[int, int]] | None]) -> tuple[list[int], list[in
             return num, den
 
 
-def best_reachable_mean(im: IndexedModel, bit: int) -> Fraction | None:
+def best_reachable_key(im: IndexedModel, bit: int) -> int | None:
     """Best mean cycle of one product, restricted to the part reachable from
-    the initial states, on ``im``'s signed weights (so maximizing).
+    the initial states, on ``im``'s signed weights (so maximizing), as an
+    int over ``im.denominator``.
 
-    The product-based pipeline: the states with an infinite run from an
-    initial state (``_live_out``), Howard policy iteration on them
-    (``_howard``), and the best value of a surviving initial state.  None
-    when no initial state survives, i.e. when the reachable subgraph is
-    acyclic.
+    The product-based pipeline: the states of ``im.series`` with an
+    infinite run from an initial state (``_live_out``), Howard policy
+    iteration on them (``_howard``), and the best value of a surviving
+    initial state.  None when no initial state survives, i.e. when the
+    reachable subgraph is acyclic.
     """
     out = _live_out(im, bit)
-    starts = [s for s in im.initial if out[s] is not None]
+    starts = [s for s in im.series.initial if out[s] is not None]
     if not starts:
         return None
     num, den = _howard(out)
     # A reduced den divides its cycle's length, so it divides ``im.period``.
-    return Fraction(max(num[s] * (im.period // den[s]) for s in starts), im.denominator)
+    return max(num[s] * (im.period // den[s]) for s in starts)
+
+
+def best_reachable_mean(im: IndexedModel, bit: int) -> Fraction | None:
+    """``best_reachable_key`` as a ``Fraction``."""
+    key = best_reachable_key(im, bit)
+    return None if key is None else Fraction(key, im.denominator)
 
 
 def brute_force_mean_cycle(

@@ -390,6 +390,127 @@ class TestFamilyHoward:
             frozenset(): Fraction(4, 6001), frozenset("A"): Fraction(1, 2250)}
 
 
+class TestSeries:
+    """The series view, ``IndexedModel.series``, that both value routes
+    read: its shape, and its values against the Karp reference and the
+    oracle, which read the unit steps."""
+
+    GUARDS = [TRUE, TRUE, Var("F"), Var("G"), Not(Var("F")), And(Var("F"), Var("G"))]
+    BIG = ("features { A }\nstates { s, t }\ninit { s }\n"
+           "trans s -> t weight=4 length=6000\n"
+           "trans t -> s [A] weight=0 length=3000\n"
+           "trans t -> s weight=0\n")
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_routes_equal_karp_and_brute_force(self, data):
+        from wfts.analysis import _family_values, _per_product, _product_values
+
+        core = [f"c{i}" for i in range(data.draw(st.integers(1, 4)))]
+        weights = data.draw(st.sampled_from([st.integers(-1, 1), st.integers(-9, 9)]))
+        divisor = data.draw(st.sampled_from([1, 2, 3]))
+        core_state = st.sampled_from(core)
+        guard = st.sampled_from(self.GUARDS)
+        length = st.integers(1, 3)
+        states = list(core)
+        edges = []  # (source, target, weight, guard, length)
+
+        def chain(src, tgt, inner):
+            # Declared states that only this chain enters and leaves, so
+            # each is a pass-through state; a later hop's guard may cut
+            # the chain partway.
+            hops = [src] + [f"p{len(states) + i}" for i in range(inner)] + [tgt]
+            states.extend(hops[1:-1])
+            for a, b in zip(hops, hops[1:]):
+                edges.append((a, b, data.draw(weights), data.draw(guard), data.draw(length)))
+            return hops[1:-1]
+
+        inner = []
+        for _ in range(data.draw(st.integers(1, 2))):  # at most 38 unit states
+            src, tgt = data.draw(core_state), data.draw(core_state)
+            inner += chain(src, tgt, data.draw(st.integers(0, 2)))
+            if data.draw(st.booleans()):  # a second chain between the same pair
+                inner += chain(src, tgt, data.draw(st.integers(0, 2)))
+        loop = data.draw(core_state)
+        edges.append((loop, loop, data.draw(weights), data.draw(guard), data.draw(length)))
+        # Cycles of pass-through states alone, which no other state enters,
+        # better than any reachable cycle in each mode.
+        top = 10
+        for sign, name in ((1, "up"), (-1, "down")):
+            a, b = f"{name}0", f"{name}1"
+            states += [a, b]
+            edges += [(a, b, sign * top, TRUE, data.draw(length)), (b, a, sign * top, TRUE, 1)]
+        initial = [data.draw(core_state)]
+        if inner and data.draw(st.booleans()):  # an initial pass-through state
+            initial.append(data.draw(st.sampled_from(inner)))
+        edges = data.draw(st.permutations(edges))
+        fm = FeatureModel(["F", "G"])
+        trans = [Transition(a, b, Fraction(wt, divisor), g, "tau", k)
+                 for a, b, wt, g, k in edges]
+        w = Wfts(states, initial, trans, fm)
+        for sign, mode in ((1, "max"), (-1, "min")):
+            im = IndexedModel(w, sign)
+            assert IndexedModel(expand_lengths(w), sign).series == im.series
+            with within(2, "the value routes on the series view"):
+                family, product = _family_values(im), _product_values(im)
+            assert family == product == karp_values(im), mode
+            for p, value in enumerate(_per_product(family, len(fm.products))):
+                oracle = brute_force_mean_cycle(*projection(im, 1 << p))[mode]
+                assert value == oracle, (mode, sorted(fm.products[p]))
+
+    def test_a_cut_chain_is_one_arc_under_its_guards(self):
+        # p and b are pass-through states: a -> p -> b -> a is one arc of
+        # 6 steps, which F cuts at its second hop, so the products with F
+        # only have the self-loop at a.
+        fm = FeatureModel(["F"])
+        w = Wfts(["a", "p", "b"], ["a"], [
+            Transition("a", "a", 1),
+            Transition("a", "p", 5, TRUE, "tau", 2),
+            Transition("p", "b", 7, Not(Var("F"))),
+            Transition("b", "a", 0, TRUE, "tau", 3),
+        ], fm)
+        im = IndexedModel(w)
+        series = im.series
+        assert [im.states[u] for u in series.kept] == ["a"]
+        assert series.arcs == [(0, 0, 1, 1, fm.full_mask, 1),
+                               (0, 0, 12, 6, fm.mask(Not(Var("F"))), 5)]
+        with within(2, "both value routes"):
+            report = analyze_both(w, "max")
+        assert {o.product: o.value for o in report.outcomes} == {
+            frozenset(): 2, frozenset("F"): 1}
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_taxi_series_is_the_declared_system(self, k):
+        w = taxi(k)
+        fm = w.feature_model
+        for sign in (1, -1):
+            im = IndexedModel(w, sign)
+            series = im.series
+            assert IndexedModel(expand_lengths(w), sign).series == series
+            assert [im.states[u] for u in series.kept] == list(w.states)
+            declared = [(t.source, t.target, t.length, fm.mask(t.guard),
+                         sign * t.weight * im.scale)
+                        for t in w.transitions if fm.mask(t.guard)]
+            assert [(w.states[u], w.states[v], length, g, wt)
+                    for u, v, wt, length, g, first in series.arcs] == declared
+            assert all(first == wt for _, _, wt, _, _, first in series.arcs)
+
+    def test_the_9000_state_expansion_is_two_states_and_three_arcs(self):
+        from wfts.analysis import _family_values, _product_values
+        from wfts.dsl import parse
+
+        w = parse(self.BIG)
+        for sign in (1, -1):
+            im = IndexedModel(w, sign)
+            assert im.n == 9000
+            assert len(im.series.kept) == 2 and len(im.series.arcs) == 3
+            with within(1, "the family route on 9,000 states"):
+                family = _family_values(im)
+            with within(1, "the product route on 9,000 states"):
+                product = _product_values(im)
+            assert family == product
+
+
 class TestBruteForce:
     def test_dag_has_no_cycle(self):
         assert brute_force_mean_cycle(*graph([("a", "b", 1), ("b", "c", 1)])) == {
