@@ -6,8 +6,11 @@ from an initial state, which equals the best mean-weight cycle reachable
 from an initial state.  Products whose reachable subgraph is acyclic have no
 infinite run and report "undefined".
 
-A report holds the values as disjoint ``(product mask, value)`` classes;
-its ``outcomes`` are their per-product view.  ``analyze_family`` runs one
+A report holds the values as disjoint ``(product mask, value)`` classes
+and the witnesses as disjoint ``(product mask, cycle)`` cells; its
+``outcomes`` are their per-product view, and ``report_to_json`` writes
+the text of each class and cell once and spreads it to the products they
+hold.  ``analyze_family`` runs one
 Howard policy iteration for every product at once, on the live graph (per
 state, the products that reach it from an initial state and have an
 infinite run from it), with policies and values held as cells of
@@ -64,12 +67,14 @@ class ProductOutcome:
 class Report:
     """The result: the values as disjoint ``(product mask, value)`` classes
     covering every product, one per distinct value (None = undefined), by
-    lowest product; a witness per product when sought.  ``outcomes`` is
-    their per-product view, built on first read."""
+    lowest product; when sought, the witnesses as disjoint ``(product mask,
+    cycle)`` cells, one per distinct cycle, covering exactly the products
+    with a value.  ``outcomes`` is their per-product view, built on first
+    read."""
 
     mode: str
     classes: Classes
-    witnesses: list[tuple[str, ...] | None] | None  # product enumeration order
+    witnesses: list[tuple[int, tuple[str, ...]]] | None
     timing_ms: dict
     wfts: Wfts
 
@@ -77,18 +82,17 @@ class Report:
     def outcomes(self) -> tuple[ProductOutcome, ...]:
         """One outcome per product, in enumeration order."""
         products = self.wfts.feature_model.products
-        values = _per_product(self.classes, len(products))
-        return tuple(map(ProductOutcome, products, values,
-                         self.witnesses or [None] * len(products)))
+        return tuple(map(ProductOutcome, products, _per_product(self.classes, len(products)),
+                         _per_product(self.witnesses or [], len(products))))
 
     def value_of(self, product) -> Fraction | None:
         bit = 1 << self.wfts.feature_model.product_index(product)
         return next(value for mask, value in self.classes if mask & bit)
 
 
-def _per_product(cells: list[tuple[int, object]], count: int) -> list:
-    """Per product, the item of the disjoint cell holding it, else None."""
-    items = [None] * count
+def _per_product(cells: list[tuple[int, object]], count: int, default=None) -> list:
+    """Per product, the item of the disjoint cell holding it, else ``default``."""
+    items = [default] * count
     for mask, item in cells:
         bits = bin(mask)[:1:-1]  # the digit of product p at index p
         p = bits.find("1")
@@ -213,10 +217,10 @@ def _tight_graph(
     return out
 
 
-def _witnesses(im: IndexedModel, classes: Classes) -> list[tuple[str, ...] | None]:
-    """Per product, an optimal cycle of its value in ``classes``, as
-    original state names (None where the value is undefined), for all
-    products in one symbolic pass.
+def _witnesses(im: IndexedModel, classes: Classes) -> list[tuple[int, tuple[str, ...]]]:
+    """Per product with a value in ``classes``, an optimal cycle of that
+    value, as original state names, for all products in one symbolic pass:
+    disjoint ``(product mask, cycle)`` cells, one per distinct cycle.
 
     The rule, on each product's reachable subgraph with ``im``'s signed
     weights: every cycle of the tight graph (``_tight_graph``) is optimal,
@@ -240,11 +244,10 @@ def _witnesses(im: IndexedModel, classes: Classes) -> list[tuple[str, ...] | Non
     Intermediate states introduced by length expansion are dropped from
     the rendering.
     """
-    count = len(im.feature_model.products)
     classes = [(mask, value) for mask, value in classes if value is not None]
     context = sum(mask for mask, _ in classes)  # the classes are disjoint
     if not context:
-        return [None] * count
+        return []
     n = im.n
     out = _tight_graph(im, classes)
     pred: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -279,7 +282,7 @@ def _witnesses(im: IndexedModel, classes: Classes) -> list[tuple[str, ...] | Non
             if not left:
                 break
 
-    found: list[tuple[int, tuple[str, ...]]] = []
+    found: dict[tuple[str, ...], int] = {}
     walks: list[tuple[int, list[int]]] = []
     left = context ^ left
     for u, m in enumerate(component):
@@ -298,12 +301,13 @@ def _witnesses(im: IndexedModel, classes: Classes) -> list[tuple[str, ...] | Non
                 cycle = path[path.index(v):]
                 pivot = cycle.index(min(cycle))
                 names = [im.states[u] for u in cycle[pivot:] + cycle[:pivot]]
-                found.append((hit, tuple(s for s in names if "#" not in s) or tuple(names)))
+                witness = tuple(s for s in names if "#" not in s) or tuple(names)
+                found[witness] = found.get(witness, 0) | hit
             else:
                 walks.append((hit, path + [v]))
             if not products:
                 break
-    return _per_product(found, count)
+    return [(mask, witness) for witness, mask in found.items()]
 
 
 def _timed(timing: dict, key: str, stage, *args):
@@ -379,14 +383,13 @@ def value_text(value: Fraction | None) -> str:
     return "undefined" if value is None else str(value)
 
 
-def product_rows(report: Report, render=value_text) -> Iterator[tuple[list[str], object]]:
+def product_rows(report: Report) -> Iterator[tuple[tuple[str, ...], str]]:
     """Per product, in enumeration order: its features in declaration order
-    and ``render(value)``, which runs once per distinct value."""
+    and its value's text, made once per value class."""
     fm = report.wfts.feature_model
-    texts = _per_product([(mask, render(value)) for mask, value in report.classes],
+    texts = _per_product([(mask, value_text(value)) for mask, value in report.classes],
                          len(fm.products))
-    for product, text in zip(fm.products, texts):
-        yield [f for f in fm.features if f in product], text
+    return zip(fm.tabulate((), lambda rows, f: [(f,) + row for row in rows]), texts)
 
 
 def _block(items: list[str], indent: int, brackets: str = "[]") -> str:
@@ -401,26 +404,27 @@ def _block(items: list[str], indent: int, brackets: str = "[]") -> str:
 def report_to_json(report: Report) -> str:
     """The report as ``json.dumps(..., indent=2)`` writes it, byte for byte,
     without the pure-Python encoder that an indent selects: strings go
-    through the C ``encode_basestring_ascii``, and the text of each distinct
-    value and of each distinct witness is encoded once."""
+    through the C ``encode_basestring_ascii``.  Each product's feature list
+    is built the way ``FeatureModel`` enumerates the products, and its
+    value and witness text once per value class and once per witness cell,
+    so that a product costs one string operation."""
     enc = encode_basestring_ascii
+    fm = report.wfts.feature_model
+    count = len(fm.products)
     # Feature names are ASCII identifiers, which JSON quotes as they are.
     between = '",\n        "'
+    listed = fm.tabulate("", lambda tails, f: [f + between + t if t else f for t in tails])
 
     def fields(value: Fraction | None) -> str:
         decimal = "null" if value is None else enc(decimal2(value))
-        return f'{enc(value_text(value))},\n      "decimal": {decimal}'
+        return f'{enc(value_text(value))},\n      "decimal": {decimal},\n      "witness": '
 
-    cycles: dict = {None: "null"}
-    products = []
-    for outcome, (features, text) in zip(report.outcomes, product_rows(report, fields)):
-        witness = outcome.witness
-        if witness not in cycles:
-            cycles[witness] = _block(list(map(enc, witness)), 6)
-        listed = f'[\n        "{between.join(features)}"\n      ]' if features else "[]"
-        products.append(f'{{\n      "features": {listed},\n      "value": {text},'
-                        f'\n      "witness": {cycles[witness]}\n    }}')
-    fm = report.wfts.feature_model
+    values = _per_product([(mask, fields(value)) for mask, value in report.classes], count)
+    cycles = _per_product([(mask, _block(list(map(enc, witness)), 6) + "\n    }")
+                           for mask, witness in report.witnesses or []], count, "null\n    }")
+    products = [f'{{\n      "features": [\n        "{t}"\n      ],\n      "value": {v}{c}' if t
+                else f'{{\n      "features": [],\n      "value": {v}{c}'
+                for t, v, c in zip(listed, values, cycles)]
     families = [f'{{\n      "expr": {enc(str(fm.expr_for_mask(mask)))},'
                 f'\n      "value": {enc(value_text(value))}\n    }}'
                 for mask, value in report.classes]

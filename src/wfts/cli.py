@@ -198,7 +198,7 @@ def _read_report(path: str, mode: str) -> tuple[str, list[tuple[tuple[str, ...],
 def _against_report(w: Wfts, path: str, mode: str) -> list[str]:
     mode, entries = _read_report(path, mode)
     report = analyze_both(w, mode)
-    current = {tuple(features): value for features, value in product_rows(report)}
+    current = dict(product_rows(report))
     diffs = []
     for key, value in entries:
         got = current.get(key)

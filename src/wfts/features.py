@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -128,22 +130,6 @@ def _render(e: FeatureExpr, parent_prec: int) -> str:
     raise TypeError(f"not a feature expression: {e!r}")
 
 
-def _eval(e: FeatureExpr, product: frozenset) -> bool:
-    if isinstance(e, _TrueExpr):
-        return True
-    if isinstance(e, _FalseExpr):
-        return False
-    if isinstance(e, Var):
-        return e.name in product
-    if isinstance(e, Not):
-        return not _eval(e.operand, product)
-    if isinstance(e, And):
-        return _eval(e.left, product) and _eval(e.right, product)
-    if isinstance(e, Or):
-        return _eval(e.left, product) or _eval(e.right, product)
-    raise TypeError(f"not a feature expression: {e!r}")
-
-
 def check_depth(expr: FeatureExpr) -> None:
     """Raise FeatureError if ``expr`` is more than ``MAX_GUARD_DEPTH`` levels
     deep (a variable or constant is level 0).  Iterative, so it is safe to
@@ -169,7 +155,11 @@ class FeatureModel:
 
     Products are enumerated once, in lexicographic order of the feature
     bit-vector (declaration order, absent < present), and every expression
-    is denoted as a bitset over that enumeration.
+    is denoted as a bitset over that enumeration.  Each feature's bitset is
+    built by shifts over all 2^k bit-vectors, the constraint is denoted
+    over those, and, when it drops products, each bitset is compressed
+    through the valid ones.  ``tabulate`` builds per-product items the way
+    the products are enumerated.
     """
 
     def __init__(self, features: Iterable[str], constraint: FeatureExpr = TRUE):
@@ -193,22 +183,31 @@ class FeatureModel:
             if v not in seen:
                 raise FeatureError(f"unknown feature in constraint: {v!r}")
 
-        # Doubling the list, last feature first, lists the bit-vectors in
-        # lexicographic order: the feature added last is the top bit.
-        products = [frozenset()]
-        for f in reversed(feats):
-            products += [p | {f} for p in products]
-        if not isinstance(constraint, _TrueExpr):
-            products = [p for p in products if _eval(constraint, p)]
-        if not products:
+        # Code c of the 2^k bit-vectors holds the first feature as its top
+        # bit, so codes count in lexicographic order.  Over all codes, the
+        # mask of the feature at bit b is runs of 2^b zeros and 2^b ones,
+        # doubled up to 2^k bits; the constraint is denoted over them.
+        size = 1 << len(feats)
+        self.full_mask = (1 << size) - 1
+        self._feature_masks = {}
+        for b, f in enumerate(reversed(feats)):
+            run = 1 << b
+            m, span = ((1 << run) - 1) << run, 2 * run
+            while span < size:
+                m |= m << span
+                span <<= 1
+            self._feature_masks[f] = m
+        valid = self._mask_uncached(constraint)
+        if not valid:
             raise FeatureError("feature model admits no valid products")
-        self._products = tuple(products)
-        self._index = {p: i for i, p in enumerate(products)}
-        self.full_mask = (1 << len(products)) - 1
-        self._feature_masks = {
-            f: int("".join(["1" if f in p else "0" for p in reversed(products)]), 2)
-            for f in feats
-        }
+        self._codes = None if valid == self.full_mask else [
+            c for c, bit in enumerate(bin(valid)[:1:-1]) if bit == "1"]
+        self._products = tuple(self.tabulate(frozenset(), lambda ps, f: [p | {f} for p in ps]))
+        if self._codes is not None:  # compress each mask through the valid codes
+            pick = itemgetter(*self._codes)
+            self._feature_masks = {f: int("".join(pick(f"{m:0{size}b}"[::-1]))[::-1], 2)
+                                   for f, m in self._feature_masks.items()}
+            self.full_mask = (1 << len(self._codes)) - 1
         self._mask_cache: dict[FeatureExpr, int] = {}
 
     @property
@@ -223,6 +222,20 @@ class FeatureModel:
     def products(self) -> tuple[frozenset, ...]:
         """All valid products, in the canonical bit-vector order."""
         return self._products
+
+    def tabulate(self, empty, extend) -> list:
+        """One item per product, in enumeration order, built the way the
+        products are: ``empty`` is the empty product's item, and, last
+        feature first, ``extend(items, f)`` gives the items of the products
+        listed so far with ``f`` added ahead of every feature they hold."""
+        items = [empty]
+        for f in reversed(self._features):
+            items += extend(items, f)
+        return items if self._codes is None else [items[c] for c in self._codes]
+
+    @cached_property
+    def _index(self) -> dict[frozenset, int]:
+        return {p: i for i, p in enumerate(self._products)}
 
     def product_index(self, product: Iterable[str]) -> int:
         p = frozenset(product)

@@ -28,6 +28,8 @@ class ModelError(ValueError):
 
 
 def _as_fraction(value) -> Fraction:
+    if type(value) is Fraction:  # already exact: the parser and generators make these
+        return value
     if isinstance(value, float):
         raise ModelError(
             f"weight {value!r} is a float; pass an int, string or Fraction"
@@ -135,6 +137,7 @@ def expand_lengths(w: Wfts) -> Wfts:
     new_states = list(w.states)
     new_trans: list[Transition] = []
     counters: dict[tuple[str, str], int] = {}
+    zero = Fraction(0)
     for t in w.transitions:
         if t.length == 1:
             new_trans.append(t)
@@ -150,7 +153,7 @@ def expand_lengths(w: Wfts) -> Wfts:
             Transition(chain[0], chain[1], t.weight, t.guard, t.action, 1)
         )
         for a, b in zip(chain[1:], chain[2:]):
-            new_trans.append(Transition(a, b, Fraction(0), TRUE, "tau", 1))
+            new_trans.append(Transition(a, b, zero, TRUE, "tau", 1))
     expanded = copy.copy(w)
     expanded.states, expanded.transitions = tuple(new_states), tuple(new_trans)
     return expanded

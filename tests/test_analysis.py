@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import signal
@@ -5,7 +6,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from wfts.analysis import (
     StrategyMismatch,
@@ -27,6 +28,7 @@ from wfts.model import Transition, Wfts, expand_lengths
 from wfts.ordering import dfs_order
 from wfts.randgen import random_corpus, random_wfts
 
+from test_features import _eval, exprs, powerset
 from test_golden import without_timing
 
 def reference_dict(report) -> dict:
@@ -278,7 +280,11 @@ class TestJsonEmitter:
     @given(data=st.data())
     def test_bytes_equal_the_reference_encoder(self, data):
         states = data.draw(st.lists(HOSTILE, min_size=1, max_size=5, unique=True))
-        features = [f"F{i}" for i in range(data.draw(st.integers(0, 3)))]
+        features = [f"F{i}" for i in range(data.draw(st.integers(0, 8)))]
+        # A constraint that drops products makes the renderer pick the
+        # valid bit-vector codes out of all of them.
+        constraint = data.draw(st.just(TRUE) | exprs(features))
+        assume(any(_eval(constraint, p) for p in powerset(features)))
         guards = [TRUE, *map(Var, features), *(~Var(f) for f in features)]
         state = st.sampled_from(states)
         # Few transitions leave cycles out, so some values are undefined.
@@ -289,7 +295,8 @@ class TestJsonEmitter:
             max_size=8,
         ))
         initial = data.draw(st.lists(state, min_size=1, max_size=2, unique=True))
-        w = expand_lengths(Wfts(states, initial, transitions, FeatureModel(features)))
+        w = expand_lengths(Wfts(states, initial, transitions,
+                                FeatureModel(features, constraint)))
         mode = data.draw(st.sampled_from(["max", "min"]))
         report = analyze_family(w, mode, witnesses=data.draw(st.booleans()))
         assert_json_matches_reference(report)
@@ -300,7 +307,7 @@ class TestJsonEmitter:
 
     @pytest.mark.parametrize("mode", ["max", "min"])
     def test_bytes_equal_the_reference_encoder_on_the_corpus(self, mode):
-        for w in map(expand_lengths, random_corpus(0, 300)):
+        for w in map(expand_lengths, random_corpus(0, 300) + _wide(16)):
             for witnesses in (True, False):
                 assert_json_matches_reference(analyze_family(w, mode, witnesses))
 
@@ -662,3 +669,26 @@ class TestWitnessSharing:
             assert outcomes[members[0]].witness is not None
             assert {outcomes[p].witness for p in members} == {outcomes[members[0]].witness}
         assert any(len(members) > 1 for members in classes.values())
+
+    # sha256 of the per-product witness lists of taxi:1..4, minepump and
+    # grantrequest (max, then min, each), as the stage gave them before it
+    # returned cells.
+    PINNED_WITNESSES = "bdea7284093a818c56cc8f1fae9dae9dc7e49fc4d902eb889a065f38b5913746"
+
+    @pytest.mark.parametrize("analyze", [analyze_family, analyze_products])
+    def test_witness_cells_partition_the_defined_products(self, analyze):
+        named = [taxi(k) for k in range(1, 5)] + [minepump_lite(), grant_request()]
+        digest = hashlib.sha256()
+        for w, pinned in [(w, True) for w in named] + [(w, False) for w in _wide(8)]:
+            for mode in ("max", "min"):
+                report = analyze(expand_lengths(w), mode, witnesses=True)
+                defined = sum(mask for mask, value in report.classes if value is not None)
+                covered = 0
+                for mask, witness in report.witnesses:
+                    assert mask and not mask & covered and witness
+                    covered |= mask
+                assert covered == defined
+                assert len({witness for _, witness in report.witnesses}) == len(report.witnesses)
+                if pinned:
+                    digest.update(repr([o.witness for o in report.outcomes]).encode())
+        assert digest.hexdigest() == self.PINNED_WITNESSES

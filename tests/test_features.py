@@ -181,10 +181,19 @@ def test_product_set_ops_respect_valid_products():
     assert products_of(fm, not_x) == {frozenset({"y"})}
 
 
-def _eval(e, product):
-    from wfts.features import _eval as impl
-
-    return impl(e, product)
+def _eval(e, product) -> bool:
+    """Whether ``product`` satisfies ``e``, by the truth tables."""
+    if e == TRUE:
+        return True
+    if e == FALSE:
+        return False
+    if isinstance(e, Var):
+        return e.name in product
+    if isinstance(e, Not):
+        return not _eval(e.operand, product)
+    if isinstance(e, And):
+        return _eval(e.left, product) and _eval(e.right, product)
+    return _eval(e.left, product) or _eval(e.right, product)
 
 
 def reference_products(features, constraint):
@@ -227,3 +236,14 @@ def test_constraints_without_products_are_rejected(features, constraint):
     assert reference_products(features, constraint) == []
     with pytest.raises(FeatureError):
         FeatureModel(features, constraint)
+
+
+def test_feature_masks_at_sixteen_features():
+    # Each mask is built by shifts over the 2^16 codes; here it is read off
+    # the enumerated products, one digit per product.
+    features = [f"f{i}" for i in range(16)]
+    fm = FeatureModel(features)
+    assert fm.products == tuple(reference_products(features, TRUE))
+    for f in features:
+        digits = "".join(["1" if f in p else "0" for p in reversed(fm.products)])
+        assert fm.mask(Var(f)) == int(digits, 2)

@@ -56,6 +56,20 @@ class TestValidation:
     def test_exact_weight_from_string(self):
         assert Transition("a", "b", "13.5").weight == Fraction(27, 2)
 
+    def test_weights_become_exact_fractions_and_fractions_stay(self):
+        class Ratio(Fraction):
+            pass
+
+        exact = Fraction(7, 3)
+        assert Transition("a", "b", exact).weight is exact
+        for weight, want in ((3, Fraction(3)), ("-7/4", Fraction(-7, 4)),
+                             (Ratio(1, 2), Fraction(1, 2))):
+            got = Transition("a", "b", weight).weight
+            assert type(got) is Fraction and got == want
+        for bad in (0.5, "x", None):
+            with pytest.raises(ModelError):
+                Transition("a", "b", bad)
+
     def test_guard_depth_is_bounded_before_any_recursion(self):
         def chain(levels):
             e = Var("G")
