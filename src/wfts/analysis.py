@@ -8,8 +8,9 @@ infinite run and report "undefined".
 
 A report holds the values as disjoint ``(product mask, value)`` classes
 and the witnesses as disjoint ``(product mask, cycle)`` cells; its
-``outcomes`` are their per-product view, and ``report_to_json`` writes
-the text of each class and cell once and spreads it to the products they
+``outcomes`` are their per-product view.  The renderers
+(``report_to_json``, ``report_to_csv``, ``report_to_table``) write the
+text of each class and cell once and spread it to the products they
 hold.  ``analyze_family`` runs one
 Howard policy iteration for every product at once, on the live graph (per
 state, the products that reach it from an initial state and have an
@@ -24,11 +25,12 @@ state on a cycle of optimal mean) that finishes last in the classic DFS of
 the tight graph, and is the cycle a walk through that component closes.
 
 Both take a system as written and read one ``IndexedModel`` per call, built
-by ``_analyze``: it indexes the system's length expansion, so that cycle
-means are taken per unit step.  The value routes read its series view, one
-arc of weight and length per chain of pass-through states, whose cycle
-ratios Σweight/Σlength are those means; the witness stage reads the unit
-steps, so that a witness names the states a run visits.  One sign
+by ``_analyze``: it indexes the declared transitions, each an arc of
+weight and length, and cycle means are taken per unit step, a cycle's
+total weight over its total length.  The value routes read its series
+view, one arc per chain of pass-through states; the witness stage reads
+the declared arcs, so that a witness names the declared states a run
+visits.  Neither expands the lengths into unit steps.  One sign
 convention holds throughout: min mode runs the maximizing algorithms on
 weights negated once, inside ``IndexedModel``, and negates the values
 they return, once per class.
@@ -44,6 +46,7 @@ from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from typing import Iterator
 
+from .features import FeatureModel
 from .graphs import IndexedModel, spread
 from .meancycle import _paint, best_reachable_key, family_means
 from .model import Wfts
@@ -125,35 +128,38 @@ def _family_values(im: IndexedModel) -> Classes:
 def _product_values(im: IndexedModel) -> Classes:
     """The products' best means as value classes, one Howard run per
     product."""
-    bits = [1 << p for p in range(len(im.feature_model.products))]
+    bits = [1 << p for p in range(im.feature_model.full_mask.bit_length())]
     return _merge(im, ((bit, best_reachable_key(im, bit)) for bit in bits))
 
 
 def _tight_graph(
     im: IndexedModel, classes: list[tuple[int, Fraction]]
-) -> list[list[tuple[int, int]]]:
-    """Per state, its out-edges in declaration order as ``(target, tight
-    mask)`` pairs, without the edges that are tight for no product.
+) -> list[list[tuple[int, int, int]]]:
+    """Per declared state, its out-arcs in declaration order as ``(first
+    hop, target, tight mask)`` triples, without the arcs that are tight
+    for no product.
 
     For a value class with ``a/b`` its signed, scaled value, the level of a
-    state is the longest walk from an initial state with every weight
-    shifted to ``w·b − a``; it is finite because the value is the best
-    cycle mean, so no shifted cycle is positive.  The levels come from one
+    state is the longest walk from an initial state with every arc of
+    weight w and length ℓ shifted to ``w·b − a·ℓ``, its unit steps'
+    shifts summed; it is finite because the value is the best cycle mean,
+    so no shifted cycle is positive.  The levels come from one
     label-correcting pass over ``(level → products)`` cells per state, in
     first-in first-out order as Bellman–Ford's rounds.  Each entry carries
-    the length of its walk; without a positive shifted cycle every level
-    is met first by a simple walk, so a push at length ``n`` or more
-    raises ``StrategyMismatch``: a cycle beats the value.  An edge is tight
-    for a product that enables it when the target's level is the source's
-    plus the shifted weight.  The classes are disjoint, so one mask per
-    edge holds all of them.
+    the number of unit steps of its walk; without a positive shifted cycle
+    every level is met first by a walk that visits no declared state
+    twice, which has fewer than ``im.n`` steps, so a push at ``im.n`` or
+    more raises ``StrategyMismatch``: a cycle beats the value.  An arc is
+    tight for a product that enables it when the target's level is the
+    source's plus the shifted weight.  The classes are disjoint, so one
+    mask per arc holds all of them.
     """
-    n = im.n
-    arcs: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
-    for e, (u, v, w, g) in enumerate(im.edges):
+    n = len(im.system.states)
+    arcs: list[list[tuple[int, int, int, int, int]]] = [[] for _ in range(n)]
+    for e, (u, v, w, length, g, _) in enumerate(im.arcs):
         if g:
-            arcs[u].append((e, v, w, g))
-    tight = [0] * len(im.edges)
+            arcs[u].append((e, v, w, length, g))
+    tight = [0] * len(im.arcs)
     for mask, value in classes:
         num, b = value.as_integer_ratio()
         a = im.sign * im.scale * num
@@ -168,12 +174,11 @@ def _tight_graph(
             m &= level[u].get(lu, 0)  # products still at this level
             if not m:
                 continue
-            steps += 1
-            for _, v, w, g in arcs[u]:
+            for _, v, w, length, g in arcs[u]:
                 gain = m & g
                 if not gain:
                     continue
-                c = lu + w * b - a
+                c = lu + w * b - a * length
                 cells = level[v]
                 if cells is None:
                     cells = level[v] = {}
@@ -192,64 +197,79 @@ def _tight_graph(
                         rest = cells.pop(lv) & ~gain
                         if rest:
                             cells[lv] = rest
-                if steps >= n:
+                if steps + length >= im.n:
                     raise StrategyMismatch(f"a cycle beats the value {value} "
                                            f"under {im.feature_model.expr_for_mask(gain)}")
                 have[v] |= gain
                 cells[c] = cells.get(c, 0) | gain
-                queue.append((v, gain, c, steps))
+                queue.append((v, gain, c, steps + length))
         for u, here in enumerate(level):
             if not here:
                 continue
-            for e, v, w, g in arcs[u]:
+            for e, v, w, length, g in arcs[u]:
                 there = level[v]
                 if there is None:
                     continue
-                shift = w * b - a
+                shift = w * b - a * length
                 for lu, mu in here.items():
                     hit = mu & g & there.get(lu + shift, 0)
                     if hit:
                         tight[e] |= hit
-    out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for (u, v, _, _), m in zip(im.edges, tight):
+    out: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for (u, v, *_, hop), m in zip(im.arcs, tight):
         if m:
-            out[u].append((v, m))
+            out[u].append((hop, v, m))
     return out
 
 
 def _witnesses(im: IndexedModel, classes: Classes) -> list[tuple[int, tuple[str, ...]]]:
     """Per product with a value in ``classes``, an optimal cycle of that
-    value, as original state names, for all products in one symbolic pass:
-    disjoint ``(product mask, cycle)`` cells, one per distinct cycle.
+    value, as declared state names, for all products in one symbolic
+    pass: disjoint ``(product mask, cycle)`` cells, one per distinct
+    cycle.
 
-    The rule, on each product's reachable subgraph with ``im``'s signed
-    weights: every cycle of the tight graph (``_tight_graph``) is optimal,
-    and a state is *critical* when it lies on one.  The witness lies in the
-    tight component of the critical state that finishes last in the
+    The rule, on each product's reachable subgraph of unit steps with
+    ``im``'s signed weights: every cycle of the tight graph is optimal,
+    and a state is *critical* when it lies on one.  The witness lies in
+    the tight component of the critical state that finishes last in the
     classic DFS of the tight graph (roots in index order, out-edges in
     declaration order).  The walk starts at that component's smallest
     state and steps to the smallest successor inside it until a state
     repeats; the cycle it closes, rotated to its smallest state, is the
-    witness.
+    witness, without the ``#`` states of length expansion.
+
+    The stage applies that rule to the declared arcs (``_tight_graph``),
+    which gives the unit steps' answer exactly.  Every ``#`` state is
+    indexed after every declared state and has one way in, from its
+    chain's source, which is tight wherever the state has a level: so a
+    chain lies on a tight cycle exactly when its arc is tight, a DFS
+    visits it from its source, every critical state that finishes last is
+    declared, and components and walks meet the declared states in the
+    unit steps' order.  The walk ranks out-arcs by their first hop: the
+    target's index for length 1, else the index of the chain's first
+    ``#`` state.  The series view would not do: it drops declared
+    pass-through states, which witnesses name and which can root the DFS
+    before a kept state.
 
     Symbolically, the DFS is ``dfs_order`` on the tight graph, and the
     component comes from Kosaraju's second pass over its entries from the
     last: an entry spreads backward, under its products not yet assigned,
-    to its component, and the products whose component has a tight edge
+    to its component, and the products whose component has a tight arc
     are done.  Kosaraju emits components in decreasing finishing time of
     their roots, so that component holds the last critical state to
-    finish.  States without a tight edge in or out are assigned from the
-    start: each is a component of its own without an edge.  The walk
-    splits the product sets wherever the smallest successor differs.
-    Intermediate states introduced by length expansion are dropped from
-    the rendering.
+    finish.  States without a tight arc in or out are assigned from the
+    start: each is a component of its own without an arc.  The walk
+    splits the product sets wherever the first successor differs.  A
+    system given already expanded names its ``#`` states as declared
+    ones; they are dropped from the rendering too.
     """
     classes = [(mask, value) for mask, value in classes if value is not None]
     context = sum(mask for mask, _ in classes)  # the classes are disjoint
     if not context:
         return []
-    n = im.n
-    out = _tight_graph(im, classes)
+    n = len(im.system.states)
+    ranked = _tight_graph(im, classes)
+    out = [[(v, m) for _, v, m in arcs] for arcs in ranked]
     pred: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     into = [0] * n
     onward = [0] * n
@@ -260,7 +280,7 @@ def _witnesses(im: IndexedModel, classes: Classes) -> list[tuple[int, tuple[str,
             onward[u] |= m
 
     # Kosaraju's second pass, up to each product's first component with an
-    # edge; the states without a tight edge in or out start assigned.
+    # arc; the states without a tight arc in or out start assigned.
     assigned = [context & ~(i & o) for i, o in zip(into, onward)]
     component = [0] * n
     left = context
@@ -290,9 +310,10 @@ def _witnesses(im: IndexedModel, classes: Classes) -> list[tuple[int, tuple[str,
         if hit:
             walks.append((hit, [u]))
             left ^= hit
+    states = im.system.states
     while walks:
         products, path = walks.pop()
-        for v, m in sorted(out[path[-1]]):
+        for _, v, m in sorted(ranked[path[-1]]):
             hit = products & m & component[v]
             if not hit:
                 continue
@@ -300,7 +321,7 @@ def _witnesses(im: IndexedModel, classes: Classes) -> list[tuple[int, tuple[str,
             if v in path:
                 cycle = path[path.index(v):]
                 pivot = cycle.index(min(cycle))
-                names = [im.states[u] for u in cycle[pivot:] + cycle[:pivot]]
+                names = [states[u] for u in cycle[pivot:] + cycle[:pivot]]
                 witness = tuple(s for s in names if "#" not in s) or tuple(names)
                 found[witness] = found.get(witness, 0) | hit
             else:
@@ -329,7 +350,7 @@ def _analyze(w: Wfts, mode: str, witnesses: bool, **routes) -> Report:
     classes, *others = [_timed(timing, key, route, im) for key, route in routes.items()]
     for other in others:
         if other != classes:
-            count = len(w.feature_model.products)
+            count = w.feature_model.full_mask.bit_length()
             lines = [
                 f"  product {format_product(p)}: family={v1} product-based={v2}"
                 for p, v1, v2 in zip(w.feature_model.products, _per_product(classes, count),
@@ -388,7 +409,7 @@ def product_rows(report: Report) -> Iterator[tuple[tuple[str, ...], str]]:
     and its value's text, made once per value class."""
     fm = report.wfts.feature_model
     texts = _per_product([(mask, value_text(value)) for mask, value in report.classes],
-                         len(fm.products))
+                         fm.full_mask.bit_length())
     return zip(fm.tabulate((), lambda rows, f: [(f,) + row for row in rows]), texts)
 
 
@@ -410,7 +431,7 @@ def report_to_json(report: Report) -> str:
     so that a product costs one string operation."""
     enc = encode_basestring_ascii
     fm = report.wfts.feature_model
-    count = len(fm.products)
+    count = fm.full_mask.bit_length()
     # Feature names are ASCII identifiers, which JSON quotes as they are.
     between = '",\n        "'
     listed = fm.tabulate("", lambda tails, f: [f + between + t if t else f for t in tails])
@@ -434,36 +455,51 @@ def report_to_json(report: Report) -> str:
     return _block(members, 0, "{}")
 
 
+def _sorted_features(fm: FeatureModel, sep: str) -> list[str]:
+    """Per product, in enumeration order, its features in sorted order
+    joined by ``sep``.  The texts of all bit-vector codes are built by the
+    same doubling as ``FeatureModel.tabulate``, over the features in
+    sorted order; each product finds its own by its code in that order."""
+    ranked = sorted(fm.features)
+    texts = [""]
+    for f in reversed(ranked):
+        texts += [f + sep + t if t else f for t in texts]
+    weight = {f: 1 << i for i, f in enumerate(reversed(ranked))}
+    return [texts[c] for c in fm.tabulate(0, lambda codes, f: [c + weight[f] for c in codes])]
+
+
 def report_to_table(report: Report, color: bool = False) -> str:
+    """The report as a table, one row per product: its text built once per
+    product, and its value and cycle columns once per value class and
+    witness cell."""
     bold = ("\x1b[1m", "\x1b[0m") if color else ("", "")
-    rows = [("product", report.mode + ".", "cycle")]
-    for outcome in report.outcomes:
-        if outcome.value is None:
-            rows.append((format_product(outcome.product), "undefined", ""))
-            continue
-        witness = ""
-        if outcome.witness:
-            witness = "->".join(outcome.witness + (outcome.witness[0],))
-        rows.append((format_product(outcome.product), decimal2(outcome.value), witness))
-    widths = [max(len(r[i]) for r in rows) for i in range(3)]
-    lines = []
-    for i, row in enumerate(rows):
-        text = "  ".join(cell.ljust(widths[j]) for j, cell in enumerate(row)).rstrip()
-        if i == 0:
-            text = bold[0] + text + bold[1]
-        lines.append(text)
+    fm = report.wfts.feature_model
+    count = fm.full_mask.bit_length()
+    products = [f"{{{t}}}" for t in _sorted_features(fm, ",")]
+    values = [(mask, "undefined" if value is None else decimal2(value))
+              for mask, value in report.classes]
+    cycles = [(mask, "->".join(witness + witness[:1])) for mask, witness in report.witnesses or []]
+    header = ("product", report.mode + ".", "cycle")
+    widths = [max(len(text) for text in column) for column in (
+        [header[0], *products], [header[1], *(text for _, text in values)],
+        [header[2], *(text for _, text in cycles)])]
+    padded = _per_product([(mask, text.ljust(widths[1]) + "  ") for mask, text in values], count)
+    lines = [bold[0] + "  ".join(cell.ljust(width) for cell, width in zip(header, widths)).rstrip()
+             + bold[1]]
+    lines += [f"{product.ljust(widths[0])}  {value}{cycle}".rstrip()
+              for product, value, cycle in zip(products, padded, _per_product(cycles, count, ""))]
     return "\n".join(lines)
 
 
 def report_to_csv(report: Report) -> str:
-    lines = ["product,value,decimal,witness"]
-    for outcome in report.outcomes:
-        product = "+".join(sorted(outcome.product)) or "-"
-        if outcome.value is None:
-            lines.append(f"{product},undefined,,")
-        else:
-            witness = "->".join(outcome.witness) if outcome.witness else ""
-            lines.append(
-                f"{product},{outcome.value},{decimal2(outcome.value)},{witness}"
-            )
-    return "\n".join(lines) + "\n"
+    """The report as CSV, one row per product, built as the table is."""
+    fm = report.wfts.feature_model
+    count = fm.full_mask.bit_length()
+    values = _per_product([(mask, "undefined,," if value is None else
+                            f"{value},{decimal2(value)},") for mask, value in report.classes],
+                          count)
+    cycles = _per_product([(mask, "->".join(witness)) for mask, witness in report.witnesses or []],
+                          count, "")
+    rows = [f"{product or '-'},{value}{cycle}"
+            for product, value, cycle in zip(_sorted_features(fm, "+"), values, cycles)]
+    return "product,value,decimal,witness\n" + "\n".join(rows) + "\n"

@@ -59,7 +59,7 @@ def bench_model(label: str, w: Wfts, reps: int, mode: str = "max") -> BenchRow:
     return BenchRow(
         label,
         len(w.feature_model.features),
-        len(w.feature_model.products),
+        w.feature_model.full_mask.bit_length(),
         len(expanded.states),
         fam_mean,
         fam_rsd,

@@ -12,14 +12,15 @@ CLI command:
 * the oracle triangle — family-based, product-based and brute-force cycle
   enumeration report identical values for every product, in both modes.
 
-Every suite reads the per-product graphs off one ``IndexedModel``, as both
-analyses do; the triangle adds its min-signed twin for min mode, so that
-``check_model`` builds two.  The brute-force oracle alone takes the model's
-own weights (``reachable_projection``): unsigned Fractions that it scales
-to ints by the lcm of their own denominators, summing paths in ints and
-comparing cycles by cross-multiplication in each mode.  Neither that scale
-nor that comparison comes from the index, so the oracle checks the index's
-sign and scale instead of sharing them.
+Every suite reads the per-product graphs off the unit steps of one
+``IndexedModel``, which both analyses read too; the triangle adds its
+min-signed twin for min mode, so that ``check_model`` builds two.  The
+brute-force oracle alone takes the model's own weights
+(``reachable_projection``): unsigned Fractions that it scales to ints by
+the lcm of their own denominators, summing paths in ints and comparing
+cycles by cross-multiplication in each mode.  Neither that scale nor that
+comparison comes from the index, so the oracle checks the index's sign and
+scale instead of sharing them.
 
 Every product is compared, but each classic reference runs once per
 distinct input, in one place (``product_inputs``).  The unit is a block
@@ -161,7 +162,7 @@ def product_inputs(im: IndexedModel, label: str) -> ProductInputs:
     orders = [finish_order(adj, im.n) for adj in adjs]
     components = [kosaraju_components(o, im.product_radj(bit)) for o, bit in zip(orders, bits)]
     oracle = [brute_force_mean_cycle(n, edges) for n, edges in projections]
-    count = len(im.feature_model.products)
+    count = im.feature_model.full_mask.bit_length()
     block_of = _per_product([(block, i) for i, block in enumerate(blocks)], count)
     return ProductInputs(
         blocks, block_of, orders, components, projection_of, projections, lowest, oracle
@@ -174,7 +175,7 @@ def check_tree(tree: FinishingTree, im: IndexedModel, inputs: ProductInputs) -> 
     walk down the tree splits the products wherever the children's edge
     masks differ."""
     result = CheckResult("tree")
-    products = im.feature_model.products
+    fm = im.feature_model  # its products are named only in failures
     n = im.n
 
     for leaf in tree.leaves():
@@ -208,7 +209,7 @@ def check_tree(tree: FinishingTree, im: IndexedModel, inputs: ProductInputs) -> 
             while here:
                 b = inputs.block_of[(here & -here).bit_length() - 1]
                 if path != classic[b]:
-                    lines += [(p, n + 1, f"product {format_product(products[p])}: path "
+                    lines += [(p, n + 1, f"product {format_product(fm.products[p])}: path "
                                f"{path} != classic finish order {classic[b]}")
                               for p in _bits(here & inputs.blocks[b])]
                 here &= ~inputs.blocks[b]
@@ -220,12 +221,12 @@ def check_tree(tree: FinishingTree, im: IndexedModel, inputs: ProductInputs) -> 
             once |= child.edge_mask
         for p in _bits(here & (twice | ~once)):
             matching = sum(1 for child in node.children if child.edge_mask >> p & 1)
-            lines.append((p, depth, f"product {format_product(products[p])} matches "
+            lines.append((p, depth, f"product {format_product(fm.products[p])} matches "
                           f"{matching} children at depth {depth}"))
         for child in node.children:
             down = here & child.edge_mask & ~twice
             if down:
-                lines += [(p, depth, f"product {format_product(products[p])} missing "
+                lines += [(p, depth, f"product {format_product(fm.products[p])} missing "
                            f"from path mask at depth {depth}")
                           for p in _bits(down & ~child.path_mask)]
                 walk.append((child, down))
@@ -247,7 +248,7 @@ def check_scc_tree(
     components.  The masks are read at each block's lowest product, and at
     every product of a block that some mask holds only part of."""
     result = CheckResult("scc")
-    products = im.feature_model.products
+    fm = im.feature_model  # its products are named only in failures
     names = im.states
     blocks, block_of = inputs.blocks, inputs.block_of
     lowest = sum(block & -block for block in blocks)
@@ -288,7 +289,7 @@ def check_scc_tree(
             # A product read in the second pass stands for itself alone.
             block = blocks[block_of[p]]
             for q in _bits(1 << p if block & sum(passes[1:]) else block):
-                where = f"{route} route, product {format_product(products[q])}"
+                where = f"{route} route, product {format_product(fm.products[q])}"
                 lines += [(q, r, f"{where}: {failure}") for failure in failures]
     result.failures += [line for *_, line in sorted(lines, key=lambda line: line[:2])]
     return result
@@ -335,27 +336,48 @@ def check_triangle(im: IndexedModel, inputs: ProductInputs, label: str) -> Check
     states and edges, so the products that share a projection share its
     value.  The family route runs once per mode.  Both routes read ``im``
     in the mode of its sign and one twin index of the other sign.
+
+    The comparison runs per block: a block that lies in one family value
+    class passes with one comparison of that class's value with its
+    projection's two values.  Only a block that fails it is compared
+    product by product, and its failures are listed by product.
     """
     result = CheckResult("triangle")
-    products = im.feature_model.products
+    fm = im.feature_model
     for mode, sign in (("max", 1), ("min", -1)):
-        signed = im if im.sign == sign else IndexedModel(im.wfts, sign)
-        family = _per_product(_family_values(signed), len(products))
+        signed = im if im.sign == sign else IndexedModel(im.system, sign)
+        family = _family_values(signed)
         routed = [best_reachable_mean(signed, bit) for bit in inputs.lowest]
         routed = [v if v is None else sign * v for v in routed]
-        for p_idx, product in enumerate(products):
-            which = inputs.projection_of[inputs.block_of[p_idx]]
-            fam_v, prod_v, oracle_v = family[p_idx], routed[which], inputs.oracle[which][mode]
-            if not (fam_v == prod_v == oracle_v):
-                result.failures.append(
-                    f"{label} mode={mode} product {format_product(product)}: "
-                    f"family={fam_v} product-based={prod_v} brute-force={oracle_v}"
-                )
+        # Per product, the last class holding it, as ``_per_product`` reads
+        # them; ``after[i]`` holds the products of the classes after class i.
+        count = fm.full_mask.bit_length()
+        owner = _per_product([(mask, i) for i, (mask, _) in enumerate(family)], count)
+        after = [0] * len(family)
+        for i in range(len(family) - 1, 0, -1):
+            after[i - 1] = after[i] | family[i][0]
+        per_product = None  # the family value of every product, once a block fails
+        lines: list[tuple[int, str]] = []  # (product, failure)
+        for block, which in zip(inputs.blocks, inputs.projection_of):
+            prod_v, oracle_v = routed[which], inputs.oracle[which][mode]
+            i = owner[(block & -block).bit_length() - 1]
+            if (i is not None and not block & (~family[i][0] | after[i])
+                    and family[i][1] == prod_v == oracle_v):
+                continue
+            if per_product is None:
+                per_product = _per_product(family, count)
+            for p in _bits(block):
+                fam_v = per_product[p]
+                if not (fam_v == prod_v == oracle_v):
+                    lines.append((p, f"{label} mode={mode} product "
+                                     f"{format_product(fm.products[p])}: family={fam_v} "
+                                     f"product-based={prod_v} brute-force={oracle_v}"))
+        result.failures += [line for _, line in sorted(lines)]
     return result
 
 
 def check_model(w: Wfts, label: str = "model") -> CheckResult:
-    """All suites on one system's length expansion, sharing one partition
+    """All suites on one system's unit steps, sharing one partition
     of the products into blocks with every classic reference's answers
     (``product_inputs``), one feature-aware DFS and two indexed graphs: the
     max-signed one that every suite reads, and its min-signed twin, which

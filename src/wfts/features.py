@@ -159,7 +159,8 @@ class FeatureModel:
     built by shifts over all 2^k bit-vectors, the constraint is denoted
     over those, and, when it drops products, each bitset is compressed
     through the valid ones.  ``tabulate`` builds per-product items the way
-    the products are enumerated.
+    the products are enumerated; ``products`` itself is built that way on
+    first read.
     """
 
     def __init__(self, features: Iterable[str], constraint: FeatureExpr = TRUE):
@@ -202,7 +203,6 @@ class FeatureModel:
             raise FeatureError("feature model admits no valid products")
         self._codes = None if valid == self.full_mask else [
             c for c, bit in enumerate(bin(valid)[:1:-1]) if bit == "1"]
-        self._products = tuple(self.tabulate(frozenset(), lambda ps, f: [p | {f} for p in ps]))
         if self._codes is not None:  # compress each mask through the valid codes
             pick = itemgetter(*self._codes)
             self._feature_masks = {f: int("".join(pick(f"{m:0{size}b}"[::-1]))[::-1], 2)
@@ -218,10 +218,11 @@ class FeatureModel:
     def constraint(self) -> FeatureExpr:
         return self._constraint
 
-    @property
+    @cached_property
     def products(self) -> tuple[frozenset, ...]:
-        """All valid products, in the canonical bit-vector order."""
-        return self._products
+        """All valid products, in the canonical bit-vector order, built on
+        first read; their count is ``full_mask.bit_length()``."""
+        return tuple(self.tabulate(frozenset(), lambda ps, f: [p | {f} for p in ps]))
 
     def tabulate(self, empty, extend) -> list:
         """One item per product, in enumeration order, built the way the
@@ -235,7 +236,7 @@ class FeatureModel:
 
     @cached_property
     def _index(self) -> dict[frozenset, int]:
-        return {p: i for i, p in enumerate(self._products)}
+        return {p: i for i, p in enumerate(self.products)}
 
     def product_index(self, product: Iterable[str]) -> int:
         p = frozenset(product)
@@ -287,7 +288,7 @@ class FeatureModel:
         return hash((self._features, self._constraint))
 
     def __repr__(self) -> str:
-        return f"FeatureModel({list(self._features)}, {len(self._products)} products)"
+        return f"FeatureModel({list(self._features)}, {self.full_mask.bit_length()} products)"
 
 
 def _expr_for_mask(fm: FeatureModel, mask: int, i: int, care: int) -> FeatureExpr:

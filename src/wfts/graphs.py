@@ -1,15 +1,20 @@
 """The indexed graph of one analysis, and classic graph algorithms on it.
 
-``IndexedModel`` is the only place where a system becomes unit steps,
-integer states, guard bitmasks and adjacency lists; every layer of an
-analysis and every cross-check reads the same object, so each takes a
-system as written.  It also carries the one sign convention: min mode runs
-the maximizing algorithms on weights negated once, here.  Its ``series``
-view folds every chain of pass-through states back into one arc with a
-weight and a length; the two value routes read that view, and the
-witnesses, the checks and the oracle read the unit steps.  The series view
-is contracted from the unit steps, not read off the declared transitions,
-so a system that is already expanded gets the same view.
+``IndexedModel`` is the only place where a system becomes integer states,
+guard bitmasks and adjacency lists; every layer of an analysis and every
+cross-check reads the same object, so each takes a system as written.  It
+also carries the one sign convention: min mode runs the maximizing
+algorithms on weights negated once, here.  It holds one arc per declared
+transition, with its weight and length, and builds two views of those
+arcs on first read.  The ``series`` view folds every chain of pass-through
+states into one arc with a weight and a length; the two value routes read
+it.  The unit steps (``wfts``, ``states``, ``transitions``, ``index``,
+``edges``, ``out``, ``pred``) are the length expansion, in which a
+transition of length k is a chain of k unit transitions; the checks, the
+oracle and the finishing tree read them.  The witness stage reads the
+declared arcs, so that a witness names the declared states a run visits.
+A system that is already expanded gets the same series view, since its
+``#`` states are pass-through.
 
 ``spread`` is the one reachability over product sets: symbolic
 reachability, both symbolic component routes and the witness stage's
@@ -37,10 +42,10 @@ class Series(NamedTuple):
 
     ``kept[i]`` is the index of state i; ``initial`` lists the initial
     states.  ``arcs`` holds one ``(u, v, weight, length, guard mask,
-    first-hop weight)`` per chain of edges from a kept state through
+    first-hop weight)`` per chain of arcs from a kept state through
     pass-through states to the next kept state, in the declaration order
-    of its first hop: the chain's total weight, its number of unit steps,
-    the AND of its guards (never 0) and the weight of its first edge.
+    of its first arc: the chain's total weight, its number of unit steps,
+    the AND of its guards (never 0) and the weight of its first unit step.
     ``out`` and ``pred`` list ``(neighbour, guard mask)`` pairs in that
     order, as ``IndexedModel.out`` and ``pred`` do.
     """
@@ -52,88 +57,126 @@ class Series(NamedTuple):
     pred: list[list[tuple[int, int]]]
 
 
-class IndexedModel:
-    """A system's length expansion flattened to integer indices with
-    bit-mask guards.
+# The unit-step view's attributes, built together on first read.
+_UNIT_STEPS = frozenset({"wfts", "states", "transitions", "index", "edges", "out", "pred"})
 
-    ``wfts``, ``states`` and ``transitions`` are ``expand_lengths(w)``'s,
-    so cycle means are taken per unit step.  ``edges`` holds one ``(u, v,
-    weight, guard mask)`` per unit transition in declaration order;
-    ``out[u]`` and ``pred[v]`` list ``(neighbour, guard mask)`` pairs in
-    that order, without the edges no valid product enables.  Weights are
-    scaled to integers by the least common multiple of the denominators, so
-    that the inner loops stay in int arithmetic, and multiplied by ``sign``
-    (1 for max mode, -1 for min mode).  A simple cycle has at most ``n``
-    steps, so every cycle mean is an int over ``denominator``, ``scale``
-    times ``period`` = lcm(1..n): total t over k steps is t·(period // k).
+
+class IndexedModel:
+    """A system as written, flattened to integer indices with bit-mask
+    guards.
+
+    ``system`` is the system itself.  ``arcs`` holds one ``(u, v, weight,
+    length, guard mask, first hop)`` per declared transition in
+    declaration order, over the declared states in declaration order.
+    Weights are scaled to integers by the least common multiple of the
+    denominators, so that the inner loops stay in int arithmetic, and
+    multiplied by ``sign`` (1 for max mode, -1 for min mode).  The first
+    hop is the unit index of the transition's first unit step's target:
+    the target itself for length 1, else the first ``#`` state of its
+    chain.
+
+    The unit steps are ``expand_lengths(system)``'s, indexed with the
+    declared states first and each chain's ``#`` states after them in
+    declaration order; they are built together on first read of any of
+    ``wfts``, ``states``, ``transitions``, ``index``, ``edges``, ``out``
+    or ``pred``.  ``edges`` holds one ``(u, v, weight, guard mask)`` per
+    unit transition in declaration order; ``out[u]`` and ``pred[v]`` list
+    ``(neighbour, guard mask)`` pairs in that order, without the edges no
+    valid product enables.  ``n`` counts the unit states: a simple cycle
+    has at most ``n`` steps, so every cycle mean is an int over
+    ``denominator``, ``scale`` times ``period`` = lcm(1..n): total t over
+    k steps is t·(period // k).
     """
 
     def __init__(self, w: Wfts, sign: int = 1):
-        w = expand_lengths(w)
         fm = w.feature_model
-        self.wfts = w
+        self.system = w
         self.feature_model = fm
-        self.states = w.states
-        self.transitions = w.transitions
         self.sign = sign
-        self.n = len(w.states)
-        self.index = {s: i for i, s in enumerate(w.states)}
-        self.initial = [self.index[s] for s in w.initial]
+        index = {s: i for i, s in enumerate(w.states)}
+        self.initial = [index[s] for s in w.initial]
         self.scale = scale = lcm(1, *(t.weight.denominator for t in w.transitions))
+        self.arcs: list[tuple[int, int, int, int, int, int]] = []
+        hop = len(w.states)  # the index of the next chain's first # state
+        for t in w.transitions:
+            v = index[t.target]
+            weight = sign * t.weight.numerator * (scale // t.weight.denominator)
+            self.arcs.append((index[t.source], v, weight, t.length, fm.mask(t.guard),
+                              v if t.length == 1 else hop))
+            hop += t.length - 1
+        self.n = hop
         self.period = lcm(1, *range(2, self.n + 1))
         self.denominator = self.period * scale
-        self.edges: list[tuple[int, int, int, int]] = []
-        self.out: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        self.pred: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for t in w.transitions:
-            g = fm.mask(t.guard)
-            u, v = self.index[t.source], self.index[t.target]
-            weight = t.weight.numerator * (scale // t.weight.denominator)
-            self.edges.append((u, v, sign * weight, g))
+
+    def __getattr__(self, name: str):
+        # Called only for an attribute not yet set: the unit steps.
+        if name not in _UNIT_STEPS:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self._index_unit_steps()
+        return self.__dict__[name]
+
+    def _index_unit_steps(self) -> None:
+        """The unit steps, from the arcs: a chain's first step keeps the
+        arc's weight and guard, and the others have weight 0 and guard
+        true."""
+        w = self.wfts = expand_lengths(self.system)
+        self.states, self.transitions = w.states, w.transitions
+        self.index = {s: i for i, s in enumerate(w.states)}
+        full = self.feature_model.full_mask
+        edges = self.edges = []
+        for u, v, wt, length, g, hop in self.arcs:
+            chain = [u, *range(hop, hop + length - 1), v]
+            edges.append((u, chain[1], wt, g))
+            edges += [(a, b, 0, full) for a, b in zip(chain[1:], chain[2:])]
+        out = self.out = [[] for _ in range(self.n)]
+        pred = self.pred = [[] for _ in range(self.n)]
+        for u, v, _, g in edges:
             if g:
-                self.out[u].append((v, g))
-                self.pred[v].append((u, g))
+                out[u].append((v, g))
+                pred[v].append((u, g))
 
     @cached_property
     def series(self) -> Series:
-        """This graph with every pass-through state folded into one arc.
+        """The declared arcs with every pass-through state folded into one
+        arc.
 
         A state is pass-through when it is not initial and has exactly one
-        in-edge and one out-edge that some valid product enables; a length
-        expansion's ``#`` states are, and so may be declared states.  A
-        chain of them between two kept states becomes one arc, whose means
-        are cost-to-time ratios: a cycle of arcs has mean Σweight / Σlength,
-        its mean over the unit steps.  Arcs whose guards no product meets
-        at once are dropped, and so are cycles of pass-through states alone,
-        which no kept state enters.  Kept states keep their index order, so
-        a cycle's smallest kept state is the same in both views.
+        in-arc and one out-arc that some valid product enables; an
+        expanded system's ``#`` states are, and so may be declared states.
+        A chain of them between two kept states becomes one arc, whose
+        means are cost-to-time ratios: a cycle of arcs has mean Σweight /
+        Σlength, its mean over the unit steps.  Arcs whose guards no
+        product meets at once are dropped, and so are cycles of
+        pass-through states alone, which no kept state enters.  Kept
+        states keep their index order, so a cycle's smallest kept state is
+        the same in every view.
         """
-        out, pred = self.out, self.pred
-        through = [len(o) == 1 and len(p) == 1 for o, p in zip(out, pred)]
+        n = len(self.system.states)
+        ins, outs = [0] * n, [0] * n
+        onward = {}  # per state, its last enabled arc (target, weight, length, guard)
+        for u, v, wt, length, g, _ in self.arcs:
+            if g:
+                outs[u] += 1
+                ins[v] += 1
+                onward[u] = (v, wt, length, g)
+        through = [o == 1 == i for o, i in zip(outs, ins)]
         for s in self.initial:
             through[s] = False
-        if not any(through):
-            arcs = [(u, v, wt, 1, g, wt) for u, v, wt, g in self.edges if g]
-            return Series(tuple(range(self.n)), self.initial, arcs, out, pred)
-        kept = tuple(u for u in range(self.n) if not through[u])
-        number = [-1] * self.n
+        kept = tuple(u for u in range(n) if not through[u])
+        number = [-1] * n
         for i, u in enumerate(kept):
             number[u] = i
-        onward = {}  # pass-through state -> its one edge (target, weight, guard)
-        for u, v, wt, g in self.edges:
-            if g and through[u]:
-                onward[u] = (v, wt, g)
         arcs = []
         s_out: list[list[tuple[int, int]]] = [[] for _ in kept]
         s_pred: list[list[tuple[int, int]]] = [[] for _ in kept]
-        for u, v, first, g in self.edges:
+        for u, v, first, length, g, _ in self.arcs:
             if not g or through[u]:
                 continue
-            total, length = first, 1
+            total = first
             while g and through[v]:
-                v, wt, guard = onward[v]
+                v, wt, ln, guard = onward[v]
                 total += wt
-                length += 1
+                length += ln
                 g &= guard
             if g:
                 a, b = number[u], number[v]

@@ -1,13 +1,16 @@
 """Weighted featured transition systems: the model and its basic transforms.
 
 A transition carries a feature-expression guard, an exact rational weight and
-a positive integer length.  Lengths model multi-step trips; every analysis
-takes a system as written, and ``graphs.IndexedModel`` indexes its
-``expand_lengths``, which rewrites them into chains of unit transitions, so
-that cycle means are taken per unit step.  Weights stay exact Fractions
-throughout; nothing here touches floating point.  A single product's system
-is not a separate object: every analysis reads it off the shared
-``graphs.IndexedModel`` through the product's bit.
+a positive integer length.  Lengths model multi-step trips, and cycle means
+are taken per unit step: a cycle's total weight over its total length.
+Every analysis takes a system as written, and ``graphs.IndexedModel``
+indexes its declared transitions, each with its length.
+``expand_lengths`` rewrites the lengths into chains of unit transitions;
+the index's unit-step view, which the checks read, is built from it.
+Weights stay exact Fractions throughout; nothing here touches floating
+point.  A single product's system is not a separate object: every
+analysis reads it off the shared ``graphs.IndexedModel`` through the
+product's bit.
 """
 
 from __future__ import annotations
@@ -117,7 +120,7 @@ class Wfts:
     def __repr__(self) -> str:
         return (
             f"Wfts({len(self.states)} states, {len(self.transitions)} transitions, "
-            f"{len(self.feature_model.products)} products)"
+            f"{self.feature_model.full_mask.bit_length()} products)"
         )
 
 

@@ -15,12 +15,13 @@ disjoint product sets, every leaf sits at depth |S|, and each product selects
 exactly one path.
 
 The search runs over any out-list and any context of products.  On the
-system's own guards it feeds the tree, whose components
+unit steps' guards it feeds the tree, whose components
 (``scc.symbolic_sccs``) ``checks`` compares with every product's classic
 Kosaraju partition; the analysis's values need no components.  On the
-tight graph, over the products with a value, it feeds the witness stage:
-scanned from the last entry, it yields each product's critical state that
-finishes last, whose tight component holds the witness cycle.
+tight graph of the declared arcs, over the products with a value, it
+feeds the witness stage: scanned from the last entry, it yields each
+product's critical state that finishes last, whose tight component holds
+the witness cycle.
 """
 
 from __future__ import annotations
@@ -64,16 +65,19 @@ def dfs_order(
     """Run the feature-aware DFS and return the stamped finishing order.
 
     The graph is ``out`` (per state, ``(target, mask)`` pairs in the order
-    the classic DFS tries them; ``im.out`` by default) over the products of
-    ``context`` (all valid products by default); ``im`` supplies the state
-    names.  Per state the unexplored-products set starts at ``context``; a
+    the classic DFS tries them) over the products of ``context`` (all valid
+    products by default).  By default it is the unit steps, ``im.out``,
+    named by ``im.states``; a given ``out`` is over the declared states,
+    named by ``im.system.states``.  Per state the unexplored-products set starts at ``context``; a
     visit under expression lam stamps the still-unexplored part of lam and
     recurses along every out-edge whose mask leaves some product of lam
     unexplored at the target.  The recursion is realised with an explicit
     stack but preserves the recursive visit order exactly.
     """
     if out is None:
-        out = im.out
+        out, states = im.out, im.states
+    else:
+        states = im.system.states
     if context is None:
         context = im.feature_model.full_mask
     white = [context] * len(out)
@@ -107,7 +111,7 @@ def dfs_order(
                 frame[3] = i
                 entries.append((u, frame[2]))
                 frames.pop()
-    return DfsOrder(im.states, context, entries)
+    return DfsOrder(states, context, entries)
 
 
 class TreeNode:

@@ -15,13 +15,14 @@ from wfts.analysis import (
     analyze_family,
     analyze_products,
     decimal2,
+    format_product,
     report_to_csv,
     report_to_json,
     report_to_table,
 )
 from wfts.checks import check_order_coverage
 from wfts.cli import main
-from wfts.features import TRUE, FeatureModel, Var
+from wfts.features import FALSE, TRUE, FeatureModel, Not, Var
 from wfts.generators import grant_request, minepump_lite, taxi
 from wfts.graphs import IndexedModel, finish_order, kosaraju_components, reachable_from
 from wfts.model import Transition, Wfts, expand_lengths
@@ -312,6 +313,79 @@ class TestJsonEmitter:
                 assert_json_matches_reference(analyze_family(w, mode, witnesses))
 
 
+def reference_table(report, color: bool = False) -> str:
+    """``report_to_table`` row by row, through ``Report.outcomes``."""
+    bold = ("\x1b[1m", "\x1b[0m") if color else ("", "")
+    rows = [("product", report.mode + ".", "cycle")]
+    for outcome in report.outcomes:
+        if outcome.value is None:
+            rows.append((format_product(outcome.product), "undefined", ""))
+            continue
+        witness = ""
+        if outcome.witness:
+            witness = "->".join(outcome.witness + (outcome.witness[0],))
+        rows.append((format_product(outcome.product), decimal2(outcome.value), witness))
+    widths = [max(len(r[i]) for r in rows) for i in range(3)]
+    lines = []
+    for i, row in enumerate(rows):
+        text = "  ".join(cell.ljust(widths[j]) for j, cell in enumerate(row)).rstrip()
+        if i == 0:
+            text = bold[0] + text + bold[1]
+        lines.append(text)
+    return "\n".join(lines)
+
+
+def reference_csv(report) -> str:
+    """``report_to_csv`` row by row, through ``Report.outcomes``."""
+    lines = ["product,value,decimal,witness"]
+    for outcome in report.outcomes:
+        product = "+".join(sorted(outcome.product)) or "-"
+        if outcome.value is None:
+            lines.append(f"{product},undefined,,")
+        else:
+            witness = "->".join(outcome.witness) if outcome.witness else ""
+            lines.append(f"{product},{outcome.value},{decimal2(outcome.value)},{witness}")
+    return "\n".join(lines) + "\n"
+
+
+def assert_text_matches_reference(report) -> None:
+    assert report_to_csv(report) == reference_csv(report)
+    for color in (False, True):
+        assert report_to_table(report, color) == reference_table(report, color)
+
+
+class TestTextEmitters:
+    """``report_to_csv`` and ``report_to_table`` write a row per product
+    from the value classes and witness cells, with the bytes of a
+    rendering through ``Report.outcomes``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_bytes_equal_the_per_outcome_rendering(self, data):
+        # Declaration order is not sorted order, and a constraint may
+        # drop products.
+        features = data.draw(st.lists(st.sampled_from(["b", "A", "a", "Z_1", "c2", "B", "a0"]),
+                                      max_size=6, unique=True))
+        constraint = data.draw(st.just(TRUE) | exprs(features))
+        assume(any(_eval(constraint, p) for p in powerset(features)))
+        states = [f"s{i}" for i in range(data.draw(st.integers(1, 4)))]
+        guards = [TRUE, *map(Var, features), *(~Var(f) for f in features)]
+        state = st.sampled_from(states)
+        transitions = data.draw(st.lists(
+            st.builds(Transition, state, state, st.fractions(-20, 20, max_denominator=7),
+                      st.sampled_from(guards), st.just("tau"), st.sampled_from([1, 1, 2])),
+            max_size=8,
+        ))
+        w = Wfts(states, [states[0]], transitions, FeatureModel(features, constraint))
+        report = analyze_family(w, data.draw(st.sampled_from(["max", "min"])),
+                                witnesses=data.draw(st.booleans()))
+        assert_text_matches_reference(report)
+
+    @pytest.mark.parametrize("mode", ["max", "min"])
+    def test_bytes_equal_the_per_outcome_rendering_on_taxi_12(self, mode):
+        assert_text_matches_reference(analyze_family(taxi(12), mode, witnesses=True))
+
+
 class TestStrategyMismatch:
     def test_disagreement_raises(self, grantreq, monkeypatch):
         import wfts.analysis as analysis
@@ -595,7 +669,7 @@ class TestWitnessSharing:
             values = [o.value for o in report.outcomes]
             classes = [(m, v) for m, v in report.classes if v is not None]
             context = sum(m for m, _ in classes)
-            out = _tight_graph(im, classes)
+            out = [[(v, m) for _, v, m in arcs] for arcs in _tight_graph(im, classes)]
             order = dfs_order(im, out, context)
             assert order.context == context
             assert check_order_coverage(order).ok
@@ -692,3 +766,78 @@ class TestWitnessSharing:
                 if pinned:
                     digest.update(repr([o.witness for o in report.outcomes]).encode())
         assert digest.hexdigest() == self.PINNED_WITNESSES
+
+
+def _assert_declared_witnesses(w: Wfts, mode: str) -> None:
+    """The witness stage on ``w`` as written gives the witness cells of its
+    length expansion, and the witnesses of the per-product rule.  The
+    cells may come in another order: a chain that closes the walk's cycle
+    is one step here and several there."""
+    got = analyze_family(w, mode, witnesses=True)
+    want = analyze_family(expand_lengths(w), mode, witnesses=True)
+    assert got.classes == want.classes
+    assert sorted(got.witnesses) == sorted(want.witnesses)
+    witnesses = [o.witness for o in got.outcomes]
+    assert witnesses == _reference_witnesses(w, mode, [o.value for o in got.outcomes])
+
+
+class TestDeclaredWitnesses:
+    """The witness stage reads the declared transitions, each chain of unit
+    steps as one arc, and gives the unit steps' witnesses exactly."""
+
+    GUARDS = [TRUE, TRUE, Var("F"), Var("G"), Not(Var("F"))]
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_declared_arcs_give_the_unit_steps_witnesses(self, data):
+        core = [f"c{i}" for i in range(data.draw(st.integers(1, 4)))]
+        node = st.sampled_from(core)
+        weight = data.draw(st.sampled_from([st.integers(-1, 1), st.integers(-9, 9)]))
+        guard = st.sampled_from(self.GUARDS)
+        states = list(core)
+        transitions = []
+
+        def add(a, b, g=None, length=None):
+            transitions.append(Transition(
+                a, b, data.draw(weight), data.draw(guard) if g is None else g, "tau",
+                data.draw(st.integers(1, 3)) if length is None else length))
+
+        for _ in range(data.draw(st.integers(1, 5))):
+            add(data.draw(node), data.draw(node))
+        for _ in range(data.draw(st.integers(0, 2))):
+            # A declared state that one arc enters and one leaves.
+            p = f"p{len(states)}"
+            states.append(p)
+            add(data.draw(node), p)
+            add(p, data.draw(node))
+        a, b = data.draw(node), data.draw(node)  # parallel chains
+        add(a, b, length=data.draw(st.integers(2, 3)))
+        add(a, b, length=data.draw(st.integers(2, 3)))
+        add(data.draw(node), data.draw(node), FALSE, data.draw(st.integers(2, 3)))
+        # Any declaration order: a pass-through state may come first.
+        states = data.draw(st.permutations(states))
+        initial = data.draw(st.lists(st.sampled_from(states), min_size=1, max_size=2,
+                                     unique=True))
+        w = Wfts(states, initial, data.draw(st.permutations(transitions)),
+                 FeatureModel(["F", "G"]))
+        for mode in ("max", "min"):
+            _assert_declared_witnesses(w, mode)
+
+    @pytest.mark.parametrize("mode", ["max", "min"])
+    def test_declared_arcs_give_the_unit_steps_witnesses_on_the_corpus(self, mode):
+        models = (random_corpus(0, 300) + _wide(16) + [taxi(k) for k in range(1, 9)]
+                  + [minepump_lite(), grant_request()])
+        for w in models:
+            _assert_declared_witnesses(w, mode)
+
+    def test_a_pass_through_state_declared_first_roots_the_dfs(self):
+        # p is pass-through (one way in, one way out) and declared before
+        # k1 and k2.  The unit DFS roots at p: k1 finishes before k2, so
+        # k2's component holds the witness.  A view without p roots at k1
+        # and finishes k2 first.
+        w = Wfts(["p", "k1", "k2"], ["k1"],
+                 [Transition("k1", "p", 1), Transition("p", "k2", 1),
+                  Transition("k2", "k1", 1), Transition("k1", "k1", 3, length=3)],
+                 FeatureModel([]))
+        for mode in ("max", "min"):
+            _assert_declared_witnesses(w, mode)

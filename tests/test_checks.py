@@ -434,3 +434,63 @@ def test_a_dropped_component_fails_every_product_of_its_blocks():
     components.remove(scc)
     failures = checks.check_scc_tree({"tree": components}, im, inputs).failures
     assert named_products(failures) == products_of(scc.masks[scc.anchor])
+
+
+def reference_triangle(im: IndexedModel, inputs: checks.ProductInputs,
+                       label: str) -> list[str]:
+    """``check_triangle``'s failure lines, compared product by product."""
+    products = im.feature_model.products
+    failures = []
+    for mode, sign in (("max", 1), ("min", -1)):
+        signed = im if im.sign == sign else IndexedModel(im.system, sign)
+        family = checks._per_product(checks._family_values(signed), len(products))
+        routed = [checks.best_reachable_mean(signed, bit) for bit in inputs.lowest]
+        routed = [v if v is None else sign * v for v in routed]
+        for p, product in enumerate(products):
+            which = inputs.projection_of[inputs.block_of[p]]
+            fam_v, prod_v, oracle_v = family[p], routed[which], inputs.oracle[which][mode]
+            if not (fam_v == prod_v == oracle_v):
+                failures.append(f"{label} mode={mode} product {format_product(product)}: "
+                                f"family={fam_v} product-based={prod_v} "
+                                f"brute-force={oracle_v}")
+    return failures
+
+
+def _family_mutants():
+    """Wrong family routes, each as a function of the right one's classes."""
+    def one_product_off(classes):  # the second product leaves its class
+        (mask, value), *_ = [cell for cell in classes if cell[0] & 2] or [(0, None)]
+        if not mask:
+            return classes
+        moved = (2, Fraction(-999) if value is None else value + Fraction(1, 7))
+        return [(m & ~2, v) for m, v in classes if m & ~2] + [moved]
+
+    def products_alone(classes):  # right values, one class per product
+        return [(1 << p, v) for m, v in classes for p in range(m.bit_length()) if m >> p & 1]
+
+    return {
+        "right": lambda classes: classes,
+        "one product off": one_product_off,
+        "every class shifted": lambda classes: [
+            (m, v if v is None else v - Fraction(1, 1000)) for m, v in classes],
+        "products alone": products_alone,
+        "undefined everywhere": lambda classes: [(sum(m for m, _ in classes), None)],
+    }
+
+
+@pytest.mark.parametrize("mutant", list(_family_mutants()))
+def test_the_triangle_by_blocks_names_the_failures_of_the_per_product_one(
+    mutant, monkeypatch,
+):
+    family = checks._family_values
+    mutate = _family_mutants()[mutant]
+    monkeypatch.setattr(checks, "_family_values", lambda im: mutate(family(im)))
+    models = [taxi(2), minepump_lite(), grant_request(), *random_corpus(0, 60)]
+    failing = 0
+    for i, w in enumerate(models):
+        im = IndexedModel(w)
+        inputs = checks.product_inputs(im, f"model {i}")
+        want = reference_triangle(im, inputs, f"model {i}")
+        assert checks.check_triangle(im, inputs, f"model {i}").failures == want
+        failing += bool(want)
+    assert (failing == 0) == (mutant in ("right", "products alone"))

@@ -511,6 +511,28 @@ class TestSeries:
             assert family == product
 
 
+    def test_the_9000_state_analysis_never_expands_lengths(self, monkeypatch):
+        import wfts.graphs
+        import wfts.model
+        from wfts.dsl import parse
+
+        calls = []
+        expand = wfts.model.expand_lengths
+
+        def counted(w):
+            calls.append(w)
+            return expand(w)
+
+        for module in (wfts.model, wfts.graphs):
+            monkeypatch.setattr(module, "expand_lengths", counted)
+        w = parse(self.BIG)
+        for mode in ("max", "min"):
+            with within(5, "a 9,000-state analysis with witnesses"):
+                report = analyze_family(w, mode, witnesses=True)
+            assert report.witnesses
+        assert calls == []
+
+
 class TestBruteForce:
     def test_dag_has_no_cycle(self):
         assert brute_force_mean_cycle(*graph([("a", "b", 1), ("b", "c", 1)])) == {
