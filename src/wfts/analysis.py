@@ -284,7 +284,7 @@ def _witnesses(im: IndexedModel, classes: Classes) -> list[tuple[int, tuple[str,
     assigned = [context & ~(i & o) for i, o in zip(into, onward)]
     component = [0] * n
     left = context
-    for u, mask in reversed(dfs_order(im, out, context).stamps):
+    for u, mask in reversed(dfs_order(out, im.system.states, context).stamps):
         fresh = mask & left & ~assigned[u]
         if not fresh:
             continue

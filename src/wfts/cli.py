@@ -5,9 +5,9 @@ Three subcommands:
 * ``analyze`` — per-product limit-average report for one model,
   family-based, product-based, or both (with a hard equality check);
 * ``bench`` — timing comparison of the two strategies over generated models;
-* ``validate`` — the cross-validation suites (tree conditions, component
-  equivalence, oracle triangle) on bundled models, a file, or a seeded
-  random batch; optionally diffs a model against a stored report.
+* ``validate`` — the oracle triangle (family-based = product-based =
+  brute force, per product, in both modes) on bundled models, a file, or
+  a seeded random batch; optionally diffs a model against a stored report.
 
 Exit codes: 0 ok, 1 usage error, 2 parse or model error, 3 mismatch or
 property failure.  Set ``WFTS_COLOR=0`` to disable ANSI styling.
@@ -282,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int)
     p.add_argument("--format", choices=("table", "json", "csv"))
 
-    p = add_command("validate", help="run the cross-validation suites")
+    p = add_command("validate", help="check both strategies against a brute-force oracle")
     add_model_args(p)
     p.add_argument("--seed", type=int)
     p.add_argument("--count", type=int,

@@ -1,4 +1,4 @@
-"""The indexed graph of one analysis, and classic graph algorithms on it.
+"""The indexed graph of one analysis, and the reachability over it.
 
 ``IndexedModel`` is the only place where a system becomes integer states,
 guard bitmasks and adjacency lists; every layer of an analysis and every
@@ -10,21 +10,17 @@ arcs on first read.  The ``series`` view folds every chain of pass-through
 states into one arc with a weight and a length; the two value routes read
 it.  The unit steps (``wfts``, ``states``, ``transitions``, ``index``,
 ``edges``, ``out``, ``pred``) are the length expansion, in which a
-transition of length k is a chain of k unit transitions; the checks, the
-oracle and the finishing tree read them.  The witness stage reads the
-declared arcs, so that a witness names the declared states a run visits.
-A system that is already expanded gets the same series view, since its
-``#`` states are pass-through.
+transition of length k is a chain of k unit transitions; the checks'
+per-product projections and the oracle read them.  The witness stage
+reads the declared arcs, so that a witness names the declared states a
+run visits.  A system that is already expanded gets the same series
+view, since its ``#`` states are pass-through.
 
-``spread`` is the one reachability over product sets: symbolic
-reachability, both symbolic component routes and the witness stage's
-components run it.  The classic algorithms (DFS finishing order,
-Kosaraju's second pass over that order, plain reachability) are the
-per-product references of the checks and of the witness rule's tests (a
-witness lies in the tight component of the critical state that finishes
-last in the classic DFS), so they must follow the same canonical
-iteration order as the symbolic algorithms: states and out-edges in
-declaration order.
+``spread`` is the one reachability over product sets: the live masks of
+the family route and the witness stage's components run it.
+``reachable_from`` is plain reachability for one product, which the
+checks' reachable projections run.  Both follow the canonical iteration
+order: states and out-edges in declaration order.
 """
 
 from __future__ import annotations
@@ -188,66 +184,6 @@ class IndexedModel:
     def product_adj(self, bit: int) -> list[list[int]]:
         """Forward adjacency for one product (edge order preserved)."""
         return [[v for v, g in edges if g & bit] for edges in self.out]
-
-    def product_radj(self, bit: int) -> list[list[int]]:
-        return [[u for u, g in edges if g & bit] for edges in self.pred]
-
-
-def finish_order(adj: list[list[int]], n: int) -> list[int]:
-    """Nodes in increasing DFS finishing time, roots in index order.
-
-    Matches the recursive formulation exactly: out-neighbours are tried in
-    adjacency order and a node is emitted once all of them are explored.
-    """
-    color = [False] * n
-    order: list[int] = []
-    for root in range(n):
-        if color[root]:
-            continue
-        color[root] = True
-        stack: list[list[int]] = [[root, 0]]
-        while stack:
-            frame = stack[-1]
-            u, i = frame
-            neighbours = adj[u]
-            while i < len(neighbours) and color[neighbours[i]]:
-                i += 1
-            if i < len(neighbours):
-                frame[1] = i + 1
-                v = neighbours[i]
-                color[v] = True
-                stack.append([v, 0])
-            else:
-                frame[1] = i
-                order.append(u)
-                stack.pop()
-    return order
-
-
-def kosaraju_components(order: list[int], radj: list[list[int]]) -> list[list[int]]:
-    """SCCs by Kosaraju's second pass: ``order`` is the first pass's
-    ``finish_order`` of the graph whose transpose is ``radj``.  Components
-    come in decreasing finishing time of their roots; within each, nodes
-    appear in the order the transpose search assigned them (the root first).
-    """
-    comp = [-1] * len(radj)
-    components: list[list[int]] = []
-    for root in reversed(order):
-        if comp[root] != -1:
-            continue
-        cid = len(components)
-        members = [root]
-        comp[root] = cid
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for v in radj[u]:
-                if comp[v] == -1:
-                    comp[v] = cid
-                    members.append(v)
-                    stack.append(v)
-        components.append(members)
-    return components
 
 
 def reachable_from(adj: list[list[int]], sources: list[int], n: int) -> list[bool]:

@@ -6,7 +6,8 @@ are taken per unit step: a cycle's total weight over its total length.
 Every analysis takes a system as written, and ``graphs.IndexedModel``
 indexes its declared transitions, each with its length.
 ``expand_lengths`` rewrites the lengths into chains of unit transitions;
-the index's unit-step view, which the checks read, is built from it.
+the index's unit-step view, from which the checks read each product's
+projection for the brute-force oracle, is built from it.
 Weights stay exact Fractions throughout; nothing here touches floating
 point.  A single product's system is not a separate object: every
 analysis reads it off the shared ``graphs.IndexedModel`` through the
@@ -18,12 +19,9 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 from .features import TRUE, FeatureError, FeatureExpr, FeatureModel
-
-if TYPE_CHECKING:
-    from .graphs import IndexedModel
 
 
 class ModelError(ValueError):
@@ -160,12 +158,3 @@ def expand_lengths(w: Wfts) -> Wfts:
     expanded = copy.copy(w)
     expanded.states, expanded.transitions = tuple(new_states), tuple(new_trans)
     return expanded
-
-
-def symbolic_reachable_masks(im: IndexedModel) -> list[int]:
-    """For each state, the exact set of products (a bitmask) under which it
-    is reachable from some initial state via guard-satisfying transitions."""
-    from .graphs import spread  # graphs imports this module
-
-    full = im.feature_model.full_mask
-    return spread([(i, full) for i in im.initial], [0] * im.n, im.out)

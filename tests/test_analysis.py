@@ -20,15 +20,15 @@ from wfts.analysis import (
     report_to_json,
     report_to_table,
 )
-from wfts.checks import check_order_coverage
 from wfts.cli import main
 from wfts.features import FALSE, TRUE, FeatureModel, Not, Var
 from wfts.generators import grant_request, minepump_lite, taxi
-from wfts.graphs import IndexedModel, finish_order, kosaraju_components, reachable_from
+from wfts.graphs import IndexedModel, reachable_from
 from wfts.model import Transition, Wfts, expand_lengths
 from wfts.ordering import dfs_order
 from wfts.randgen import random_corpus, random_wfts
 
+from paper_reference import check_order_coverage, finish_order, kosaraju_components
 from test_features import _eval, exprs, powerset
 from test_golden import without_timing
 
@@ -670,7 +670,7 @@ class TestWitnessSharing:
             classes = [(m, v) for m, v in report.classes if v is not None]
             context = sum(m for m, _ in classes)
             out = [[(v, m) for _, v, m in arcs] for arcs in _tight_graph(im, classes)]
-            order = dfs_order(im, out, context)
+            order = dfs_order(out, im.system.states, context)
             assert order.context == context
             assert check_order_coverage(order).ok
             for p, value in enumerate(values):

@@ -1,11 +1,12 @@
 """``check_model`` splits the products into the blocks that a grouping by
-enabled edges finds, runs each classic reference and the product route
-once per distinct input on two indexed graphs, still compares every
-product, rejects a model past the oracle's limit before any suite runs,
-and its verdicts do not depend on the order in which features are
-declared.  The tree, component and order-coverage suites name each
-corruption of a tree, component or order in fixed failure lines, also
-when it touches a product that is not its block's lowest."""
+enabled edges finds, runs the oracle and the product route once per
+distinct input on two indexed graphs, still compares every product,
+rejects a model past the oracle's limit before the triangle runs, runs no
+feature-aware DFS, and its verdicts do not depend on the order in which
+features are declared.  The tests' tree, component and order-coverage
+suites (``paper_reference``) name each corruption of a tree, component or
+order in fixed failure lines, also when it touches a product that is not
+its block's lowest."""
 
 import re
 from collections import Counter
@@ -14,16 +15,24 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wfts import checks
+from wfts import analysis, checks, ordering
 from wfts.analysis import analyze_family, analyze_products, format_product
 from wfts.features import FeatureModel, Var
 from wfts.generators import grant_request, minepump_lite, taxi
-from wfts import graphs as graphs_module
 from wfts.graphs import IndexedModel
 from wfts.model import ModelError, Transition, Wfts, expand_lengths
-from wfts.ordering import DfsOrder, build_finishing_tree, dfs_order
+from wfts.ordering import DfsOrder
 from wfts.randgen import random_corpus, random_wfts
-from wfts.scc import symbolic_sccs
+
+from paper_reference import (
+    build_finishing_tree,
+    check_order_coverage,
+    check_scc_tree,
+    check_tree,
+    classic_references,
+    symbolic_sccs,
+    unit_order,
+)
 
 
 def projections(w: Wfts) -> list:
@@ -132,13 +141,17 @@ def test_classic_references_run_once_per_block(monkeypatch):
         if len(checks.product_blocks(IndexedModel(w))) < len(w.feature_model.products)
     )
     blocks = checks.product_blocks(IndexedModel(w))
-    kosaraju = counting(monkeypatch, "kosaraju_components")
-    # Every DFS finishing order, wherever Kosaraju would take its own.
-    finish = counting(monkeypatch, "finish_order", checks, graphs_module)
     adj = counting(monkeypatch, "product_adj", IndexedModel)
     assert checks.check_model(w).ok
-    assert len(kosaraju) == len(finish) == len(blocks)
     assert [bit for _, bit in adj] == [block & -block for block in blocks]
+
+
+def test_check_model_runs_no_feature_aware_dfs(monkeypatch):
+    # Every module that holds the name, so that one imported into checks counts.
+    owners = [m for m in (ordering, analysis, checks) if hasattr(m, "dfs_order")]
+    calls = counting(monkeypatch, "dfs_order", *owners)
+    assert checks.check_model(taxi(2), "taxi:2").ok
+    assert calls == []
 
 
 TAXI2 = taxi(2)
@@ -237,13 +250,14 @@ def test_check_model_builds_one_index_per_sign(monkeypatch):
 
 
 def test_a_model_past_the_oracle_limit_fails_before_any_suite(monkeypatch):
-    calls = counting(monkeypatch, "dfs_order")
+    family = counting(monkeypatch, "_family_values")
+    routed = counting(monkeypatch, "best_reachable_mean")
     with pytest.raises(ModelError, match=(
         r"^taxi:5: a product reaches 52 states after length expansion; "
         r"the brute-force oracle stops at 48$"
     )):
         checks.check_model(taxi(5), "taxi:5")
-    assert calls == []
+    assert family == routed == []
 
 
 def _reordered(w: Wfts) -> Wfts:
@@ -283,14 +297,15 @@ def taxi2_tree():
     """taxi:2's index and finishing tree, with the leaf that two products
     share and its parent: a fresh tree per call, free to corrupt."""
     im = IndexedModel(TAXI2)
-    tree = build_finishing_tree(dfs_order(im))
+    tree = build_finishing_tree(unit_order(im))
     leaf = tree.leaves()[1]
     assert bin(leaf.path_mask).count("1") == 2 and leaf.parent.children == [leaf]
     return im, tree, leaf
 
 
 def tree_failures(tree, im) -> list[str]:
-    return checks.check_tree(tree, im, checks.product_inputs(im, "taxi:2")).failures
+    refs = classic_references(im, checks.product_inputs(im, "taxi:2"))
+    return check_tree(tree, im, refs).failures
 
 
 def test_a_swapped_node_state_fails_each_product_on_its_path():
@@ -344,11 +359,11 @@ def test_a_dropped_path_mask_bit_is_named_at_its_depth():
 
 
 def test_an_emptied_order_entry_fails_coverage_and_count():
-    order = dfs_order(IndexedModel(TAXI2))
+    order = unit_order(IndexedModel(TAXI2))
     u, mask = order.stamps[0]
     assert mask == order.context  # 16 products
     corrupted = DfsOrder(order.states, order.context, [(u, 0), *order.stamps[1:]])
-    assert checks.check_order_coverage(corrupted).failures == [
+    assert check_order_coverage(corrupted).failures == [
         "entry 1 for P2#AR#1 is empty",
         "state P2#AR#1: finish entries do not cover all products",
         "stamp count 432 != |S| * |products| = 448",
@@ -356,14 +371,14 @@ def test_an_emptied_order_entry_fails_coverage_and_count():
 
 
 def test_a_widened_order_entry_overlaps_its_state():
-    order = dfs_order(IndexedModel(TAXI2))
+    order = unit_order(IndexedModel(TAXI2))
     stamps = list(order.stamps)
     # Entry 9 takes entry 25's 4 products too: both are Pe2#AR#1's.
     (u, mask), (v, other) = stamps[8], stamps[24]
     assert u == v and bin(other).count("1") == 4
     stamps[8] = (u, mask | other)
     corrupted = DfsOrder(order.states, order.context, stamps)
-    assert checks.check_order_coverage(corrupted).failures == [
+    assert check_order_coverage(corrupted).failures == [
         "state Pe2#AR#1: overlapping finish entries",
         "stamp count 452 != |S| * |products| = 448",
     ]
@@ -374,36 +389,36 @@ WIDE = random_wfts("wide:4", max_states=16, max_features=10)
 
 
 def wide_tree():
-    """WIDE's index, its inputs and a fresh finishing tree, free to
-    corrupt, and a product that is not its block's lowest."""
+    """WIDE's index, its classic references and a fresh finishing tree,
+    free to corrupt, and a product that is not its block's lowest."""
     im = IndexedModel(WIDE)
-    inputs = checks.product_inputs(im, "wide:4")
-    block = max(inputs.blocks, key=lambda b: bin(b).count("1"))
+    refs = classic_references(im, checks.product_inputs(im, "wide:4"))
+    block = max(refs.blocks, key=lambda b: bin(b).count("1"))
     assert bin(block).count("1") == 16
     q = list(checks._bits(block))[1]
-    return im, inputs, build_finishing_tree(dfs_order(im)), q
+    return im, refs, build_finishing_tree(unit_order(im)), q
 
 
 def test_a_tree_edge_without_a_non_lowest_product_fails_that_product_alone():
-    im, inputs, tree, q = wide_tree()
-    assert checks.check_tree(tree, im, inputs).ok
+    im, refs, tree, q = wide_tree()
+    assert check_tree(tree, im, refs).ok
     node = next(node for node in tree.nodes
                 if node.depth == im.n // 2 and node.path_mask >> q & 1)
     node.edge_mask &= ~(1 << q)
     product = format_product(WIDE.feature_model.products[q])
-    assert checks.check_tree(tree, im, inputs).failures == [
+    assert check_tree(tree, im, refs).failures == [
         f"product {product} matches 0 children at depth {im.n // 2}"
     ]
 
 
 def test_a_component_without_a_non_lowest_product_fails_that_product_alone():
-    im, inputs, tree, q = wide_tree()
-    components = symbolic_sccs(tree, im).components()
-    assert checks.check_scc_tree({"tree": components}, im, inputs).ok
+    im, refs, tree, q = wide_tree()
+    components = symbolic_sccs(tree, im)
+    assert check_scc_tree({"tree": components}, im, refs).ok
     scc = next(scc for scc in components if scc.masks[scc.anchor] >> q & 1)
     scc.masks[scc.anchor] &= ~(1 << q)
     product = format_product(WIDE.feature_model.products[q])
-    failures = checks.check_scc_tree({"tree": components}, im, inputs).failures
+    failures = check_scc_tree({"tree": components}, im, refs).failures
     assert failures[0].startswith(f"tree route, product {product}: symbolic SCCs ")
     assert failures[1:] == [
         f"tree route, product {product}: {im.n - 1} of {im.n} states assigned"
@@ -419,20 +434,20 @@ def products_of(mask: int) -> set[str]:
 
 
 def test_a_swapped_leaf_fails_every_product_of_its_blocks():
-    im, inputs, tree, q = wide_tree()
+    im, refs, tree, q = wide_tree()
     leaf = next(leaf for leaf in tree.leaves() if leaf.path_mask >> q & 1)
     leaf.state, leaf.parent.state = leaf.parent.state, leaf.state
-    failures = checks.check_tree(tree, im, inputs).failures
+    failures = check_tree(tree, im, refs).failures
     assert len(failures) == bin(leaf.path_mask).count("1") > 1
     assert named_products(failures) == products_of(leaf.path_mask)
 
 
 def test_a_dropped_component_fails_every_product_of_its_blocks():
-    im, inputs, tree, q = wide_tree()
-    components = symbolic_sccs(tree, im).components()
+    im, refs, tree, q = wide_tree()
+    components = symbolic_sccs(tree, im)
     scc = next(scc for scc in components if scc.masks[scc.anchor] >> q & 1)
     components.remove(scc)
-    failures = checks.check_scc_tree({"tree": components}, im, inputs).failures
+    failures = check_scc_tree({"tree": components}, im, refs).failures
     assert named_products(failures) == products_of(scc.masks[scc.anchor])
 
 
@@ -440,6 +455,7 @@ def reference_triangle(im: IndexedModel, inputs: checks.ProductInputs,
                        label: str) -> list[str]:
     """``check_triangle``'s failure lines, compared product by product."""
     products = im.feature_model.products
+    block_of = {p: b for b, block in enumerate(inputs.blocks) for p in checks._bits(block)}
     failures = []
     for mode, sign in (("max", 1), ("min", -1)):
         signed = im if im.sign == sign else IndexedModel(im.system, sign)
@@ -447,7 +463,7 @@ def reference_triangle(im: IndexedModel, inputs: checks.ProductInputs,
         routed = [checks.best_reachable_mean(signed, bit) for bit in inputs.lowest]
         routed = [v if v is None else sign * v for v in routed]
         for p, product in enumerate(products):
-            which = inputs.projection_of[inputs.block_of[p]]
+            which = inputs.projection_of[block_of[p]]
             fam_v, prod_v, oracle_v = family[p], routed[which], inputs.oracle[which][mode]
             if not (fam_v == prod_v == oracle_v):
                 failures.append(f"{label} mode={mode} product {format_product(product)}: "

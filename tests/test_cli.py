@@ -195,6 +195,28 @@ def test_bench_single_model_table(capsys):
     assert "family (s)" in out and "product (s)" in out
 
 
+def test_bench_times_the_system_as_written(monkeypatch):
+    import sys
+
+    from wfts import model
+    from wfts.bench import bench_model
+
+    calls = []
+    expand = model.expand_lengths
+
+    def counted(w):
+        calls.append(w)
+        return expand(w)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("wfts") and hasattr(module, "expand_lengths"):
+            monkeypatch.setattr(module, "expand_lengths", counted)
+    w = taxi(2)
+    row = bench_model("taxi:2", w, reps=1)
+    assert calls == []
+    assert row.states == len(expand(w).states) == 28
+
+
 class TestRunConfig:
     def test_reps_must_be_positive(self):
         from wfts.cli import RunConfig, UsageError

@@ -742,12 +742,10 @@ class TestWalkTableFidelity:
 
     def assert_matches_classic(self, w, label):
         from karp_reference import _contract, _walk_tables
-        from wfts.ordering import build_finishing_tree, dfs_order
-        from wfts.scc import symbolic_sccs
+        from paper_reference import build_finishing_tree, symbolic_sccs, unit_order
 
         im = IndexedModel(w)
-        tree = symbolic_sccs(build_finishing_tree(dfs_order(im)), im)
-        for scc in tree.components():
+        for scc in symbolic_sccs(build_finishing_tree(unit_order(im)), im):
             masks = scc.masks
             members = [v for v in range(im.n) if masks[v]]
             n = len(members)

@@ -4,13 +4,9 @@ import pytest
 
 from wfts.features import MAX_GUARD_DEPTH, TRUE, FeatureError, FeatureModel, Var
 from wfts.graphs import IndexedModel
-from wfts.model import (
-    ModelError,
-    Transition,
-    Wfts,
-    expand_lengths,
-    symbolic_reachable_masks,
-)
+from wfts.model import ModelError, Transition, Wfts, expand_lengths
+
+from paper_reference import symbolic_reachable_masks
 
 
 def tiny(features=(), constraint=TRUE, **kwargs):

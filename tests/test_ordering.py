@@ -1,15 +1,22 @@
 from hypothesis import given, settings, strategies as st
 
-from wfts.checks import check_order_coverage, check_tree, product_inputs
+from wfts.checks import product_inputs
 from wfts.features import FeatureModel, Or, Var
 from wfts.graphs import IndexedModel
 from wfts.model import Transition, Wfts, expand_lengths
-from wfts.ordering import build_finishing_tree, dfs_order
 from wfts.randgen import random_wfts
+
+from paper_reference import (
+    build_finishing_tree,
+    check_order_coverage,
+    check_tree,
+    classic_references,
+    unit_order,
+)
 
 
 def order_of(w):
-    return dfs_order(IndexedModel(w))
+    return unit_order(IndexedModel(w))
 
 
 def test_grant_request_stamp_sequence(grantreq):
@@ -106,8 +113,8 @@ def test_no_feature_model_yields_single_path():
 def test_tree_conditions_on_bundled_models(taxi1_expanded, grantreq, minepump):
     for w in (taxi1_expanded, grantreq, expand_lengths(minepump)):
         im = IndexedModel(w)
-        tree = build_finishing_tree(dfs_order(im))
-        result = check_tree(tree, im, product_inputs(im, "model"))
+        tree = build_finishing_tree(unit_order(im))
+        result = check_tree(tree, im, classic_references(im, product_inputs(im, "model")))
         assert result.ok, result.failures
 
 
@@ -131,10 +138,10 @@ def test_determinism(taxi1_expanded):
 @given(seed=st.integers(0, 10**9))
 def test_tree_conditions_on_random_models(seed):
     im = IndexedModel(expand_lengths(random_wfts(f"tree:{seed}")))
-    order = dfs_order(im)
+    order = unit_order(im)
     result = check_order_coverage(order)
     assert result.ok, result.failures
     tree = build_finishing_tree(order)
-    result = check_tree(tree, im, product_inputs(im, f"tree:{seed}"))
+    result = check_tree(tree, im, classic_references(im, product_inputs(im, f"tree:{seed}")))
     assert result.ok, result.failures
 

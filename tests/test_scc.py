@@ -1,20 +1,29 @@
 from hypothesis import given, settings, strategies as st
 
-from wfts.checks import check_scc_tree, product_inputs
+from wfts.checks import product_inputs
 from wfts.features import FeatureModel, Not, Or, Var
-from wfts.graphs import IndexedModel, finish_order, kosaraju_components, spread
+from wfts.graphs import IndexedModel, spread
 from wfts.generators import taxi
-from wfts.model import Transition, Wfts, expand_lengths, symbolic_reachable_masks
-from wfts.ordering import build_finishing_tree, dfs_order
+from wfts.model import Transition, Wfts, expand_lengths
 from wfts.randgen import random_wfts
-from wfts.scc import symbolic_sccs
 
 from karp_reference import forward_backward_sccs
+from paper_reference import (
+    build_finishing_tree,
+    check_scc_tree,
+    classic_references,
+    finish_order,
+    kosaraju_components,
+    product_radj,
+    symbolic_reachable_masks,
+    symbolic_sccs,
+    unit_order,
+)
 
 
 def components_of(w):
     im = IndexedModel(w)
-    return symbolic_sccs(build_finishing_tree(dfs_order(im)), im).components()
+    return symbolic_sccs(build_finishing_tree(unit_order(im)), im)
 
 
 def product_owners(components, products, n):
@@ -58,7 +67,7 @@ def routes_of(w):
 
 def check(routes, im):
     """``check_scc_tree`` on ``routes``, against ``im``'s classic components."""
-    return check_scc_tree(routes, im, product_inputs(im, "model"))
+    return check_scc_tree(routes, im, classic_references(im, product_inputs(im, "model")))
 
 
 def assert_routes_match_kosaraju(w):
@@ -74,7 +83,7 @@ def assert_routes_match_kosaraju(w):
     for p in range(products):
         bit = 1 << p
         classic = kosaraju_components(finish_order(im.product_adj(bit), im.n),
-                                      im.product_radj(bit))
+                                      product_radj(im, bit))
         expected = {frozenset(c) for c in classic}
         assert as_sets["forward-backward"][p] == expected == as_sets["tree"][p]
     for within in (full_start(im), symbolic_reachable_masks(im)):
@@ -122,7 +131,7 @@ def test_no_feature_model_matches_kosaraju():
         fm,
     )
     im = IndexedModel(w)
-    classic = kosaraju_components(finish_order(im.product_adj(1), im.n), im.product_radj(1))
+    classic = kosaraju_components(finish_order(im.product_adj(1), im.n), product_radj(im, 1))
     classic_names = [[w.states[u] for u in comp] for comp in classic]
     assert partition_at(w, frozenset()) == classic_names
 
@@ -153,7 +162,7 @@ def test_single_product_anchor_reachability_degenerates_to_classic(grantreq):
         p_idx = fm.product_index(product)
         bit = 1 << p_idx
         classic = kosaraju_components(finish_order(im.product_adj(bit), im.n),
-                                      im.product_radj(bit))
+                                      product_radj(im, bit))
         classic_sets = {frozenset(grantreq.states[u] for u in c) for c in classic}
         symbolic_sets = {frozenset(c) for c in partitions[p_idx]}
         assert symbolic_sets == classic_sets
@@ -242,7 +251,7 @@ class TestReachExcluding:
         im = IndexedModel(grantreq)
         for product in fm.products:
             bit = 1 << fm.product_index(product)
-            classic = reachable_from(im.product_radj(bit), [0], im.n)
+            classic = reachable_from(product_radj(im, bit), [0], im.n)
             masks = spread([(im.index["s0"], bit)], [0] * im.n, im.pred)
             got = [bool(m) for m in masks]
             assert got == classic
