@@ -18,7 +18,8 @@ infinite run from it), with policies and values held as cells of
 products, and merges each product's values at its initial states;
 ``analyze_products`` solves every product's graph separately, by the same
 policy iteration on the states with an infinite run from an initial
-state.  They must agree exactly; ``analyze_both`` enforces that.
+state, each run started from the arcs the runs before it improved to.
+They must agree exactly; ``analyze_both`` enforces that.
 One witness stage, ``_witnesses``, is a symbolic pass over the classes: per
 product, the witness lies in the tight component of the critical state (a
 state on a cycle of optimal mean) that finishes last in the classic DFS of
@@ -48,7 +49,7 @@ from typing import Iterator
 
 from .features import FeatureModel
 from .graphs import IndexedModel, spread
-from .meancycle import _paint, best_reachable_key, family_means
+from .meancycle import _paint, family_means, product_keys
 from .model import Wfts
 from .ordering import dfs_order
 
@@ -127,9 +128,9 @@ def _family_values(im: IndexedModel) -> Classes:
 
 def _product_values(im: IndexedModel) -> Classes:
     """The products' best means as value classes, one Howard run per
-    product."""
+    product, each started from the arcs the runs before it improved to."""
     bits = [1 << p for p in range(im.feature_model.full_mask.bit_length())]
-    return _merge(im, ((bit, best_reachable_key(im, bit)) for bit in bits))
+    return _merge(im, zip(bits, product_keys(im, bits)))
 
 
 def _tight_graph(
@@ -370,7 +371,8 @@ def analyze_family(w: Wfts, mode: str = "max", witnesses: bool = False) -> Repor
 
 
 def analyze_products(w: Wfts, mode: str = "max", witnesses: bool = False) -> Report:
-    """Product-based baseline: solve each product's graph separately."""
+    """Product-based baseline: solve each product's graph separately, in
+    enumeration order, each from the arcs the runs before it improved to."""
     return _analyze(w, mode, witnesses, product_ms=_product_values)
 
 

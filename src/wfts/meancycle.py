@@ -11,10 +11,12 @@ Three routes to the same quantity live here:
   one sweep that pairs each cell of a state with its successors' cells
   once; the type-2 steps it finds wait for the sweep's end, and the
   values are determined on the policy cells in place.
-* ``best_reachable_key`` — the product-based baseline: the same policy
-  iteration (``_howard``) on the series states of one product that have
-  an infinite run from an initial state (``_live_out``);
-  ``best_reachable_mean`` gives its value as a ``Fraction``.
+* ``product_keys`` — the product-based baseline: the same policy
+  iteration (``_howard``), one run per product on its series states that
+  have an infinite run from an initial state (``_live_out``), each run
+  started from the arcs the runs before it improved to.  Its cold-start,
+  one-product case is ``best_reachable_key``, and ``best_reachable_mean``
+  gives that value as a ``Fraction``.
 * ``brute_force_mean_cycle`` — exhaustive simple-cycle enumeration, the
   oracle both other routes are checked against, answering both modes from
   one enumeration.  Correct because some optimal-mean cycle is always
@@ -34,13 +36,14 @@ unit steps it stands for).  A cycle's mean is then the cost-to-time ratio
 Σw / Σℓ, and Howard's iteration carries over to that ratio form (Dasdan,
 Irani and Gupta 1999) with the length in the potentials: x(u) = period·w
 − key·ℓ + x(π(u)) in the family route, x(u) = den·w − num·ℓ + x(π(u)) in
-the product route.  A pass-through state has one choice, and the first
-policy ranks arcs by their first hop's weight, which is the edge the unit
-steps' first policy compares.  The family route roots a cycle at its
-smallest kept state; when the pass-through states are a length chain's
-``#`` states, indexed after every declared state, that is the unit steps'
-root too, and the iteration is the one on the unit steps, arc for chain
-and round for round.  The paper's route, components and a partitioned
+the product route.  A pass-through state has one choice, and the family
+route's first policy, like a product's cold start, ranks arcs by their
+first hop's weight, which is the edge the unit steps' first policy
+compares.  The family route roots a cycle at its smallest kept state;
+when the pass-through states are a length chain's ``#`` states, indexed
+after every declared state, that is the unit steps' root too, and the
+iteration is the one on the unit steps, arc for chain and round for
+round.  The paper's route, components and a partitioned
 Karp recurrence per component, is the tests' reference for
 ``family_means``; it reads the unit steps.
 
@@ -58,6 +61,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import itemgetter
 
 from .graphs import IndexedModel, spread
 
@@ -234,8 +238,8 @@ def family_means(im: IndexedModel) -> list[tuple[int, int]]:
 
     A policy picks one out-arc per state and product; it is held as cells
     of products per arc, which ``_determine`` reads in place, and the
-    values as ``(key, potential)`` cells.  Each product's run is
-    ``_howard``'s: the first policy takes the first arc of maximum
+    values as ``(key, potential)`` cells.  Each product's run is a cold
+    ``_howard`` run: the first policy takes the first arc of maximum
     first-hop weight, a state improves to the first arc of strictly better
     mean (type 1), and only a product with no type-1 change in a round
     improves by strictly better potential among successors of equal mean
@@ -311,14 +315,15 @@ def family_means(im: IndexedModel) -> list[tuple[int, int]]:
     return found
 
 
-Arcs = list[list[tuple[int, int, int, int]]]  # per state, (target, weight, length, first hop)
+Arc = tuple[int, int, int, int, int]  # (target, weight, length, first hop, position)
+_first_hop = itemgetter(3)
 
 
-def _live_out(im: IndexedModel, bit: int) -> list[list[tuple[int, int, int, int]] | None]:
+def _live_out(im: IndexedModel, bit: int) -> list[list[Arc] | None]:
     """Per state of ``im.series``, the ``(target, weight, length, first-hop
-    weight)`` out-arcs of product ``bit`` in declaration order, kept for
-    the states with an infinite run from an initial state and None for the
-    others.
+    weight, position in im.series.arcs)`` out-arcs of product ``bit`` in
+    declaration order, kept for the states with an infinite run from an
+    initial state and None for the others.
 
     One pass over the arcs gives the product's out-lists; the states
     reached from the initial states are kept, and then the states with no
@@ -326,10 +331,10 @@ def _live_out(im: IndexedModel, bit: int) -> list[list[tuple[int, int, int, int]
     """
     g = im.series
     n = len(g.kept)
-    succ: Arcs = [[] for _ in range(n)]
-    for u, v, wt, ln, guard, first in g.arcs:
+    succ: list[list[Arc]] = [[] for _ in range(n)]
+    for pos, (u, v, wt, ln, guard, first) in enumerate(g.arcs):
         if guard & bit:
-            succ[u].append((v, wt, ln, first))
+            succ[u].append((v, wt, ln, first, pos))
     alive = [False] * n
     stack = []
     for s in g.initial:
@@ -365,7 +370,47 @@ def _live_out(im: IndexedModel, bit: int) -> list[list[tuple[int, int, int, int]
     ]
 
 
-def _howard(out: list[list[tuple[int, int, int, int]] | None]) -> tuple[list[int], list[int]]:
+def _evaluate(policy: list[Arc | None], states: list[int], was_root: list[bool],
+              num: list[int], den: list[int], x: list[int]) -> list[bool]:
+    """Value determination of one ``_howard`` policy: sets every listed
+    state's mean ``(num, den)`` and potential ``x`` in place, and returns
+    which states are now cycle roots.  A walk follows the policy from each
+    state until it meets a valued state or closes a new cycle, rooted at
+    its last round's root when it has one, else where the walk met it.
+    """
+    n = len(policy)
+    is_root = [False] * n
+    valued = [False] * n
+    walk = [-1] * n
+    for s in states:
+        path = []
+        v = s
+        while not valued[v] and walk[v] != s:
+            walk[v] = s
+            path.append(v)
+            v = policy[v][0]
+        if not valued[v]:
+            cycle = path[path.index(v):]
+            del path[-len(cycle):]
+            total = sum(policy[c][1] for c in cycle)
+            length = sum(policy[c][2] for c in cycle)
+            g = gcd(total, length)
+            r = next((i for i, c in enumerate(cycle) if was_root[c]), 0)
+            root = cycle[r]
+            # Valued backwards from the root: the cycle, then the path
+            # into it.
+            path += cycle[r + 1:] + cycle[:r]
+            num[root], den[root], x[root] = total // g, length // g, 0
+            is_root[root] = valued[root] = True
+        for u in reversed(path):
+            t, wt, ln, _, _ = policy[u]
+            num[u], den[u] = num[t], den[t]
+            x[u] = den[t] * wt - num[t] * ln + x[t]
+            valued[u] = True
+    return is_root
+
+
+def _howard(out: list[list[Arc] | None], start: list[Arc | None]) -> tuple[list[int], list[int]]:
     """Howard policy iteration (Cochet-Terrasson et al. 1998) for maximum
     cycle means, in the ratio form of Dasdan, Irani and Gupta (1999): a
     cycle's mean is its total weight over its total length.  ``out`` is
@@ -377,56 +422,31 @@ def _howard(out: list[list[tuple[int, int, int, int]] | None]) -> tuple[list[int
     policy cycle, whose mean it takes.  Its potential is kept scaled by the
     den of that mean, x(v) = den * w - num * l + x(pi(v)) over an arc of
     weight w and length l, with x = 0 at the cycle's root, so that the
-    arithmetic stays in ints.  The first policy takes the first arc of
-    maximum first-hop weight.  A state improves
-    first by mean (type 1, compared by cross-multiplication), and, when no
-    state can, by potential among successors of equal mean (type 2).  The
-    policy changes only on strict improvement, to the first best edge in
-    declaration order, and a cycle that survives an improvement keeps its
-    root: every round then strictly improves (mean, potential), so the
-    iteration ends, and it ends at the optimum.
+    arithmetic stays in ints.  ``start`` holds, per state, the arc an
+    earlier run last improved it to, or None.  A listed state starts on
+    that arc when it is among its out-arcs (the arc's position in
+    ``im.series.arcs`` tells it apart), else on its first arc of maximum
+    first-hop weight, and each improvement is written back to ``start``.
+    A state improves first by mean (type 1, compared by
+    cross-multiplication), and, when no state can, by potential among
+    successors of equal mean (type 2).  The policy changes only on strict
+    improvement, to the first best edge in declaration order, and a cycle
+    that survives an improvement keeps its root: every round then strictly
+    improves (mean, potential), so the iteration ends, and it ends at the
+    optimum, whatever the first policy.
     """
     n = len(out)
     states = [u for u in range(n) if out[u] is not None]
-    # The first arc of maximum first-hop weight of every state.
-    policy = [max(edges, key=lambda edge: edge[3]) if edges else None for edges in out]
+    policy = start[:]
+    for u in states:
+        if policy[u] not in out[u]:
+            policy[u] = max(out[u], key=_first_hop)
     num = [0] * n
     den = [1] * n
     x = [0] * n
     was_root = [False] * n
     while True:
-        # Value determination: follow the policy from each state until the
-        # walk meets a valued state or closes a new cycle.
-        is_root = [False] * n
-        valued = [False] * n
-        walk = [-1] * n
-        for s in states:
-            path = []
-            v = s
-            while not valued[v] and walk[v] != s:
-                walk[v] = s
-                path.append(v)
-                v = policy[v][0]
-            if not valued[v]:
-                cycle = path[path.index(v):]
-                del path[-len(cycle):]
-                total = sum(policy[c][1] for c in cycle)
-                length = sum(policy[c][2] for c in cycle)
-                g = gcd(total, length)
-                r = next((i for i, c in enumerate(cycle) if was_root[c]), 0)
-                root = cycle[r]
-                # Valued backwards from the root: the cycle, then the
-                # path into it.
-                path += cycle[r + 1:] + cycle[:r]
-                num[root], den[root], x[root] = total // g, length // g, 0
-                is_root[root] = valued[root] = True
-            for u in reversed(path):
-                t, wt, ln, _ = policy[u]
-                num[u], den[u] = num[t], den[t]
-                x[u] = den[t] * wt - num[t] * ln + x[t]
-                valued[u] = True
-        was_root = is_root
-
+        was_root = _evaluate(policy, states, was_root, num, den, x)
         changed = False
         for u in states:  # type 1: a successor of better mean
             bn, bd = num[u], den[u]
@@ -436,23 +456,47 @@ def _howard(out: list[list[tuple[int, int, int, int]] | None]) -> tuple[list[int
                 if num[v] * bd > bn * den[v]:
                     bn, bd, best = num[v], den[v], edge
             if best is not None:
-                policy[u] = best
+                policy[u] = start[u] = best
                 changed = True
         if not changed:
             for u in states:  # type 2: equal mean, better potential
                 un, ud, bx = num[u], den[u], x[u]
                 best = None
                 for edge in out[u]:
-                    v, wt, ln, _ = edge
+                    v, wt, ln, _, _ = edge
                     if num[v] == un and den[v] == ud:
                         cand = ud * wt - un * ln + x[v]
                         if cand > bx:
                             bx, best = cand, edge
                 if best is not None:
-                    policy[u] = best
+                    policy[u] = start[u] = best
                     changed = True
         if not changed:
             return num, den
+
+
+def product_keys(im: IndexedModel, bits) -> list[int | None]:
+    """``best_reachable_key`` of each product of ``bits``, in order, each
+    product's Howard run warm-started (``_howard``): a state starts on the
+    arc an earlier product's run last improved it to, when that arc is
+    live for this product.  Neighbouring products mostly share their
+    optimal policies, so most runs end after one round, and a state that
+    no run improved keeps starting on its first arc of maximum first-hop
+    weight.
+    """
+    g = im.series
+    start: list[Arc | None] = [None] * len(g.kept)
+    keys: list[int | None] = []
+    for bit in bits:
+        out = _live_out(im, bit)
+        initial = [s for s in g.initial if out[s] is not None]
+        if not initial:
+            keys.append(None)
+            continue
+        num, den = _howard(out, start)
+        # A reduced den divides its cycle's length, so it divides ``im.period``.
+        keys.append(max(num[s] * (im.period // den[s]) for s in initial))
+    return keys
 
 
 def best_reachable_key(im: IndexedModel, bit: int) -> int | None:
@@ -462,17 +506,12 @@ def best_reachable_key(im: IndexedModel, bit: int) -> int | None:
 
     The product-based pipeline: the states of ``im.series`` with an
     infinite run from an initial state (``_live_out``), Howard policy
-    iteration on them (``_howard``), and the best value of a surviving
-    initial state.  None when no initial state survives, i.e. when the
-    reachable subgraph is acyclic.
+    iteration on them (``_howard``) from the first policy of maximum
+    first-hop weights, and the best value of a surviving initial state.
+    None when no initial state survives, i.e. when the reachable subgraph
+    is acyclic.  The one-product, cold-start case of ``product_keys``.
     """
-    out = _live_out(im, bit)
-    starts = [s for s in im.series.initial if out[s] is not None]
-    if not starts:
-        return None
-    num, den = _howard(out)
-    # A reduced den divides its cycle's length, so it divides ``im.period``.
-    return max(num[s] * (im.period // den[s]) for s in starts)
+    return product_keys(im, [bit])[0]
 
 
 def best_reachable_mean(im: IndexedModel, bit: int) -> Fraction | None:

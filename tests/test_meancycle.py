@@ -2,7 +2,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from wfts.analysis import (
     analyze_both, analyze_family, analyze_products, decimal2, report_to_json,
@@ -11,9 +11,11 @@ from wfts.checks import reachable_projection
 from wfts.features import TRUE, And, FeatureModel, Not, Or, Var
 from wfts.generators import grant_request, minepump_lite, taxi
 from wfts.graphs import IndexedModel
-from wfts.meancycle import best_reachable_mean, brute_force_mean_cycle
+from wfts.meancycle import (
+    best_reachable_key, best_reachable_mean, brute_force_mean_cycle, product_keys,
+)
 from wfts.model import Transition, Wfts, expand_lengths
-from wfts.randgen import random_corpus
+from wfts.randgen import random_corpus, random_wfts
 
 from karp_reference import karp_values
 from ring import ring
@@ -531,6 +533,158 @@ class TestSeries:
                 report = analyze_family(w, mode, witnesses=True)
             assert report.witnesses
         assert calls == []
+
+
+class TestWarmStart:
+    """The product route's warm start, ``product_keys``: each product's
+    Howard run starts from the arcs earlier products' runs improved to,
+    where they are live for it, and ends at the same values as a cold
+    run."""
+
+    # Products are given by their bit, so each test picks the order in
+    # which the policies are carried.
+    @staticmethod
+    def bit(w, *features):
+        return 1 << w.feature_model.product_index(set(features))
+
+    @staticmethod
+    def rounds(monkeypatch):
+        import wfts.meancycle as meancycle
+
+        calls = []
+        evaluate = meancycle._evaluate
+
+        def counted(*args):
+            calls.append(None)
+            return evaluate(*args)
+
+        monkeypatch.setattr(meancycle, "_evaluate", counted)
+        return calls
+
+    def test_a_remembered_arc_disabled_by_its_guard(self):
+        # With F, a takes a -F-> b for a-b-a (mean 5); without F that arc
+        # is gone, and a-b-a by the other arc (mean -5) loses to a-a (1).
+        w = Wfts(["a", "b"], ["a"], [
+            Transition("a", "a", 1),
+            Transition("a", "b", 0, Var("F")),
+            Transition("a", "b", -20),
+            Transition("b", "a", 10),
+        ], FeatureModel(["F"]))
+        im = IndexedModel(w)
+        bits = [self.bit(w, "F"), self.bit(w)]
+        with within(2, "the warm product route"):
+            keys = product_keys(im, bits)
+        assert [Fraction(k, im.denominator) for k in keys] == [5, 1]
+        assert keys == [best_reachable_key(im, bit) for bit in bits]
+
+    def test_a_remembered_arc_into_a_peeled_state(self):
+        # With F, a leaves its own loop for b's heavier one; without F, b
+        # has no way out and is peeled, though a -> b is still enabled.
+        w = Wfts(["a", "b"], ["a"], [
+            Transition("a", "a", 1),
+            Transition("a", "b", 0),
+            Transition("b", "b", 9, Var("F")),
+        ], FeatureModel(["F"]))
+        im = IndexedModel(w)
+        bits = [self.bit(w, "F"), self.bit(w)]
+        with within(2, "the warm product route"):
+            keys = product_keys(im, bits)
+        assert [Fraction(k, im.denominator) for k in keys] == [9, 1]
+        assert keys == [best_reachable_key(im, bit) for bit in bits]
+
+    def test_a_suboptimal_warm_policy_takes_both_step_types(self, monkeypatch):
+        # {F} moves i from a (its heavier first hop) to x, for x's F-loop
+        # (mean 100).  Under {G}, i starts on x, now worth 0, and moves
+        # back to a by mean (type 1); a starts on its self-loop (3) and
+        # finds a-b-a (4) only by potential (type 2), one round later.  A
+        # cold start would skip the first of those rounds.
+        w = Wfts(["i", "x", "a", "b"], ["i"], [
+            Transition("i", "x", 0),
+            Transition("x", "x", 100, Var("F")),
+            Transition("x", "x", 0),
+            Transition("i", "a", 1),
+            Transition("a", "a", 3),
+            Transition("a", "b", 2, Var("G")),
+            Transition("b", "a", 6),
+        ], FeatureModel(["F", "G"]))
+        im = IndexedModel(w)
+        bits = [self.bit(w, "F"), self.bit(w, "G")]
+        calls = self.rounds(monkeypatch)
+        with within(2, "the warm product route"):
+            product_keys(im, bits[:1])
+            first = len(calls)
+            calls.clear()
+            keys = product_keys(im, bits)
+            warm = len(calls) - first
+            calls.clear()
+            assert best_reachable_key(im, bits[1]) == keys[1]
+        assert [Fraction(k, im.denominator) for k in keys] == [100, 4]
+        assert (warm, len(calls)) == (3, 2)
+
+    def test_each_call_starts_cold(self, monkeypatch):
+        # Max mode improves a from p (its heaviest first hop, into a loop
+        # of -100) to q (a loop of 100), the worst start for min mode,
+        # whose own first choice, r (a loop of -200), is already optimal.
+        w = Wfts(["a", "p", "q", "r"], ["a"], [
+            Transition("a", "p", 5), Transition("p", "p", -100),
+            Transition("a", "q", 0), Transition("q", "q", 100),
+            Transition("a", "r", -5), Transition("r", "r", -200),
+        ], FeatureModel(["F"]))
+        bits = [self.bit(w), self.bit(w, "F")]
+        most, least = IndexedModel(w), IndexedModel(w, -1)
+        calls = self.rounds(monkeypatch)
+        assert product_keys(least, bits) == [200 * least.denominator] * 2
+        alone = len(calls)
+        assert product_keys(most, bits) == [100 * most.denominator] * 2
+        calls.clear()
+        assert product_keys(least, bits) == [200 * least.denominator] * 2
+        assert len(calls) == alone == 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 10**6), data=st.data())
+    def test_any_order_equals_cold_runs_and_karp(self, seed, data):
+        from wfts.analysis import _merge
+
+        w = random_wfts(seed, max_features=8)
+        count = w.feature_model.full_mask.bit_length()
+        assume(len(w.feature_model.features) >= 4)
+        bits = data.draw(st.permutations([1 << p for p in range(count)]))
+        for sign, mode in ((1, "max"), (-1, "min")):
+            im = IndexedModel(w, sign)
+            with within(2, "the warm and cold product routes"):
+                warm = product_keys(im, bits)
+                assert warm == [best_reachable_key(im, bit) for bit in bits], mode
+            assert _merge(im, zip(bits, warm)) == karp_values(im), mode
+
+    # (label, system, max-mode value determinations cold and warm, and
+    # min-mode ones when pinned), in one process: max mode runs first.
+    COUNTS = [(f"taxi:{k}", taxi(k), [(c, h)]) for k, c, h in
+              ((5, 289, 148), (6, 577, 279), (7, 1153, 538))] + [
+        ("wide:23", random_wfts("wide:23", 16, 10), [(114, 79), (108, 65)]),
+        ("wide:27", random_wfts("wide:27", 16, 10), [(126, 75), (188, 73)]),
+        # Every product's first choices are optimal: nothing is carried.
+        ("ring:8", ring(8), [(256, 256), (256, 256)]),
+    ]
+
+    @pytest.mark.parametrize("label, w, counts", COUNTS, ids=[c[0] for c in COUNTS])
+    def test_round_counts(self, monkeypatch, label, w, counts):
+        # One value determination per round of each product's run, summed
+        # over the products: cold runs one by one, then the warm route.
+        from wfts.analysis import _product_values
+
+        calls = self.rounds(monkeypatch)
+        bits = [1 << p for p in range(w.feature_model.full_mask.bit_length())]
+        got = []
+        for sign, _ in zip((1, -1), counts):
+            im = IndexedModel(w, sign)
+            calls.clear()
+            for bit in bits:
+                best_reachable_key(im, bit)
+            cold = len(calls)
+            calls.clear()
+            _product_values(im)
+            got.append((cold, len(calls)))
+        assert got == counts
 
 
 class TestBruteForce:
