@@ -5,16 +5,18 @@ guard bitmasks and adjacency lists; every layer of an analysis and every
 cross-check reads the same object, so each takes a system as written.  It
 also carries the one sign convention: min mode runs the maximizing
 algorithms on weights negated once, here.  It holds one arc per declared
-transition, with its weight and length, and builds two views of those
+transition, with its weight and length, and builds its views of those
 arcs on first read.  The ``series`` view folds every chain of pass-through
 states into one arc with a weight and a length; the two value routes read
 it.  The unit steps (``wfts``, ``states``, ``transitions``, ``index``,
 ``edges``, ``out``, ``pred``) are the length expansion, in which a
 transition of length k is a chain of k unit transitions; the checks'
-per-product projections and the oracle read them.  The witness stage
-reads the declared arcs, so that a witness names the declared states a
-run visits.  A system that is already expanded gets the same series
-view, since its ``#`` states are pass-through.
+per-product projections and the oracle read them.  ``arc_table`` lists
+each series state's out-arcs with their guards, once per index, for the
+product route to filter per product.  The witness stage reads the
+declared arcs, so that a witness names the declared states a run visits.
+A system that is already expanded gets the same series view, since its
+``#`` states are pass-through.
 
 ``spread`` is the one reachability over product sets: the live masks of
 the family route and the witness stage's components run it.
@@ -180,6 +182,16 @@ class IndexedModel:
                 s_out[a].append((b, g))
                 s_pred[b].append((a, g))
         return Series(kept, [number[s] for s in self.initial], arcs, s_out, s_pred)
+
+    @cached_property
+    def arc_table(self) -> list[list[tuple[int, tuple[int, int, int, int, int]]]]:
+        """Per state of ``series``, its out-arcs as ``(guard mask, (target,
+        weight, length, first-hop weight, position in series.arcs))`` pairs
+        in declaration order: what the product route filters per product."""
+        table: list[list] = [[] for _ in self.series.kept]
+        for pos, (u, v, wt, ln, guard, first) in enumerate(self.series.arcs):
+            table[u].append((guard, (v, wt, ln, first, pos)))
+        return table
 
     def product_adj(self, bit: int) -> list[list[int]]:
         """Forward adjacency for one product (edge order preserved)."""

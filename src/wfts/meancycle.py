@@ -13,10 +13,12 @@ Three routes to the same quantity live here:
   values are determined on the policy cells in place.
 * ``product_keys`` — the product-based baseline: the same policy
   iteration (``_howard``), one run per product on its series states that
-  have an infinite run from an initial state (``_live_out``), each run
-  started from the arcs the runs before it improved to.  Its cold-start,
-  one-product case is ``best_reachable_key``, and ``best_reachable_mean``
-  gives that value as a ``Fraction``.
+  have an infinite run from an initial state (``_live_out``, which filters
+  the index's one ``arc_table`` for the states the product reaches, and
+  peels only past a dead end), each run started from the arcs the runs
+  before it improved to.  Its cold-start, one-product case is
+  ``best_reachable_key``, and ``best_reachable_mean`` gives that value as
+  a ``Fraction``.
 * ``brute_force_mean_cycle`` — exhaustive simple-cycle enumeration, the
   oracle both other routes are checked against, answering both modes from
   one enumeration.  Correct because some optimal-mean cycle is always
@@ -99,8 +101,9 @@ def _paint(candidates: dict, context: int) -> Cells:
 def live_masks(im: IndexedModel) -> list[int]:
     """Per state of ``im.series``, the products under which it is reached
     from an initial state and has an infinite run: symbolic reachability
-    with the states that have no way out peeled per product, as
-    ``_live_out`` peels them for one product.
+    with the states that have no way out peeled per product.  Each
+    product's bit is set on the states that ``_live_out`` lists for it,
+    which a separate, per-product peel finds.
 
     The peel is a worklist to the greatest fixpoint: a state keeps the
     reached products that enable an edge to a state that keeps them, and a
@@ -319,55 +322,56 @@ Arc = tuple[int, int, int, int, int]  # (target, weight, length, first hop, posi
 _first_hop = itemgetter(3)
 
 
-def _live_out(im: IndexedModel, bit: int) -> list[list[Arc] | None]:
-    """Per state of ``im.series``, the ``(target, weight, length, first-hop
-    weight, position in im.series.arcs)`` out-arcs of product ``bit`` in
+def _live_out(table: list[list[tuple[int, Arc]]], initial: list[int],
+              bit: int) -> list[list[Arc] | None]:
+    """Per state of a series view, the ``(target, weight, length, first-hop
+    weight, position in its arcs)`` out-arcs of product ``bit`` in
     declaration order, kept for the states with an infinite run from an
-    initial state and None for the others.
+    ``initial`` state and None for the others.  ``table`` is the view's
+    ``IndexedModel.arc_table``.
 
-    One pass over the arcs gives the product's out-lists; the states
-    reached from the initial states are kept, and then the states with no
-    way out are removed until none is left.
+    A search from the initial states filters the out-arcs of the states it
+    reaches only.  When every reached state has an out-arc, each has an
+    infinite run, and the reached lists are the answer.  Otherwise the
+    states with no way out are peeled until none is left, each state
+    counting its out-arcs, parallel ones too.
     """
-    g = im.series
-    n = len(g.kept)
-    succ: list[list[Arc]] = [[] for _ in range(n)]
-    for pos, (u, v, wt, ln, guard, first) in enumerate(g.arcs):
-        if guard & bit:
-            succ[u].append((v, wt, ln, first, pos))
-    alive = [False] * n
+    n = len(table)
+    succ: list[list[Arc] | None] = [None] * n
     stack = []
-    for s in g.initial:
-        if not alive[s]:
-            alive[s] = True
-            stack.append(s)
+    for s in initial:
+        if succ[s] is None:
+            succ[s] = [arc for guard, arc in table[s] if guard & bit]
+            stack.append(succ[s])
+    while stack:
+        for arc in stack.pop():
+            v = arc[0]
+            if succ[v] is None:
+                succ[v] = [arc for guard, arc in table[v] if guard & bit]
+                stack.append(succ[v])
+    if [] not in succ:
+        return succ
     # Every successor of a reached state is reached, so a reached state's
-    # out-degree within the reached part is its plain out-degree.
+    # out-degree within the reached part is its plain out-degree.  The
+    # search left ``stack`` empty, for the dead ends.
     preds: list[list[int]] = [[] for _ in range(n)]
     degree = [0] * n
-    dead_ends = []
+    for u, arcs in enumerate(succ):
+        if arcs is not None:
+            degree[u] = len(arcs)
+            if not arcs:
+                stack.append(u)
+            for arc in arcs:
+                preds[arc[0]].append(u)
     while stack:
         u = stack.pop()
-        degree[u] = len(succ[u])
-        if not degree[u]:
-            dead_ends.append(u)
-        for v, *_ in succ[u]:
-            preds[v].append(u)
-            if not alive[v]:
-                alive[v] = True
-                stack.append(v)
-    stack = dead_ends
-    while stack:
-        u = stack.pop()
-        alive[u] = False
+        succ[u] = None
         for p in preds[u]:
             degree[p] -= 1
             if not degree[p]:
                 stack.append(p)
-    return [
-        [arc for arc in succ[u] if alive[arc[0]]] if alive[u] else None
-        for u in range(n)
-    ]
+    return [None if arcs is None else [arc for arc in arcs if succ[arc[0]] is not None]
+            for arcs in succ]
 
 
 def _evaluate(policy: list[Arc | None], states: list[int], was_root: list[bool],
@@ -484,11 +488,11 @@ def product_keys(im: IndexedModel, bits) -> list[int | None]:
     no run improved keeps starting on its first arc of maximum first-hop
     weight.
     """
-    g = im.series
+    g, table = im.series, im.arc_table
     start: list[Arc | None] = [None] * len(g.kept)
     keys: list[int | None] = []
     for bit in bits:
-        out = _live_out(im, bit)
+        out = _live_out(table, g.initial, bit)
         initial = [s for s in g.initial if out[s] is not None]
         if not initial:
             keys.append(None)

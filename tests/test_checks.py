@@ -11,6 +11,7 @@ its block's lowest."""
 import re
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -247,6 +248,26 @@ def test_check_model_builds_one_index_per_sign(monkeypatch):
     monkeypatch.setattr(IndexedModel, "__init__", counted)
     assert checks.check_model(taxi(3), "taxi:3").ok
     assert sorted(signs) == [-1, 1]
+
+
+def test_check_model_builds_one_arc_table_per_sign(monkeypatch):
+    # The product route's cold per-block calls share their index's table.
+    built = []
+    build = IndexedModel.__dict__["arc_table"].func
+
+    def counted(self):
+        built.append(self.sign)
+        return build(self)
+
+    table = cached_property(counted)
+    table.__set_name__(IndexedModel, "arc_table")
+    monkeypatch.setattr(IndexedModel, "arc_table", table)
+    routed = counting(monkeypatch, "best_reachable_mean")
+    w = taxi(3)
+    assert len(checks.product_blocks(IndexedModel(w))) > 1
+    assert checks.check_model(w, "taxi:3").ok
+    assert len(routed) > 2
+    assert sorted(built) == [-1, 1]
 
 
 def test_a_model_past_the_oracle_limit_fails_before_any_suite(monkeypatch):

@@ -1,3 +1,4 @@
+import inspect
 import sys
 from fractions import Fraction
 
@@ -12,7 +13,8 @@ from wfts.features import TRUE, And, FeatureModel, Not, Or, Var
 from wfts.generators import grant_request, minepump_lite, taxi
 from wfts.graphs import IndexedModel
 from wfts.meancycle import (
-    best_reachable_key, best_reachable_mean, brute_force_mean_cycle, product_keys,
+    _live_out, best_reachable_key, best_reachable_mean, brute_force_mean_cycle, live_masks,
+    product_keys,
 )
 from wfts.model import Transition, Wfts, expand_lengths
 from wfts.randgen import random_corpus, random_wfts
@@ -533,6 +535,168 @@ class TestSeries:
                 report = analyze_family(w, mode, witnesses=True)
             assert report.witnesses
         assert calls == []
+
+
+def reference_live_out(im, bit):
+    """Product ``bit``'s live out-lists by a plain reach and peel over
+    ``im.series.arcs``: the states reached from an initial state, then, to a
+    fixpoint, only those with an arc to a state still kept."""
+    g = im.series
+    arcs = [(u, (v, wt, ln, first, pos))
+            for pos, (u, v, wt, ln, guard, first) in enumerate(g.arcs) if guard & bit]
+    live = set(g.initial)
+    while True:
+        reached = live | {arc[0] for u, arc in arcs if u in live}
+        if reached == live:
+            break
+        live = reached
+    while True:
+        kept = {u for u, arc in arcs if u in live and arc[0] in live}
+        if kept == live:
+            break
+        live = kept
+    return [[arc for v, arc in arcs if v == u and arc[0] in live] if u in live else None
+            for u in range(len(g.kept))]
+
+
+def live_out(im, bit):
+    return _live_out(im.arc_table, im.series.initial, bit)
+
+
+def named(im, out):
+    """``_live_out``'s lists of the listed states as ``{state: [target,
+    ...]}`` over the declared names."""
+    name = [im.system.states[u] for u in im.series.kept]
+    return {name[u]: [name[arc[0]] for arc in arcs]
+            for u, arcs in enumerate(out) if arcs is not None}
+
+
+def peels(im, bit) -> bool:
+    """Whether ``_live_out`` on product ``bit`` reaches its peel, the line
+    that sets up the degrees, or returns the reached lists before it."""
+    lines, first = inspect.getsourcelines(_live_out)
+    peel = first + next(i for i, line in enumerate(lines) if "degree = " in line)
+    ran = set()
+
+    def trace(frame, event, arg):
+        if frame.f_code is _live_out.__code__:
+            ran.add(frame.f_lineno)
+            return trace
+        return None
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        out = live_out(im, bit)
+    finally:
+        sys.settrace(previous)
+    assert out == reference_live_out(im, bit)
+    return peel in ran
+
+
+class TestLiveOut:
+    """Each product's live graph, ``_live_out``: the out-lists of the
+    states a product reaches from an initial state, filtered from the
+    index's ``arc_table``, with a peel of the states that have no way out
+    only when a reached state has none."""
+
+    @staticmethod
+    def bits(w):
+        return [1 << p for p in range(w.feature_model.full_mask.bit_length())]
+
+    def assert_every_product(self, w):
+        for sign in (1, -1):
+            im = IndexedModel(w, sign)
+            live = live_masks(im)
+            for bit in self.bits(w):
+                out = live_out(im, bit)
+                assert out == reference_live_out(im, bit), (sign, bit)
+                assert [u for u, arcs in enumerate(out) if arcs is not None] == [
+                    u for u, m in enumerate(live) if m & bit], (sign, bit)
+
+    MODELS = [(f"taxi:{k}", taxi(k)) for k in range(1, 6)] + [
+        ("minepump", minepump_lite()), ("grantrequest", grant_request())] + [
+        (f"ring:{k}", ring(k)) for k in range(1, 7)] + [
+        (f"wide:{i}", random_wfts(f"wide:{i}", 16, 10)) for i in (23, 27)]
+
+    @pytest.mark.parametrize("label, w", MODELS, ids=[m[0] for m in MODELS])
+    def test_every_product_equals_a_plain_reach_and_peel(self, label, w):
+        self.assert_every_product(w)
+
+    def test_a_random_corpus(self):
+        with within(5, "the live graphs of 100 random systems"):
+            for w in random_corpus(11, 100):
+                self.assert_every_product(w)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_random_systems(self, seed):
+        w = random_wfts(seed, 12, 6)
+        with within(2, "the live graphs of one random system"):
+            self.assert_every_product(w)
+
+    def test_a_dead_end_reached_from_the_initial_state(self):
+        w = system([("i", "i", 1), ("i", "d", 5)], ["i", "d"])
+        im = IndexedModel(w)
+        assert peels(im, 1)
+        assert named(im, live_out(im, 1)) == {"i": ["i"]}
+
+    def test_a_dead_end_behind_a_cycle(self):
+        # x and y lead only to the dead end z: both go, and a-b-a stays.
+        w = system([("i", "a", 0), ("a", "x", 0), ("a", "b", 1), ("b", "a", 1),
+                    ("b", "b", 0), ("x", "y", 0), ("x", "y", 1), ("y", "z", 0),
+                    ("y", "z", 1)], ["i", "a", "b", "x", "y", "z"])
+        im = IndexedModel(w)
+        assert len(im.series.kept) == 6
+        assert peels(im, 1)
+        assert named(im, live_out(im, 1)) == {"i": ["a"], "a": ["b"], "b": ["a", "b"]}
+
+    def test_parallel_arcs_into_a_dead_end_count_twice(self):
+        # a has three out-arcs, two of them into the dead end d: losing d
+        # leaves a its arc to c, whose self-loop keeps it.
+        w = system([("a", "d", 1), ("a", "d", 2), ("a", "c", 0), ("c", "c", 3)],
+                   ["a", "d", "c"])
+        im = IndexedModel(w)
+        assert peels(im, 1)
+        assert named(im, live_out(im, 1)) == {"a": ["c"], "c": ["c"]}
+        assert best_reachable_mean(im, 1) == 3
+
+    def test_a_product_with_no_live_initial_state(self):
+        # Without F, i's only way on is to the dead end d.
+        w = Wfts(["i", "d"], ["i"], [
+            Transition("i", "i", 1, Var("F")), Transition("i", "d", 0)],
+            FeatureModel(["F"]))
+        im = IndexedModel(w)
+        without = 1 << w.feature_model.product_index(set())
+        assert peels(im, without)
+        assert live_out(im, without) == [None, None]
+        assert best_reachable_key(im, without) is None
+        assert named(im, live_out(im, 3 ^ without)) == {"i": ["i"]}
+
+    def test_a_repeated_initial_state(self):
+        # b is initial and reached from a, and a is listed twice.
+        w = Wfts(["a", "b"], ["a", "b"], [
+            Transition("a", "b", 1), Transition("b", "a", 2), Transition("b", "b", 0)],
+            FeatureModel([]))
+        im = IndexedModel(w)
+        assert not peels(im, 1)
+        once = live_out(im, 1)
+        assert named(im, once) == {"a": ["b"], "b": ["a", "b"]}
+        assert _live_out(im.arc_table, [0, 0, 1, 0], 1) == once
+
+    def test_no_dead_end_returns_the_reached_lists(self):
+        # Every reached state has an out-arc, so nothing is peeled; z,
+        # which nothing reaches, is still unlisted.
+        w = Wfts(["a", "b", "z"], ["a"], [
+            Transition("a", "b", 1), Transition("b", "a", 2), Transition("a", "a", 0),
+            Transition("b", "b", 0), Transition("z", "a", 9)], FeatureModel([]))
+        im = IndexedModel(w)
+        assert not peels(im, 1)
+        assert named(im, live_out(im, 1)) == {"a": ["b", "a"], "b": ["a", "b"]}
+        for k in (1, 3, 5):
+            w = taxi(k)
+            im = IndexedModel(w)
+            assert not any(peels(im, bit) for bit in self.bits(w)), k
 
 
 class TestWarmStart:
