@@ -16,7 +16,8 @@ Howard policy iteration for every product at once, on the live graph (per
 state, the products that reach it from an initial state and have an
 infinite run from it), with policies and values held as cells of
 products, and merges each product's values at its initial states;
-``analyze_products`` solves every product's graph separately, by the same
+``analyze_products`` solves each distinct product graph separately, once
+per block of products that enable the same series arcs, by the same
 policy iteration on the states with an infinite run from an initial
 state, each run started from the arcs the runs before it improved to.
 They must agree exactly; ``analyze_both`` enforces that.
@@ -48,7 +49,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Iterator
 
 from .features import FeatureModel
-from .graphs import IndexedModel, spread
+from .graphs import IndexedModel, refine, spread
 from .meancycle import _paint, family_means, product_keys
 from .model import Wfts
 from .ordering import dfs_order
@@ -127,10 +128,11 @@ def _family_values(im: IndexedModel) -> Classes:
 
 
 def _product_values(im: IndexedModel) -> Classes:
-    """The products' best means as value classes, one Howard run per
-    product, each started from the arcs the runs before it improved to."""
-    bits = [1 << p for p in range(im.feature_model.full_mask.bit_length())]
-    return _merge(im, zip(bits, product_keys(im, bits)))
+    """The products' best means as value classes, one Howard run per block
+    of products that enable the same arcs of ``im.series`` (``refine``),
+    each started from the arcs the runs before it improved to."""
+    blocks = refine(im.feature_model.full_mask, [arc[4] for arc in im.series.arcs])
+    return _merge(im, zip(blocks, product_keys(im, blocks)))
 
 
 def _tight_graph(
@@ -371,8 +373,8 @@ def analyze_family(w: Wfts, mode: str = "max", witnesses: bool = False) -> Repor
 
 
 def analyze_products(w: Wfts, mode: str = "max", witnesses: bool = False) -> Report:
-    """Product-based baseline: solve each product's graph separately, in
-    enumeration order, each from the arcs the runs before it improved to."""
+    """Product-based baseline: solve each distinct product graph once, in
+    order of lowest product, each from the arcs earlier runs improved to."""
     return _analyze(w, mode, witnesses, product_ms=_product_values)
 
 

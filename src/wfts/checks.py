@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 from .analysis import _family_values, _per_product, format_product
 from .dsl import serialize
-from .graphs import IndexedModel, reachable_from
+from .graphs import IndexedModel, reachable_from, refine
 from .meancycle import BRUTE_FORCE_MAX_STATES, best_reachable_mean, brute_force_mean_cycle
 from .model import ModelError, Wfts
 from .randgen import random_corpus
@@ -73,11 +73,9 @@ Projection = tuple[int, list[tuple[int, int, Fraction]]]
 
 def product_blocks(im: IndexedModel) -> list[int]:
     """The products split by the edges they enable: the full mask refined
-    by every distinct guard mask of ``im.edges``, sorted by lowest product."""
-    blocks = [im.feature_model.full_mask]
-    for g in {g for *_, g in im.edges}:
-        blocks = [part for b in blocks for part in (b & g, b & ~g) if part]
-    return sorted(blocks, key=lambda b: b & -b)
+    (``refine``) by the guards of ``im.arcs``, which are those of
+    ``im.edges`` less the true guard of a chain's later unit steps."""
+    return refine(im.feature_model.full_mask, [arc[4] for arc in im.arcs])
 
 
 def _bits(mask: int):

@@ -18,8 +18,9 @@ declared arcs, so that a witness names the declared states a run visits.
 A system that is already expanded gets the same series view, since its
 ``#`` states are pass-through.
 
-``spread`` is the one reachability over product sets: the live masks of
-the family route and the witness stage's components run it.
+``refine`` splits the products into the checks' and the product route's
+blocks.  ``spread`` is the one reachability over product sets: the live
+masks of the family route and the witness stage's components run it.
 ``reachable_from`` is plain reachability for one product, which the
 checks' reachable projections run.  Both follow the canonical iteration
 order: states and out-edges in declaration order.
@@ -196,6 +197,27 @@ class IndexedModel:
     def product_adj(self, bit: int) -> list[list[int]]:
         """Forward adjacency for one product (edge order preserved)."""
         return [[v for v, g in edges if g & bit] for edges in self.out]
+
+
+def refine(full: int, guards) -> list[int]:
+    """``full`` refined by every distinct guard mask, in order of lowest
+    product; a one-product part is set aside as soon as it appears."""
+    blocks, single = [full], []
+    for g in dict.fromkeys(guards):
+        split = []
+        for b in blocks:
+            part = b & g
+            if part and part != b:
+                rest = b ^ part
+                (split if part & (part - 1) else single).append(part)
+                (split if rest & (rest - 1) else single).append(rest)
+            else:
+                split.append(b)
+        blocks = split
+        if not blocks:
+            break
+    single.sort()  # a power of two is its own lowest product
+    return sorted(blocks + single, key=lambda b: b & -b) if blocks else single
 
 
 def reachable_from(adj: list[list[int]], sources: list[int], n: int) -> list[bool]:

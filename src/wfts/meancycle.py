@@ -12,13 +12,13 @@ Three routes to the same quantity live here:
   once; the type-2 steps it finds wait for the sweep's end, and the
   values are determined on the policy cells in place.
 * ``product_keys`` — the product-based baseline: the same policy
-  iteration (``_howard``), one run per product on its series states that
-  have an infinite run from an initial state (``_live_out``, which filters
-  the index's one ``arc_table`` for the states the product reaches, and
-  peels only past a dead end), each run started from the arcs the runs
-  before it improved to.  Its cold-start, one-product case is
-  ``best_reachable_key``, and ``best_reachable_mean`` gives that value as
-  a ``Fraction``.
+  iteration (``_howard``), one run per block of products that enable the
+  same series arcs, on its series states with an infinite run from an
+  initial state (``_live_out``, which filters the index's one
+  ``arc_table`` for the states the block reaches, and peels only past a
+  dead end), each run started from the arcs the runs before it improved
+  to.  Its cold-start, one-product case is ``best_reachable_key``, and
+  ``best_reachable_mean`` gives that value as a ``Fraction``.
 * ``brute_force_mean_cycle`` — exhaustive simple-cycle enumeration, the
   oracle both other routes are checked against, answering both modes from
   one enumeration.  Correct because some optimal-mean cycle is always
@@ -323,12 +323,13 @@ _first_hop = itemgetter(3)
 
 
 def _live_out(table: list[list[tuple[int, Arc]]], initial: list[int],
-              bit: int) -> list[list[Arc] | None]:
+              mask: int) -> list[list[Arc] | None]:
     """Per state of a series view, the ``(target, weight, length, first-hop
-    weight, position in its arcs)`` out-arcs of product ``bit`` in
+    weight, position in its arcs)`` out-arcs of the products of ``mask`` in
     declaration order, kept for the states with an infinite run from an
     ``initial`` state and None for the others.  ``table`` is the view's
-    ``IndexedModel.arc_table``.
+    ``IndexedModel.arc_table``.  They agree on every guard of the view
+    (one product, or a block), so a guard meets ``mask`` or misses it.
 
     A search from the initial states filters the out-arcs of the states it
     reaches only.  When every reached state has an out-arc, each has an
@@ -341,13 +342,13 @@ def _live_out(table: list[list[tuple[int, Arc]]], initial: list[int],
     stack = []
     for s in initial:
         if succ[s] is None:
-            succ[s] = [arc for guard, arc in table[s] if guard & bit]
+            succ[s] = [arc for guard, arc in table[s] if guard & mask]
             stack.append(succ[s])
     while stack:
         for arc in stack.pop():
             v = arc[0]
             if succ[v] is None:
-                succ[v] = [arc for guard, arc in table[v] if guard & bit]
+                succ[v] = [arc for guard, arc in table[v] if guard & mask]
                 stack.append(succ[v])
     if [] not in succ:
         return succ
@@ -479,20 +480,20 @@ def _howard(out: list[list[Arc] | None], start: list[Arc | None]) -> tuple[list[
             return num, den
 
 
-def product_keys(im: IndexedModel, bits) -> list[int | None]:
-    """``best_reachable_key`` of each product of ``bits``, in order, each
-    product's Howard run warm-started (``_howard``): a state starts on the
-    arc an earlier product's run last improved it to, when that arc is
-    live for this product.  Neighbouring products mostly share their
-    optimal policies, so most runs end after one round, and a state that
-    no run improved keeps starting on its first arc of maximum first-hop
-    weight.
+def product_keys(im: IndexedModel, masks) -> list[int | None]:
+    """``best_reachable_key`` of each mask of ``masks``, in order: one
+    product, or a block that agrees on every guard of ``im.series`` and so
+    has one graph.  Each run is warm-started (``_howard``): a state starts
+    on the arc an earlier run last improved it to, when that arc is live
+    for this mask.  Neighbouring products mostly share their optimal
+    policies, so most runs end after one round, and a state that no run
+    improved keeps starting on its first arc of maximum first-hop weight.
     """
     g, table = im.series, im.arc_table
     start: list[Arc | None] = [None] * len(g.kept)
     keys: list[int | None] = []
-    for bit in bits:
-        out = _live_out(table, g.initial, bit)
+    for mask in masks:
+        out = _live_out(table, g.initial, mask)
         initial = [s for s in g.initial if out[s] is not None]
         if not initial:
             keys.append(None)

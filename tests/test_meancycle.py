@@ -822,18 +822,21 @@ class TestWarmStart:
 
     # (label, system, max-mode value determinations cold and warm, and
     # min-mode ones when pinned), in one process: max mode runs first.
+    # Every taxi and ring product is a series block of its own; the wide
+    # draws' warm route runs once per block.
     COUNTS = [(f"taxi:{k}", taxi(k), [(c, h)]) for k, c, h in
               ((5, 289, 148), (6, 577, 279), (7, 1153, 538))] + [
-        ("wide:23", random_wfts("wide:23", 16, 10), [(114, 79), (108, 65)]),
-        ("wide:27", random_wfts("wide:27", 16, 10), [(126, 75), (188, 73)]),
+        ("wide:23", random_wfts("wide:23", 16, 10), [(114, 42), (108, 33)]),
+        ("wide:27", random_wfts("wide:27", 16, 10), [(126, 41), (188, 39)]),
         # Every product's first choices are optimal: nothing is carried.
         ("ring:8", ring(8), [(256, 256), (256, 256)]),
     ]
 
     @pytest.mark.parametrize("label, w, counts", COUNTS, ids=[c[0] for c in COUNTS])
     def test_round_counts(self, monkeypatch, label, w, counts):
-        # One value determination per round of each product's run, summed
-        # over the products: cold runs one by one, then the warm route.
+        # One value determination per round of each run, summed over the
+        # runs: cold runs product by product, then the warm route, one run
+        # per series block.
         from wfts.analysis import _product_values
 
         calls = self.rounds(monkeypatch)
@@ -849,6 +852,115 @@ class TestWarmStart:
             _product_values(im)
             got.append((cold, len(calls)))
         assert got == counts
+
+
+def series_blocks(im):
+    """The product masks that ``_product_values`` runs the route on."""
+    import wfts.analysis as analysis
+
+    masks = []
+    keys = analysis.product_keys
+
+    def recorded(im, blocks):
+        masks.extend(blocks)
+        return keys(im, blocks)
+
+    analysis.product_keys = recorded
+    try:
+        analysis._product_values(im)
+    finally:
+        analysis.product_keys = keys
+    return masks
+
+
+def reference_series_blocks(im):
+    """The products grouped one by one by the positions of the
+    ``im.series`` arcs they enable, in order of lowest product."""
+    groups = {}
+    for p in range(im.feature_model.full_mask.bit_length()):
+        enabled = tuple(i for i, arc in enumerate(im.series.arcs) if arc[4] >> p & 1)
+        groups[enabled] = groups.get(enabled, 0) | 1 << p
+    return list(groups.values())
+
+
+class TestSeriesBlocks:
+    """The product route runs once per series block: the products that
+    enable the same arcs of ``im.series``, and so share one graph and one
+    value."""
+
+    @staticmethod
+    def assert_blocks_and_values(w):
+        from wfts.analysis import _merge, _product_values
+
+        bits = [1 << p for p in range(w.feature_model.full_mask.bit_length())]
+        for sign in (1, -1):
+            im = IndexedModel(w, sign)
+            assert series_blocks(im) == reference_series_blocks(im), sign
+            cold = _merge(im, ((bit, best_reachable_key(im, bit)) for bit in bits))
+            assert _product_values(im) == cold, sign
+
+    def test_the_corpus(self):
+        with within(10, "the series blocks of 300 random systems"):
+            for w in random_corpus(0, 300):
+                self.assert_blocks_and_values(w)
+
+    def test_the_wide_draws(self):
+        with within(5, "the series blocks of 40 wide draws"):
+            for i in range(40):
+                im = IndexedModel(random_wfts(f"wide:{i}", 16, 10))
+                assert series_blocks(im) == reference_series_blocks(im), i
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**9))
+    def test_random_systems(self, seed):
+        w = random_wfts(f"blocks:{seed}", max_states=16, max_features=10)
+        with within(2, "the series blocks and values of one random system"):
+            self.assert_blocks_and_values(w)
+
+    def test_a_chain_folds_two_edge_blocks_into_one(self, monkeypatch):
+        # p passes u -G1-> p -G2-> v through: the series arc u -> v is
+        # guarded by G1 and G2, so {G1} and {} enable the same series arcs,
+        # though not the same edges, and share one run.
+        import wfts.meancycle as meancycle
+        from wfts.analysis import _product_values
+        from wfts.checks import product_blocks
+
+        w = Wfts(["u", "p", "v"], ["u"], [
+            Transition("u", "u", 1),
+            Transition("u", "p", 0, Var("G1")),
+            Transition("p", "v", 0, Var("G2")),
+            Transition("v", "v", 5),
+        ], FeatureModel(["G1", "G2"]))
+        im = IndexedModel(w)
+        assert len(im.series.kept) == 2
+        bit = {p: 1 << w.feature_model.product_index(p)
+               for p in ((), ("G1",), ("G2",), ("G1", "G2"))}
+        both = bit["G1", "G2"]
+        rest = bit[()] | bit["G1",] | bit["G2",]
+        assert series_blocks(im) == sorted([rest, both], key=lambda m: m & -m)
+        assert sorted(product_blocks(im)) == sorted(bit.values())
+        runs = []
+        howard = meancycle._howard
+        monkeypatch.setattr(meancycle, "_howard", lambda *a: runs.append(None) or howard(*a))
+        assert _product_values(im) == sorted(
+            [(rest, Fraction(1)), (both, Fraction(5))], key=lambda c: c[0] & -c[0])
+        assert len(runs) == 2
+
+    def test_one_live_graph_per_block(self, monkeypatch):
+        import wfts.meancycle as meancycle
+        from wfts.analysis import _product_values
+
+        w = random_wfts("wide:23", 16, 10)
+        calls = []
+        live_out = meancycle._live_out
+        monkeypatch.setattr(meancycle, "_live_out",
+                            lambda *a: calls.append(a[2]) or live_out(*a))
+        for sign in (1, -1):
+            im = IndexedModel(w, sign)
+            calls.clear()
+            _product_values(im)
+            assert calls == reference_series_blocks(im)
+            assert len(calls) < w.feature_model.full_mask.bit_length()
 
 
 class TestBruteForce:
