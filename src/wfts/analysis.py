@@ -46,6 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
+from math import lcm
 from typing import Iterator
 
 from .features import FeatureModel
@@ -108,15 +109,18 @@ def _per_product(cells: list[tuple[int, object]], count: int, default=None) -> l
 
 
 def _merge(im: IndexedModel, cells) -> Classes:
-    """The classes of ``(product mask, mean)`` cells of a maximizing route,
-    each mean an int over ``im.denominator``: each product takes the best
-    mean of the cells holding it, else None, as a ``Fraction`` built once
-    per class and negated in min mode; ordered by lowest product."""
+    """The classes of ``(product mask, (num, den))`` cells of a maximizing
+    route, over ``im``'s scaled weights: each product takes the best mean
+    of the cells holding it, else None, as a ``Fraction`` built once per
+    class and negated in min mode; ordered by lowest product.  The means
+    are ranked as ints over ``span``, the lcm of the dens of the cells."""
+    cells = [cell for cell in cells if cell[1] is not None]
+    span = lcm(*[den for _, (_, den) in cells])
     candidates: dict[int, int] = {}
-    for mask, key in cells:
-        if key is not None:
-            candidates[key] = candidates.get(key, 0) | mask
-    classes = [(mask, None if key is None else Fraction(im.sign * key, im.denominator))
+    for mask, (num, den) in cells:
+        key = num * (span // den)
+        candidates[key] = candidates.get(key, 0) | mask
+    classes = [(mask, None if key is None else Fraction(im.sign * key, span * im.scale))
                for mask, key in _paint(candidates, im.feature_model.full_mask)]
     return sorted(classes, key=lambda cell: cell[0] & -cell[0])
 

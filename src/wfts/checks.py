@@ -10,8 +10,9 @@ which read the blocks below.
 
 The family and product routes read one ``IndexedModel``, and the triangle
 adds its min-signed twin for min mode, so that ``check_model`` builds
-two.  The per-product projections come from the index's unit steps.  The
-brute-force oracle alone takes the model's own weights
+two.  The per-product projections come from the unit steps, the arcs of
+the length expansion's own index, ``IndexedModel(expand_lengths(w))``.
+The brute-force oracle alone takes the model's own weights
 (``reachable_projection``): unsigned Fractions that it scales to ints by
 the lcm of their own denominators, summing paths in ints and comparing
 cycles by cross-multiplication in each mode.  Neither that scale nor that
@@ -42,9 +43,9 @@ from typing import NamedTuple
 
 from .analysis import _family_values, _per_product, format_product
 from .dsl import serialize
-from .graphs import IndexedModel, reachable_from, refine
+from .graphs import IndexedModel, reachable_from, refine, successors
 from .meancycle import BRUTE_FORCE_MAX_STATES, best_reachable_mean, brute_force_mean_cycle
-from .model import ModelError, Wfts
+from .model import ModelError, Wfts, expand_lengths
 from .randgen import random_corpus
 
 
@@ -73,8 +74,8 @@ Projection = tuple[int, list[tuple[int, int, Fraction]]]
 
 def product_blocks(im: IndexedModel) -> list[int]:
     """The products split by the edges they enable: the full mask refined
-    (``refine``) by the guards of ``im.arcs``, which are those of
-    ``im.edges`` less the true guard of a chain's later unit steps."""
+    (``refine``) by the guards of ``im.arcs``, which are those of the unit
+    steps less the true guard of a chain's later steps."""
     return refine(im.feature_model.full_mask, [arc[4] for arc in im.arcs])
 
 
@@ -97,18 +98,19 @@ class ProductInputs(NamedTuple):
 
 
 def product_inputs(im: IndexedModel, label: str) -> ProductInputs:
-    """One pass over the blocks builds each block's adjacency
-    (``product_adj`` at its lowest product) and reachable projection
-    (``reachable_projection``).  Once the largest projection has passed
-    ``check_oracle_limit``, the oracle runs once per projection."""
+    """One pass over the blocks builds each block's reachable projection
+    (``reachable_projection``) at its lowest product, on the unit steps.
+    Once the largest projection has passed ``check_oracle_limit``, the
+    oracle runs once per projection."""
     blocks = product_blocks(im)
+    unit = IndexedModel(expand_lengths(im.system))
     index: dict[tuple, int] = {}
     projections: list[Projection] = []
     lowest: list[int] = []
     projection_of: list[int] = []
     for block in blocks:
         bit = block & -block  # the block's lowest product
-        n, edges = reachable_projection(im, bit, im.product_adj(bit))
+        n, edges = reachable_projection(unit, bit)
         # A Fraction hashes slowly; its int pair is as exact.
         key = (n, tuple([(u, v, wt.as_integer_ratio()) for u, v, wt in edges]))
         if key not in index:
@@ -121,19 +123,19 @@ def product_inputs(im: IndexedModel, label: str) -> ProductInputs:
     return ProductInputs(blocks, projection_of, projections, lowest, oracle)
 
 
-def reachable_projection(im: IndexedModel, bit: int, adj: list[list[int]]) -> Projection:
-    """Product ``bit``'s graph, whose adjacency is ``adj``, restricted to
-    the states reachable from an initial state, renumbered in declaration
-    order: the state count and ``(u, v, weight)`` edges with the model's
-    own weights."""
-    reach = reachable_from(adj, im.initial, im.n)
+def reachable_projection(im: IndexedModel, bit: int) -> Projection:
+    """Product ``bit``'s graph of ``im``'s arcs, restricted to the states
+    reachable from an initial state, renumbered in declaration order: the
+    state count and ``(u, v, weight)`` edges with the model's own weights.
+    On the index of a length expansion, these are the unit steps."""
+    reach = reachable_from(successors(im, bit), im.initial, len(im.system.states))
     local: dict[int, int] = {}
     for u, r in enumerate(reach):
         if r:
             local[u] = len(local)
     edges = [
         (local[u], local[v], t.weight)
-        for t, (u, v, _, g) in zip(im.transitions, im.edges)
+        for t, (u, v, _, _, g, _) in zip(im.system.transitions, im.arcs)
         if g & bit and reach[u]  # target is reachable too, then
     ]
     return len(local), edges

@@ -193,14 +193,24 @@ class _Parser:
         tok = self.next()
         if not tok[:1].isdecimal():
             raise self.error(f"expected a number, found {tok or 'end of input'!r}")
-        value = Fraction(tok)
+        value = self.number(Fraction, tok)
         return -value if negative else value
 
     def parse_int(self) -> int:
         tok = self.next()
         if not tok[:1].isdecimal() or "." in tok:
             raise self.error(f"expected an integer, found {tok or 'end of input'!r}")
-        return int(tok)
+        return self.number(int, tok)
+
+    def number(self, kind, tok: str):
+        """``kind(tok)`` for a number token just taken; past the
+        interpreter's limit on the digits of an int string, an error at
+        the token."""
+        try:
+            return kind(tok)
+        except ValueError as exc:
+            digits = len(tok) - tok.count(".")
+            raise self.error(f"number of {digits} digits is too long to read") from exc
 
     def parse_model(self) -> Wfts:
         self.expect("features")

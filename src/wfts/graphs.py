@@ -1,29 +1,29 @@
 """The indexed graph of one analysis, and the reachability over it.
 
 ``IndexedModel`` is the only place where a system becomes integer states,
-guard bitmasks and adjacency lists; every layer of an analysis and every
+guard bitmasks and arcs; every layer of an analysis and every
 cross-check reads the same object, so each takes a system as written.  It
 also carries the one sign convention: min mode runs the maximizing
 algorithms on weights negated once, here.  It holds one arc per declared
 transition, with its weight and length, and builds its views of those
 arcs on first read.  The ``series`` view folds every chain of pass-through
 states into one arc with a weight and a length; the two value routes read
-it.  The unit steps (``wfts``, ``states``, ``transitions``, ``index``,
-``edges``, ``out``, ``pred``) are the length expansion, in which a
-transition of length k is a chain of k unit transitions; the checks'
-per-product projections and the oracle read them.  ``arc_table`` lists
-each series state's out-arcs with their guards, once per index, for the
-product route to filter per product.  The witness stage reads the
-declared arcs, so that a witness names the declared states a run visits.
-A system that is already expanded gets the same series view, since its
-``#`` states are pass-through.
+it.  ``arc_table`` lists each series state's out-arcs with their guards,
+once per index, for the product route to filter per product.  The witness
+stage reads the declared arcs, so that a witness names the declared states
+a run visits.  The unit steps, in which a transition of length k is a
+chain of k unit transitions, are the arcs of another index: that of the
+length expansion, ``IndexedModel(expand_lengths(w), sign)``, which the
+checks' per-product projections read.  An expanded system gets the same
+series view, since its ``#`` states are pass-through.
 
 ``refine`` splits the products into the checks' and the product route's
 blocks.  ``spread`` is the one reachability over product sets: the live
 masks of the family route and the witness stage's components run it.
-``reachable_from`` is plain reachability for one product, which the
-checks' reachable projections run.  Both follow the canonical iteration
-order: states and out-edges in declaration order.
+``reachable_from`` is plain reachability for one product, over the
+adjacency ``successors`` reads off the arcs, which the checks' reachable
+projections run.  Both follow the canonical iteration order: states and
+out-edges in declaration order.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from functools import cached_property
 from math import lcm
 from typing import NamedTuple
 
-from .model import Wfts, expand_lengths
+from .model import Wfts
 
 
 class Series(NamedTuple):
@@ -46,7 +46,7 @@ class Series(NamedTuple):
     of its first arc: the chain's total weight, its number of unit steps,
     the AND of its guards (never 0) and the weight of its first unit step.
     ``out`` and ``pred`` list ``(neighbour, guard mask)`` pairs in that
-    order, as ``IndexedModel.out`` and ``pred`` do.
+    order.
     """
 
     kept: tuple[int, ...]
@@ -54,10 +54,6 @@ class Series(NamedTuple):
     arcs: list[tuple[int, int, int, int, int, int]]
     out: list[list[tuple[int, int]]]
     pred: list[list[tuple[int, int]]]
-
-
-# The unit-step view's attributes, built together on first read.
-_UNIT_STEPS = frozenset({"wfts", "states", "transitions", "index", "edges", "out", "pred"})
 
 
 class IndexedModel:
@@ -74,17 +70,8 @@ class IndexedModel:
     the target itself for length 1, else the first ``#`` state of its
     chain.
 
-    The unit steps are ``expand_lengths(system)``'s, indexed with the
-    declared states first and each chain's ``#`` states after them in
-    declaration order; they are built together on first read of any of
-    ``wfts``, ``states``, ``transitions``, ``index``, ``edges``, ``out``
-    or ``pred``.  ``edges`` holds one ``(u, v, weight, guard mask)`` per
-    unit transition in declaration order; ``out[u]`` and ``pred[v]`` list
-    ``(neighbour, guard mask)`` pairs in that order, without the edges no
-    valid product enables.  ``n`` counts the unit states: a simple cycle
-    has at most ``n`` steps, so every cycle mean is an int over
-    ``denominator``, ``scale`` times ``period`` = lcm(1..n): total t over
-    k steps is t·(period // k).
+    ``n`` counts the unit states, the declared ones and one per further
+    step of each chain: no simple cycle of the unit steps is longer.
     """
 
     def __init__(self, w: Wfts, sign: int = 1):
@@ -104,35 +91,6 @@ class IndexedModel:
                               v if t.length == 1 else hop))
             hop += t.length - 1
         self.n = hop
-        self.period = lcm(1, *range(2, self.n + 1))
-        self.denominator = self.period * scale
-
-    def __getattr__(self, name: str):
-        # Called only for an attribute not yet set: the unit steps.
-        if name not in _UNIT_STEPS:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        self._index_unit_steps()
-        return self.__dict__[name]
-
-    def _index_unit_steps(self) -> None:
-        """The unit steps, from the arcs: a chain's first step keeps the
-        arc's weight and guard, and the others have weight 0 and guard
-        true."""
-        w = self.wfts = expand_lengths(self.system)
-        self.states, self.transitions = w.states, w.transitions
-        self.index = {s: i for i, s in enumerate(w.states)}
-        full = self.feature_model.full_mask
-        edges = self.edges = []
-        for u, v, wt, length, g, hop in self.arcs:
-            chain = [u, *range(hop, hop + length - 1), v]
-            edges.append((u, chain[1], wt, g))
-            edges += [(a, b, 0, full) for a, b in zip(chain[1:], chain[2:])]
-        out = self.out = [[] for _ in range(self.n)]
-        pred = self.pred = [[] for _ in range(self.n)]
-        for u, v, _, g in edges:
-            if g:
-                out[u].append((v, g))
-                pred[v].append((u, g))
 
     @cached_property
     def series(self) -> Series:
@@ -194,10 +152,6 @@ class IndexedModel:
             table[u].append((guard, (v, wt, ln, first, pos)))
         return table
 
-    def product_adj(self, bit: int) -> list[list[int]]:
-        """Forward adjacency for one product (edge order preserved)."""
-        return [[v for v, g in edges if g & bit] for edges in self.out]
-
 
 def refine(full: int, guards) -> list[int]:
     """``full`` refined by every distinct guard mask, in order of lowest
@@ -218,6 +172,17 @@ def refine(full: int, guards) -> list[int]:
             break
     single.sort()  # a power of two is its own lowest product
     return sorted(blocks + single, key=lambda b: b & -b) if blocks else single
+
+
+def successors(im: IndexedModel, bit: int) -> list[list[int]]:
+    """Per declared state of ``im``, its targets under product ``bit`` in
+    declaration order: the unit steps' adjacency when ``im`` indexes a
+    length expansion."""
+    adj: list[list[int]] = [[] for _ in im.system.states]
+    for u, v, _, _, g, _ in im.arcs:
+        if g & bit:
+            adj[u].append(v)
+    return adj
 
 
 def reachable_from(adj: list[list[int]], sources: list[int], n: int) -> list[bool]:
@@ -242,7 +207,7 @@ def spread(
     adj: list[list[tuple[int, int]]],
 ) -> list[int]:
     """Per state, the products under which it is connected to a seed along
-    ``adj`` (``im.out``: reached from it; ``im.pred``: reaching it).  Each
+    ``adj`` (out-pairs: reached from it; in-pairs: reaching it).  Each
     ``(state, mask)`` seed holds its state under its products, and no state
     is entered under a product in its ``blocked`` mask."""
     r = [0] * len(adj)

@@ -26,19 +26,20 @@ Three routes to the same quantity live here:
 
 Every pointwise-best choice over product sets (a policy improvement, the
 caller's merge of the values at the initial states) is one fold,
-``_paint``, over ints ranked by a plain sort.  The family route keys
-means as ints over the index's one denominator: a cycle of total t over k
-unit steps has key t · (period // k), so no ratio is reduced or
-cross-multiplied, and the caller builds a ``Fraction`` once per value
-class.
+``_paint``, over ints ranked by a plain sort.  Both Howard routes hold a
+mean as a reduced ``(num, den)`` pair, a cycle of total t over k unit
+steps as (t / g, k / g) with g = gcd(t, k): equal means are equal pairs,
+and a mean is compared by cross-multiplication.  Where a fold ranks
+means, they are ints over the lcm of the dens it meets, and the caller
+builds a ``Fraction`` once per value class.
 
 Both Howard routes run on ``IndexedModel.series``, where a chain of
 pass-through states is one arc of weight w and length ℓ (the number of
 unit steps it stands for).  A cycle's mean is then the cost-to-time ratio
 Σw / Σℓ, and Howard's iteration carries over to that ratio form (Dasdan,
-Irani and Gupta 1999) with the length in the potentials: x(u) = period·w
-− key·ℓ + x(π(u)) in the family route, x(u) = den·w − num·ℓ + x(π(u)) in
-the product route.  A pass-through state has one choice, and the family
+Irani and Gupta 1999) with the length in the potentials, scaled by the
+den of the state's mean: x(u) = den·w − num·ℓ + x(π(u)).  A pass-through
+state has one choice, and the family
 route's first policy, like a product's cold start, ranks arcs by their
 first hop's weight, which is the edge the unit steps' first policy
 compares.  The family route roots a cycle at its smallest kept state;
@@ -47,7 +48,8 @@ after every declared state, that is the unit steps' root too, and the
 iteration is the one on the unit steps, arc for chain and round for
 round.  The paper's route, components and a partitioned
 Karp recurrence per component, is the tests' reference for
-``family_means``; it reads the unit steps.
+``family_means``; it reads the unit steps, the arcs of the length
+expansion's own index.
 
 The family and product routes share one ``IndexedModel`` and its one sign
 convention: they maximize over weights that min mode negated once, inside
@@ -131,26 +133,25 @@ def live_masks(im: IndexedModel) -> list[int]:
     return live
 
 
-Values = list[dict[tuple[int, int], int]]  # per state, (key, potential) -> products
+Values = list[dict[tuple[int, int, int], int]]  # per state, (num, den, potential) -> products
 Edges = list[list[tuple[int, int, int, int]]]  # per state, (target, weight, length, products)
 
 
-def _determine(
-    policy: list[dict[int, int]], outs: Edges, todo: list[int], period: int
-) -> Values:
+def _determine(policy: list[dict[int, int]], outs: Edges, todo: list[int]) -> Values:
     """Value determination of product-partitioned policies: per state,
-    ``(mean key, potential)`` cells over its products in ``todo``.
+    ``(num, den, potential)`` cells over its products in ``todo``, with
+    ``(num, den)`` the reduced mean.
 
     ``policy[u]`` maps a position in ``outs[u]`` to the products that take
     that edge, and is read in place.  A walk from each state in index
     order follows the policy under the products it still lacks a value
     for, splits at each cell, and closes a cycle where it meets a state
-    already on the walk.  The cycle's key is its total weight times
-    ``period //`` its total length; its root is its smallest state, with
-    potential 0, and the cycle's other states are valued backwards from
-    it.  A state leaving the walk takes its other products' values from
-    its successors, x(u) = period·w − key·ℓ + x(π(u)) over an arc of
-    weight w and length ℓ.  Equal cells of a state share one entry.  No
+    already on the walk.  The cycle's mean is its total weight over its
+    total length, reduced; its root is its smallest state, with potential
+    0, and the cycle's other states are valued backwards from it.  A state
+    leaving the walk takes its other products' values from its
+    successors, x(u) = den·w − num·ℓ + x(π(u)) over an arc of weight w and
+    length ℓ.  Equal cells of a state share one entry.  No
     step recurses.
     """
     n = len(policy)
@@ -181,15 +182,17 @@ def _determine(
                 # steps[i]: the arc cycle[i] -> cycle[i + 1]
                 steps = [(f[2], f[3]) for f in walk[d + 1:]]
                 steps.append((wt, ln))
-                key = sum(w for w, _ in steps) * (period // sum(k for _, k in steps))
+                total, length = map(sum, zip(*steps))
+                g = gcd(total, length)
+                num, den = total // g, length // g
                 r = cycle.index(min(cycle))
                 x = 0
                 for i in range(r, r - len(cycle), -1):
                     here = values[cycle[i]]
-                    here[key, x] = here.get((key, x), 0) | hit
+                    here[num, den, x] = here.get((num, den, x), 0) | hit
                     valued[cycle[i]] |= hit
                     w, k = steps[i - 1]
-                    x += period * w - key * k
+                    x += den * w - num * k
             else:
                 left = mu & ~valued[u]
                 if left:
@@ -199,10 +202,10 @@ def _determine(
                         if not r:
                             continue
                         v, wt, ln, _ = outs[u][e]
-                        for (key, x), mv in values[v].items():
+                        for (num, den, x), mv in values[v].items():
                             hit = r & mv
                             if hit:
-                                cell = (key, period * wt - key * ln + x)
+                                cell = (num, den, den * wt - num * ln + x)
                                 here[cell] = here.get(cell, 0) | hit
                     valued[u] |= left
                 depth[u] = -1
@@ -231,9 +234,9 @@ def _adopt(cells: dict[int, int], candidates: dict, context: int) -> int:
     return moved
 
 
-def family_means(im: IndexedModel) -> list[tuple[int, int]]:
+def family_means(im: IndexedModel) -> list[tuple[int, tuple[int, int]]]:
     """Best reachable cycle means of every product, as ``(product mask,
-    mean)`` cells with each mean an int over ``im.denominator``: Howard
+    (num, den))`` cells with each mean a reduced pair: Howard
     policy iteration (``_howard``) for all products at once, on the live
     part (``live_masks``) of the series view ``im.series`` with ``im``'s
     signed weights, so maximizing.  A mean is a cost-to-time ratio, an
@@ -241,12 +244,13 @@ def family_means(im: IndexedModel) -> list[tuple[int, int]]:
 
     A policy picks one out-arc per state and product; it is held as cells
     of products per arc, which ``_determine`` reads in place, and the
-    values as ``(key, potential)`` cells.  Each product's run is a cold
+    values as ``(num, den, potential)`` cells.  Each product's run is a cold
     ``_howard`` run: the first policy takes the first arc of maximum
     first-hop weight, a state improves to the first arc of strictly better
     mean (type 1), and only a product with no type-1 change in a round
     improves by strictly better potential among successors of equal mean
-    (type 2).
+    (type 2).  Means are compared by cross-multiplication; a cell's type-1
+    candidates are ranked as ints over the lcm of their dens.
     Every choice is one ``_adopt``.  A round is one sweep: each cell of a
     state with a choice meets each successor's cells once, for both its
     type-1 candidates, adopted at once, and its type-2 ones, kept until
@@ -259,7 +263,7 @@ def family_means(im: IndexedModel) -> list[tuple[int, int]]:
     initial state have no cell.
     """
     g = im.series
-    n, period = len(g.kept), im.period
+    n = len(g.kept)
     live = live_masks(im)
     outs: Edges = [[] for _ in range(n)]
     firsts: list[dict[tuple[int, int], int]] = [{} for _ in range(n)]
@@ -274,34 +278,36 @@ def family_means(im: IndexedModel) -> list[tuple[int, int]]:
     active = 0
     for s in g.initial:
         active |= live[s]
-    found: list[tuple[int, int]] = []
+    found: list[tuple[int, tuple[int, int]]] = []
     while active:
         todo = [m & active for m in live]
-        values = _determine(policy, outs, todo, period)
+        values = _determine(policy, outs, todo)
         better = 0
         kept = []  # (state, type-2 candidates, products) of each cell
         for u, edges in enumerate(outs):
             if len(edges) < 2:  # one edge leaves no choice
                 continue
-            for (ku, xu), mu in values[u].items():
-                up: dict[tuple[int, int], int] = {}  # a successor of better mean
+            for (nu, du, xu), mu in values[u].items():
+                up: dict[tuple[int, int, int], int] = {}  # a successor of better mean
                 tie: dict[tuple[int, int], int] = {}  # equal mean, better potential
                 for e, (v, wt, ln, em) in enumerate(edges):
                     r = em & mu
                     if not r:
                         continue
-                    base = period * wt - ku * ln
-                    for (kv, xv), mv in values[v].items():
+                    base = du * wt - nu * ln
+                    for (nv, dv, xv), mv in values[v].items():
                         hit = r & mv
                         if not hit:
                             continue
-                        if kv > ku:
-                            up[kv, -e] = up.get((kv, -e), 0) | hit
-                        elif kv == ku and base + xv > xu:
+                        if nv * du > nu * dv:
+                            up[nv, dv, -e] = up.get((nv, dv, -e), 0) | hit
+                        elif nv == nu and dv == du and base + xv > xu:
                             cand = (base + xv, -e)
                             tie[cand] = tie.get(cand, 0) | hit
                 if up:
-                    better |= _adopt(policy[u], up, mu)
+                    span = lcm(*(dv for _, dv, _ in up))
+                    ranked = {(nv * (span // dv), at): m for (nv, dv, at), m in up.items()}
+                    better |= _adopt(policy[u], ranked, mu)
                 if tie:
                     kept.append((u, tie, mu))
         level = active & ~better
@@ -311,9 +317,9 @@ def family_means(im: IndexedModel) -> list[tuple[int, int]]:
                 better |= _adopt(policy[u], {c: m & mu for c, m in candidates.items()}, mu)
         final = active & ~better
         for s in g.initial:
-            for (key, _), m in values[s].items():
+            for (num, den, _), m in values[s].items():
                 if m & final:
-                    found.append((m & final, key))
+                    found.append((m & final, (num, den)))
         active = better
     return found
 
@@ -480,7 +486,7 @@ def _howard(out: list[list[Arc] | None], start: list[Arc | None]) -> tuple[list[
             return num, den
 
 
-def product_keys(im: IndexedModel, masks) -> list[int | None]:
+def product_keys(im: IndexedModel, masks) -> list[tuple[int, int] | None]:
     """``best_reachable_key`` of each mask of ``masks``, in order: one
     product, or a block that agrees on every guard of ``im.series`` and so
     has one graph.  Each run is warm-started (``_howard``): a state starts
@@ -491,7 +497,7 @@ def product_keys(im: IndexedModel, masks) -> list[int | None]:
     """
     g, table = im.series, im.arc_table
     start: list[Arc | None] = [None] * len(g.kept)
-    keys: list[int | None] = []
+    keys: list[tuple[int, int] | None] = []
     for mask in masks:
         out = _live_out(table, g.initial, mask)
         initial = [s for s in g.initial if out[s] is not None]
@@ -499,15 +505,18 @@ def product_keys(im: IndexedModel, masks) -> list[int | None]:
             keys.append(None)
             continue
         num, den = _howard(out, start)
-        # A reduced den divides its cycle's length, so it divides ``im.period``.
-        keys.append(max(num[s] * (im.period // den[s]) for s in initial))
+        best = initial[0]
+        for s in initial:
+            if num[s] * den[best] > num[best] * den[s]:
+                best = s
+        keys.append((num[best], den[best]))
     return keys
 
 
-def best_reachable_key(im: IndexedModel, bit: int) -> int | None:
+def best_reachable_key(im: IndexedModel, bit: int) -> tuple[int, int] | None:
     """Best mean cycle of one product, restricted to the part reachable from
-    the initial states, on ``im``'s signed weights (so maximizing), as an
-    int over ``im.denominator``.
+    the initial states, on ``im``'s signed weights (so maximizing), as a
+    reduced ``(num, den)`` pair over ``im``'s scaled weights.
 
     The product-based pipeline: the states of ``im.series`` with an
     infinite run from an initial state (``_live_out``), Howard policy
@@ -520,9 +529,9 @@ def best_reachable_key(im: IndexedModel, bit: int) -> int | None:
 
 
 def best_reachable_mean(im: IndexedModel, bit: int) -> Fraction | None:
-    """``best_reachable_key`` as a ``Fraction``."""
+    """``best_reachable_key`` as a ``Fraction`` of ``im``'s signed weights."""
     key = best_reachable_key(im, bit)
-    return None if key is None else Fraction(key, im.denominator)
+    return None if key is None else Fraction(key[0], key[1] * im.scale)
 
 
 def brute_force_mean_cycle(

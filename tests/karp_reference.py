@@ -14,21 +14,25 @@ times over the chains between them (Hartmann & Orlin 1993).  A state with a
 single way in, such as an intermediate state of length expansion, sits at
 some depth d below its head, and its Karp term is the head's term at the
 shifted horizon n - d.  ``karp_values`` merges the cells of all components
-into value classes, as the analysis merges its own route's.
+into value classes, as the analysis merges its own route's.  It reads
+the unit steps, the arcs of the length expansion's own index.
 
 Every pointwise-best step (a walk-table row, the per-state minimum mean,
-the maximum across states) is one fold, ``meancycle._paint``.  Means are
-ints over the index's one denominator: a candidate (D_H - D_k)/(H - k) is
-(D_H - D_k) · (period // (H - k)).
+the maximum across states) is one fold, ``meancycle._paint``.  Within a
+component of n states, means are ints over its own period, lcm(1..n): a
+candidate (D_H - D_k)/(H - k) is (D_H - D_k) · (period // (H - k)).
 """
 
 from __future__ import annotations
 
+from math import lcm
+
 from wfts.analysis import Classes, _merge
 from wfts.graphs import IndexedModel, spread
 from wfts.meancycle import Cells, _paint
+from wfts.model import expand_lengths
 
-from paper_reference import SymbolicScc, symbolic_reachable_masks
+from paper_reference import SymbolicScc, guarded, symbolic_reachable_masks
 
 
 def forward_backward_sccs(im: IndexedModel, within: list[int]) -> list[SymbolicScc]:
@@ -42,6 +46,7 @@ def forward_backward_sccs(im: IndexedModel, within: list[int]) -> list[SymbolicS
     removes whole components per product, so later spreads stay exact.
     """
     full = im.feature_model.full_mask
+    out, pred = guarded(im)
     remaining = list(within)
     components: list[SymbolicScc] = []
     for v in range(im.n):
@@ -49,8 +54,8 @@ def forward_backward_sccs(im: IndexedModel, within: list[int]) -> list[SymbolicS
         if not lam:
             continue
         blocked = [full & ~m for m in remaining]
-        fwd = spread([(v, lam)], blocked, im.out)
-        bwd = spread([(v, lam)], blocked, im.pred)
+        fwd = spread([(v, lam)], blocked, out)
+        bwd = spread([(v, lam)], blocked, pred)
         masks = [f & b for f, b in zip(fwd, bwd)]
         components.append(SymbolicScc(v, masks))
         remaining = [r & ~m for r, m in zip(remaining, masks)]
@@ -161,7 +166,7 @@ def _walk_tables(
     return rows
 
 
-def karp_cells(scc: SymbolicScc, im: IndexedModel) -> list[tuple[int, int]]:
+def karp_cells(scc: SymbolicScc, im: IndexedModel) -> list[tuple[int, tuple[int, int]]]:
     """Maximum mean-cycle values of one symbolic component, per family.
 
     Karp's formula over the component's member states, with n their count:
@@ -179,15 +184,15 @@ def karp_cells(scc: SymbolicScc, im: IndexedModel) -> list[tuple[int, int]]:
     in the component, refined as transitions with different guards propose
     different walk weights; the minima and the final maximum refine the
     same way.  Only families that actually contain a cycle are returned,
-    each with its value as an exact int over ``im.denominator``: a horizon
-    is at most n ≤ ``im.n`` steps, so ``im.period`` is a multiple of it.
+    each with its value as an exact ``(key, period)`` pair, period being
+    lcm(1..n): a horizon is at most n steps, so period is a multiple of it.
     """
     masks = scc.masks
     n = sum(1 for m in masks if m)
     s0 = scc.anchor
 
     edges = []
-    for u, v, wt, g in im.edges:
+    for u, v, wt, _, g, _ in im.arcs:
         edge_mask = g & masks[u] & masks[v]
         if edge_mask:
             edges.append((u, v, wt, edge_mask))
@@ -200,7 +205,8 @@ def karp_cells(scc: SymbolicScc, im: IndexedModel) -> list[tuple[int, int]]:
     for h, d, _, m in chains.values():
         key = (h, n - d)
         horizons[key] = horizons.get(key, 0) | m
-    steps = [0] + [im.period // span for span in range(1, n + 1)]
+    period = lcm(*range(1, n + 1))
+    steps = [0] + [period // span for span in range(1, n + 1)]
     top: dict[int, int] = {}
     for (v, horizon), context in horizons.items():
         dn_cells = [
@@ -233,11 +239,13 @@ def karp_cells(scc: SymbolicScc, im: IndexedModel) -> list[tuple[int, int]]:
         for mask, key in _paint({-key: m for key, m in means.items()}, context):
             if key is not None:
                 top[-key] = top.get(-key, 0) | mask
-    return [cell for cell in _paint(top, masks[s0]) if cell[1] is not None]
+    return [(mask, (key, period)) for mask, key in _paint(top, masks[s0]) if key is not None]
 
 
 def karp_values(im: IndexedModel) -> Classes:
     """The products' best means as value classes, via the Karp route: the
-    Karp cells of every component of the products' reachable subgraphs."""
-    components = forward_backward_sccs(im, symbolic_reachable_masks(im))
-    return _merge(im, (cell for scc in components for cell in karp_cells(scc, im)))
+    Karp cells of every component of the products' reachable subgraphs of
+    unit steps, those of ``im``'s length expansion, in ``im``'s sign."""
+    unit = IndexedModel(expand_lengths(im.system), im.sign)
+    components = forward_backward_sccs(unit, symbolic_reachable_masks(unit))
+    return _merge(unit, (cell for scc in components for cell in karp_cells(scc, unit)))

@@ -31,6 +31,10 @@ states and out-edges in declaration order.  ``classic_references`` runs
 them once per block of ``wfts.checks.product_inputs``, and the suites
 ``check_order_coverage``, ``check_tree`` and ``check_scc_tree`` compare a
 block at a time where its products agree.
+
+Every function here reads the unit steps as the arcs of the length
+expansion's own index, ``IndexedModel(expand_lengths(w))``: ``guarded``
+gives its guarded adjacency, and ``wfts.graphs.successors`` one product's.
 """
 
 from __future__ import annotations
@@ -40,21 +44,36 @@ from typing import NamedTuple
 
 from wfts.analysis import _per_product, format_product
 from wfts.checks import CheckResult, ProductInputs, _bits
-from wfts.graphs import IndexedModel, spread
+from wfts.graphs import IndexedModel, spread, successors
 from wfts.ordering import DfsOrder, dfs_order
+
+Guarded = list[list[tuple[int, int]]]  # per state, (neighbour, guard mask) pairs
+
+
+def guarded(im: IndexedModel) -> tuple[Guarded, Guarded]:
+    """Per state of ``im``, its out-pairs ``(target, guard mask)`` and its
+    in-pairs ``(source, guard mask)`` in declaration order, without the
+    arcs that no valid product enables."""
+    out: Guarded = [[] for _ in im.system.states]
+    pred: Guarded = [[] for _ in im.system.states]
+    for u, v, _, _, g, _ in im.arcs:
+        if g:
+            out[u].append((v, g))
+            pred[v].append((u, g))
+    return out, pred
 
 
 def symbolic_reachable_masks(im: IndexedModel) -> list[int]:
     """For each state, the exact set of products (a bitmask) under which it
     is reachable from some initial state via guard-satisfying transitions."""
     full = im.feature_model.full_mask
-    return spread([(i, full) for i in im.initial], [0] * im.n, im.out)
+    return spread([(i, full) for i in im.initial], [0] * im.n, guarded(im)[0])
 
 
 def product_radj(im: IndexedModel, bit: int) -> list[list[int]]:
     """Backward adjacency of the unit steps for one product (edge order
     preserved)."""
-    return [[u for u, g in edges if g & bit] for edges in im.pred]
+    return [[u for u, g in edges if g & bit] for edges in guarded(im)[1]]
 
 
 def finish_order(adj: list[list[int]], n: int) -> list[int]:
@@ -116,7 +135,7 @@ def kosaraju_components(order: list[int], radj: list[list[int]]) -> list[list[in
 
 def unit_order(im: IndexedModel) -> DfsOrder:
     """The feature-aware DFS over the unit steps, for every valid product."""
-    return dfs_order(im.out, im.states, im.feature_model.full_mask)
+    return dfs_order(guarded(im)[0], im.system.states, im.feature_model.full_mask)
 
 
 class TreeNode:
@@ -212,7 +231,8 @@ def symbolic_sccs(tree: FinishingTree, im: IndexedModel) -> list[SymbolicScc]:
     and restored when backtracking, so sibling branches never see each
     other's assignments.
     """
-    idx, pred = im.index, im.pred
+    idx = {s: i for i, s in enumerate(im.system.states)}
+    pred = guarded(im)[1]
     components: list[SymbolicScc] = []
     for root_child in tree.root.children:
         assigned = [0] * im.n
@@ -257,7 +277,7 @@ def classic_references(im: IndexedModel, inputs: ProductInputs) -> ClassicRefere
     product."""
     blocks = inputs.blocks
     bits = [block & -block for block in blocks]
-    orders = [finish_order(im.product_adj(bit), im.n) for bit in bits]
+    orders = [finish_order(successors(im, bit), im.n) for bit in bits]
     components = [kosaraju_components(o, product_radj(im, bit)) for o, bit in zip(orders, bits)]
     count = im.feature_model.full_mask.bit_length()
     block_of = _per_product([(block, i) for i, block in enumerate(blocks)], count)
@@ -320,7 +340,7 @@ def check_tree(tree: FinishingTree, im: IndexedModel, refs: ClassicReferences) -
                     )
 
     # A path lists states in decreasing finishing time: n, n-1, ..., 1.
-    classic = [[im.states[u] for u in reversed(order)] for order in refs.orders]
+    classic = [[im.system.states[u] for u in reversed(order)] for order in refs.orders]
     lines: list[tuple[int, int, str]] = []  # (product, depth, failure)
     walk = [(tree.root, im.feature_model.full_mask)]
     while walk:
@@ -370,7 +390,7 @@ def check_scc_tree(
     every product of a block that some mask holds only part of."""
     result = CheckResult("scc")
     fm = im.feature_model  # its products are named only in failures
-    names = im.states
+    names = im.system.states
     blocks, block_of = refs.blocks, refs.block_of
     lowest = sum(block & -block for block in blocks)
     lines: list[tuple[int, int, str]] = []  # (product, route, failure)

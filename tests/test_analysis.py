@@ -23,7 +23,7 @@ from wfts.analysis import (
 from wfts.cli import main
 from wfts.features import FALSE, TRUE, FeatureModel, Not, Var
 from wfts.generators import grant_request, minepump_lite, taxi
-from wfts.graphs import IndexedModel, reachable_from
+from wfts.graphs import IndexedModel, reachable_from, successors
 from wfts.model import Transition, Wfts, expand_lengths
 from wfts.ordering import dfs_order
 from wfts.randgen import random_corpus, random_wfts
@@ -584,16 +584,18 @@ def tight_cycle(
 
 
 def _reachable_edges(im: IndexedModel, bit: int) -> list[tuple[int, int, int]]:
-    """Product ``bit``'s edges from its reachable states, in declaration
-    order, with ``im``'s signed weights."""
-    reach = reachable_from(im.product_adj(bit), im.initial, im.n)
-    return [(u, v, wt) for u, v, wt, g in im.edges if g & bit and reach[u]]
+    """Product ``bit``'s arcs from its reachable states, in declaration
+    order, with ``im``'s signed weights: its unit steps when ``im`` indexes
+    a length expansion."""
+    reach = reachable_from(successors(im, bit), im.initial, im.n)
+    return [(u, v, wt) for u, v, wt, _, g, _ in im.arcs if g & bit and reach[u]]
 
 
 def _reference_witnesses(w: Wfts, mode: str, values) -> list:
     """The per-product witness rule: ``tight_cycle`` on each product's
-    reachable subgraph, rendered without the states of length expansion."""
-    im = IndexedModel(w, 1 if mode == "max" else -1)
+    reachable subgraph of unit steps, rendered without the states of length
+    expansion."""
+    im = IndexedModel(expand_lengths(w), 1 if mode == "max" else -1)
     witnesses = []
     for i, value in enumerate(values):
         cycle = None
@@ -603,7 +605,7 @@ def _reference_witnesses(w: Wfts, mode: str, values) -> list:
         if cycle is None:
             witnesses.append(None)
             continue
-        names = [im.states[u] for u in cycle]
+        names = [im.system.states[u] for u in cycle]
         witnesses.append(tuple(s for s in names if "#" not in s) or tuple(names))
     return witnesses
 
@@ -681,7 +683,7 @@ class TestWitnessSharing:
                 edges = _reachable_edges(im, 1 << p)
                 target = im.sign * value * im.scale
                 tight = _tight_adjacency(im.n, edges, im.initial, target)
-                assert ranked == [im.states[u] for u in finish_order(tight, im.n)]
+                assert ranked == [im.system.states[u] for u in finish_order(tight, im.n)]
                 checked += 1
         assert checked > 100
 
@@ -729,9 +731,9 @@ class TestWitnessSharing:
             im = IndexedModel(w)
             classes: dict = {}
             for p in defined:
-                reach = reachable_from(im.product_adj(1 << p), im.initial, im.n)
+                reach = reachable_from(successors(im, 1 << p), im.initial, im.n)
                 projection = frozenset(
-                    j for j, (u, _, _, g) in enumerate(im.edges) if g >> p & 1 and reach[u]
+                    j for j, (u, *_, g, _) in enumerate(im.arcs) if g >> p & 1 and reach[u]
                 )
                 classes.setdefault((values[p], projection), []).append(p)
             if defined and len(classes) < len(defined):

@@ -20,7 +20,7 @@ from wfts import analysis, checks, ordering
 from wfts.analysis import analyze_family, analyze_products, format_product
 from wfts.features import FeatureModel, Var
 from wfts.generators import grant_request, minepump_lite, taxi
-from wfts.graphs import IndexedModel
+from wfts.graphs import IndexedModel, successors
 from wfts.model import ModelError, Transition, Wfts, expand_lengths
 from wfts.ordering import DfsOrder
 from wfts.randgen import random_corpus, random_wfts
@@ -43,7 +43,7 @@ def projections(w: Wfts) -> list:
     return [
         (n, tuple(edges))
         for n, edges in (
-            checks.reachable_projection(im, bit, im.product_adj(bit))
+            checks.reachable_projection(im, bit)
             for bit in (1 << p for p in range(len(w.feature_model.products)))
         )
     ]
@@ -53,17 +53,18 @@ def graphs(w: Wfts) -> list:
     """Per product of ``w``'s length expansion, its adjacency as a tuple."""
     im = IndexedModel(expand_lengths(w))
     return [
-        tuple(map(tuple, im.product_adj(1 << p)))
+        tuple(map(tuple, successors(im, 1 << p)))
         for p in range(len(w.feature_model.products))
     ]
 
 
 def reference_blocks(im: IndexedModel) -> list[int]:
-    """The products grouped one by one by the edges they enable: one mask
-    per distinct set of enabled edges, in order of lowest product."""
+    """The products grouped one by one by the unit steps they enable: one
+    mask per distinct set of enabled steps, in order of lowest product."""
+    unit = IndexedModel(expand_lengths(im.system))
     groups: dict[tuple, int] = {}
     for p in range(len(im.feature_model.products)):
-        enabled = tuple(i for i, (*_, g) in enumerate(im.edges) if g >> p & 1)
+        enabled = tuple(i for i, (*_, g, _) in enumerate(unit.arcs) if g >> p & 1)
         groups[enabled] = groups.get(enabled, 0) | 1 << p
     return list(groups.values())
 
@@ -142,9 +143,9 @@ def test_classic_references_run_once_per_block(monkeypatch):
         if len(checks.product_blocks(IndexedModel(w))) < len(w.feature_model.products)
     )
     blocks = checks.product_blocks(IndexedModel(w))
-    adj = counting(monkeypatch, "product_adj", IndexedModel)
+    built = counting(monkeypatch, "reachable_projection")
     assert checks.check_model(w).ok
-    assert [bit for _, bit in adj] == [block & -block for block in blocks]
+    assert [bit for _, bit in built] == [block & -block for block in blocks]
 
 
 def test_check_model_runs_no_feature_aware_dfs(monkeypatch):
@@ -238,16 +239,19 @@ def test_product_route_runs_once_per_distinct_projection_per_mode(monkeypatch, l
 
 
 def test_check_model_builds_one_index_per_sign(monkeypatch):
-    signs = []
+    # The value routes read one index per sign; the projections read one
+    # of the length expansion, the unit steps.
+    w = taxi(3)
+    built = []
     init = IndexedModel.__init__
 
-    def counted(self, w, sign=1):
-        signs.append(sign)
-        init(self, w, sign)
+    def counted(self, system, sign=1):
+        built.append((sign, system is w))
+        init(self, system, sign)
 
     monkeypatch.setattr(IndexedModel, "__init__", counted)
-    assert checks.check_model(taxi(3), "taxi:3").ok
-    assert sorted(signs) == [-1, 1]
+    assert checks.check_model(w, "taxi:3").ok
+    assert sorted(built) == [(-1, True), (1, False), (1, True)]
 
 
 def test_check_model_builds_one_arc_table_per_sign(monkeypatch):
@@ -317,7 +321,7 @@ def test_feature_declaration_order_changes_no_value(label, w):
 def taxi2_tree():
     """taxi:2's index and finishing tree, with the leaf that two products
     share and its parent: a fresh tree per call, free to corrupt."""
-    im = IndexedModel(TAXI2)
+    im = IndexedModel(expand_lengths(TAXI2))
     tree = build_finishing_tree(unit_order(im))
     leaf = tree.leaves()[1]
     assert bin(leaf.path_mask).count("1") == 2 and leaf.parent.children == [leaf]
@@ -380,7 +384,7 @@ def test_a_dropped_path_mask_bit_is_named_at_its_depth():
 
 
 def test_an_emptied_order_entry_fails_coverage_and_count():
-    order = unit_order(IndexedModel(TAXI2))
+    order = unit_order(IndexedModel(expand_lengths(TAXI2)))
     u, mask = order.stamps[0]
     assert mask == order.context  # 16 products
     corrupted = DfsOrder(order.states, order.context, [(u, 0), *order.stamps[1:]])
@@ -392,7 +396,7 @@ def test_an_emptied_order_entry_fails_coverage_and_count():
 
 
 def test_a_widened_order_entry_overlaps_its_state():
-    order = unit_order(IndexedModel(TAXI2))
+    order = unit_order(IndexedModel(expand_lengths(TAXI2)))
     stamps = list(order.stamps)
     # Entry 9 takes entry 25's 4 products too: both are Pe2#AR#1's.
     (u, mask), (v, other) = stamps[8], stamps[24]
@@ -412,7 +416,7 @@ WIDE = random_wfts("wide:4", max_states=16, max_features=10)
 def wide_tree():
     """WIDE's index, its classic references and a fresh finishing tree,
     free to corrupt, and a product that is not its block's lowest."""
-    im = IndexedModel(WIDE)
+    im = IndexedModel(expand_lengths(WIDE))
     refs = classic_references(im, checks.product_inputs(im, "wide:4"))
     block = max(refs.blocks, key=lambda b: bin(b).count("1"))
     assert bin(block).count("1") == 16

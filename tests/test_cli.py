@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -115,6 +118,19 @@ def test_parse_error_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "analyze", str(bad))
     assert code == 2
     assert "model error" in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "validate"])
+def test_a_number_past_the_int_string_limit_exits_2_without_a_traceback(tmp_path, command):
+    bad = tmp_path / "long.wfts"
+    bad.write_text(f"features {{ }}\nstates {{ s0 }}\ninit {{ s0 }}\n"
+                   f"trans s0 -> s0 weight={'9' * 5000}\n", encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-m", "wfts.cli", command, str(bad)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 2
+    assert done.stdout == "" and "Traceback" not in done.stderr
+    assert done.stderr == "model error: 4:23: number of 5000 digits is too long to read\n"
 
 
 @pytest.mark.parametrize("attribute", ["weight", "length"])

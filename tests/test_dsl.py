@@ -77,6 +77,28 @@ def test_unexpected_character_reports_position():
     assert "1:13" in str(err.value)
 
 
+LONG = "9" * 5000  # past the interpreter's 4,300-digit limit on int strings
+
+
+@pytest.mark.parametrize("attribute, col, digits", [
+    (f"weight={LONG}", 23, 5000),
+    (f"weight=1.{LONG}", 23, 5001),
+    (f"weight=-{LONG}", 24, 5000),
+    (f"weight=1 length={LONG}", 32, 5000),
+], ids=["weight", "decimal weight", "negative weight", "length"])
+def test_a_number_past_the_int_string_limit_is_a_parse_error(attribute, col, digits):
+    with pytest.raises(ParseError) as err:
+        parse(MINI + f"trans s0 -> s1 {attribute}\n")
+    assert str(err.value) == f"5:{col}: number of {digits} digits is too long to read"
+
+
+def test_a_long_number_within_the_limit_parses_exactly():
+    w = parse(MINI + f"trans s0 -> s1 weight=0.{'9' * 4000} length={'9' * 4000}\n")
+    t = w.transitions[0]
+    assert t.weight == 1 - Fraction(1, 10 ** 4000)
+    assert t.length == 10 ** 4000 - 1
+
+
 def test_constraint_parses():
     w = parse("features { G, A } constraint G || A states { s0 } init { s0 }")
     assert len(w.feature_model.products) == 3

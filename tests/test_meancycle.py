@@ -61,8 +61,9 @@ def cycle_system(spec):
 
 
 def projection(im, bit):
-    """Product ``bit``'s reachable projection, as the oracle reads it."""
-    return reachable_projection(im, bit, im.product_adj(bit))
+    """Product ``bit``'s reachable projection, as the oracle reads it: on
+    the unit steps, the arcs of the length expansion's own index."""
+    return reachable_projection(IndexedModel(expand_lengths(im.system)), bit)
 
 
 def reference_mean_cycle(n, edges):
@@ -311,12 +312,12 @@ class TestFamilyHoward:
         rounds = []
         determine = meancycle._determine
 
-        def recorded(policy, outs, todo, period):
+        def recorded(policy, outs, todo):
             active = 0
             for m in todo:
                 active |= m
             rounds.append(active)
-            return determine(policy, outs, todo, period)
+            return determine(policy, outs, todo)
 
         monkeypatch.setattr(meancycle, "_determine", recorded)
         fm = FeatureModel(["F"])
@@ -475,7 +476,7 @@ class TestSeries:
         ], fm)
         im = IndexedModel(w)
         series = im.series
-        assert [im.states[u] for u in series.kept] == ["a"]
+        assert [w.states[u] for u in series.kept] == ["a"]
         assert series.arcs == [(0, 0, 1, 1, fm.full_mask, 1),
                                (0, 0, 12, 6, fm.mask(Not(Var("F"))), 5)]
         with within(2, "both value routes"):
@@ -491,7 +492,7 @@ class TestSeries:
             im = IndexedModel(w, sign)
             series = im.series
             assert IndexedModel(expand_lengths(w), sign).series == series
-            assert [im.states[u] for u in series.kept] == list(w.states)
+            assert [w.states[u] for u in series.kept] == list(w.states)
             declared = [(t.source, t.target, t.length, fm.mask(t.guard),
                          sign * t.weight * im.scale)
                         for t in w.transitions if fm.mask(t.guard)]
@@ -515,8 +516,32 @@ class TestSeries:
             assert family == product
 
 
+    def test_a_length_of_100000_costs_no_more_than_a_short_one(self):
+        # One transition of 100,000 unit steps: no route reads a number of
+        # the size of lcm(1..n), and no analysis expands the length.
+        from wfts.dsl import parse
+
+        w = parse("features { A }\nstates { s, t }\ninit { s }\n"
+                  "trans s -> t weight=4 length=100000\n"
+                  "trans t -> s [A] weight=1\n"
+                  "trans t -> s weight=0 length=2\n")
+        fm = w.feature_model
+        expected = {
+            "max": {frozenset(): Fraction(4, 100002), frozenset("A"): Fraction(5, 100001)},
+            "min": {frozenset(): Fraction(4, 100002), frozenset("A"): Fraction(4, 100002)},
+        }
+        with within(1, "three analyses with witnesses of a 100,000-step arc, both modes"):
+            for mode in ("max", "min"):
+                for analyze in (analyze_family, analyze_products, analyze_both):
+                    report = analyze(w, mode, witnesses=True)
+                    assert {o.product: o.value for o in report.outcomes} == expected[mode]
+                    assert {o.witness for o in report.outcomes} == {("s", "t")}
+        assert len(fm.products) == 2
+
     def test_the_9000_state_analysis_never_expands_lengths(self, monkeypatch):
+        import wfts.analysis
         import wfts.graphs
+        import wfts.meancycle
         import wfts.model
         from wfts.dsl import parse
 
@@ -527,8 +552,9 @@ class TestSeries:
             calls.append(w)
             return expand(w)
 
-        for module in (wfts.model, wfts.graphs):
-            monkeypatch.setattr(module, "expand_lengths", counted)
+        for module in (wfts.model, wfts.graphs, wfts.analysis, wfts.meancycle):
+            if hasattr(module, "expand_lengths"):
+                monkeypatch.setattr(module, "expand_lengths", counted)
         w = parse(self.BIG)
         for mode in ("max", "min"):
             with within(5, "a 9,000-state analysis with witnesses"):
@@ -738,7 +764,7 @@ class TestWarmStart:
         bits = [self.bit(w, "F"), self.bit(w)]
         with within(2, "the warm product route"):
             keys = product_keys(im, bits)
-        assert [Fraction(k, im.denominator) for k in keys] == [5, 1]
+        assert keys == [(5, 1), (1, 1)]
         assert keys == [best_reachable_key(im, bit) for bit in bits]
 
     def test_a_remembered_arc_into_a_peeled_state(self):
@@ -753,7 +779,7 @@ class TestWarmStart:
         bits = [self.bit(w, "F"), self.bit(w)]
         with within(2, "the warm product route"):
             keys = product_keys(im, bits)
-        assert [Fraction(k, im.denominator) for k in keys] == [9, 1]
+        assert keys == [(9, 1), (1, 1)]
         assert keys == [best_reachable_key(im, bit) for bit in bits]
 
     def test_a_suboptimal_warm_policy_takes_both_step_types(self, monkeypatch):
@@ -782,7 +808,7 @@ class TestWarmStart:
             warm = len(calls) - first
             calls.clear()
             assert best_reachable_key(im, bits[1]) == keys[1]
-        assert [Fraction(k, im.denominator) for k in keys] == [100, 4]
+        assert keys == [(100, 1), (4, 1)]
         assert (warm, len(calls)) == (3, 2)
 
     def test_each_call_starts_cold(self, monkeypatch):
@@ -797,11 +823,11 @@ class TestWarmStart:
         bits = [self.bit(w), self.bit(w, "F")]
         most, least = IndexedModel(w), IndexedModel(w, -1)
         calls = self.rounds(monkeypatch)
-        assert product_keys(least, bits) == [200 * least.denominator] * 2
+        assert product_keys(least, bits) == [(200, 1)] * 2
         alone = len(calls)
-        assert product_keys(most, bits) == [100 * most.denominator] * 2
+        assert product_keys(most, bits) == [(100, 1)] * 2
         calls.clear()
-        assert product_keys(least, bits) == [200 * least.denominator] * 2
+        assert product_keys(least, bits) == [(200, 1)] * 2
         assert len(calls) == alone == 2
 
     @settings(max_examples=100, deadline=None)
@@ -1066,60 +1092,72 @@ class TestPartitionDiscipline:
     @settings(max_examples=120, deadline=None)
     @given(data=st.data())
     def test_fold_ratios(self, data):
-        # Ratios of steps 1..9 are folded as the index folds cycle means:
-        # ints over one denominator, the lcm of 1..9 times the weights'
-        # scale, ranked by a plain sort.
-        from math import lcm
+        # Ratios of steps 1..9 are folded as the routes' cycle means are
+        # merged: reduced (num, den) pairs over the weights' scale, ranked
+        # as ints over the lcm of the dens met, one class per value.
+        from math import gcd
+        from types import SimpleNamespace
 
-        from wfts.meancycle import _paint
+        from wfts.analysis import _merge
 
-        period = lcm(*range(1, 10))
         scale = data.draw(st.integers(1, 6))
         context = data.draw(st.integers(1, 0xFFFF))
-        candidates = {}
-        ratios = {}
+        sign = data.draw(st.sampled_from([1, -1]))
+        im = SimpleNamespace(sign=sign, scale=scale,
+                             feature_model=SimpleNamespace(full_mask=context))
+        cells = []
         for _ in range(data.draw(st.integers(0, 6))):
             num = data.draw(st.integers(-15, 15))
             den = data.draw(st.integers(1, 9))
-            key = num * (period // den)
-            ratios[key] = Fraction(num, den * scale)
+            g = gcd(num, den)
             region = data.draw(st.integers(0, 0xFFFF)) & context
-            candidates[key] = candidates.get(key, 0) | region
-        cells = _paint(candidates, context)
+            cells.append((region, (num // g, den // g)))
+        cells.append((data.draw(st.integers(0, 0xFFFF)) & context, None))
+        classes = _merge(im, cells)
         union = 0
-        for mask, _ in cells:
+        for mask, _ in classes:
             assert mask and union & mask == 0
             union |= mask
         assert union == context
+        values = [v for _, v in classes]
+        assert len(set(values)) == len(values), "equal values must share a class"
         for bit_i in range(16):
             bit = 1 << bit_i
             if not context & bit:
                 continue
-            covering = [
-                ratios[key] for key, region in candidates.items() if region & bit
-            ]
-            got = next(v for mask, v in cells if mask & bit)
+            covering = [Fraction(num, den * scale) for region, pair in cells
+                        if pair is not None and region & bit for num, den in [pair]]
+            got = next(v for mask, v in classes if mask & bit)
             if not covering:
                 assert got is None
             else:
-                assert Fraction(got, period * scale) == max(covering)
+                assert got == sign * max(covering)
 
 
 class TestCommonDenominator:
-    """Every cycle mean of an analysis is an int over the index's one
-    denominator, ``IndexedModel.denominator``, and the routes rank and
-    merge means as such ints."""
+    """Every cycle mean of an analysis is a reduced ``(num, den)`` pair
+    over the index's scaled weights, with den at most the unit states'
+    count, and the merge ranks the pairs as ints over one common
+    denominator: the lcm of the dens it meets, times the scale."""
 
     @pytest.mark.parametrize("mode", ["max", "min"])
     def test_every_class_value_is_an_int_over_the_denominator(self, mode):
+        from math import gcd, lcm
+
         from wfts.analysis import _family_values, _product_values
+        from wfts.meancycle import family_means
 
         for w in random_corpus(0, 300):
             im = IndexedModel(w, 1 if mode == "max" else -1)
+            pairs = [pair for _, pair in family_means(im)]
+            pairs += product_keys(im, [1 << p for p in range(len(w.feature_model.products))])
+            pairs = [pair for pair in pairs if pair is not None]
+            assert all(gcd(num, den) == 1 and 0 < den <= im.n for num, den in pairs)
+            denominator = lcm(*(den for _, den in pairs)) * im.scale
             family, product = _family_values(im), _product_values(im)
             assert family == product
             for _, value in family:
-                assert value is None or (value * im.denominator).denominator == 1
+                assert value is None or (value * denominator).denominator == 1
 
     @pytest.mark.parametrize("k", range(3, 14))
     def test_farey_neighbours(self, k):
@@ -1153,6 +1191,38 @@ class TestCommonDenominator:
                 assert outcome.value == expected[mode][outcome.product]
 
 
+def scaled(w, k):
+    """``w`` with every weight and every length multiplied by ``k``."""
+    trans = [Transition(t.source, t.target, k * t.weight, t.guard, t.action, k * t.length)
+             for t in w.transitions]
+    return Wfts(w.states, w.initial, trans, w.feature_model)
+
+
+class TestAffineScaling:
+    """Multiplying every weight and every length by one k changes no cycle
+    mean, Σkw / Σkℓ, so every class mask and value stays, in both routes.
+    The models lie past the oracle's reach: its enumeration cannot check
+    them, and this relation holds without it."""
+
+    MODELS = [(f"taxi:{k}", [taxi(k)]) for k in (9, 10, 11)] + [
+        (f"ring:{k}", [ring(k)]) for k in (8, 9, 10)] + [
+        ("wide", [random_wfts(f"wide:{i}", 16, 10) for i in range(40)])]
+
+    @pytest.mark.parametrize("label, models", MODELS, ids=[m[0] for m in MODELS])
+    def test_classes_are_unchanged(self, label, models):
+        from wfts.analysis import _family_values, _product_values
+
+        for i, w in enumerate(models):
+            for sign in (1, -1):
+                im = IndexedModel(w, sign)
+                base = _family_values(im)
+                assert _product_values(im) == base, (label, i, sign)
+                for k in range(2, 6):
+                    im = IndexedModel(scaled(w, k), sign)
+                    assert _family_values(im) == base, (label, i, sign, k, "family")
+                    assert _product_values(im) == base, (label, i, sign, k, "product")
+
+
 class TestWalkTableFidelity:
     """Per product, the Karp reference's partitioned walk-weight table must
     match a classic per-product Karp table on the same component, cell for
@@ -1181,7 +1251,7 @@ class TestWalkTableFidelity:
             n = len(members)
             s0 = scc.anchor
             trans = []
-            for u, v, wt, g in im.edges:
+            for u, v, wt, _, g, _ in im.arcs:
                 em = g & masks[u] & masks[v]
                 if em:
                     trans.append((u, v, wt, em))
@@ -1271,12 +1341,13 @@ class TestExpansionPreservesMeans:
     on the unexpanded model."""
 
     def length_aware_best(self, w, product, mode):
-        im = IndexedModel(w)  # the index ignores lengths; they are read here
+        im = IndexedModel(w)  # one arc per declared transition, with its length
         bit = 1 << w.feature_model.product_index(product)
-        out = [[] for _ in range(im.n)]
-        for t, (u, v, _, g) in zip(im.transitions, im.edges):
+        n = len(w.states)
+        out = [[] for _ in range(n)]
+        for t, (u, v, _, length, g, _) in zip(w.transitions, im.arcs):
             if g & bit:
-                out[u].append((v, t.weight, t.length))
+                out[u].append((v, t.weight, length))
         # restrict to states reachable from an initial state
         seen = set()
         stack = list(im.initial)
@@ -1288,7 +1359,7 @@ class TestExpansionPreservesMeans:
             stack.extend(v for v, _, _ in out[u])
         best = None
         better = (lambda a, b: a > b) if mode == "max" else (lambda a, b: a < b)
-        on_path = [False] * im.n
+        on_path = [False] * n
 
         def explore(root, u, total, steps):
             nonlocal best

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from wfts.features import MAX_GUARD_DEPTH, TRUE, FeatureError, FeatureModel, Var
-from wfts.graphs import IndexedModel
+from wfts.graphs import IndexedModel, successors
 from wfts.model import ModelError, Transition, Wfts, expand_lengths
 
 from paper_reference import symbolic_reachable_masks
@@ -88,10 +88,12 @@ class TestValidation:
 
 
 def product_edges(w, product):
-    """One product's ``(source, target)`` pairs, read off the shared index."""
-    im = IndexedModel(w)
+    """One product's ``(source, target)`` unit steps, read off the index of
+    the length expansion."""
+    im = IndexedModel(expand_lengths(w))
+    names = im.system.states
     bit = 1 << w.feature_model.product_index(product)
-    return [(im.states[u], im.states[v]) for u, v, _, g in im.edges if g & bit]
+    return [(names[u], names[v]) for u, v, _, _, g, _ in im.arcs if g & bit]
 
 
 class TestProjection:
@@ -111,8 +113,8 @@ class TestProjection:
                  + chain("Pe1#AR#1", "Pe1#AR#2", "Pe1#AR#3", "AR"))
         assert sorted(pairs) == sorted(core + tails)
         # A product's graph never drops states.
-        im = IndexedModel(taxi1)
-        assert len(im.product_adj(1)) == im.n == len(expand_lengths(taxi1).states) == 20
+        im = IndexedModel(expand_lengths(taxi1))
+        assert len(successors(im, 1)) == im.n == IndexedModel(taxi1).n == 20
 
     def test_grant_request_empty_product_isolates_s2(self, grantreq):
         touching = [p for p in product_edges(grantreq, frozenset()) if "s2" in p]
@@ -147,8 +149,8 @@ class TestExpandLengths:
         im = IndexedModel(taxi1_expanded)
         bit = 1 << taxi1_expanded.feature_model.product_index(frozenset())
         hops = {
-            (im.states[u], im.states[v]): Fraction(wt, im.scale)
-            for u, v, wt, g in im.edges
+            (im.system.states[u], im.system.states[v]): Fraction(wt, im.scale)
+            for u, v, wt, _, g, _ in im.arcs
             if g & bit
         }
         cycle = ["AP", "AP#R2#1", "R2", "P2", "P2#AR#1", "AR", "AP"]
@@ -180,7 +182,7 @@ class TestSymbolicReachable:
     @staticmethod
     def reach(w):
         """State name -> the products (a bitmask) that reach it."""
-        return dict(zip(w.states, symbolic_reachable_masks(IndexedModel(w))))
+        return dict(zip(w.states, symbolic_reachable_masks(IndexedModel(expand_lengths(w)))))
 
     def test_initials_reach_everything_true(self, grantreq):
         fm = grantreq.feature_model
@@ -208,6 +210,6 @@ class TestSymbolicReachable:
         im = IndexedModel(w)
         reach = symbolic_reachable_masks(im)
         for i in range(len(fm.products)):
-            classic = reachable_from(im.product_adj(1 << i), im.initial, im.n)
+            classic = reachable_from(successors(im, 1 << i), im.initial, im.n)
             for mask, flag in zip(reach, classic):
                 assert bool(mask >> i & 1) == flag

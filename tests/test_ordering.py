@@ -16,7 +16,7 @@ from paper_reference import (
 
 
 def order_of(w):
-    return unit_order(IndexedModel(w))
+    return unit_order(IndexedModel(expand_lengths(w)))
 
 
 def test_grant_request_stamp_sequence(grantreq):

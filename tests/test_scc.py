@@ -2,7 +2,7 @@ from hypothesis import given, settings, strategies as st
 
 from wfts.checks import product_inputs
 from wfts.features import FeatureModel, Not, Or, Var
-from wfts.graphs import IndexedModel, spread
+from wfts.graphs import IndexedModel, spread, successors
 from wfts.generators import taxi
 from wfts.model import Transition, Wfts, expand_lengths
 from wfts.randgen import random_wfts
@@ -13,6 +13,7 @@ from paper_reference import (
     check_scc_tree,
     classic_references,
     finish_order,
+    guarded,
     kosaraju_components,
     product_radj,
     symbolic_reachable_masks,
@@ -22,7 +23,7 @@ from paper_reference import (
 
 
 def components_of(w):
-    im = IndexedModel(w)
+    im = IndexedModel(expand_lengths(w))
     return symbolic_sccs(build_finishing_tree(unit_order(im)), im)
 
 
@@ -58,7 +59,7 @@ def full_start(im):
 def routes_of(w):
     """The finishing tree's components, which ``check_model`` compares, and
     the Karp reference's forward-backward ones."""
-    im = IndexedModel(w)
+    im = IndexedModel(expand_lengths(w))
     return {
         "tree": components_of(w),
         "forward-backward": forward_backward_sccs(im, full_start(im)),
@@ -73,7 +74,7 @@ def check(routes, im):
 def assert_routes_match_kosaraju(w):
     """Per product, both routes' partitions equal Kosaraju's (as sets of
     state sets), and forward-backward keeps its shape invariants."""
-    im = IndexedModel(w)
+    im = IndexedModel(expand_lengths(w))
     products = len(w.feature_model.products)
     routes = routes_of(w)
     as_sets = {
@@ -82,7 +83,7 @@ def assert_routes_match_kosaraju(w):
     }
     for p in range(products):
         bit = 1 << p
-        classic = kosaraju_components(finish_order(im.product_adj(bit), im.n),
+        classic = kosaraju_components(finish_order(successors(im, bit), im.n),
                                       product_radj(im, bit))
         expected = {frozenset(c) for c in classic}
         assert as_sets["forward-backward"][p] == expected == as_sets["tree"][p]
@@ -131,7 +132,7 @@ def test_no_feature_model_matches_kosaraju():
         fm,
     )
     im = IndexedModel(w)
-    classic = kosaraju_components(finish_order(im.product_adj(1), im.n), product_radj(im, 1))
+    classic = kosaraju_components(finish_order(successors(im, 1), im.n), product_radj(im, 1))
     classic_names = [[w.states[u] for u in comp] for comp in classic]
     assert partition_at(w, frozenset()) == classic_names
 
@@ -161,7 +162,7 @@ def test_single_product_anchor_reachability_degenerates_to_classic(grantreq):
     for product in fm.products:
         p_idx = fm.product_index(product)
         bit = 1 << p_idx
-        classic = kosaraju_components(finish_order(im.product_adj(bit), im.n),
+        classic = kosaraju_components(finish_order(successors(im, bit), im.n),
                                       product_radj(im, bit))
         classic_sets = {frozenset(grantreq.states[u] for u in c) for c in classic}
         symbolic_sets = {frozenset(c) for c in partitions[p_idx]}
@@ -189,7 +190,7 @@ def test_forward_backward_reach_seeded_taxi_is_one_component():
     # components share one anchor: the first declared state, R1.
     im = IndexedModel(expand_lengths(taxi(4)))
     (scc,) = forward_backward_sccs(im, symbolic_reachable_masks(im))
-    assert im.states[scc.anchor] == "R1" == im.states[0]
+    assert im.system.states[scc.anchor] == "R1" == im.system.states[0]
     assert len(im.feature_model.products) == 64
     assert scc.masks[scc.anchor] == im.feature_model.full_mask
 
@@ -238,8 +239,8 @@ class TestReachExcluding:
         fm = grantreq.feature_model
         im = IndexedModel(grantreq)
         basic = fm.mask(Not(Or(Var("G"), Var("A"))))
-        masks = spread([(im.index["s0"], basic)], [0] * im.n, im.pred)
-        members = [s for s, m in zip(im.states, masks) if m]
+        masks = spread([(grantreq.states.index("s0"), basic)], [0] * im.n, guarded(im)[1])
+        members = [s for s, m in zip(grantreq.states, masks) if m]
         assert members == ["s0", "s1", "s3"]
         for m in masks:
             assert m in (0, basic)
@@ -252,7 +253,7 @@ class TestReachExcluding:
         for product in fm.products:
             bit = 1 << fm.product_index(product)
             classic = reachable_from(product_radj(im, bit), [0], im.n)
-            masks = spread([(im.index["s0"], bit)], [0] * im.n, im.pred)
+            masks = spread([(grantreq.states.index("s0"), bit)], [0] * im.n, guarded(im)[1])
             got = [bool(m) for m in masks]
             assert got == classic
 
@@ -261,12 +262,13 @@ class TestReachExcluding:
         im = IndexedModel(grantreq)
         everything = fm.full_mask
         assigned = [0] * im.n
-        assigned[im.index["s3"]] = everything
-        blocked = spread([(im.index["s0"], everything)], assigned, im.pred)
+        index = grantreq.states.index
+        assigned[index("s3")] = everything
+        blocked = spread([(index("s0"), everything)], assigned, guarded(im)[1])
         # s3 already assigned: nothing reaches s0 except
         # itself (s2's clean edge still works where A is present).
-        assert blocked[im.index["s1"]] == 0
-        assert blocked[im.index["s3"]] == 0
+        assert blocked[index("s1")] == 0
+        assert blocked[index("s3")] == 0
 
     def test_forward_spread_degenerates_to_classic(self, grantreq):
         from wfts.graphs import reachable_from
@@ -276,6 +278,6 @@ class TestReachExcluding:
         for product in fm.products:
             bit = 1 << fm.product_index(product)
             for s in range(im.n):
-                classic = reachable_from(im.product_adj(bit), [s], im.n)
-                masks = spread([(s, bit)], [0] * im.n, im.out)
+                classic = reachable_from(successors(im, bit), [s], im.n)
+                masks = spread([(s, bit)], [0] * im.n, guarded(im)[0])
                 assert [bool(m) for m in masks] == classic
