@@ -16,10 +16,10 @@ Howard policy iteration for every product at once, on the live graph (per
 state, the products that reach it from an initial state and have an
 infinite run from it), with policies and values held as cells of
 products, and merges each product's values at its initial states;
-``analyze_products`` solves each distinct product graph separately, once
-per block of products that enable the same series arcs, by the same
-policy iteration on the states with an infinite run from an initial
-state, each run started from the arcs the runs before it improved to.
+``analyze_products`` solves each distinct live graph separately, once
+per block of products that keep the same arcs of the index's live view,
+by the same policy iteration, each run started from the arcs the runs
+before it improved to.  Both read the one live view of their index.
 They must agree exactly; ``analyze_both`` enforces that.
 One witness stage, ``_witnesses``, is a symbolic pass over the classes: per
 product, the witness lies in the tight component of the critical state (a
@@ -132,10 +132,16 @@ def _family_values(im: IndexedModel) -> Classes:
 
 
 def _product_values(im: IndexedModel) -> Classes:
-    """The products' best means as value classes, one Howard run per block
-    of products that enable the same arcs of ``im.series`` (``refine``),
-    each started from the arcs the runs before it improved to."""
-    blocks = refine(im.feature_model.full_mask, [arc[4] for arc in im.series.arcs])
+    """The products' best means as value classes, one Howard run per
+    distinct live graph: the products with a live initial state, refined
+    (``refine``) by the products of each arc of ``im.live``, each run
+    started from the arcs the runs before it improved to.  Every other
+    product is undefined."""
+    live = im.live
+    reach = 0
+    for s in im.series.initial:
+        reach |= live.masks[s]
+    blocks = refine(reach, [arc[0] for arcs in live.arcs for arc in arcs]) if reach else []
     return _merge(im, zip(blocks, product_keys(im, blocks)))
 
 
@@ -245,6 +251,10 @@ def _witnesses(im: IndexedModel, classes: Classes) -> list[tuple[int, tuple[str,
     repeats; the cycle it closes, rotated to its smallest state, is the
     witness, without the ``#`` states of length expansion.
 
+    A product whose tight graph has no cycle has a value no cycle attains,
+    above the best, and ends the stage in ``StrategyMismatch``; one below
+    the best already fails ``_tight_graph``'s level pass.
+
     The stage applies that rule to the declared arcs (``_tight_graph``),
     which gives the unit steps' answer exactly.  Every ``#`` state is
     indexed after every declared state and has one way in, from its
@@ -308,10 +318,14 @@ def _witnesses(im: IndexedModel, classes: Classes) -> list[tuple[int, tuple[str,
                 component[x] |= m & cyclic
             if not left:
                 break
+    for mask, value in classes:  # a value no tight cycle attains is above the best
+        if mask & left:
+            raise StrategyMismatch(f"no cycle attains the value {value} "
+                                   f"under {im.feature_model.expr_for_mask(mask & left)}")
 
     found: dict[tuple[str, ...], int] = {}
     walks: list[tuple[int, list[int]]] = []
-    left = context ^ left
+    left = context  # every product now has its component
     for u, m in enumerate(component):
         hit = m & left
         if hit:

@@ -8,10 +8,11 @@ value or witness that ``analyze`` prints, so they and their classic
 DFS and Kosaraju references are the tests' (``tests/paper_reference.py``),
 which read the blocks below.
 
-The family and product routes read one ``IndexedModel``, and the triangle
-adds its min-signed twin for min mode, so that ``check_model`` builds
-two.  The per-product projections come from the unit steps, the arcs of
-the length expansion's own index, ``IndexedModel(expand_lengths(w))``.
+The family and product routes read one ``IndexedModel`` and its one live
+view, and the triangle adds its min-signed twin for min mode, so that
+``check_model`` builds two of each.  The per-product projections come
+from the unit steps, the arcs of the length expansion's own index,
+``IndexedModel(expand_lengths(w))``.
 The brute-force oracle alone takes the model's own weights
 (``reachable_projection``): unsigned Fractions that it scales to ints by
 the lcm of their own denominators, summing paths in ints and comparing
@@ -26,9 +27,12 @@ the guards' algebra, so that every mask a correct symbolic route computes
 holds a block whole or not at all.  Each block gets one adjacency and one
 reachable projection; blocks with the same projection share one oracle
 enumeration, which answers both modes.  A model that the oracle cannot
-enumerate is rejected before the oracle or the triangle runs.  The
+enumerate is rejected before the oracle or the triangle runs; one with
+more unit states than the oracle's limit, before its lengths are
+expanded.  The
 triangle compares a block at a time where its products agree; the product
-route, which is under test, runs in it once per projection and mode.
+route, which is under test, runs in it once per projection and mode, on
+the live view it shares with the family route.
 
 Failures carry enough context to reproduce: ``check_model`` adds one header
 with the model text as given (before length expansion), and each line names
@@ -99,10 +103,14 @@ class ProductInputs(NamedTuple):
 
 def product_inputs(im: IndexedModel, label: str) -> ProductInputs:
     """One pass over the blocks builds each block's reachable projection
-    (``reachable_projection``) at its lowest product, on the unit steps.
-    Once the largest projection has passed ``check_oracle_limit``, the
-    oracle runs once per projection."""
+    (``reachable_projection``) at its lowest product, on the unit steps,
+    and the oracle runs once per projection.  A model with more unit
+    states than the oracle enumerates is first checked on its declared
+    arcs (``unit_states``), so that ``check_oracle_limit`` refuses it
+    before its lengths are expanded."""
     blocks = product_blocks(im)
+    if im.n > BRUTE_FORCE_MAX_STATES:
+        check_oracle_limit(max(unit_states(im, block & -block) for block in blocks), label)
     unit = IndexedModel(expand_lengths(im.system))
     index: dict[tuple, int] = {}
     projections: list[Projection] = []
@@ -118,7 +126,6 @@ def product_inputs(im: IndexedModel, label: str) -> ProductInputs:
             projections.append((n, edges))
             lowest.append(bit)
         projection_of.append(index[key])
-    check_oracle_limit(projections, label)
     oracle = [brute_force_mean_cycle(n, edges) for n, edges in projections]
     return ProductInputs(blocks, projection_of, projections, lowest, oracle)
 
@@ -141,10 +148,19 @@ def reachable_projection(im: IndexedModel, bit: int) -> Projection:
     return len(local), edges
 
 
-def check_oracle_limit(projections: list[Projection], label: str) -> None:
-    """Raise a ModelError when a projection has more states than the
-    brute-force oracle enumerates: the triangle cannot be checked."""
-    largest = max(n for n, _ in projections)
+def unit_states(im: IndexedModel, bit: int) -> int:
+    """The unit states that product ``bit`` reaches from an initial state,
+    counted on ``im``'s declared arcs: the reachable declared states, and
+    the ℓ − 1 ``#`` states of each reachable arc of length ℓ it enables.
+    That is the state count of its reachable projection on the unit steps."""
+    reach = reachable_from(successors(im, bit), im.initial, len(im.system.states))
+    return sum(reach) + sum(ln - 1 for u, _, _, ln, g, _ in im.arcs if g & bit and reach[u])
+
+
+def check_oracle_limit(largest: int, label: str) -> None:
+    """Raise a ModelError when a product reaches ``largest`` unit states,
+    more than the brute-force oracle enumerates: the triangle cannot be
+    checked."""
     if largest > BRUTE_FORCE_MAX_STATES:
         raise ModelError(
             f"{label}: a product reaches {largest} states after length "

@@ -8,22 +8,25 @@ algorithms on weights negated once, here.  It holds one arc per declared
 transition, with its weight and length, and builds its views of those
 arcs on first read.  The ``series`` view folds every chain of pass-through
 states into one arc with a weight and a length; the two value routes read
-it.  ``arc_table`` lists each series state's out-arcs with their guards,
-once per index, for the product route to filter per product.  The witness
-stage reads the declared arcs, so that a witness names the declared states
-a run visits.  The unit steps, in which a transition of length k is a
-chain of k unit transitions, are the arcs of another index: that of the
-length expansion, ``IndexedModel(expand_lengths(w), sign)``, which the
-checks' per-product projections read.  An expanded system gets the same
-series view, since its ``#`` states are pass-through.
+it.  ``live`` is that view's live part, computed once per index: per
+state, the products that reach it and have an infinite run from it, and
+its arcs under the products that keep both ends.  The family route runs
+on it whole, and the product route reads one live graph off it per
+distinct set of kept arcs.  The witness stage reads the declared arcs, so
+that a witness names the declared states a run visits.  The unit steps,
+in which a transition of length k is a chain of k unit transitions, are
+the arcs of another index: that of the length expansion,
+``IndexedModel(expand_lengths(w), sign)``, which the checks' per-product
+projections read.  An expanded system gets the same series view, since
+its ``#`` states are pass-through.
 
 ``refine`` splits the products into the checks' and the product route's
 blocks.  ``spread`` is the one reachability over product sets: the live
-masks of the family route and the witness stage's components run it.
-``reachable_from`` is plain reachability for one product, over the
-adjacency ``successors`` reads off the arcs, which the checks' reachable
-projections run.  Both follow the canonical iteration order: states and
-out-edges in declaration order.
+view and the witness stage's components run it.  ``reachable_from`` is
+plain reachability for one product, over the adjacency ``successors``
+reads off the arcs, which the checks' reachable projections and
+``unit_states`` run.  Both follow the canonical iteration order: states
+and out-edges in declaration order.
 """
 
 from __future__ import annotations
@@ -54,6 +57,33 @@ class Series(NamedTuple):
     arcs: list[tuple[int, int, int, int, int, int]]
     out: list[list[tuple[int, int]]]
     pred: list[list[tuple[int, int]]]
+
+
+# (products, target, weight, length, first-hop weight, position in series.arcs)
+Arc = tuple[int, int, int, int, int, int]
+
+
+class Live(NamedTuple):
+    """The live part of a series view (``IndexedModel.live``).
+
+    ``masks[u]`` holds the products under which state u is reached from an
+    initial state and has an infinite run.  ``arcs[u]`` lists u's out-arcs
+    in declaration order as ``(products, target, weight, length, first-hop
+    weight, position in series.arcs)``, the products being the arc's guard
+    AND both ends' masks; an arc no product keeps is dropped.  A product's
+    live states are then the sources of the arcs it keeps, so the products
+    that keep the same arcs share one live graph.
+    """
+
+    masks: list[int]
+    arcs: list[list[Arc]]
+
+    def out(self, mask: int) -> list[list[Arc] | None]:
+        """Per state, the arcs that the products of ``mask`` keep, for the
+        states live under them, else None.  ``mask`` is one product, or
+        products that agree on every arc's products."""
+        return [[arc for arc in arcs if arc[0] & mask] if live & mask else None
+                for live, arcs in zip(self.masks, self.arcs)]
 
 
 class IndexedModel:
@@ -143,14 +173,41 @@ class IndexedModel:
         return Series(kept, [number[s] for s in self.initial], arcs, s_out, s_pred)
 
     @cached_property
-    def arc_table(self) -> list[list[tuple[int, tuple[int, int, int, int, int]]]]:
-        """Per state of ``series``, its out-arcs as ``(guard mask, (target,
-        weight, length, first-hop weight, position in series.arcs))`` pairs
-        in declaration order: what the product route filters per product."""
-        table: list[list] = [[] for _ in self.series.kept]
-        for pos, (u, v, wt, ln, guard, first) in enumerate(self.series.arcs):
-            table[u].append((guard, (v, wt, ln, first, pos)))
-        return table
+    def live(self) -> Live:
+        """The live part of ``series``, computed once per index: symbolic
+        reachability from the initial states, with the states that have no
+        way out peeled per product, then each state's out-arcs under the
+        products that keep both ends.
+
+        The peel is a worklist to the greatest fixpoint: a state keeps the
+        reached products that enable an arc to a state that keeps them, and
+        a state that loses products puts back the predecessors that led to
+        it under them.
+        """
+        g = self.series
+        out, pred = g.out, g.pred
+        full = self.feature_model.full_mask
+        masks = spread([(s, full) for s in g.initial], [0] * len(g.kept), out)
+        stack = [u for u, m in enumerate(masks) if m]
+        while stack:
+            u = stack.pop()
+            have = masks[u]
+            if not have:
+                continue
+            keep = 0
+            for v, guard in out[u]:
+                keep |= guard & masks[v]
+            keep &= have
+            if keep != have:
+                masks[u] = keep
+                lost = have ^ keep
+                stack.extend(p for p, guard in pred[u] if masks[p] & guard & lost)
+        arcs: list[list[Arc]] = [[] for _ in g.kept]
+        for pos, (u, v, wt, ln, guard, first) in enumerate(g.arcs):
+            m = guard & masks[u] & masks[v]
+            if m:
+                arcs[u].append((m, v, wt, ln, first, pos))
+        return Live(masks, arcs)
 
 
 def refine(full: int, guards) -> list[int]:

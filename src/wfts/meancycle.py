@@ -4,21 +4,21 @@ Three routes to the same quantity live here:
 
 * ``family_means`` — the family-based route: Howard policy iteration
   (Cochet-Terrasson et al. 1998) for every product at once.  It runs on
-  the live part of the index's series view (``live_masks``: per state,
-  the products that reach it from an initial state and have an infinite
-  run from it), with policies and values held as cells of products that
-  split only where the products' choices or values differ.  A round is
-  one sweep that pairs each cell of a state with its successors' cells
-  once; the type-2 steps it finds wait for the sweep's end, and the
-  values are determined on the policy cells in place.
+  the index's one live view (``IndexedModel.live``: per state of the
+  series view, the products that reach it from an initial state and have
+  an infinite run from it, and its arcs under the products that keep both
+  ends), with policies and values held as cells of products that split
+  only where the products' choices or values differ.  A round is one
+  sweep that pairs each cell of a state with its successors' cells once;
+  the type-2 steps it finds wait for the sweep's end, and the values are
+  determined on the policy cells in place.
 * ``product_keys`` — the product-based baseline: the same policy
-  iteration (``_howard``), one run per block of products that enable the
-  same series arcs, on its series states with an infinite run from an
-  initial state (``_live_out``, which filters the index's one
-  ``arc_table`` for the states the block reaches, and peels only past a
-  dead end), each run started from the arcs the runs before it improved
-  to.  Its cold-start, one-product case is ``best_reachable_key``, and
-  ``best_reachable_mean`` gives that value as a ``Fraction``.
+  iteration (``_howard``), one run per block of products that keep the
+  same live arcs, and so have one live graph, on that graph's out-lists
+  read off the same view (``Live.out``), each run started from the arcs
+  the runs before it improved to.  Its cold-start, one-product case is
+  ``best_reachable_key``, and ``best_reachable_mean`` gives that value as
+  a ``Fraction``.
 * ``brute_force_mean_cycle`` — exhaustive simple-cycle enumeration, the
   oracle both other routes are checked against, answering both modes from
   one enumeration.  Correct because some optimal-mean cycle is always
@@ -67,7 +67,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
 
-from .graphs import IndexedModel, spread
+from .graphs import Arc, IndexedModel
 
 Cells = list[tuple[int, object]]  # (product mask, value or None)
 
@@ -100,44 +100,10 @@ def _paint(candidates: dict, context: int) -> Cells:
     return cells
 
 
-def live_masks(im: IndexedModel) -> list[int]:
-    """Per state of ``im.series``, the products under which it is reached
-    from an initial state and has an infinite run: symbolic reachability
-    with the states that have no way out peeled per product.  Each
-    product's bit is set on the states that ``_live_out`` lists for it,
-    which a separate, per-product peel finds.
-
-    The peel is a worklist to the greatest fixpoint: a state keeps the
-    reached products that enable an edge to a state that keeps them, and a
-    state that loses products puts back the predecessors that led to it
-    under them.
-    """
-    g = im.series
-    full = im.feature_model.full_mask
-    live = spread([(s, full) for s in g.initial], [0] * len(g.kept), g.out)
-    out, pred = g.out, g.pred
-    stack = [u for u, m in enumerate(live) if m]
-    while stack:
-        u = stack.pop()
-        have = live[u]
-        if not have:
-            continue
-        keep = 0
-        for v, g in out[u]:
-            keep |= g & live[v]
-        keep &= have
-        if keep != have:
-            live[u] = keep
-            lost = have ^ keep
-            stack.extend(p for p, g in pred[u] if live[p] & g & lost)
-    return live
-
-
 Values = list[dict[tuple[int, int, int], int]]  # per state, (num, den, potential) -> products
-Edges = list[list[tuple[int, int, int, int]]]  # per state, (target, weight, length, products)
 
 
-def _determine(policy: list[dict[int, int]], outs: Edges, todo: list[int]) -> Values:
+def _determine(policy: list[dict[int, int]], outs: list[list[Arc]], todo: list[int]) -> Values:
     """Value determination of product-partitioned policies: per state,
     ``(num, den, potential)`` cells over its products in ``todo``, with
     ``(num, den)`` the reduced mean.
@@ -168,7 +134,7 @@ def _determine(policy: list[dict[int, int]], outs: Edges, todo: list[int]) -> Va
         while walk:
             u, mu, _, _, cells = walk[-1]
             for e, c in cells:
-                v, wt, ln, _ = outs[u][e]
+                _, v, wt, ln, _, _ = outs[u][e]
                 hit = mu & c & ~valued[v]
                 if not hit:
                     continue
@@ -201,7 +167,7 @@ def _determine(policy: list[dict[int, int]], outs: Edges, todo: list[int]) -> Va
                         r = left & c
                         if not r:
                             continue
-                        v, wt, ln, _ = outs[u][e]
+                        _, v, wt, ln, _, _ = outs[u][e]
                         for (num, den, x), mv in values[v].items():
                             hit = r & mv
                             if hit:
@@ -238,7 +204,7 @@ def family_means(im: IndexedModel) -> list[tuple[int, tuple[int, int]]]:
     """Best reachable cycle means of every product, as ``(product mask,
     (num, den))`` cells with each mean a reduced pair: Howard
     policy iteration (``_howard``) for all products at once, on the live
-    part (``live_masks``) of the series view ``im.series`` with ``im``'s
+    view ``im.live`` of the series view ``im.series`` with ``im``'s
     signed weights, so maximizing.  A mean is a cost-to-time ratio, an
     arc's weight counting over its length (Dasdan, Irani and Gupta 1999).
 
@@ -263,18 +229,14 @@ def family_means(im: IndexedModel) -> list[tuple[int, tuple[int, int]]]:
     initial state have no cell.
     """
     g = im.series
-    n = len(g.kept)
-    live = live_masks(im)
-    outs: Edges = [[] for _ in range(n)]
-    firsts: list[dict[tuple[int, int], int]] = [{} for _ in range(n)]
-    for u, v, wt, ln, guard, first in g.arcs:
-        m = guard & live[u] & live[v]
-        if m:
-            firsts[u][first, -len(outs[u])] = m
-            outs[u].append((v, wt, ln, m))
-    policy: list[dict[int, int]] = [{} for _ in range(n)]  # per state, edge position -> products
-    for u in range(n):
-        _adopt(policy[u], firsts[u], live[u])
+    live, outs = im.live
+    policy: list[dict[int, int]] = [{} for _ in g.kept]  # per state, edge position -> products
+    for u, arcs in enumerate(outs):
+        if arcs:
+            firsts = {}
+            for e, arc in enumerate(arcs):
+                firsts[arc[4], -e] = arc[0]
+            _adopt(policy[u], firsts, live[u])
     active = 0
     for s in g.initial:
         active |= live[s]
@@ -290,7 +252,7 @@ def family_means(im: IndexedModel) -> list[tuple[int, tuple[int, int]]]:
             for (nu, du, xu), mu in values[u].items():
                 up: dict[tuple[int, int, int], int] = {}  # a successor of better mean
                 tie: dict[tuple[int, int], int] = {}  # equal mean, better potential
-                for e, (v, wt, ln, em) in enumerate(edges):
+                for e, (em, v, wt, ln, _, _) in enumerate(edges):
                     r = em & mu
                     if not r:
                         continue
@@ -324,61 +286,7 @@ def family_means(im: IndexedModel) -> list[tuple[int, tuple[int, int]]]:
     return found
 
 
-Arc = tuple[int, int, int, int, int]  # (target, weight, length, first hop, position)
-_first_hop = itemgetter(3)
-
-
-def _live_out(table: list[list[tuple[int, Arc]]], initial: list[int],
-              mask: int) -> list[list[Arc] | None]:
-    """Per state of a series view, the ``(target, weight, length, first-hop
-    weight, position in its arcs)`` out-arcs of the products of ``mask`` in
-    declaration order, kept for the states with an infinite run from an
-    ``initial`` state and None for the others.  ``table`` is the view's
-    ``IndexedModel.arc_table``.  They agree on every guard of the view
-    (one product, or a block), so a guard meets ``mask`` or misses it.
-
-    A search from the initial states filters the out-arcs of the states it
-    reaches only.  When every reached state has an out-arc, each has an
-    infinite run, and the reached lists are the answer.  Otherwise the
-    states with no way out are peeled until none is left, each state
-    counting its out-arcs, parallel ones too.
-    """
-    n = len(table)
-    succ: list[list[Arc] | None] = [None] * n
-    stack = []
-    for s in initial:
-        if succ[s] is None:
-            succ[s] = [arc for guard, arc in table[s] if guard & mask]
-            stack.append(succ[s])
-    while stack:
-        for arc in stack.pop():
-            v = arc[0]
-            if succ[v] is None:
-                succ[v] = [arc for guard, arc in table[v] if guard & mask]
-                stack.append(succ[v])
-    if [] not in succ:
-        return succ
-    # Every successor of a reached state is reached, so a reached state's
-    # out-degree within the reached part is its plain out-degree.  The
-    # search left ``stack`` empty, for the dead ends.
-    preds: list[list[int]] = [[] for _ in range(n)]
-    degree = [0] * n
-    for u, arcs in enumerate(succ):
-        if arcs is not None:
-            degree[u] = len(arcs)
-            if not arcs:
-                stack.append(u)
-            for arc in arcs:
-                preds[arc[0]].append(u)
-    while stack:
-        u = stack.pop()
-        succ[u] = None
-        for p in preds[u]:
-            degree[p] -= 1
-            if not degree[p]:
-                stack.append(p)
-    return [None if arcs is None else [arc for arc in arcs if succ[arc[0]] is not None]
-            for arcs in succ]
+_first_hop = itemgetter(4)
 
 
 def _evaluate(policy: list[Arc | None], states: list[int], was_root: list[bool],
@@ -399,12 +307,12 @@ def _evaluate(policy: list[Arc | None], states: list[int], was_root: list[bool],
         while not valued[v] and walk[v] != s:
             walk[v] = s
             path.append(v)
-            v = policy[v][0]
+            v = policy[v][1]
         if not valued[v]:
             cycle = path[path.index(v):]
             del path[-len(cycle):]
-            total = sum(policy[c][1] for c in cycle)
-            length = sum(policy[c][2] for c in cycle)
+            total = sum(policy[c][2] for c in cycle)
+            length = sum(policy[c][3] for c in cycle)
             g = gcd(total, length)
             r = next((i for i, c in enumerate(cycle) if was_root[c]), 0)
             root = cycle[r]
@@ -414,7 +322,7 @@ def _evaluate(policy: list[Arc | None], states: list[int], was_root: list[bool],
             num[root], den[root], x[root] = total // g, length // g, 0
             is_root[root] = valued[root] = True
         for u in reversed(path):
-            t, wt, ln, _, _ = policy[u]
+            _, t, wt, ln, _, _ = policy[u]
             num[u], den[u] = num[t], den[t]
             x[u] = den[t] * wt - num[t] * ln + x[t]
             valued[u] = True
@@ -425,9 +333,10 @@ def _howard(out: list[list[Arc] | None], start: list[Arc | None]) -> tuple[list[
     """Howard policy iteration (Cochet-Terrasson et al. 1998) for maximum
     cycle means, in the ratio form of Dasdan, Irani and Gupta (1999): a
     cycle's mean is its total weight over its total length.  ``out`` is
-    ``_live_out``'s: every listed state has an out-arc, and every arc's
-    target is listed.  Returns, per listed state v, the best mean of a
-    cycle reachable from v as a reduced ``(num[v], den[v])`` pair.
+    one live graph (``Live.out``): every listed state has an out-arc, and
+    every arc's target is listed.  Returns, per listed state v, the best
+    mean of a cycle reachable from v as a reduced ``(num[v], den[v])``
+    pair.
 
     A policy picks one out-arc per state; each state then leads to one
     policy cycle, whose mean it takes.  Its potential is kept scaled by the
@@ -463,7 +372,7 @@ def _howard(out: list[list[Arc] | None], start: list[Arc | None]) -> tuple[list[
             bn, bd = num[u], den[u]
             best = None
             for edge in out[u]:
-                v = edge[0]
+                v = edge[1]
                 if num[v] * bd > bn * den[v]:
                     bn, bd, best = num[v], den[v], edge
             if best is not None:
@@ -474,7 +383,7 @@ def _howard(out: list[list[Arc] | None], start: list[Arc | None]) -> tuple[list[
                 un, ud, bx = num[u], den[u], x[u]
                 best = None
                 for edge in out[u]:
-                    v, wt, ln, _, _ = edge
+                    _, v, wt, ln, _, _ = edge
                     if num[v] == un and den[v] == ud:
                         cand = ud * wt - un * ln + x[v]
                         if cand > bx:
@@ -488,23 +397,23 @@ def _howard(out: list[list[Arc] | None], start: list[Arc | None]) -> tuple[list[
 
 def product_keys(im: IndexedModel, masks) -> list[tuple[int, int] | None]:
     """``best_reachable_key`` of each mask of ``masks``, in order: one
-    product, or a block that agrees on every guard of ``im.series`` and so
-    has one graph.  Each run is warm-started (``_howard``): a state starts
-    on the arc an earlier run last improved it to, when that arc is live
-    for this mask.  Neighbouring products mostly share their optimal
-    policies, so most runs end after one round, and a state that no run
-    improved keeps starting on its first arc of maximum first-hop weight.
+    product, or a block that keeps the same arcs of ``im.live`` and so has
+    one live graph.  A mask without a live initial state gets None and no
+    run.  Each run is warm-started (``_howard``): a state starts on the arc
+    an earlier run last improved it to, when that arc is live for this
+    mask.  Neighbouring products mostly share their optimal policies, so
+    most runs end after one round, and a state that no run improved keeps
+    starting on its first arc of maximum first-hop weight.
     """
-    g, table = im.series, im.arc_table
+    g, live = im.series, im.live
     start: list[Arc | None] = [None] * len(g.kept)
     keys: list[tuple[int, int] | None] = []
     for mask in masks:
-        out = _live_out(table, g.initial, mask)
-        initial = [s for s in g.initial if out[s] is not None]
+        initial = [s for s in g.initial if live.masks[s] & mask]
         if not initial:
             keys.append(None)
             continue
-        num, den = _howard(out, start)
+        num, den = _howard(live.out(mask), start)
         best = initial[0]
         for s in initial:
             if num[s] * den[best] > num[best] * den[s]:
@@ -519,7 +428,7 @@ def best_reachable_key(im: IndexedModel, bit: int) -> tuple[int, int] | None:
     reduced ``(num, den)`` pair over ``im``'s scaled weights.
 
     The product-based pipeline: the states of ``im.series`` with an
-    infinite run from an initial state (``_live_out``), Howard policy
+    infinite run from an initial state (``im.live``), Howard policy
     iteration on them (``_howard``) from the first policy of maximum
     first-hop weights, and the best value of a surviving initial state.
     None when no initial state survives, i.e. when the reachable subgraph

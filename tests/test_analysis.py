@@ -429,6 +429,49 @@ class TestStrategyMismatch:
             assert main(argv) == 3
         assert "a cycle beats the value" in capsys.readouterr().err
 
+    @staticmethod
+    def past_the_best(monkeypatch):
+        """Patch ``_family_values`` to move its first class with a value
+        1/1000 past the best: up in max mode, down in min mode."""
+        import wfts.analysis as analysis
+
+        family = analysis._family_values
+
+        def moved(im):
+            classes = family(im)
+            i = next(i for i, (_, v) in enumerate(classes) if v is not None)
+            mask, value = classes[i]
+            classes[i] = (mask, value + Fraction(im.sign, 1000))
+            return classes
+
+        monkeypatch.setattr(analysis, "_family_values", moved)
+        return family
+
+    @pytest.mark.parametrize("mode", ["max", "min"])
+    @pytest.mark.parametrize("label, w", [("taxi:9", taxi(9)),
+                                          ("wide:23", random_wfts("wide:23", 16, 10))])
+    def test_a_value_past_the_best_gets_no_witness(self, monkeypatch, label, w, mode):
+        # No tight cycle attains a value above the best, so its products
+        # get no witness, and the witness stage names the first of them.
+        family = self.past_the_best(monkeypatch)
+        sign = 1 if mode == "max" else -1
+        value = next(v for _, v in family(IndexedModel(w, sign)) if v is not None)
+        with within(10, f"analyze {label} with witnesses"):
+            with pytest.raises(StrategyMismatch) as err:
+                analyze_family(w, mode, witnesses=True)
+        moved = value + Fraction(sign, 1000)
+        assert str(err.value).startswith(f"no cycle attains the value {moved} under ")
+        analyze_family(w, mode)  # without witnesses, nothing checks the value
+
+    def test_a_value_past_the_best_ends_analyze_in_exit_3(self, monkeypatch, capsys):
+        self.past_the_best(monkeypatch)
+        argv = ["analyze", "--generate", "taxi:9", "--strategy", "family", "--mode", "min"]
+        with within(10, "analyze --strategy family"):
+            assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("mismatch: no cycle attains the value ")
+        assert " under " in err
+
 
 @contextmanager
 def within(seconds, what):

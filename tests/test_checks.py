@@ -9,6 +9,7 @@ order in fixed failure lines, also when it touches a product that is not
 its block's lowest."""
 
 import re
+import time
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
@@ -18,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from wfts import analysis, checks, ordering
 from wfts.analysis import analyze_family, analyze_products, format_product
+from wfts.dsl import parse
 from wfts.features import FeatureModel, Var
 from wfts.generators import grant_request, minepump_lite, taxi
 from wfts.graphs import IndexedModel, successors
@@ -254,24 +256,38 @@ def test_check_model_builds_one_index_per_sign(monkeypatch):
     assert sorted(built) == [(-1, True), (1, False), (1, True)]
 
 
-def test_check_model_builds_one_arc_table_per_sign(monkeypatch):
-    # The product route's cold per-block calls share their index's table.
+def live_views(monkeypatch) -> list:
+    """The sign of every index whose live view is built from now on."""
     built = []
-    build = IndexedModel.__dict__["arc_table"].func
+    build = IndexedModel.__dict__["live"].func
 
     def counted(self):
         built.append(self.sign)
         return build(self)
 
-    table = cached_property(counted)
-    table.__set_name__(IndexedModel, "arc_table")
-    monkeypatch.setattr(IndexedModel, "arc_table", table)
+    view = cached_property(counted)
+    view.__set_name__(IndexedModel, "live")
+    monkeypatch.setattr(IndexedModel, "live", view)
+    return built
+
+
+def test_check_model_builds_one_live_view_per_sign(monkeypatch):
+    # The family route and the product route's cold per-projection calls
+    # share their index's live view.
+    built = live_views(monkeypatch)
     routed = counting(monkeypatch, "best_reachable_mean")
     w = taxi(3)
     assert len(checks.product_blocks(IndexedModel(w))) > 1
     assert checks.check_model(w, "taxi:3").ok
     assert len(routed) > 2
     assert sorted(built) == [-1, 1]
+
+
+@pytest.mark.parametrize("mode, sign", [("max", 1), ("min", -1)])
+def test_analyze_both_builds_one_live_view(monkeypatch, mode, sign):
+    built = live_views(monkeypatch)
+    analysis.analyze_both(random_wfts("wide:23", 16, 10), mode, witnesses=True)
+    assert built == [sign]
 
 
 def test_a_model_past_the_oracle_limit_fails_before_any_suite(monkeypatch):
@@ -283,6 +299,44 @@ def test_a_model_past_the_oracle_limit_fails_before_any_suite(monkeypatch):
     )):
         checks.check_model(taxi(5), "taxi:5")
     assert family == routed == []
+
+
+def test_the_limit_is_checked_on_the_declared_arcs_before_expansion(monkeypatch):
+    # One product reaches s, t and the 59 states of the chain s -> t.
+    text = ("features { A }\nstates { s, t }\ninit { s }\n"
+            "trans s -> t weight=4 length=60\ntrans t -> s [A] weight=1\n")
+    w = parse(text)
+    unit = IndexedModel(expand_lengths(w))
+    largest = max(checks.reachable_projection(unit, bit)[0] for bit in (1, 2))
+    assert largest == 61
+    expanded = counting(monkeypatch, "expand_lengths")
+    with pytest.raises(ModelError) as caught:
+        checks.check_model(w, "long")
+    assert str(caught.value) == (f"long: a product reaches {largest} states after length "
+                                 "expansion; the brute-force oracle stops at 48")
+    assert expanded == []
+
+
+def test_validate_refuses_a_length_of_200000_at_once(tmp_path, capsys):
+    from wfts.cli import main
+
+    path = tmp_path / "long.wfts"
+    path.write_text("features { A }\nstates { s, t }\ninit { s }\n"
+                    "trans s -> t weight=4 length=200000\ntrans t -> s [A] weight=1\n")
+    start = time.perf_counter()
+    assert main(["validate", str(path)]) == 2
+    assert time.perf_counter() - start < 0.05
+    assert "a product reaches 200001 states after length expansion" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+def test_unit_states_count_the_projection(k):
+    # The count on the declared arcs equals the unit steps' projection on
+    # every product, also below the limit.
+    w = taxi(k)
+    im, unit = IndexedModel(w), IndexedModel(expand_lengths(w))
+    for p in range(len(w.feature_model.products)):
+        assert checks.unit_states(im, 1 << p) == checks.reachable_projection(unit, 1 << p)[0]
 
 
 def _reordered(w: Wfts) -> Wfts:

@@ -1,6 +1,7 @@
-import inspect
 import sys
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -11,14 +12,14 @@ from wfts.analysis import (
 from wfts.checks import reachable_projection
 from wfts.features import TRUE, And, FeatureModel, Not, Or, Var
 from wfts.generators import grant_request, minepump_lite, taxi
-from wfts.graphs import IndexedModel
+from wfts.graphs import IndexedModel, spread
 from wfts.meancycle import (
-    _live_out, best_reachable_key, best_reachable_mean, brute_force_mean_cycle, live_masks,
-    product_keys,
+    best_reachable_key, best_reachable_mean, brute_force_mean_cycle, product_keys,
 )
 from wfts.model import Transition, Wfts, expand_lengths
 from wfts.randgen import random_corpus, random_wfts
 
+from cold_reference import cold_key, cold_values, reference_live_out, unmasked
 from karp_reference import karp_values
 from ring import ring
 from test_analysis import within
@@ -563,68 +564,24 @@ class TestSeries:
         assert calls == []
 
 
-def reference_live_out(im, bit):
-    """Product ``bit``'s live out-lists by a plain reach and peel over
-    ``im.series.arcs``: the states reached from an initial state, then, to a
-    fixpoint, only those with an arc to a state still kept."""
-    g = im.series
-    arcs = [(u, (v, wt, ln, first, pos))
-            for pos, (u, v, wt, ln, guard, first) in enumerate(g.arcs) if guard & bit]
-    live = set(g.initial)
-    while True:
-        reached = live | {arc[0] for u, arc in arcs if u in live}
-        if reached == live:
-            break
-        live = reached
-    while True:
-        kept = {u for u, arc in arcs if u in live and arc[0] in live}
-        if kept == live:
-            break
-        live = kept
-    return [[arc for v, arc in arcs if v == u and arc[0] in live] if u in live else None
-            for u in range(len(g.kept))]
-
-
 def live_out(im, bit):
-    return _live_out(im.arc_table, im.series.initial, bit)
+    """Product ``bit``'s out-lists, read off the index's live view."""
+    return unmasked(im.live.out(bit))
 
 
 def named(im, out):
-    """``_live_out``'s lists of the listed states as ``{state: [target,
-    ...]}`` over the declared names."""
+    """The listed states of out-lists as ``{state: [target, ...]}`` over
+    the declared names."""
     name = [im.system.states[u] for u in im.series.kept]
     return {name[u]: [name[arc[0]] for arc in arcs]
             for u, arcs in enumerate(out) if arcs is not None}
 
 
-def peels(im, bit) -> bool:
-    """Whether ``_live_out`` on product ``bit`` reaches its peel, the line
-    that sets up the degrees, or returns the reached lists before it."""
-    lines, first = inspect.getsourcelines(_live_out)
-    peel = first + next(i for i, line in enumerate(lines) if "degree = " in line)
-    ran = set()
-
-    def trace(frame, event, arg):
-        if frame.f_code is _live_out.__code__:
-            ran.add(frame.f_lineno)
-            return trace
-        return None
-
-    previous = sys.gettrace()
-    sys.settrace(trace)
-    try:
-        out = live_out(im, bit)
-    finally:
-        sys.settrace(previous)
-    assert out == reference_live_out(im, bit)
-    return peel in ran
-
-
 class TestLiveOut:
-    """Each product's live graph, ``_live_out``: the out-lists of the
-    states a product reaches from an initial state, filtered from the
-    index's ``arc_table``, with a peel of the states that have no way out
-    only when a reached state has none."""
+    """Each product's live graph, read off the index's one live view
+    (``IndexedModel.live``): the out-lists of the states a product reaches
+    from an initial state and has an infinite run from, as a plain reach
+    and peel per product finds them (``reference_live_out``)."""
 
     @staticmethod
     def bits(w):
@@ -633,12 +590,11 @@ class TestLiveOut:
     def assert_every_product(self, w):
         for sign in (1, -1):
             im = IndexedModel(w, sign)
-            live = live_masks(im)
+            live = im.live
+            # A product's live states are the sources of the arcs it keeps.
+            assert live.masks == [reduce(or_, (a[0] for a in arcs), 0) for arcs in live.arcs], sign
             for bit in self.bits(w):
-                out = live_out(im, bit)
-                assert out == reference_live_out(im, bit), (sign, bit)
-                assert [u for u, arcs in enumerate(out) if arcs is not None] == [
-                    u for u, m in enumerate(live) if m & bit], (sign, bit)
+                assert live_out(im, bit) == unmasked(reference_live_out(im, bit)), (sign, bit)
 
     MODELS = [(f"taxi:{k}", taxi(k)) for k in range(1, 6)] + [
         ("minepump", minepump_lite()), ("grantrequest", grant_request())] + [
@@ -664,7 +620,6 @@ class TestLiveOut:
     def test_a_dead_end_reached_from_the_initial_state(self):
         w = system([("i", "i", 1), ("i", "d", 5)], ["i", "d"])
         im = IndexedModel(w)
-        assert peels(im, 1)
         assert named(im, live_out(im, 1)) == {"i": ["i"]}
 
     def test_a_dead_end_behind_a_cycle(self):
@@ -674,7 +629,6 @@ class TestLiveOut:
                     ("y", "z", 1)], ["i", "a", "b", "x", "y", "z"])
         im = IndexedModel(w)
         assert len(im.series.kept) == 6
-        assert peels(im, 1)
         assert named(im, live_out(im, 1)) == {"i": ["a"], "a": ["b"], "b": ["a", "b"]}
 
     def test_parallel_arcs_into_a_dead_end_count_twice(self):
@@ -683,32 +637,34 @@ class TestLiveOut:
         w = system([("a", "d", 1), ("a", "d", 2), ("a", "c", 0), ("c", "c", 3)],
                    ["a", "d", "c"])
         im = IndexedModel(w)
-        assert peels(im, 1)
         assert named(im, live_out(im, 1)) == {"a": ["c"], "c": ["c"]}
         assert best_reachable_mean(im, 1) == 3
 
-    def test_a_product_with_no_live_initial_state(self):
-        # Without F, i's only way on is to the dead end d.
+    def test_a_product_with_no_live_initial_state(self, monkeypatch):
+        # Without F, i's only way on is to the dead end d: no Howard run.
+        import wfts.meancycle as meancycle
+
         w = Wfts(["i", "d"], ["i"], [
             Transition("i", "i", 1, Var("F")), Transition("i", "d", 0)],
             FeatureModel(["F"]))
         im = IndexedModel(w)
         without = 1 << w.feature_model.product_index(set())
-        assert peels(im, without)
         assert live_out(im, without) == [None, None]
+        runs = []
+        howard = meancycle._howard
+        monkeypatch.setattr(meancycle, "_howard", lambda *a: runs.append(None) or howard(*a))
         assert best_reachable_key(im, without) is None
+        assert runs == []
         assert named(im, live_out(im, 3 ^ without)) == {"i": ["i"]}
 
     def test_a_repeated_initial_state(self):
-        # b is initial and reached from a, and a is listed twice.
+        # b is initial and also reached from a.
         w = Wfts(["a", "b"], ["a", "b"], [
             Transition("a", "b", 1), Transition("b", "a", 2), Transition("b", "b", 0)],
             FeatureModel([]))
         im = IndexedModel(w)
-        assert not peels(im, 1)
-        once = live_out(im, 1)
-        assert named(im, once) == {"a": ["b"], "b": ["a", "b"]}
-        assert _live_out(im.arc_table, [0, 0, 1, 0], 1) == once
+        assert named(im, live_out(im, 1)) == {"a": ["b"], "b": ["a", "b"]}
+        assert live_out(im, 1) == unmasked(reference_live_out(im, 1))
 
     def test_no_dead_end_returns_the_reached_lists(self):
         # Every reached state has an out-arc, so nothing is peeled; z,
@@ -717,12 +673,14 @@ class TestLiveOut:
             Transition("a", "b", 1), Transition("b", "a", 2), Transition("a", "a", 0),
             Transition("b", "b", 0), Transition("z", "a", 9)], FeatureModel([]))
         im = IndexedModel(w)
-        assert not peels(im, 1)
         assert named(im, live_out(im, 1)) == {"a": ["b", "a"], "b": ["a", "b"]}
         for k in (1, 3, 5):
-            w = taxi(k)
-            im = IndexedModel(w)
-            assert not any(peels(im, bit) for bit in self.bits(w)), k
+            g = taxi(k)
+            im = IndexedModel(g)
+            full = g.feature_model.full_mask
+            reached = spread([(s, full) for s in im.series.initial], [0] * len(im.series.kept),
+                             im.series.out)
+            assert im.live.masks == reached, k
 
 
 class TestWarmStart:
@@ -844,16 +802,17 @@ class TestWarmStart:
             with within(2, "the warm and cold product routes"):
                 warm = product_keys(im, bits)
                 assert warm == [best_reachable_key(im, bit) for bit in bits], mode
+                assert warm == [cold_key(im, bit) for bit in bits], mode
             assert _merge(im, zip(bits, warm)) == karp_values(im), mode
 
     # (label, system, max-mode value determinations cold and warm, and
     # min-mode ones when pinned), in one process: max mode runs first.
-    # Every taxi and ring product is a series block of its own; the wide
-    # draws' warm route runs once per block.
+    # Every taxi and ring product is a live graph of its own; the wide
+    # draws' warm route runs once per distinct live graph.
     COUNTS = [(f"taxi:{k}", taxi(k), [(c, h)]) for k, c, h in
               ((5, 289, 148), (6, 577, 279), (7, 1153, 538))] + [
-        ("wide:23", random_wfts("wide:23", 16, 10), [(114, 42), (108, 33)]),
-        ("wide:27", random_wfts("wide:27", 16, 10), [(126, 41), (188, 39)]),
+        ("wide:23", random_wfts("wide:23", 16, 10), [(114, 30), (108, 21)]),
+        ("wide:27", random_wfts("wide:27", 16, 10), [(126, 35), (188, 33)]),
         # Every product's first choices are optimal: nothing is carried.
         ("ring:8", ring(8), [(256, 256), (256, 256)]),
     ]
@@ -862,7 +821,7 @@ class TestWarmStart:
     def test_round_counts(self, monkeypatch, label, w, counts):
         # One value determination per round of each run, summed over the
         # runs: cold runs product by product, then the warm route, one run
-        # per series block.
+        # per distinct live graph.
         from wfts.analysis import _product_values
 
         calls = self.rounds(monkeypatch)
@@ -899,55 +858,67 @@ def series_blocks(im):
     return masks
 
 
-def reference_series_blocks(im):
-    """The products grouped one by one by the positions of the
-    ``im.series`` arcs they enable, in order of lowest product."""
+def reference_live_blocks(im):
+    """The products grouped one by one by their live graph
+    (``reference_live_out``), in order of lowest product; a product with
+    no live initial state, whose graph lists no state, is in no block."""
     groups = {}
     for p in range(im.feature_model.full_mask.bit_length()):
-        enabled = tuple(i for i, arc in enumerate(im.series.arcs) if arc[4] >> p & 1)
-        groups[enabled] = groups.get(enabled, 0) | 1 << p
+        out = unmasked(reference_live_out(im, 1 << p))
+        if any(arcs is not None for arcs in out):
+            key = tuple(arcs if arcs is None else tuple(arcs) for arcs in out)
+            groups[key] = groups.get(key, 0) | 1 << p
     return list(groups.values())
 
 
+def howard_runs(monkeypatch) -> list:
+    """The out-lists of every ``_howard`` run from now on."""
+    import wfts.meancycle as meancycle
+
+    runs = []
+    howard = meancycle._howard
+    monkeypatch.setattr(meancycle, "_howard", lambda out, start: runs.append(out)
+                        or howard(out, start))
+    return runs
+
+
 class TestSeriesBlocks:
-    """The product route runs once per series block: the products that
-    enable the same arcs of ``im.series``, and so share one graph and one
-    value."""
+    """The product route runs once per live block: the products with a
+    live initial state that keep the same arcs of the index's live view,
+    and so share one live graph and one value.  Every other product is
+    undefined."""
 
     @staticmethod
     def assert_blocks_and_values(w):
-        from wfts.analysis import _merge, _product_values
+        from wfts.analysis import _product_values
 
-        bits = [1 << p for p in range(w.feature_model.full_mask.bit_length())]
         for sign in (1, -1):
             im = IndexedModel(w, sign)
-            assert series_blocks(im) == reference_series_blocks(im), sign
-            cold = _merge(im, ((bit, best_reachable_key(im, bit)) for bit in bits))
-            assert _product_values(im) == cold, sign
+            assert series_blocks(im) == reference_live_blocks(im), sign
+            assert _product_values(im) == cold_values(im), sign
 
     def test_the_corpus(self):
-        with within(10, "the series blocks of 300 random systems"):
+        with within(10, "the live blocks of 300 random systems"):
             for w in random_corpus(0, 300):
                 self.assert_blocks_and_values(w)
 
     def test_the_wide_draws(self):
-        with within(5, "the series blocks of 40 wide draws"):
+        with within(5, "the live blocks of 40 wide draws"):
             for i in range(40):
                 im = IndexedModel(random_wfts(f"wide:{i}", 16, 10))
-                assert series_blocks(im) == reference_series_blocks(im), i
+                assert series_blocks(im) == reference_live_blocks(im), i
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10**9))
     def test_random_systems(self, seed):
         w = random_wfts(f"blocks:{seed}", max_states=16, max_features=10)
-        with within(2, "the series blocks and values of one random system"):
+        with within(2, "the live blocks and values of one random system"):
             self.assert_blocks_and_values(w)
 
     def test_a_chain_folds_two_edge_blocks_into_one(self, monkeypatch):
         # p passes u -G1-> p -G2-> v through: the series arc u -> v is
-        # guarded by G1 and G2, so {G1} and {} enable the same series arcs,
+        # guarded by G1 and G2, so {G1} and {} keep the same live arcs,
         # though not the same edges, and share one run.
-        import wfts.meancycle as meancycle
         from wfts.analysis import _product_values
         from wfts.checks import product_blocks
 
@@ -965,28 +936,59 @@ class TestSeriesBlocks:
         rest = bit[()] | bit["G1",] | bit["G2",]
         assert series_blocks(im) == sorted([rest, both], key=lambda m: m & -m)
         assert sorted(product_blocks(im)) == sorted(bit.values())
-        runs = []
-        howard = meancycle._howard
-        monkeypatch.setattr(meancycle, "_howard", lambda *a: runs.append(None) or howard(*a))
+        runs = howard_runs(monkeypatch)
         assert _product_values(im) == sorted(
             [(rest, Fraction(1)), (both, Fraction(5))], key=lambda c: c[0] & -c[0])
         assert len(runs) == 2
 
     def test_one_live_graph_per_block(self, monkeypatch):
-        import wfts.meancycle as meancycle
         from wfts.analysis import _product_values
 
         w = random_wfts("wide:23", 16, 10)
-        calls = []
-        live_out = meancycle._live_out
-        monkeypatch.setattr(meancycle, "_live_out",
-                            lambda *a: calls.append(a[2]) or live_out(*a))
+        runs = howard_runs(monkeypatch)
         for sign in (1, -1):
             im = IndexedModel(w, sign)
-            calls.clear()
+            runs.clear()
             _product_values(im)
-            assert calls == reference_series_blocks(im)
-            assert len(calls) < w.feature_model.full_mask.bit_length()
+            blocks = reference_live_blocks(im)
+            assert list(map(unmasked, runs)) == [
+                unmasked(reference_live_out(im, block & -block)) for block in blocks]
+            assert len(runs) < w.feature_model.full_mask.bit_length()
+
+    def test_dead_blocks_run_no_howard(self, monkeypatch):
+        # Every run lists a live initial state, and a product without one
+        # stays undefined.
+        from wfts.analysis import _per_product, _product_values
+
+        runs = howard_runs(monkeypatch)
+        dead = 0
+        for w in random_corpus(0, 100) + [random_wfts(f"wide:{i}", 16, 10) for i in range(8)]:
+            for sign in (1, -1):
+                im = IndexedModel(w, sign)
+                runs.clear()
+                values = _per_product(_product_values(im), w.feature_model.full_mask.bit_length())
+                assert all(any(out[s] is not None for s in im.series.initial) for out in runs)
+                for p, value in enumerate(values):
+                    if all(arcs is None for arcs in reference_live_out(im, 1 << p)):
+                        assert value is None
+                        dead += 1
+        assert dead
+
+    def test_two_hundred_runs_per_wide_pass(self, monkeypatch):
+        # The benchmark's wide inputs, seed 0: the first 16 draws with at
+        # least six features whose expansion has at most 48 states, in min
+        # mode.  589 series blocks, 160 of them without a live initial
+        # state, hold 200 distinct live graphs.
+        picked, i = [], 0
+        while len(picked) < 16:
+            w = random_wfts(f"wide:{i}", max_states=16, max_features=10)
+            i += 1
+            if len(w.feature_model.features) >= 6 and len(expand_lengths(w).states) <= 48:
+                picked.append(expand_lengths(w))
+        runs = howard_runs(monkeypatch)
+        for w in picked:
+            analyze_products(w, "min")
+        assert len(runs) == 200
 
 
 class TestBruteForce:
