@@ -13,12 +13,14 @@ Three routes to the same quantity live here:
   the type-2 steps it finds wait for the sweep's end, and the values are
   determined on the policy cells in place.
 * ``product_keys`` — the product-based baseline: the same policy
-  iteration (``_howard``), one run per block of products that keep the
-  same live arcs, and so have one live graph, on that graph's out-lists
-  read off the same view (``Live.out``), each run started from the arcs
-  the runs before it improved to.  Its cold-start, one-product case is
-  ``best_reachable_key``, and ``best_reachable_mean`` gives that value as
-  a ``Fraction``.
+  iteration (``_howard``), per block of products that keep the same live
+  arcs, and so have one live graph.  A block whose live graph the last
+  block's final values already certify, by Howard's stopping test on the
+  arcs it gains (``_certify``), takes its key from them; any other block
+  gets a run on that graph's out-lists read off the same view
+  (``Live.out``), started from the arcs the runs before it improved to.
+  Its cold-start, one-product case is ``best_reachable_key``, and
+  ``best_reachable_mean`` gives that value as a ``Fraction``.
 * ``brute_force_mean_cycle`` — exhaustive simple-cycle enumeration, the
   oracle both other routes are checked against, answering both modes from
   one enumeration.  Correct because some optimal-mean cycle is always
@@ -67,7 +69,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
 
-from .graphs import Arc, IndexedModel
+from .graphs import Arc, IndexedModel, Live
 
 Cells = list[tuple[int, object]]  # (product mask, value or None)
 
@@ -329,14 +331,17 @@ def _evaluate(policy: list[Arc | None], states: list[int], was_root: list[bool],
     return is_root
 
 
-def _howard(out: list[list[Arc] | None], start: list[Arc | None]) -> tuple[list[int], list[int]]:
+def _howard(out: list[list[Arc] | None], start: list[Arc | None]
+            ) -> tuple[list[Arc | None], list[int], list[int], list[int]]:
     """Howard policy iteration (Cochet-Terrasson et al. 1998) for maximum
     cycle means, in the ratio form of Dasdan, Irani and Gupta (1999): a
     cycle's mean is its total weight over its total length.  ``out`` is
     one live graph (``Live.out``): every listed state has an out-arc, and
-    every arc's target is listed.  Returns, per listed state v, the best
-    mean of a cycle reachable from v as a reduced ``(num[v], den[v])``
-    pair.
+    every arc's target is listed.  Returns the final policy (per listed
+    state, its arc), and, per listed state v, the best mean of a cycle
+    reachable from v as a reduced ``(num[v], den[v])`` pair and its
+    potential ``x[v]``: values that pass the stopping test below on every
+    arc, which ``product_keys`` carries to the next block.
 
     A policy picks one out-arc per state; each state then leads to one
     policy cycle, whose mean it takes.  Its potential is kept scaled by the
@@ -392,28 +397,99 @@ def _howard(out: list[list[Arc] | None], start: list[Arc | None]) -> tuple[list[
                     policy[u] = start[u] = best
                     changed = True
         if not changed:
-            return num, den
+            return policy, num, den, x
+
+
+def _certify(live: Live, bit: int, last: int, policy: list[Arc | None], num: list[int],
+             den: list[int], x: list[int], start: list[Arc | None]) -> bool:
+    """Whether the last block's final values certify the block of product
+    ``bit`` too, so that its key needs no ``_howard`` run.  ``last`` is the
+    last block's lowest product; ``policy``, ``num``, ``den`` and ``x``
+    hold its final policy, means and potentials, which pass Howard's
+    stopping test on every arc it keeps.  A block's products agree on
+    every arc, so one bit stands for it, and one AND with both bits per
+    state, and per arc of a state live for both, tells which keeps it.
+
+    The check fails where a state live for both loses its policy arc.
+    Otherwise each such state's policy walk stays among them, and its
+    values stand.  A state live for ``bit`` alone takes the arc
+    ``_howard`` would start it on, and is valued along its policy into the
+    carried states, x(u) = den·w − num·ℓ + x(π(u)), in place; the check
+    fails where those policies close a cycle among themselves.  Howard's
+    stopping test, no successor of better mean (type 1) and none of equal
+    mean and better potential (type 2), then runs on the arcs that ``bit``
+    keeps and ``last`` does not, every arc of a newly live state among
+    them.  Every other arc ``bit`` keeps joins two states whose values
+    have not changed, so it passed the test at the last block.  When all
+    pass, no policy improves on the values, and the means are the optimal
+    ones a run would end on.
+    """
+    both = bit | last
+    fresh = []  # the states live for bit alone
+    gained = []  # (state, arc) of each arc that bit keeps and last does not
+    for u, m in enumerate(live.masks):
+        k = m & both
+        if k == both:
+            if not policy[u][0] & bit:
+                return False
+            for arc in live.arcs[u]:
+                if arc[0] & both == bit:
+                    gained.append((u, arc))
+        elif k == bit:
+            fresh.append(u)
+    if fresh:
+        status = dict.fromkeys(fresh, 0)  # 1 on the current walk, 2 valued
+        for u in fresh:
+            arcs = [arc for arc in live.arcs[u] if arc[0] & bit]
+            first = start[u]
+            policy[u] = first if first in arcs else max(arcs, key=_first_hop)
+            gained += [(u, arc) for arc in arcs]
+        for s in fresh:
+            path = []
+            v = s
+            while status.get(v) == 0:
+                status[v] = 1
+                path.append(v)
+                v = policy[v][1]
+            if status.get(v) == 1:
+                return False
+            for u in reversed(path):
+                _, t, wt, ln, _, _ = policy[u]
+                num[u], den[u] = num[t], den[t]
+                x[u] = den[t] * wt - num[t] * ln + x[t]
+                status[u] = 2
+    for u, (_, v, wt, ln, _, _) in gained:
+        nu, du, nv, dv = num[u], den[u], num[v], den[v]
+        if nv * du > nu * dv or (nv == nu and dv == du and du * wt - nu * ln + x[v] > x[u]):
+            return False
+    return True
 
 
 def product_keys(im: IndexedModel, masks) -> list[tuple[int, int] | None]:
     """``best_reachable_key`` of each mask of ``masks``, in order: one
     product, or a block that keeps the same arcs of ``im.live`` and so has
     one live graph.  A mask without a live initial state gets None and no
-    run.  Each run is warm-started (``_howard``): a state starts on the arc
-    an earlier run last improved it to, when that arc is live for this
-    mask.  Neighbouring products mostly share their optimal policies, so
-    most runs end after one round, and a state that no run improved keeps
-    starting on its first arc of maximum first-hop weight.
+    run.  Each block is first checked against the last block's final
+    values (``_certify``); neighbouring products mostly share their optimal
+    policies, so most blocks pass and read their key off those values.  A
+    block that fails gets a warm-started run (``_howard``) on its out-lists
+    (``Live.out``): a state starts on the arc an earlier run last improved
+    it to, when that arc is live for this mask, else on its first arc of
+    maximum first-hop weight.  A one-mask call runs cold.
     """
     g, live = im.series, im.live
     start: list[Arc | None] = [None] * len(g.kept)
     keys: list[tuple[int, int] | None] = []
+    last = 0  # the lowest product of the last block with a key
     for mask in masks:
         initial = [s for s in g.initial if live.masks[s] & mask]
         if not initial:
             keys.append(None)
             continue
-        num, den = _howard(live.out(mask), start)
+        bit = mask & -mask
+        if not (last and _certify(live, bit, last, policy, num, den, x, start)):
+            policy, num, den, x = _howard(live.out(mask), start)
+        last = bit
         best = initial[0]
         for s in initial:
             if num[s] * den[best] > num[best] * den[s]:

@@ -6,8 +6,9 @@ state, then, to a fixpoint, only those with an arc to a state still kept.
 ``cold_key`` runs ``meancycle._howard`` on it from a fresh start, and
 ``cold_values`` merges one such run per product into value classes.  None
 of it reads ``IndexedModel.live``, the one live view per index that the
-family and product routes share, nor the product route's blocks and warm
-starts, so it checks them instead of sharing them.
+family and product routes share, nor the product route's blocks, warm
+starts and carried certificates, so it checks them instead of sharing
+them.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ def cold_key(im: IndexedModel, bit: int) -> tuple[int, int] | None:
     initial = [s for s in im.series.initial if out[s] is not None]
     if not initial:
         return None
-    num, den = _howard(out, [None] * len(out))
+    _, num, den, _ = _howard(out, [None] * len(out))
     best = initial[0]
     for s in initial:
         if num[s] * den[best] > num[best] * den[s]:

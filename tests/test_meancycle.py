@@ -780,13 +780,17 @@ class TestWarmStart:
         ], FeatureModel(["F"]))
         bits = [self.bit(w), self.bit(w, "F")]
         most, least = IndexedModel(w), IndexedModel(w, -1)
+        # The two products share one live graph: the first runs, and the
+        # second is certified from its values.  A policy or a certificate
+        # carried over from max mode would take min mode's run a second
+        # round, or none.
         calls = self.rounds(monkeypatch)
         assert product_keys(least, bits) == [(200, 1)] * 2
         alone = len(calls)
         assert product_keys(most, bits) == [(100, 1)] * 2
         calls.clear()
         assert product_keys(least, bits) == [(200, 1)] * 2
-        assert len(calls) == alone == 2
+        assert len(calls) == alone == 1
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 10**6), data=st.data())
@@ -808,12 +812,17 @@ class TestWarmStart:
     # (label, system, max-mode value determinations cold and warm, and
     # min-mode ones when pinned), in one process: max mode runs first.
     # Every taxi and ring product is a live graph of its own; the wide
-    # draws' warm route runs once per distinct live graph.
+    # draws' warm route has one block per distinct live graph.  The warm
+    # route runs Howard only on the blocks that the last block's values do
+    # not certify (TestCarriedCertificate): 19, 22 and 25 of taxi:5..7's
+    # 128, 256 and 512.
     COUNTS = [(f"taxi:{k}", taxi(k), [(c, h)]) for k, c, h in
-              ((5, 289, 148), (6, 577, 279), (7, 1153, 538))] + [
-        ("wide:23", random_wfts("wide:23", 16, 10), [(114, 30), (108, 21)]),
-        ("wide:27", random_wfts("wide:27", 16, 10), [(126, 35), (188, 33)]),
+              ((5, 289, 39), (6, 577, 45), (7, 1153, 51))] + [
+        ("wide:23", random_wfts("wide:23", 16, 10), [(114, 26), (108, 4)]),
+        ("wide:27", random_wfts("wide:27", 16, 10), [(126, 25), (188, 19)]),
         # Every product's first choices are optimal: nothing is carried.
+        # No block is certified either: each product after the first
+        # loses a policy arc or gains a better arc.
         ("ring:8", ring(8), [(256, 256), (256, 256)]),
     ]
 
@@ -942,18 +951,22 @@ class TestSeriesBlocks:
         assert len(runs) == 2
 
     def test_one_live_graph_per_block(self, monkeypatch):
+        # A block runs Howard only where the last block's values do not
+        # certify it, and each run is on its own block's live graph.
         from wfts.analysis import _product_values
 
         w = random_wfts("wide:23", 16, 10)
-        runs = howard_runs(monkeypatch)
+        runs, passed = howard_runs(monkeypatch), certified_blocks(monkeypatch)
         for sign in (1, -1):
             im = IndexedModel(w, sign)
             runs.clear()
+            passed.clear()
             _product_values(im)
             blocks = reference_live_blocks(im)
-            assert list(map(unmasked, runs)) == [
-                unmasked(reference_live_out(im, block & -block)) for block in blocks]
-            assert len(runs) < w.feature_model.full_mask.bit_length()
+            graphs = iter([unmasked(reference_live_out(im, block & -block)) for block in blocks])
+            assert all(out in graphs for out in map(unmasked, runs))
+            assert len(runs) + len(passed) == len(blocks) < w.feature_model.full_mask.bit_length()
+            assert runs and passed
 
     def test_dead_blocks_run_no_howard(self, monkeypatch):
         # Every run lists a live initial state, and a product without one
@@ -978,17 +991,131 @@ class TestSeriesBlocks:
         # The benchmark's wide inputs, seed 0: the first 16 draws with at
         # least six features whose expansion has at most 48 states, in min
         # mode.  589 series blocks, 160 of them without a live initial
-        # state, hold 200 distinct live graphs.
+        # state, hold 200 distinct live graphs, and so 200 blocks with a
+        # key: 123 Howard runs, and 77 blocks certified from the last
+        # block's values.
         picked, i = [], 0
         while len(picked) < 16:
             w = random_wfts(f"wide:{i}", max_states=16, max_features=10)
             i += 1
             if len(w.feature_model.features) >= 6 and len(expand_lengths(w).states) <= 48:
                 picked.append(expand_lengths(w))
-        runs = howard_runs(monkeypatch)
+        assert sum(len(series_blocks(IndexedModel(w, -1))) for w in picked) == 200
+        runs, passed = howard_runs(monkeypatch), certified_blocks(monkeypatch)
         for w in picked:
             analyze_products(w, "min")
-        assert len(runs) == 200
+        assert (len(runs), len(passed)) == (123, 77)
+
+
+def certified_blocks(monkeypatch) -> list:
+    """The lowest product of every block that ``product_keys`` certifies
+    from the last block's values, without a run, from now on."""
+    import wfts.meancycle as meancycle
+
+    passed = []
+    certify = meancycle._certify
+
+    def recorded(live, bit, *rest):
+        ok = certify(live, bit, *rest)
+        if ok:
+            passed.append(bit)
+        return ok
+
+    monkeypatch.setattr(meancycle, "_certify", recorded)
+    return passed
+
+
+class TestCarriedCertificate:
+    """``product_keys`` certifies a block from the last block's final
+    policy, means and potentials, and runs Howard only where that
+    certificate fails.  Each system is one path of the check: the products
+    come in the given order, the first one runs, and the second is either
+    certified or run."""
+
+    @staticmethod
+    def keys_and_runs(monkeypatch, w, first, then):
+        """The keys of products ``first`` then ``then`` (feature sets),
+        checked against cold runs, and the number of ``_howard`` runs."""
+        im = IndexedModel(w)
+        bits = [1 << w.feature_model.product_index(set(p)) for p in (first, then)]
+        runs = howard_runs(monkeypatch)
+        keys = product_keys(im, bits)
+        assert keys == [cold_key(im, bit) for bit in bits]
+        return keys, len(runs)
+
+    def test_a_policy_arc_the_block_does_not_keep(self, monkeypatch):
+        # {F} ends on a's F-loop (5); {} keeps only the loop of 1, and no
+        # arc is gained, so only the lost policy arc fails the check.
+        w = Wfts(["a"], ["a"], [
+            Transition("a", "a", 5, Var("F")), Transition("a", "a", 1),
+        ], FeatureModel(["F"]))
+        assert self.keys_and_runs(monkeypatch, w, ["F"], []) == ([(5, 1), (1, 1)], 2)
+
+    def test_a_gained_arc_of_a_carried_state_improves_by_mean(self, monkeypatch):
+        # Under {}, b's best is its own loop (0) and a's is 1; {F} gains
+        # b -> a, of better mean, which closes a-b-a (5).
+        w = Wfts(["a", "b"], ["a"], [
+            Transition("a", "a", 1), Transition("a", "b", 0), Transition("b", "b", 0),
+            Transition("b", "a", 10, Var("F")),
+        ], FeatureModel(["F"]))
+        assert self.keys_and_runs(monkeypatch, w, [], ["F"]) == ([(1, 1), (5, 1)], 2)
+
+    def test_an_arc_of_a_newly_live_state_improves_by_mean(self, monkeypatch):
+        # {F} makes b live.  b starts on b -> z, its heavier first hop,
+        # into z's loop (0), which a's arc into b does not beat (1); b's
+        # other arc, the chain b -> m -> a, leads to a's better mean and
+        # closes a-b-m-a (20/3).
+        w = Wfts(["a", "b", "m", "z"], ["a"], [
+            Transition("a", "a", 1), Transition("a", "z", -100), Transition("z", "z", 0),
+            Transition("a", "b", 0, Var("F")), Transition("b", "z", 5),
+            Transition("b", "m", 0), Transition("m", "a", 20),
+        ], FeatureModel(["F"]))
+        assert self.keys_and_runs(monkeypatch, w, [], ["F"]) == ([(1, 1), (20, 3)], 2)
+
+    def test_a_gained_arc_improves_only_by_potential(self, monkeypatch):
+        # {G} gains a -> b, and b (newly live) is valued through a's loop
+        # at a's mean (3): a -> b has equal mean, better potential, and
+        # leads to a-b-a (4).
+        w = Wfts(["a", "b"], ["a"], [
+            Transition("a", "a", 3), Transition("a", "b", 2, Var("G")), Transition("b", "a", 6),
+        ], FeatureModel(["G"]))
+        assert self.keys_and_runs(monkeypatch, w, [], ["G"]) == ([(3, 1), (4, 1)], 2)
+
+    def test_a_newly_live_state_valued_through_carried_ones(self, monkeypatch):
+        # {F} makes b live, on its one arc back into a's loop (5): a -> b
+        # improves on nothing, and the key is read off the carried values.
+        w = Wfts(["a", "b"], ["a"], [
+            Transition("a", "a", 5), Transition("a", "b", 0, Var("F")), Transition("b", "a", 0),
+        ], FeatureModel(["F"]))
+        passed = certified_blocks(monkeypatch)
+        assert self.keys_and_runs(monkeypatch, w, [], ["F"]) == ([(5, 1), (5, 1)], 1)
+        assert len(passed) == 1
+
+    def test_newly_live_states_that_close_a_cycle(self, monkeypatch):
+        # {F} makes b and c live, and their only arcs close b-c-b (4),
+        # which no carried value holds: Howard runs.
+        w = Wfts(["a", "b", "c"], ["a"], [
+            Transition("a", "a", 1), Transition("a", "b", 0, Var("F")),
+            Transition("b", "c", 0), Transition("c", "b", 8),
+        ], FeatureModel(["F"]))
+        passed = certified_blocks(monkeypatch)
+        assert self.keys_and_runs(monkeypatch, w, [], ["F"]) == ([(1, 1), (4, 1)], 2)
+        assert passed == []
+
+    # (k, Howard runs, certified blocks) of _product_values on taxi:k in
+    # max mode, the benchmark's taxi pass: every product is a block of its
+    # own.
+    COUNTS = [(5, 19, 109), (6, 22, 234), (7, 25, 487)]
+
+    @pytest.mark.parametrize("k, runs, certified", COUNTS, ids=[f"taxi:{c[0]}" for c in COUNTS])
+    def test_runs_and_certified_blocks(self, monkeypatch, k, runs, certified):
+        from wfts.analysis import _product_values
+
+        w = taxi(k)
+        ran, passed = howard_runs(monkeypatch), certified_blocks(monkeypatch)
+        _product_values(IndexedModel(w))
+        assert (len(ran), len(passed)) == (runs, certified)
+        assert runs + certified == w.feature_model.full_mask.bit_length()
 
 
 class TestBruteForce:
