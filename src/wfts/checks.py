@@ -10,15 +10,14 @@ which read the blocks below.
 
 The family and product routes read one ``IndexedModel`` and its one live
 view, and the triangle adds its min-signed twin for min mode, so that
-``check_model`` builds two of each.  The per-product projections come
-from the unit steps, the arcs of the length expansion's own index,
-``IndexedModel(expand_lengths(w))``.
+``check_model`` builds two of each.  The per-product projections read the
+same index's declared arcs, each with its length.
 The brute-force oracle alone takes the model's own weights
 (``reachable_projection``): unsigned Fractions that it scales to ints by
-the lcm of their own denominators, summing paths in ints and comparing
-cycles by cross-multiplication in each mode.  Neither that scale nor that
-comparison comes from the index, so the oracle checks the index's sign and
-scale instead of sharing them.
+the lcm of their own denominators, summing paths' weights and lengths in
+ints and comparing cycles by cross-multiplication in each mode.  Neither
+that scale nor that comparison comes from the index, so the oracle checks
+the index's sign and scale instead of sharing them.
 
 Every product is compared, but the oracle runs once per distinct input,
 in one place (``product_inputs``).  The unit is a block
@@ -27,16 +26,15 @@ the guards' algebra, so that every mask a correct symbolic route computes
 holds a block whole or not at all.  Each block gets one adjacency and one
 reachable projection; blocks with the same projection share one oracle
 enumeration, which answers both modes.  A model that the oracle cannot
-enumerate is rejected before the oracle or the triangle runs; one with
-more unit states than the oracle's limit, before its lengths are
-expanded.  The
-triangle compares a block at a time where its products agree; the product
-route, which is under test, runs in it once per projection and mode, on
-the live view it shares with the family route.
+enumerate, with more unit states than the oracle's limit, is rejected
+before any projection is built.  The triangle compares a block at a time
+where its products agree; the product route, which is under test, runs
+in it once per projection and mode, on the live view it shares with the
+family route.
 
 Failures carry enough context to reproduce: ``check_model`` adds one header
-with the model text as given (before length expansion), and each line names
-the product and the disagreeing values.
+with the model text as given, and each line names the product and the
+disagreeing values.
 """
 
 from __future__ import annotations
@@ -49,7 +47,7 @@ from .analysis import _family_values, _per_product, format_product
 from .dsl import serialize
 from .graphs import IndexedModel, reachable_from, refine, successors
 from .meancycle import BRUTE_FORCE_MAX_STATES, best_reachable_mean, brute_force_mean_cycle
-from .model import ModelError, Wfts, expand_lengths
+from .model import ModelError, Wfts
 from .randgen import random_corpus
 
 
@@ -73,13 +71,12 @@ def _model_header(w: Wfts, label: str) -> str:
         return f"model {label}: (not serializable)"
 
 
-Projection = tuple[int, list[tuple[int, int, Fraction]]]
+Projection = tuple[int, list[tuple[int, int, Fraction, int]]]
 
 
 def product_blocks(im: IndexedModel) -> list[int]:
     """The products split by the edges they enable: the full mask refined
-    (``refine``) by the guards of ``im.arcs``, which are those of the unit
-    steps less the true guard of a chain's later steps."""
+    (``refine``) by the guards of ``im.arcs``."""
     return refine(im.feature_model.full_mask, [arc[4] for arc in im.arcs])
 
 
@@ -102,25 +99,26 @@ class ProductInputs(NamedTuple):
 
 
 def product_inputs(im: IndexedModel, label: str) -> ProductInputs:
-    """One pass over the blocks builds each block's reachable projection
-    (``reachable_projection``) at its lowest product, on the unit steps,
-    and the oracle runs once per projection.  A model with more unit
-    states than the oracle enumerates is first checked on its declared
-    arcs (``unit_states``), so that ``check_oracle_limit`` refuses it
-    before its lengths are expanded."""
+    """One reach per block, at its lowest product, on the declared arcs:
+    it gives the block's unit-state count, which ``check_oracle_limit``
+    reads before any projection is built, and then its reachable
+    projection (``reachable_projection``).  The oracle runs once per
+    distinct projection."""
     blocks = product_blocks(im)
+    bits = [block & -block for block in blocks]  # each block's lowest product
+    reaches = [reachable_from(successors(im, bit), im.initial, len(im.system.states))
+               for bit in bits]
     if im.n > BRUTE_FORCE_MAX_STATES:
-        check_oracle_limit(max(unit_states(im, block & -block) for block in blocks), label)
-    unit = IndexedModel(expand_lengths(im.system))
+        check_oracle_limit(max(unit_states(im, bit, reach)
+                               for bit, reach in zip(bits, reaches)), label)
     index: dict[tuple, int] = {}
     projections: list[Projection] = []
     lowest: list[int] = []
     projection_of: list[int] = []
-    for block in blocks:
-        bit = block & -block  # the block's lowest product
-        n, edges = reachable_projection(unit, bit)
+    for bit, reach in zip(bits, reaches):
+        n, edges = reachable_projection(im, bit, reach)
         # A Fraction hashes slowly; its int pair is as exact.
-        key = (n, tuple([(u, v, wt.as_integer_ratio()) for u, v, wt in edges]))
+        key = (n, tuple([(u, v, wt.as_integer_ratio(), ln) for u, v, wt, ln in edges]))
         if key not in index:
             index[key] = len(projections)
             projections.append((n, edges))
@@ -130,30 +128,28 @@ def product_inputs(im: IndexedModel, label: str) -> ProductInputs:
     return ProductInputs(blocks, projection_of, projections, lowest, oracle)
 
 
-def reachable_projection(im: IndexedModel, bit: int) -> Projection:
-    """Product ``bit``'s graph of ``im``'s arcs, restricted to the states
-    reachable from an initial state, renumbered in declaration order: the
-    state count and ``(u, v, weight)`` edges with the model's own weights.
-    On the index of a length expansion, these are the unit steps."""
-    reach = reachable_from(successors(im, bit), im.initial, len(im.system.states))
+def reachable_projection(im: IndexedModel, bit: int, reach: list[bool]) -> Projection:
+    """Product ``bit``'s graph of ``im``'s declared arcs, restricted to the
+    states it reaches from an initial state (``reach``, per declared
+    state), renumbered in declaration order: the state count and ``(u, v,
+    weight, length)`` edges with the model's own weights."""
     local: dict[int, int] = {}
     for u, r in enumerate(reach):
         if r:
             local[u] = len(local)
     edges = [
-        (local[u], local[v], t.weight)
-        for t, (u, v, _, _, g, _) in zip(im.system.transitions, im.arcs)
+        (local[u], local[v], t.weight, ln)
+        for t, (u, v, _, ln, g, _) in zip(im.system.transitions, im.arcs)
         if g & bit and reach[u]  # target is reachable too, then
     ]
     return len(local), edges
 
 
-def unit_states(im: IndexedModel, bit: int) -> int:
-    """The unit states that product ``bit`` reaches from an initial state,
-    counted on ``im``'s declared arcs: the reachable declared states, and
-    the ℓ − 1 ``#`` states of each reachable arc of length ℓ it enables.
-    That is the state count of its reachable projection on the unit steps."""
-    reach = reachable_from(successors(im, bit), im.initial, len(im.system.states))
+def unit_states(im: IndexedModel, bit: int, reach: list[bool]) -> int:
+    """The state count of product ``bit``'s reachable projection on the
+    unit steps, counted on ``im``'s declared arcs from the states it
+    reaches (``reach``): those states, and the ℓ − 1 ``#`` states of each
+    reachable arc of length ℓ it enables."""
     return sum(reach) + sum(ln - 1 for u, _, _, ln, g, _ in im.arcs if g & bit and reach[u])
 
 

@@ -135,8 +135,3 @@ trans alarm -> cmdReq [C && M] action=escalate weight=0
 def minepump_lite() -> Wfts:
     """Hand-built mine-pump abstraction: two optional features, four products."""
     return parse(_MINEPUMP_SRC)
-
-
-def minepump_source() -> str:
-    """The textual form of the mine-pump model (useful as a parser fixture)."""
-    return _MINEPUMP_SRC

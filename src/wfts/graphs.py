@@ -13,20 +13,21 @@ state, the products that reach it and have an infinite run from it, and
 its arcs under the products that keep both ends.  The family route runs
 on it whole, and the product route reads one live graph off it per
 distinct set of kept arcs.  The witness stage reads the declared arcs, so
-that a witness names the declared states a run visits.  The unit steps,
-in which a transition of length k is a chain of k unit transitions, are
-the arcs of another index: that of the length expansion,
-``IndexedModel(expand_lengths(w), sign)``, which the checks' per-product
-projections read.  An expanded system gets the same series view, since
+that a witness names the declared states a run visits, and so do the
+checks' per-product projections.  The unit steps, in which a transition
+of length k is a chain of k unit transitions, are the arcs of another
+index, that of the length expansion,
+``IndexedModel(expand_lengths(w), sign)``, which only the tests'
+references build.  An expanded system gets the same series view, since
 its ``#`` states are pass-through.
 
 ``refine`` splits the products into the checks' and the product route's
 blocks.  ``spread`` is the one reachability over product sets: the live
 view and the witness stage's components run it.  ``reachable_from`` is
 plain reachability for one product, over the adjacency ``successors``
-reads off the arcs, which the checks' reachable projections and
-``unit_states`` run.  Both follow the canonical iteration order: states
-and out-edges in declaration order.
+reads off the arcs, which the checks run once per block.  Both follow
+the canonical iteration order: states and out-edges in declaration
+order.
 """
 
 from __future__ import annotations
@@ -233,8 +234,7 @@ def refine(full: int, guards) -> list[int]:
 
 def successors(im: IndexedModel, bit: int) -> list[list[int]]:
     """Per declared state of ``im``, its targets under product ``bit`` in
-    declaration order: the unit steps' adjacency when ``im`` indexes a
-    length expansion."""
+    declaration order."""
     adj: list[list[int]] = [[] for _ in im.system.states]
     for u, v, _, _, g, _ in im.arcs:
         if g & bit:

@@ -21,10 +21,11 @@ Three routes to the same quantity live here:
   (``Live.out``), started from the arcs the runs before it improved to.
   Its cold-start, one-product case is ``best_reachable_key``, and
   ``best_reachable_mean`` gives that value as a ``Fraction``.
-* ``brute_force_mean_cycle`` — exhaustive simple-cycle enumeration, the
-  oracle both other routes are checked against, answering both modes from
-  one enumeration.  Correct because some optimal-mean cycle is always
-  simple.
+* ``brute_force_mean_cycle`` — exhaustive simple-cycle enumeration over
+  the declared arcs, each with its length, the oracle both other routes
+  are checked against, answering both modes from one enumeration.
+  Correct because some optimal-mean cycle is always simple: a closed walk
+  splits into simple cycles, and its ratio lies between theirs.
 
 Every pointwise-best choice over product sets (a policy improvement, the
 caller's merge of the values at the initial states) is one fold,
@@ -57,8 +58,9 @@ The family and product routes share one ``IndexedModel`` and its one sign
 convention: they maximize over weights that min mode negated once, inside
 the index, and their callers negate the result.  The oracle shares nothing
 of that: it takes the model's own unsigned weights, scales them to ints by
-the lcm of their own denominators, sums each path in ints and compares the
-closed cycles' (total, length) pairs by cross-multiplication in each mode.
+the lcm of their own denominators, sums each path's weights and lengths
+in ints and compares the closed cycles' (total, length) pairs by
+cross-multiplication in each mode.
 Its scale comes only from the edges it is given, so a fault in the index's
 sign or scale still shows as a disagreement.
 """
@@ -520,16 +522,17 @@ def best_reachable_mean(im: IndexedModel, bit: int) -> Fraction | None:
 
 
 def brute_force_mean_cycle(
-    n: int, edges: list[tuple[int, int, Fraction]]
+    n: int, edges: list[tuple[int, int, Fraction, int]]
 ) -> dict[str, Fraction | None]:
-    """Best mean over all simple cycles of ``(u, v, weight)`` edges on
-    states ``0..n-1``, by exhaustive enumeration, in both modes.
+    """Best mean over all simple cycles of ``(u, v, weight, length)`` edges
+    on states ``0..n-1``, by exhaustive enumeration, in both modes.
 
     Enumerates every simple cycle once (each rooted at its smallest state
     index) and keeps both the largest and the smallest mean, so one
-    enumeration answers every mode.  The weights are scaled by the lcm of
-    their denominators, so each path's total is an int, and a closed
-    cycle's ``(total, length)`` pair is compared with the best ones by
+    enumeration answers every mode.  A cycle's mean is its total weight
+    over its total length.  The weights are scaled by the lcm of their
+    denominators, so each path's total is an int, and a closed cycle's
+    ``(total, length)`` pair is compared with the best ones by
     cross-multiplication, exact since lengths are positive.  Returns a dict
     from "max" and "min" to the best mean, None when there is no cycle.
     Guarded by ``BRUTE_FORCE_MAX_STATES``; this is an oracle for small
@@ -537,10 +540,10 @@ def brute_force_mean_cycle(
     """
     if n > BRUTE_FORCE_MAX_STATES:
         raise ValueError(f"{n} states exceed the brute-force limit {BRUTE_FORCE_MAX_STATES}")
-    scale = lcm(*(w.denominator for _, _, w in edges))
-    out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for u, v, w in edges:
-        out[u].append((v, w.numerator * (scale // w.denominator)))
+    scale = lcm(*(w.denominator for _, _, w, _ in edges))
+    out: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for u, v, w, ln in edges:
+        out[u].append((v, w.numerator * (scale // w.denominator), ln))
 
     hi: tuple[int, int] | None = None  # best (total, length) per mode
     lo: tuple[int, int] | None = None
@@ -548,16 +551,16 @@ def brute_force_mean_cycle(
 
     def explore(root: int, u: int, total: int, length: int) -> None:
         nonlocal hi, lo
-        for v, w in out[u]:
+        for v, w, ln in out[u]:
             if v == root:
-                t, k = total + w, length + 1
+                t, k = total + w, length + ln
                 if hi is None or t * hi[1] > hi[0] * k:
                     hi = (t, k)
                 if lo is None or t * lo[1] < lo[0] * k:
                     lo = (t, k)
             elif v > root and not on_path[v]:
                 on_path[v] = True
-                explore(root, v, total + w, length + 1)
+                explore(root, v, total + w, length + ln)
                 on_path[v] = False
 
     for root in range(n):

@@ -5,9 +5,8 @@ a positive integer length.  Lengths model multi-step trips, and cycle means
 are taken per unit step: a cycle's total weight over its total length.
 Every analysis takes a system as written, and ``graphs.IndexedModel``
 indexes its declared transitions, each with its length.
-``expand_lengths`` rewrites the lengths into chains of unit transitions;
-the checks index its result, the unit steps, to read each product's
-projection for the brute-force oracle.
+``expand_lengths`` rewrites the lengths into chains of unit transitions,
+the unit steps, which the tests' references read.
 Weights stay exact Fractions throughout; nothing here touches floating
 point.  A single product's system is not a separate object: every
 analysis reads it off the shared ``graphs.IndexedModel`` through the

@@ -9,8 +9,10 @@ order in fixed failure lines, also when it touches a product that is not
 its block's lowest."""
 
 import re
+import sys
 import time
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from functools import cached_property
 
@@ -20,9 +22,10 @@ from hypothesis import given, settings, strategies as st
 from wfts import analysis, checks, ordering
 from wfts.analysis import analyze_family, analyze_products, format_product
 from wfts.dsl import parse
-from wfts.features import FeatureModel, Var
+from wfts.features import TRUE, FeatureModel, Var
 from wfts.generators import grant_request, minepump_lite, taxi
-from wfts.graphs import IndexedModel, successors
+from wfts.graphs import IndexedModel, reachable_from, successors
+from wfts.meancycle import brute_force_mean_cycle
 from wfts.model import ModelError, Transition, Wfts, expand_lengths
 from wfts.ordering import DfsOrder
 from wfts.randgen import random_corpus, random_wfts
@@ -36,16 +39,22 @@ from paper_reference import (
     symbolic_sccs,
     unit_order,
 )
+from test_meancycle import unit_projection
+
+
+def reach(im: IndexedModel, bit: int) -> list[bool]:
+    """Per declared state of ``im``, whether product ``bit`` reaches it."""
+    return reachable_from(successors(im, bit), im.initial, len(im.system.states))
 
 
 def projections(w: Wfts) -> list:
-    """Per product of ``w``'s length expansion, its reachable projection as
-    a hashable ``(state count, edges)`` pair."""
-    im = IndexedModel(expand_lengths(w))
+    """Per product of ``w``, its reachable projection on the declared arcs
+    as a hashable ``(state count, edges)`` pair."""
+    im = IndexedModel(w)
     return [
         (n, tuple(edges))
         for n, edges in (
-            checks.reachable_projection(im, bit)
+            checks.reachable_projection(im, bit, reach(im, bit))
             for bit in (1 << p for p in range(len(w.feature_model.products)))
         )
     ]
@@ -147,7 +156,7 @@ def test_classic_references_run_once_per_block(monkeypatch):
     blocks = checks.product_blocks(IndexedModel(w))
     built = counting(monkeypatch, "reachable_projection")
     assert checks.check_model(w).ok
-    assert [bit for _, bit in built] == [block & -block for block in blocks]
+    assert [bit for _, bit, _ in built] == [block & -block for block in blocks]
 
 
 def test_check_model_runs_no_feature_aware_dfs(monkeypatch):
@@ -241,8 +250,8 @@ def test_product_route_runs_once_per_distinct_projection_per_mode(monkeypatch, l
 
 
 def test_check_model_builds_one_index_per_sign(monkeypatch):
-    # The value routes read one index per sign; the projections read one
-    # of the length expansion, the unit steps.
+    # The value routes read one index per sign, and the projections read
+    # the declared arcs of the first: no index of a length expansion.
     w = taxi(3)
     built = []
     init = IndexedModel.__init__
@@ -253,7 +262,7 @@ def test_check_model_builds_one_index_per_sign(monkeypatch):
 
     monkeypatch.setattr(IndexedModel, "__init__", counted)
     assert checks.check_model(w, "taxi:3").ok
-    assert sorted(built) == [(-1, True), (1, False), (1, True)]
+    assert sorted(built) == [(-1, True), (1, True)]
 
 
 def live_views(monkeypatch) -> list:
@@ -301,15 +310,24 @@ def test_a_model_past_the_oracle_limit_fails_before_any_suite(monkeypatch):
     assert family == routed == []
 
 
+def expansions(monkeypatch) -> list:
+    """Every ``expand_lengths`` call from now on, counted in every ``wfts``
+    module that holds the name."""
+    import wfts.cli  # noqa: F401  (so that every module validate runs is loaded)
+
+    owners = [module for name, module in list(sys.modules.items())
+              if name.startswith("wfts") and hasattr(module, "expand_lengths")]
+    return counting(monkeypatch, "expand_lengths", *owners)
+
+
 def test_the_limit_is_checked_on_the_declared_arcs_before_expansion(monkeypatch):
     # One product reaches s, t and the 59 states of the chain s -> t.
     text = ("features { A }\nstates { s, t }\ninit { s }\n"
             "trans s -> t weight=4 length=60\ntrans t -> s [A] weight=1\n")
     w = parse(text)
-    unit = IndexedModel(expand_lengths(w))
-    largest = max(checks.reachable_projection(unit, bit)[0] for bit in (1, 2))
+    largest = max(unit_projection(IndexedModel(w), bit)[0] for bit in (1, 2))
     assert largest == 61
-    expanded = counting(monkeypatch, "expand_lengths")
+    expanded = expansions(monkeypatch)
     with pytest.raises(ModelError) as caught:
         checks.check_model(w, "long")
     assert str(caught.value) == (f"long: a product reaches {largest} states after length "
@@ -329,14 +347,65 @@ def test_validate_refuses_a_length_of_200000_at_once(tmp_path, capsys):
     assert "a product reaches 200001 states after length expansion" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("k", range(1, 5))
-def test_unit_states_count_the_projection(k):
-    # The count on the declared arcs equals the unit steps' projection on
-    # every product, also below the limit.
-    w = taxi(k)
-    im, unit = IndexedModel(w), IndexedModel(expand_lengths(w))
-    for p in range(len(w.feature_model.products)):
-        assert checks.unit_states(im, 1 << p) == checks.reachable_projection(unit, 1 << p)[0]
+# Lengths 2 to 5 and fractional weights, under the oracle's limit.
+FRACTIONAL = ("features { A, B }\nstates { s, t, u }\ninit { s }\n"
+              "trans s -> t weight=1.5 length=2\n"
+              "trans t -> u [A] weight=-0.25 length=5\n"
+              "trans u -> s weight=2.75 length=3\n"
+              "trans t -> s [B] weight=0.125 length=4\n"
+              "trans s -> s [!B] weight=3.5 length=2\n")
+
+
+@pytest.mark.parametrize("source", ["taxi:2", "fractional"])
+def test_validate_expands_no_lengths(monkeypatch, tmp_path, capsys, source):
+    from wfts.cli import main
+
+    if source == "taxi:2":
+        args = ["--generate", "taxi:2"]
+    else:
+        path = tmp_path / "fractional.wfts"
+        path.write_text(FRACTIONAL)
+        args = [str(path)]
+    expanded = expansions(monkeypatch)
+    assert main(["validate", *args]) == 0
+    assert expanded == []
+    assert capsys.readouterr().err == ""
+
+
+def assert_projections_match_the_unit_steps(w: Wfts) -> None:
+    """Per block, at its lowest product: the declared projection's unit
+    count is the state count of the unit steps' projection, and the oracle
+    on it answers as on the unit steps, in both modes."""
+    im = IndexedModel(w)
+    for block in checks.product_blocks(im):
+        bit = block & -block
+        reached = reach(im, bit)
+        n, edges = unit_projection(im, bit)
+        assert checks.unit_states(im, bit, reached) == n
+        declared = checks.reachable_projection(im, bit, reached)
+        assert brute_force_mean_cycle(*declared) == brute_force_mean_cycle(n, edges)
+
+
+@pytest.mark.parametrize("label, w", BLOCK_MODELS, ids=[label for label, _ in BLOCK_MODELS])
+def test_declared_projections_match_the_unit_steps_on_bundled_models(label, w):
+    assert_projections_match_the_unit_steps(w)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10**9), data=st.data())
+def test_declared_projections_match_the_unit_steps_on_random_models(seed, data):
+    # At most 5 states and 14 arcs of length at most 4: at most 47 unit
+    # states, within the oracle's limit.
+    w = random_wfts(f"lengths:{seed}", max_states=5)
+    divisor = st.integers(1, 4)
+    trans = [replace(t, weight=t.weight / data.draw(divisor), length=data.draw(st.integers(1, 4)))
+             for t in w.transitions]
+    parallel = data.draw(st.sampled_from(trans))  # a parallel arc of another length
+    trans.append(replace(parallel, length=parallel.length % 4 + 1))
+    s = data.draw(st.sampled_from(w.states))
+    trans.append(Transition(s, s, Fraction(data.draw(st.integers(-9, 9)), data.draw(divisor)),
+                            TRUE, "tau", data.draw(st.integers(2, 4))))
+    assert_projections_match_the_unit_steps(Wfts(w.states, w.initial, trans, w.feature_model))
 
 
 def _reordered(w: Wfts) -> Wfts:

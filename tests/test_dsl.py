@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from wfts.dsl import ParseError, parse, serialize
 from wfts.features import Or, TRUE, Var
-from wfts.generators import grant_request, minepump_lite, minepump_source, taxi
+from wfts.generators import grant_request, minepump_lite, taxi
 from wfts.model import ModelError, Transition, Wfts
 from wfts.randgen import random_corpus, random_wfts
 
@@ -131,10 +131,6 @@ class TestRoundTrip:
     def test_fractional_weights(self):
         w = parse(MINI + "trans s0 -> s1 weight=2.375\ntrans s1 -> s0 weight=-11.2")
         self.assert_round_trips(w)
-
-
-def test_minepump_source_matches_generator():
-    assert parse(minepump_source()) == minepump_lite()
 
 
 def test_serialize_rejects_unrepresentable_weight():

@@ -9,10 +9,9 @@ from hypothesis import assume, given, settings, strategies as st
 from wfts.analysis import (
     analyze_both, analyze_family, analyze_products, decimal2, report_to_json,
 )
-from wfts.checks import reachable_projection
 from wfts.features import TRUE, And, FeatureModel, Not, Or, Var
 from wfts.generators import grant_request, minepump_lite, taxi
-from wfts.graphs import IndexedModel, spread
+from wfts.graphs import IndexedModel, reachable_from, spread, successors
 from wfts.meancycle import (
     best_reachable_key, best_reachable_mean, brute_force_mean_cycle, product_keys,
 )
@@ -37,11 +36,11 @@ def system(edges, states=None):
 
 def graph(edges, states=None):
     """The same edges as the oracle reads them: a state count and
-    ``(u, v, weight)`` triples."""
+    ``(u, v, weight, length)`` edges, each of length 1."""
     if states is None:
         states = sorted({s for e in edges for s in e[:2]})
     idx = {s: i for i, s in enumerate(states)}
-    return len(states), [(idx[a], idx[b], Fraction(w)) for a, b, w in edges]
+    return len(states), [(idx[a], idx[b], Fraction(w), 1) for a, b, w in edges]
 
 
 def product_mean(w, mode="max"):
@@ -61,29 +60,44 @@ def cycle_system(spec):
     return expand_lengths(Wfts(states, [states[0]], trans, FeatureModel([])))
 
 
-def projection(im, bit):
-    """Product ``bit``'s reachable projection, as the oracle reads it: on
-    the unit steps, the arcs of the length expansion's own index."""
-    return reachable_projection(IndexedModel(expand_lengths(im.system)), bit)
+def unit_projection(im, bit):
+    """Product ``bit``'s reachable projection on the unit steps, the arcs of
+    the length expansion's own index, renumbered in declaration order: the
+    state count and ``(u, v, weight, 1)`` edges with the model's own
+    weights.  The reference that ``checks.reachable_projection``, on the
+    declared arcs with their lengths, is compared against."""
+    unit = IndexedModel(expand_lengths(im.system))
+    reach = reachable_from(successors(unit, bit), unit.initial, len(unit.system.states))
+    local = {}
+    for u, r in enumerate(reach):
+        if r:
+            local[u] = len(local)
+    edges = [
+        (local[u], local[v], t.weight, 1)
+        for t, (u, v, _, _, g, _) in zip(unit.system.transitions, unit.arcs)
+        if g & bit and reach[u]
+    ]
+    return len(local), edges
 
 
 def reference_mean_cycle(n, edges):
     """The oracle's answer in both modes in plain ``Fraction`` arithmetic: every
-    simple cycle, rooted at its smallest state, with its mean compared
+    simple cycle of ``(u, v, weight, length)`` edges, rooted at its smallest
+    state, with its mean, total weight over total length, compared
     directly.  ``brute_force_mean_cycle`` must return an equal dict."""
     out = [[] for _ in range(n)]
-    for u, v, w in edges:
-        out[u].append((v, w))
+    for u, v, w, ln in edges:
+        out[u].append((v, w, ln))
     means = []
     on_path = [False] * n
 
     def explore(root, u, total, length):
-        for v, w in out[u]:
+        for v, w, ln in out[u]:
             if v == root:
-                means.append((total + w) / (length + 1))
+                means.append((total + w) / (length + ln))
             elif v > root and not on_path[v]:
                 on_path[v] = True
-                explore(root, v, total + w, length + 1)
+                explore(root, v, total + w, length + ln)
                 on_path[v] = False
 
     for root in range(n):
@@ -179,7 +193,7 @@ def both_signs(w):
     for sign, mode in ((1, "max"), (-1, "min")):
         im = IndexedModel(w, sign)
         got = best_reachable_mean(im, 1)
-        oracle = brute_force_mean_cycle(*projection(im, 1))[mode]
+        oracle = brute_force_mean_cycle(*unit_projection(im, 1))[mode]
         yield mode, None if got is None else sign * got, oracle
 
 
@@ -301,7 +315,7 @@ class TestFamilyHoward:
             assert family == karp_values(im), mode
             values = _per_product(family, len(fm.products))
             for p, value in enumerate(values):
-                oracle = brute_force_mean_cycle(*projection(im, 1 << p))[mode]
+                oracle = brute_force_mean_cycle(*unit_projection(im, 1 << p))[mode]
                 assert value == oracle, (mode, sorted(fm.products[p]))
 
     def test_one_product_ends_while_another_improves_by_potential(self, monkeypatch):
@@ -346,7 +360,7 @@ class TestFamilyHoward:
             assert family == karp_values(im) == _product_values(im), mode
             assert mode == "min" or len(family) == count
             for p, value in enumerate(_per_product(family, count)):
-                oracle = brute_force_mean_cycle(*projection(im, 1 << p))[mode]
+                oracle = brute_force_mean_cycle(*unit_projection(im, 1 << p))[mode]
                 assert value == oracle, (mode, p)
 
     ROUNDS = [(f"taxi:{k}", taxi(k), [3, 3]) for k in range(1, 8)] + [
@@ -461,7 +475,7 @@ class TestSeries:
                 family, product = _family_values(im), _product_values(im)
             assert family == product == karp_values(im), mode
             for p, value in enumerate(_per_product(family, len(fm.products))):
-                oracle = brute_force_mean_cycle(*projection(im, 1 << p))[mode]
+                oracle = brute_force_mean_cycle(*unit_projection(im, 1 << p))[mode]
                 assert value == oracle, (mode, sorted(fm.products[p]))
 
     def test_a_cut_chain_is_one_arc_under_its_guards(self):
@@ -1136,7 +1150,7 @@ class TestBruteForce:
     def test_grant_request_min_of_product_g(self, grantreq):
         bit = 1 << grantreq.feature_model.product_index({"G"})
         # The oracle reads the model's own weights, whatever the index's sign.
-        g = projection(IndexedModel(grantreq, -1), bit)
+        g = unit_projection(IndexedModel(grantreq, -1), bit)
         assert brute_force_mean_cycle(*g)["min"] == -1
 
     @settings(max_examples=80, deadline=None)
@@ -1168,9 +1182,10 @@ class TestBruteForce:
         n = data.draw(st.integers(1, 7))
         state = st.integers(0, n - 1)
         weight = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
-        edges = data.draw(st.lists(st.tuples(state, state, weight), max_size=14))
+        length = st.integers(1, 4)
+        edges = data.draw(st.lists(st.tuples(state, state, weight, length), max_size=14))
         if data.draw(st.booleans()):  # a DAG: every edge climbs, no cycle
-            edges = [(min(u, v), max(u, v), w) for u, v, w in edges if u != v]
+            edges = [(min(u, v), max(u, v), w, ln) for u, v, w, ln in edges if u != v]
         assert brute_force_mean_cycle(n, edges) == reference_mean_cycle(n, edges)
 
 
@@ -1315,7 +1330,7 @@ class TestCommonDenominator:
             im = IndexedModel(w, sign)
             for outcome in family.outcomes:
                 bit = 1 << fm.product_index(outcome.product)
-                oracle = brute_force_mean_cycle(*projection(im, bit))[mode]
+                oracle = brute_force_mean_cycle(*unit_projection(im, bit))[mode]
                 assert outcome.value == product.value_of(outcome.product) == oracle
                 assert outcome.value == expected[mode][outcome.product]
 
@@ -1455,7 +1470,7 @@ class TestShiftedHorizons:
             f"trans {t}\n" for t in transitions
         )
         w = expand_lengths(parse(text))
-        oracle_graph = projection(IndexedModel(w), 1)
+        oracle_graph = unit_projection(IndexedModel(w), 1)
         for sign, mode, expected in ((1, "max", best), (-1, "min", least)):
             (family,) = analyze_family(w, mode).outcomes
             assert family.value == expected
