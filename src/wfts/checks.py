@@ -27,10 +27,10 @@ holds a block whole or not at all.  Each block gets one adjacency and one
 reachable projection; blocks with the same projection share one oracle
 enumeration, which answers both modes.  A model that the oracle cannot
 enumerate, with more unit states than the oracle's limit, is rejected
-before any projection is built.  The triangle compares a block at a time
-where its products agree; the product route, which is under test, runs
-in it once per projection and mode, on the live view it shares with the
-family route.
+before any projection is built.  Both value routes run once per mode, as
+``analyze --strategy both`` runs them, and share their index's live view;
+the triangle compares their classes once per mode, and each block with
+the oracle at once where its products agree.
 
 Failures carry enough context to reproduce: ``check_model`` adds one header
 with the model text as given, and each line names the product and the
@@ -43,10 +43,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .analysis import _family_values, _per_product, format_product
+from .analysis import _family_values, _per_product, _product_values, format_product
 from .dsl import serialize
 from .graphs import IndexedModel, reachable_from, refine, successors
-from .meancycle import BRUTE_FORCE_MAX_STATES, best_reachable_mean, brute_force_mean_cycle
+from .meancycle import BRUTE_FORCE_MAX_STATES, brute_force_mean_cycle
 from .model import ModelError, Wfts
 from .randgen import random_corpus
 
@@ -94,7 +94,6 @@ class ProductInputs(NamedTuple):
     blocks: list[int]  # product_blocks(im)
     projection_of: list[int]  # per block, its projection's position below
     projections: list[Projection]  # the distinct reachable projections
-    lowest: list[int]  # per projection, the bit of its lowest product
     oracle: list[dict[str, Fraction | None]]  # per projection, brute force
 
 
@@ -113,7 +112,6 @@ def product_inputs(im: IndexedModel, label: str) -> ProductInputs:
                                for bit, reach in zip(bits, reaches)), label)
     index: dict[tuple, int] = {}
     projections: list[Projection] = []
-    lowest: list[int] = []
     projection_of: list[int] = []
     for bit, reach in zip(bits, reaches):
         n, edges = reachable_projection(im, bit, reach)
@@ -122,10 +120,9 @@ def product_inputs(im: IndexedModel, label: str) -> ProductInputs:
         if key not in index:
             index[key] = len(projections)
             projections.append((n, edges))
-            lowest.append(bit)
         projection_of.append(index[key])
     oracle = [brute_force_mean_cycle(n, edges) for n, edges in projections]
-    return ProductInputs(blocks, projection_of, projections, lowest, oracle)
+    return ProductInputs(blocks, projection_of, projections, oracle)
 
 
 def reachable_projection(im: IndexedModel, bit: int, reach: list[bool]) -> Projection:
@@ -170,44 +167,44 @@ def check_triangle(im: IndexedModel, inputs: ProductInputs, label: str) -> Check
 
     The oracle's answer is the one of the product's reachable projection,
     keyed on the projection itself: its state count and its edges, with
-    each weight as an exact int pair.  The product route runs Howard
-    (``best_reachable_mean``) once per projection and mode, on the
-    projection's lowest product.  Howard reads only a product's reachable
-    states and edges, so the products that share a projection share its
-    value.  The family route runs once per mode.  Both routes read ``im``
-    in the mode of its sign and one twin index of the other sign.
+    each weight as an exact int pair.  The routes are the ones ``analyze``
+    runs: ``_family_values`` and ``_product_values``, with the product
+    route's blocks, warm starts and carried certificates, once per mode,
+    on ``im`` in the mode of its sign and on one twin index of the other
+    sign.  Their classes are compared once per mode, as lists.
 
-    The comparison runs per block: a block that lies in one family value
-    class passes with one comparison of that class's value with its
-    projection's two values.  Only a block that fails it is compared
-    product by product, and its failures are listed by product.
+    The comparison with the oracle runs per block: when the two routes'
+    classes are equal, a block that lies in one family value class passes
+    with one comparison of that class's value with its projection's oracle
+    value.  Any other block is compared product by product, and its
+    failures are listed by product, each with both routes' values.
     """
     result = CheckResult("triangle")
     fm = im.feature_model
+    count = fm.full_mask.bit_length()
     for mode, sign in (("max", 1), ("min", -1)):
         signed = im if im.sign == sign else IndexedModel(im.system, sign)
         family = _family_values(signed)
-        routed = [best_reachable_mean(signed, bit) for bit in inputs.lowest]
-        routed = [v if v is None else sign * v for v in routed]
+        routed = _product_values(signed)
+        same = routed == family
         # Per product, the last class holding it, as ``_per_product`` reads
         # them; ``after[i]`` holds the products of the classes after class i.
-        count = fm.full_mask.bit_length()
         owner = _per_product([(mask, i) for i, (mask, _) in enumerate(family)], count)
         after = [0] * len(family)
         for i in range(len(family) - 1, 0, -1):
             after[i - 1] = after[i] | family[i][0]
-        per_product = None  # the family value of every product, once a block fails
+        per_product = None  # both routes' values of every product, once a block fails
         lines: list[tuple[int, str]] = []  # (product, failure)
         for block, which in zip(inputs.blocks, inputs.projection_of):
-            prod_v, oracle_v = routed[which], inputs.oracle[which][mode]
+            oracle_v = inputs.oracle[which][mode]
             i = owner[(block & -block).bit_length() - 1]
-            if (i is not None and not block & (~family[i][0] | after[i])
-                    and family[i][1] == prod_v == oracle_v):
+            if (same and i is not None and not block & (~family[i][0] | after[i])
+                    and family[i][1] == oracle_v):
                 continue
             if per_product is None:
-                per_product = _per_product(family, count)
+                per_product = list(zip(_per_product(family, count), _per_product(routed, count)))
             for p in _bits(block):
-                fam_v = per_product[p]
+                fam_v, prod_v = per_product[p]
                 if not (fam_v == prod_v == oracle_v):
                     lines.append((p, f"{label} mode={mode} product "
                                      f"{format_product(fm.products[p])}: family={fam_v} "

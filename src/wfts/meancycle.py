@@ -19,8 +19,8 @@ Three routes to the same quantity live here:
   arcs it gains (``_certify``), takes its key from them; any other block
   gets a run on that graph's out-lists read off the same view
   (``Live.out``), started from the arcs the runs before it improved to.
-  Its cold-start, one-product case is ``best_reachable_key``, and
-  ``best_reachable_mean`` gives that value as a ``Fraction``.
+  ``analysis._product_values`` runs it, for ``analyze`` and ``validate``
+  alike.
 * ``brute_force_mean_cycle`` — exhaustive simple-cycle enumeration over
   the declared arcs, each with its length, the oracle both other routes
   are checked against, answering both modes from one enumeration.
@@ -468,16 +468,19 @@ def _certify(live: Live, bit: int, last: int, policy: list[Arc | None], num: lis
 
 
 def product_keys(im: IndexedModel, masks) -> list[tuple[int, int] | None]:
-    """``best_reachable_key`` of each mask of ``masks``, in order: one
-    product, or a block that keeps the same arcs of ``im.live`` and so has
-    one live graph.  A mask without a live initial state gets None and no
-    run.  Each block is first checked against the last block's final
-    values (``_certify``); neighbouring products mostly share their optimal
-    policies, so most blocks pass and read their key off those values.  A
-    block that fails gets a warm-started run (``_howard``) on its out-lists
-    (``Live.out``): a state starts on the arc an earlier run last improved
-    it to, when that arc is live for this mask, else on its first arc of
-    maximum first-hop weight.  A one-mask call runs cold.
+    """The best mean of a cycle reachable from an initial state, for each
+    mask of ``masks`` in order, on ``im``'s signed weights (so maximizing),
+    as a reduced ``(num, den)`` pair over ``im``'s scaled weights: the best
+    value of a live initial state.  A mask is one product, or a block that
+    keeps the same arcs of ``im.live`` and so has one live graph.  A mask
+    without a live initial state, whose reachable part is acyclic, gets
+    None and no run.  Each block is first checked against the last block's
+    final values (``_certify``); neighbouring products mostly share their
+    optimal policies, so most blocks pass and read their key off those
+    values.  A block that fails gets a warm-started run (``_howard``) on
+    its out-lists (``Live.out``): a state starts on the arc an earlier run
+    last improved it to, when that arc is live for this mask, else on its
+    first arc of maximum first-hop weight.  A one-mask call runs cold.
     """
     g, live = im.series, im.live
     start: list[Arc | None] = [None] * len(g.kept)
@@ -498,27 +501,6 @@ def product_keys(im: IndexedModel, masks) -> list[tuple[int, int] | None]:
                 best = s
         keys.append((num[best], den[best]))
     return keys
-
-
-def best_reachable_key(im: IndexedModel, bit: int) -> tuple[int, int] | None:
-    """Best mean cycle of one product, restricted to the part reachable from
-    the initial states, on ``im``'s signed weights (so maximizing), as a
-    reduced ``(num, den)`` pair over ``im``'s scaled weights.
-
-    The product-based pipeline: the states of ``im.series`` with an
-    infinite run from an initial state (``im.live``), Howard policy
-    iteration on them (``_howard``) from the first policy of maximum
-    first-hop weights, and the best value of a surviving initial state.
-    None when no initial state survives, i.e. when the reachable subgraph
-    is acyclic.  The one-product, cold-start case of ``product_keys``.
-    """
-    return product_keys(im, [bit])[0]
-
-
-def best_reachable_mean(im: IndexedModel, bit: int) -> Fraction | None:
-    """``best_reachable_key`` as a ``Fraction`` of ``im``'s signed weights."""
-    key = best_reachable_key(im, bit)
-    return None if key is None else Fraction(key[0], key[1] * im.scale)
 
 
 def brute_force_mean_cycle(

