@@ -23,9 +23,10 @@ Every product is compared, but the oracle runs once per distinct input,
 in one place (``product_inputs``).  The unit is a block
 (``product_blocks``): the products that enable the same edges, an atom of
 the guards' algebra, so that every mask a correct symbolic route computes
-holds a block whole or not at all.  Each block gets one adjacency and one
-reachable projection; blocks with the same projection share one oracle
-enumeration, which answers both modes.  A model that the oracle cannot
+holds a block whole or not at all.  Each block reads its reach off one
+``spread`` over the declared arcs and gets one reachable projection;
+blocks with the same projection share one oracle enumeration, which
+answers both modes.  A model that the oracle cannot
 enumerate, with more unit states than the oracle's limit, is rejected
 before any projection is built.  Both value routes run once per mode, as
 ``analyze --strategy both`` runs them, and share their index's live view;
@@ -45,7 +46,7 @@ from typing import NamedTuple
 
 from .analysis import _family_values, _per_product, _product_values, format_product
 from .dsl import serialize
-from .graphs import IndexedModel, reachable_from, refine, successors
+from .graphs import IndexedModel, refine, spread
 from .meancycle import BRUTE_FORCE_MAX_STATES, brute_force_mean_cycle
 from .model import ModelError, Wfts
 from .randgen import random_corpus
@@ -98,15 +99,20 @@ class ProductInputs(NamedTuple):
 
 
 def product_inputs(im: IndexedModel, label: str) -> ProductInputs:
-    """One reach per block, at its lowest product, on the declared arcs:
-    it gives the block's unit-state count, which ``check_oracle_limit``
-    reads before any projection is built, and then its reachable
-    projection (``reachable_projection``).  The oracle runs once per
-    distinct projection."""
+    """One ``spread`` from the initial states over the declared arcs gives,
+    per declared state, the products that reach it; each block's reach is
+    read off it at the block's lowest product.  That reach gives the
+    block's unit-state count, which ``check_oracle_limit`` reads before
+    any projection is built, and then its reachable projection
+    (``reachable_projection``).  The oracle runs once per distinct
+    projection."""
     blocks = product_blocks(im)
     bits = [block & -block for block in blocks]  # each block's lowest product
-    reaches = [reachable_from(successors(im, bit), im.initial, len(im.system.states))
-               for bit in bits]
+    adj: list[list[tuple[int, int]]] = [[] for _ in im.system.states]
+    for u, v, _, _, g, _ in im.arcs:
+        adj[u].append((v, g))
+    masks = spread([(s, im.feature_model.full_mask) for s in im.initial], [0] * len(adj), adj)
+    reaches = [[bool(m & bit) for m in masks] for bit in bits]
     if im.n > BRUTE_FORCE_MAX_STATES:
         check_oracle_limit(max(unit_states(im, bit, reach)
                                for bit, reach in zip(bits, reaches)), label)

@@ -22,12 +22,10 @@ references build.  An expanded system gets the same series view, since
 its ``#`` states are pass-through.
 
 ``refine`` splits the products into the checks' and the product route's
-blocks.  ``spread`` is the one reachability over product sets: the live
-view and the witness stage's components run it.  ``reachable_from`` is
-plain reachability for one product, over the adjacency ``successors``
-reads off the arcs, which the checks run once per block.  Both follow
-the canonical iteration order: states and out-edges in declaration
-order.
+blocks.  ``spread`` is the one reachability in ``src/``, over product
+sets: the live view, the witness stage's components and the checks'
+per-block reach all run it.  It follows the canonical iteration order:
+states and out-edges in declaration order.
 """
 
 from __future__ import annotations
@@ -230,32 +228,6 @@ def refine(full: int, guards) -> list[int]:
             break
     single.sort()  # a power of two is its own lowest product
     return sorted(blocks + single, key=lambda b: b & -b) if blocks else single
-
-
-def successors(im: IndexedModel, bit: int) -> list[list[int]]:
-    """Per declared state of ``im``, its targets under product ``bit`` in
-    declaration order."""
-    adj: list[list[int]] = [[] for _ in im.system.states]
-    for u, v, _, _, g, _ in im.arcs:
-        if g & bit:
-            adj[u].append(v)
-    return adj
-
-
-def reachable_from(adj: list[list[int]], sources: list[int], n: int) -> list[bool]:
-    seen = [False] * n
-    stack = []
-    for s in sources:
-        if not seen[s]:
-            seen[s] = True
-            stack.append(s)
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                stack.append(v)
-    return seen
 
 
 def spread(

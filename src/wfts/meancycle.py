@@ -16,7 +16,8 @@ Three routes to the same quantity live here:
   iteration (``_howard``), per block of products that keep the same live
   arcs, and so have one live graph.  A block whose live graph the last
   block's final values already certify, by Howard's stopping test on the
-  arcs it gains (``_certify``), takes its key from them; any other block
+  arcs it gains (``_certify``, which values its newly live states by a
+  run's own ``_evaluate``), takes its key from them; any other block
   gets a run on that graph's out-lists read off the same view
   (``Live.out``), started from the arcs the runs before it improved to.
   ``analysis._product_values`` runs it, for ``analyze`` and ``validate``
@@ -45,12 +46,14 @@ den of the state's mean: x(u) = den·w − num·ℓ + x(π(u)).  A pass-through
 state has one choice, and the family
 route's first policy, like a product's cold start, ranks arcs by their
 first hop's weight, which is the edge the unit steps' first policy
-compares.  The family route roots a cycle at its smallest kept state;
-when the pass-through states are a length chain's ``#`` states, indexed
-after every declared state, that is the unit steps' root too, and the
-iteration is the one on the unit steps, arc for chain and round for
-round.  The paper's route, components and a partitioned
-Karp recurrence per component, is the tests' reference for
+compares.  Both routes root a new policy cycle at its smallest kept
+state (``_determine``, ``_evaluate``), so the family route, read per
+product, is that product's cold ``_howard`` run, state for state and
+round for round.  When the pass-through states are a length chain's
+``#`` states, indexed after every declared state, that is the unit
+steps' root too, and the iteration is the one on the unit steps, arc
+for chain and round for round.  The paper's route, components and a
+partitioned Karp recurrence per component, is the tests' reference for
 ``family_means``; it reads the unit steps, the arcs of the length
 expansion's own index.
 
@@ -225,10 +228,10 @@ def family_means(im: IndexedModel) -> list[tuple[int, tuple[int, int]]]:
     state with a choice meets each successor's cells once, for both its
     type-1 candidates, adopted at once, and its type-2 ones, kept until
     the sweep has shown which products no type-1 step moved.  Every cycle
-    is rooted at its smallest state, so a cycle that survives an
-    improvement keeps its root, and every round strictly improves each
-    changed product.  A product whose policy does not change is final and
-    leaves the round; its cells are its values at its initial states, and
+    is rooted at its smallest state, as in ``_howard``, so a cycle that
+    survives an improvement keeps its root, and every round strictly
+    improves each changed product.  A product whose policy does not change
+    is final and leaves the round; its cells are its values at its initial states, and
     the caller's merge takes the best of them.  Products without a live
     initial state have no cell.
     """
@@ -293,18 +296,17 @@ def family_means(im: IndexedModel) -> list[tuple[int, tuple[int, int]]]:
 _first_hop = itemgetter(4)
 
 
-def _evaluate(policy: list[Arc | None], states: list[int], was_root: list[bool],
-              num: list[int], den: list[int], x: list[int]) -> list[bool]:
-    """Value determination of one ``_howard`` policy: sets every listed
-    state's mean ``(num, den)`` and potential ``x`` in place, and returns
-    which states are now cycle roots.  A walk follows the policy from each
-    state until it meets a valued state or closes a new cycle, rooted at
-    its last round's root when it has one, else where the walk met it.
+def _evaluate(policy: list[Arc | None], states: list[int], valued: list[bool],
+              num: list[int], den: list[int], x: list[int]) -> bool:
+    """Value determination of one ``_howard`` policy: sets the mean
+    ``(num, den)`` and potential ``x`` of every listed state that
+    ``valued`` does not yet flag, in place, and flags it.  A walk follows
+    the policy from each state until it meets a valued state or closes a
+    new cycle, which is rooted at its smallest state, as ``_determine``
+    roots it.  Returns whether a walk closed a new cycle.
     """
-    n = len(policy)
-    is_root = [False] * n
-    valued = [False] * n
-    walk = [-1] * n
+    walk = [-1] * len(policy)
+    closed = False
     for s in states:
         path = []
         v = s
@@ -318,19 +320,19 @@ def _evaluate(policy: list[Arc | None], states: list[int], was_root: list[bool],
             total = sum(policy[c][2] for c in cycle)
             length = sum(policy[c][3] for c in cycle)
             g = gcd(total, length)
-            r = next((i for i, c in enumerate(cycle) if was_root[c]), 0)
+            r = cycle.index(min(cycle))
             root = cycle[r]
             # Valued backwards from the root: the cycle, then the path
             # into it.
             path += cycle[r + 1:] + cycle[:r]
             num[root], den[root], x[root] = total // g, length // g, 0
-            is_root[root] = valued[root] = True
+            valued[root] = closed = True
         for u in reversed(path):
             _, t, wt, ln, _, _ = policy[u]
             num[u], den[u] = num[t], den[t]
             x[u] = den[t] * wt - num[t] * ln + x[t]
             valued[u] = True
-    return is_root
+    return closed
 
 
 def _howard(out: list[list[Arc] | None], start: list[Arc | None]
@@ -348,19 +350,22 @@ def _howard(out: list[list[Arc] | None], start: list[Arc | None]
     A policy picks one out-arc per state; each state then leads to one
     policy cycle, whose mean it takes.  Its potential is kept scaled by the
     den of that mean, x(v) = den * w - num * l + x(pi(v)) over an arc of
-    weight w and length l, with x = 0 at the cycle's root, so that the
-    arithmetic stays in ints.  ``start`` holds, per state, the arc an
-    earlier run last improved it to, or None.  A listed state starts on
-    that arc when it is among its out-arcs (the arc's position in
-    ``im.series.arcs`` tells it apart), else on its first arc of maximum
-    first-hop weight, and each improvement is written back to ``start``.
+    weight w and length l, with x = 0 at the cycle's root, its smallest
+    state, so that the arithmetic stays in ints.  ``start`` holds, per
+    state, the arc an earlier run last improved it to, or None.  A listed
+    state starts on that arc when it is among its out-arcs (the arc's
+    position in ``im.series.arcs`` tells it apart), else on its first arc
+    of maximum first-hop weight, and each improvement is written back to
+    ``start``.
     A state improves first by mean (type 1, compared by
     cross-multiplication), and, when no state can, by potential among
     successors of equal mean (type 2).  The policy changes only on strict
     improvement, to the first best edge in declaration order, and a cycle
-    that survives an improvement keeps its root: every round then strictly
-    improves (mean, potential), so the iteration ends, and it ends at the
-    optimum, whatever the first policy.
+    that survives an improvement keeps its smallest state, and so its
+    root: every round then strictly improves (mean, potential), so the
+    iteration ends, and it ends at the optimum, whatever the first policy.
+    ``family_means`` is this iteration on sets of products: a product's
+    cells there are a cold run's values, state for state.
     """
     n = len(out)
     states = [u for u in range(n) if out[u] is not None]
@@ -371,9 +376,8 @@ def _howard(out: list[list[Arc] | None], start: list[Arc | None]
     num = [0] * n
     den = [1] * n
     x = [0] * n
-    was_root = [False] * n
     while True:
-        was_root = _evaluate(policy, states, was_root, num, den, x)
+        _evaluate(policy, states, [False] * n, num, den, x)
         changed = False
         for u in states:  # type 1: a successor of better mean
             bn, bd = num[u], den[u]
@@ -415,9 +419,9 @@ def _certify(live: Live, bit: int, last: int, policy: list[Arc | None], num: lis
     The check fails where a state live for both loses its policy arc.
     Otherwise each such state's policy walk stays among them, and its
     values stand.  A state live for ``bit`` alone takes the arc
-    ``_howard`` would start it on, and is valued along its policy into the
-    carried states, x(u) = den·w − num·ℓ + x(π(u)), in place; the check
-    fails where those policies close a cycle among themselves.  Howard's
+    ``_howard`` would start it on, and ``_evaluate`` values it along its
+    policy into the carried states, given as valued, in place; the check
+    fails where that call closes a new cycle.  Howard's
     stopping test, no successor of better mean (type 1) and none of equal
     mean and better potential (type 2), then runs on the arcs that ``bit``
     keeps and ``last`` does not, every arc of a newly live state among
@@ -440,26 +444,15 @@ def _certify(live: Live, bit: int, last: int, policy: list[Arc | None], num: lis
         elif k == bit:
             fresh.append(u)
     if fresh:
-        status = dict.fromkeys(fresh, 0)  # 1 on the current walk, 2 valued
+        valued = [True] * len(policy)  # the carried states keep their values
         for u in fresh:
             arcs = [arc for arc in live.arcs[u] if arc[0] & bit]
             first = start[u]
             policy[u] = first if first in arcs else max(arcs, key=_first_hop)
             gained += [(u, arc) for arc in arcs]
-        for s in fresh:
-            path = []
-            v = s
-            while status.get(v) == 0:
-                status[v] = 1
-                path.append(v)
-                v = policy[v][1]
-            if status.get(v) == 1:
-                return False
-            for u in reversed(path):
-                _, t, wt, ln, _, _ = policy[u]
-                num[u], den[u] = num[t], den[t]
-                x[u] = den[t] * wt - num[t] * ln + x[t]
-                status[u] = 2
+            valued[u] = False
+        if _evaluate(policy, fresh, valued, num, den, x):
+            return False
     for u, (_, v, wt, ln, _, _) in gained:
         nu, du, nv, dv = num[u], den[u], num[v], den[v]
         if nv * du > nu * dv or (nv == nu and dv == du and du * wt - nu * ln + x[v] > x[u]):

@@ -1,4 +1,8 @@
-"""The product route's cold reference: one product at a time, from scratch.
+"""The per-product references: one product at a time, from scratch.
+
+``successors`` and ``reachable_from`` are one product's adjacency over
+the declared arcs and a plain DFS over it, the check of the one
+``spread`` that ``checks.product_inputs`` and the live view run.
 
 ``reference_live_out`` finds a product's live graph by a plain reach and
 peel over the arcs of ``im.series``: the states reached from an initial
@@ -16,6 +20,34 @@ from __future__ import annotations
 from wfts.analysis import Classes, _merge
 from wfts.graphs import IndexedModel
 from wfts.meancycle import _howard
+
+
+def successors(im: IndexedModel, bit: int) -> list[list[int]]:
+    """Per declared state of ``im``, its targets under product ``bit`` in
+    declaration order."""
+    adj: list[list[int]] = [[] for _ in im.system.states]
+    for u, v, _, _, g, _ in im.arcs:
+        if g & bit:
+            adj[u].append(v)
+    return adj
+
+
+def reachable_from(adj: list[list[int]], sources: list[int], n: int) -> list[bool]:
+    """Per state of ``n``, whether a plain DFS over ``adj`` reaches it from
+    ``sources``."""
+    seen = [False] * n
+    stack = []
+    for s in sources:
+        if not seen[s]:
+            seen[s] = True
+            stack.append(s)
+    while stack:
+        u = stack.pop()
+        for v in adj[u]:
+            if not seen[v]:
+                seen[v] = True
+                stack.append(v)
+    return seen
 
 
 def reference_live_out(im: IndexedModel, bit: int) -> list:

@@ -34,7 +34,7 @@ block at a time where its products agree.
 
 Every function here reads the unit steps as the arcs of the length
 expansion's own index, ``IndexedModel(expand_lengths(w))``: ``guarded``
-gives its guarded adjacency, and ``wfts.graphs.successors`` one product's.
+gives its guarded adjacency, and ``cold_reference.successors`` one product's.
 """
 
 from __future__ import annotations
@@ -44,8 +44,10 @@ from typing import NamedTuple
 
 from wfts.analysis import _per_product, format_product
 from wfts.checks import CheckResult, ProductInputs, _bits
-from wfts.graphs import IndexedModel, spread, successors
+from wfts.graphs import IndexedModel, spread
 from wfts.ordering import DfsOrder, dfs_order
+
+from cold_reference import successors
 
 Guarded = list[list[tuple[int, int]]]  # per state, (neighbour, guard mask) pairs
 

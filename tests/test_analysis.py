@@ -23,11 +23,12 @@ from wfts.analysis import (
 from wfts.cli import main
 from wfts.features import FALSE, TRUE, FeatureModel, Not, Var
 from wfts.generators import grant_request, minepump_lite, taxi
-from wfts.graphs import IndexedModel, reachable_from, successors
+from wfts.graphs import IndexedModel
 from wfts.model import Transition, Wfts, expand_lengths
 from wfts.ordering import dfs_order
 from wfts.randgen import random_corpus, random_wfts
 
+from cold_reference import reachable_from, successors
 from paper_reference import check_order_coverage, finish_order, kosaraju_components
 from test_features import _eval, exprs, powerset
 from test_golden import without_timing

@@ -28,12 +28,13 @@ from wfts.analysis import analyze_family, analyze_products, format_product
 from wfts.dsl import parse
 from wfts.features import TRUE, FeatureModel, Var
 from wfts.generators import grant_request, minepump_lite, taxi
-from wfts.graphs import IndexedModel, reachable_from, successors
+from wfts.graphs import IndexedModel
 from wfts.meancycle import brute_force_mean_cycle
 from wfts.model import ModelError, Transition, Wfts, expand_lengths
 from wfts.ordering import DfsOrder
 from wfts.randgen import random_corpus, random_wfts
 
+from cold_reference import reachable_from, successors
 from paper_reference import (
     build_finishing_tree,
     check_order_coverage,
@@ -176,6 +177,32 @@ def test_classic_references_run_once_per_block(monkeypatch):
     built = counting(monkeypatch, "reachable_projection")
     assert checks.check_model(w).ok
     assert [bit for _, bit, _ in built] == [block & -block for block in blocks]
+
+
+def assert_block_reaches_are_the_classic_ones(w: Wfts) -> None:
+    """The reach that ``product_inputs`` reads off its one ``spread`` for
+    each block is every product's classic reach (``reachable_from`` over
+    ``successors``) on the declared arcs."""
+    im = IndexedModel(w)
+    with pytest.MonkeyPatch.context() as patch:
+        built = counting(patch, "reachable_projection")
+        blocks = checks.product_inputs(im, "model").blocks
+    assert [bit for _, bit, _ in built] == [block & -block for block in blocks]
+    for (_, _, got), block in zip(built, blocks):
+        for p in checks._bits(block):
+            assert got == reach(im, 1 << p), p
+
+
+@pytest.mark.parametrize("label, w", BLOCK_MODELS, ids=[label for label, _ in BLOCK_MODELS])
+def test_block_reaches_equal_classic_reachability_on_bundled_models(label, w):
+    assert_block_reaches_are_the_classic_ones(w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**9), wide=st.booleans())
+def test_block_reaches_equal_classic_reachability_on_random_models(seed, wide):
+    sizes = {"max_states": 16, "max_features": 10} if wide else {}
+    assert_block_reaches_are_the_classic_ones(random_wfts(f"reach:{seed}", **sizes))
 
 
 def test_check_model_runs_no_feature_aware_dfs(monkeypatch):

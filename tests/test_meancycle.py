@@ -12,12 +12,14 @@ from wfts.analysis import (
 from wfts.checks import reachable_projection
 from wfts.features import TRUE, And, FeatureModel, Not, Or, Var
 from wfts.generators import grant_request, minepump_lite, taxi
-from wfts.graphs import IndexedModel, reachable_from, spread, successors
+from wfts.graphs import IndexedModel, spread
 from wfts.meancycle import brute_force_mean_cycle, product_keys
 from wfts.model import Transition, Wfts, expand_lengths
 from wfts.randgen import random_corpus, random_wfts
 
-from cold_reference import cold_key, cold_values, reference_live_out, unmasked
+from cold_reference import (
+    cold_key, cold_values, reachable_from, reference_live_out, successors, unmasked,
+)
 from karp_reference import karp_values
 from ring import ring
 from test_analysis import within
@@ -394,6 +396,53 @@ class TestFamilyHoward:
             got.append(len(calls))
         assert got == rounds
 
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_each_product_is_a_cold_howard_run_lifted(self, seed):
+        # Per product, its cells in the last value determination it is
+        # active in are the final means and potentials of a cold _howard
+        # run on its own live graph, at every live state, after as many
+        # rounds: one iteration, run on sets of products.
+        import wfts.meancycle as meancycle
+
+        w = random_wfts(seed, max_states=10, max_features=3)
+        determine, evaluate = meancycle._determine, meancycle._evaluate
+        determined = []  # (todo, values) of each family round
+        evaluated = []  # one entry per cold round
+
+        def recorded(policy, outs, todo):
+            values = determine(policy, outs, todo)
+            determined.append((todo, values))
+            return values
+
+        def counted(*args):
+            evaluated.append(None)
+            return evaluate(*args)
+
+        for sign, mode in ((1, "max"), (-1, "min")):
+            im = IndexedModel(w, sign)
+            determined.clear()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(meancycle, "_determine", recorded)
+                meancycle.family_means(im)
+            for p in range(w.feature_model.full_mask.bit_length()):
+                bit = 1 << p
+                out = reference_live_out(im, bit)
+                active = [values for todo, values in determined if any(m & bit for m in todo)]
+                if all(out[s] is None for s in im.series.initial):
+                    assert active == [], (mode, p)
+                    continue
+                evaluated.clear()
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(meancycle, "_evaluate", counted)
+                    _, num, den, x = meancycle._howard(out, [None] * len(out))
+                cold = [None if arcs is None else (num[u], den[u], x[u])
+                        for u, arcs in enumerate(out)]
+                lifted = [next((cell for cell, m in here.items() if m & bit), None)
+                          for here in active[-1]]
+                assert lifted == cold, (mode, p)
+                assert len(active) == len(evaluated), (mode, p)
+
     def test_long_expansion_under_the_default_recursion_limit(self):
         # About 9,000 expanded states: no walk of the analysis recurses.
         from wfts.dsl import parse
@@ -717,13 +766,16 @@ class TestWarmStart:
 
     @staticmethod
     def rounds(monkeypatch):
+        """One entry per round of a ``_howard`` run from now on: its value
+        determinations, and not ``_certify``'s."""
         import wfts.meancycle as meancycle
 
         calls = []
         evaluate = meancycle._evaluate
 
         def counted(*args):
-            calls.append(None)
+            if sys._getframe(1).f_code is meancycle._howard.__code__:
+                calls.append(None)
             return evaluate(*args)
 
         monkeypatch.setattr(meancycle, "_evaluate", counted)

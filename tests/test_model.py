@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 
 from wfts.features import MAX_GUARD_DEPTH, TRUE, FeatureError, FeatureModel, Var
-from wfts.graphs import IndexedModel, successors
+from wfts.graphs import IndexedModel
 from wfts.model import ModelError, Transition, Wfts, expand_lengths
 
+from cold_reference import reachable_from, successors
 from paper_reference import symbolic_reachable_masks
 
 
@@ -203,8 +204,6 @@ class TestSymbolicReachable:
                 assert reach[state] == fm.mask(TRUE)
 
     def test_matches_classic_reachability_per_product(self, taxi1_expanded):
-        from wfts.graphs import reachable_from
-
         w = taxi1_expanded
         fm = w.feature_model
         im = IndexedModel(w)

@@ -2,11 +2,12 @@ from hypothesis import given, settings, strategies as st
 
 from wfts.checks import product_inputs
 from wfts.features import FeatureModel, Not, Or, Var
-from wfts.graphs import IndexedModel, spread, successors
+from wfts.graphs import IndexedModel, spread
 from wfts.generators import taxi
 from wfts.model import Transition, Wfts, expand_lengths
 from wfts.randgen import random_wfts
 
+from cold_reference import reachable_from, successors
 from karp_reference import forward_backward_sccs
 from paper_reference import (
     build_finishing_tree,
@@ -246,8 +247,6 @@ class TestReachExcluding:
             assert m in (0, basic)
 
     def test_singleton_family_degenerates_to_classic(self, grantreq):
-        from wfts.graphs import reachable_from
-
         fm = grantreq.feature_model
         im = IndexedModel(grantreq)
         for product in fm.products:
@@ -271,8 +270,6 @@ class TestReachExcluding:
         assert blocked[index("s3")] == 0
 
     def test_forward_spread_degenerates_to_classic(self, grantreq):
-        from wfts.graphs import reachable_from
-
         fm = grantreq.feature_model
         im = IndexedModel(grantreq)
         for product in fm.products:
