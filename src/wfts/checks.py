@@ -26,12 +26,12 @@ the guards' algebra, so that every mask a correct symbolic route computes
 holds a block whole or not at all.  Each block reads its reach off one
 ``spread`` over the declared arcs and gets one reachable projection;
 blocks with the same projection share one oracle enumeration, which
-answers both modes.  A model that the oracle cannot
-enumerate, with more unit states than the oracle's limit, is rejected
-before any projection is built.  Both value routes run once per mode, as
-``analyze --strategy both`` runs them, and share their index's live view;
-the triangle compares their classes once per mode, and each block with
-the oracle at once where its products agree.
+answers both modes.  A model that the oracle cannot enumerate, with a
+block that reaches more declared states than the oracle's limit, is
+rejected before any projection is built.  Both value routes run once per
+mode, as ``analyze --strategy both`` runs them, and share their index's
+live view; the triangle compares their classes once per mode, and each
+block with the oracle at once where its products agree.
 
 Failures carry enough context to reproduce: ``check_model`` adds one header
 with the model text as given, and each line names the product and the
@@ -101,11 +101,11 @@ class ProductInputs(NamedTuple):
 def product_inputs(im: IndexedModel, label: str) -> ProductInputs:
     """One ``spread`` from the initial states over the declared arcs gives,
     per declared state, the products that reach it; each block's reach is
-    read off it at the block's lowest product.  That reach gives the
-    block's unit-state count, which ``check_oracle_limit`` reads before
-    any projection is built, and then its reachable projection
-    (``reachable_projection``).  The oracle runs once per distinct
-    projection."""
+    read off it at the block's lowest product.  A block that reaches more
+    declared states than the oracle enumerates raises a ModelError before
+    any projection is built; every other block gets its reachable
+    projection (``reachable_projection``).  The oracle runs once per
+    distinct projection."""
     blocks = product_blocks(im)
     bits = [block & -block for block in blocks]  # each block's lowest product
     adj: list[list[tuple[int, int]]] = [[] for _ in im.system.states]
@@ -113,9 +113,10 @@ def product_inputs(im: IndexedModel, label: str) -> ProductInputs:
         adj[u].append((v, g))
     masks = spread([(s, im.feature_model.full_mask) for s in im.initial], [0] * len(adj), adj)
     reaches = [[bool(m & bit) for m in masks] for bit in bits]
-    if im.n > BRUTE_FORCE_MAX_STATES:
-        check_oracle_limit(max(unit_states(im, bit, reach)
-                               for bit, reach in zip(bits, reaches)), label)
+    largest = max(map(sum, reaches))
+    if largest > BRUTE_FORCE_MAX_STATES:
+        raise ModelError(f"{label}: a product reaches {largest} states; "
+                         f"the brute-force oracle stops at {BRUTE_FORCE_MAX_STATES}")
     index: dict[tuple, int] = {}
     projections: list[Projection] = []
     projection_of: list[int] = []
@@ -146,25 +147,6 @@ def reachable_projection(im: IndexedModel, bit: int, reach: list[bool]) -> Proje
         if g & bit and reach[u]  # target is reachable too, then
     ]
     return len(local), edges
-
-
-def unit_states(im: IndexedModel, bit: int, reach: list[bool]) -> int:
-    """The state count of product ``bit``'s reachable projection on the
-    unit steps, counted on ``im``'s declared arcs from the states it
-    reaches (``reach``): those states, and the ℓ − 1 ``#`` states of each
-    reachable arc of length ℓ it enables."""
-    return sum(reach) + sum(ln - 1 for u, _, _, ln, g, _ in im.arcs if g & bit and reach[u])
-
-
-def check_oracle_limit(largest: int, label: str) -> None:
-    """Raise a ModelError when a product reaches ``largest`` unit states,
-    more than the brute-force oracle enumerates: the triangle cannot be
-    checked."""
-    if largest > BRUTE_FORCE_MAX_STATES:
-        raise ModelError(
-            f"{label}: a product reaches {largest} states after length "
-            f"expansion; the brute-force oracle stops at {BRUTE_FORCE_MAX_STATES}"
-        )
 
 
 def check_triangle(im: IndexedModel, inputs: ProductInputs, label: str) -> CheckResult:
@@ -223,9 +205,10 @@ def check_model(w: Wfts, label: str = "model") -> CheckResult:
     """The oracle triangle on one system, on the blocks and oracle answers
     of ``product_inputs`` and two indexed graphs: the max-signed one, and
     its min-signed twin, which the triangle builds for min mode.  A model
-    past the oracle's limit raises its ModelError before the triangle
-    runs.  When it fails, the failures start with one header holding
-    ``w``'s own text, which ``parse`` reads back."""
+    with a block past the oracle's limit of declared states raises its
+    ModelError before the triangle runs.  When it fails, the failures
+    start with one header holding ``w``'s own text, which ``parse`` reads
+    back."""
     result = CheckResult(label)
     im = IndexedModel(w)
     result.merge(check_triangle(im, product_inputs(im, label), label))

@@ -341,14 +341,22 @@ def test_analyze_both_builds_one_live_view(monkeypatch, mode, sign):
     assert built == [sign]
 
 
+def cycle_source(n: int, length: int = 1) -> str:
+    """The cycle ``s0 -> s1 -> ... -> s<n-1> -> s0`` of ``n`` declared
+    states, its closing arc of length ``length``."""
+    states = [f"s{i}" for i in range(n)]
+    arcs = [f"trans {u} -> {v} weight=1\n" for u, v in zip(states, states[1:])]
+    return ("features { A }\nstates { " + ", ".join(states) + " }\ninit { s0 }\n"
+            + "".join(arcs) + f"trans {states[-1]} -> s0 weight=2 length={length}\n")
+
+
 def test_a_model_past_the_oracle_limit_fails_before_any_suite(monkeypatch):
     family = counting(monkeypatch, "_family_values")
     runs = routed(monkeypatch)
     with pytest.raises(ModelError, match=(
-        r"^taxi:5: a product reaches 52 states after length expansion; "
-        r"the brute-force oracle stops at 48$"
+        r"^cycle: a product reaches 49 states; the brute-force oracle stops at 48$"
     )):
-        checks.check_model(taxi(5), "taxi:5")
+        checks.check_model(parse(cycle_source(49)), "cycle")
     assert family == runs == []
 
 
@@ -363,30 +371,34 @@ def expansions(monkeypatch) -> list:
 
 
 def test_the_limit_is_checked_on_the_declared_arcs_before_expansion(monkeypatch):
-    # One product reaches s, t and the 59 states of the chain s -> t.
-    text = ("features { A }\nstates { s, t }\ninit { s }\n"
-            "trans s -> t weight=4 length=60\ntrans t -> s [A] weight=1\n")
-    w = parse(text)
-    largest = max(unit_projection(IndexedModel(w), bit)[0] for bit in (1, 2))
-    assert largest == 61
+    # The limit counts declared states: a cycle of 48 passes and one of 49
+    # is refused, however long their arcs (48 + 59 unit states, then 49 + 59).
     expanded = expansions(monkeypatch)
+    assert checks.check_model(parse(cycle_source(48, length=60)), "long").ok
     with pytest.raises(ModelError) as caught:
-        checks.check_model(w, "long")
-    assert str(caught.value) == (f"long: a product reaches {largest} states after length "
-                                 "expansion; the brute-force oracle stops at 48")
+        checks.check_model(parse(cycle_source(49, length=60)), "long")
+    assert str(caught.value) == ("long: a product reaches 49 states; "
+                                 "the brute-force oracle stops at 48")
     assert expanded == []
 
 
 def test_validate_refuses_a_length_of_200000_at_once(tmp_path, capsys):
+    # A length of 200,000 is summed, not expanded: two declared states
+    # pass at once, and 49 are refused at once.
     from wfts.cli import main
 
     path = tmp_path / "long.wfts"
     path.write_text("features { A }\nstates { s, t }\ninit { s }\n"
                     "trans s -> t weight=4 length=200000\ntrans t -> s [A] weight=1\n")
     start = time.perf_counter()
+    assert main(["validate", str(path)]) == 0
+    assert time.perf_counter() - start < 0.05
+    assert "ok" in capsys.readouterr().out
+    path.write_text(cycle_source(49, length=200000))
+    start = time.perf_counter()
     assert main(["validate", str(path)]) == 2
     assert time.perf_counter() - start < 0.05
-    assert "a product reaches 200001 states after length expansion" in capsys.readouterr().err
+    assert "a product reaches 49 states; the brute-force oracle" in capsys.readouterr().err
 
 
 # Lengths 2 to 5 and fractional weights, under the oracle's limit.
@@ -415,17 +427,17 @@ def test_validate_expands_no_lengths(monkeypatch, tmp_path, capsys, source):
 
 
 def assert_projections_match_the_unit_steps(w: Wfts) -> None:
-    """Per block, at its lowest product: the declared projection's unit
-    count is the state count of the unit steps' projection, and the oracle
-    on it answers as on the unit steps, in both modes."""
+    """Per block, at its lowest product: the declared projection holds the
+    states it reaches, and the oracle on it answers as on the unit steps'
+    projection, in both modes."""
     im = IndexedModel(w)
     for block in checks.product_blocks(im):
         bit = block & -block
         reached = reach(im, bit)
-        n, edges = unit_projection(im, bit)
-        assert checks.unit_states(im, bit, reached) == n
         declared = checks.reachable_projection(im, bit, reached)
-        assert brute_force_mean_cycle(*declared) == brute_force_mean_cycle(n, edges)
+        unit = unit_projection(im, bit)
+        assert declared[0] == sum(reached)
+        assert brute_force_mean_cycle(*declared) == brute_force_mean_cycle(*unit)
 
 
 @pytest.mark.parametrize("label, w", BLOCK_MODELS, ids=[label for label, _ in BLOCK_MODELS])

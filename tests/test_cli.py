@@ -12,6 +12,8 @@ from wfts.cli import build_parser, main
 from wfts.dsl import serialize
 from wfts.generators import taxi
 
+from test_checks import cycle_source
+
 
 @pytest.fixture
 def taxi_file(tmp_path):
@@ -459,7 +461,16 @@ def test_mutated_models_end_in_an_exit_code_under_validate(capsys, tmp_path, edi
     run_mutated(capsys, tmp_path, edits, "validate")
 
 
-def test_validate_beyond_the_oracle_is_a_model_error(capsys):
-    code, _, err = run(capsys, "validate", "--generate", "taxi:5")
+def test_validate_beyond_the_oracle_is_a_model_error(capsys, tmp_path):
+    path = tmp_path / "cycle.wfts"
+    path.write_text(cycle_source(49))
+    code, _, err = run(capsys, "validate", str(path))
     assert code == 2
     assert "brute-force oracle stops at 48" in err
+
+
+def test_validate_passes_taxi_5(capsys):
+    # 52 unit states but at most 24 declared ones: within the oracle's limit.
+    code, out, err = run(capsys, "validate", "--generate", "taxi:5")
+    assert code == 0
+    assert "ok" in out and err == ""
